@@ -249,8 +249,9 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="list every skew truss over a fixed group")
     enum.add_argument("--group", required=True,
                       help="Zn, S3, or a JSON file holding a Cayley table")
-    enum.add_argument("--max", type=int, default=4,
-                      help="largest carrier size to attempt (default 4)")
+    enum.add_argument("--max", type=int, default=6,
+                      help="largest carrier size to attempt (default 6; "
+                           "sizes above 7 are always refused)")
     enum.add_argument("--out", help="write the listing here instead of stdout")
     enum.set_defaults(func=cmd_enumerate)
 

@@ -33,6 +33,11 @@ from .report import CheckResult, VerificationReport, condition
 
 Table = tuple[tuple[int, ...], ...]
 
+# enumerate_skew_trusses refuses larger carriers before any work starts,
+# so every call is bounded: the search and its output grow steeply with
+# the order (Z7 alone has 20449 skew trusses).
+MAX_ENUMERATION_ORDER = 7
+
 
 def _as_table(rows) -> Table:
     table = tuple(tuple(int(x) for x in row) for row in rows)
@@ -273,14 +278,44 @@ def verify_set_morphism(f: SetMorphism, src: SkewTruss, dst: SkewTruss) -> Verif
     ))
 
 
+def _generators(g: FiniteGroup) -> list[int]:
+    """A generating set, greedily: each element not yet reached joins it."""
+    t1 = g.table
+    gens: list[int] = []
+    reached = {g.unit}
+    for x in range(g.size):
+        if x not in reached:
+            gens.append(x)
+            while more := {t1[y][s] for y in reached for s in gens} - reached:
+                reached |= more
+    return gens
+
+
 def _group_endomorphisms(g: FiniteGroup) -> list[tuple[int, ...]]:
+    """Every endomorphism of g, in lexicographic order.
+
+    An endomorphism is fixed by the images of a generating set, so each
+    choice of those images is extended along products with the
+    generators and kept when the map it defines is a homomorphism.
+    """
     n = g.size
     t1 = g.table
+    gens = _generators(g)
     out = []
-    for f in itertools.product(range(n), repeat=n):
+    for images in itertools.product(range(n), repeat=len(gens)):
+        f = [None] * n
+        f[g.unit] = g.unit
+        frontier = [g.unit]
+        while frontier:
+            x = frontier.pop()
+            for s, fs in zip(gens, images):
+                y = t1[x][s]
+                if f[y] is None:
+                    f[y] = t1[f[x]][fs]
+                    frontier.append(y)
         if all(f[t1[a][b]] == t1[f[a]][f[b]] for a in range(n) for b in range(n)):
-            out.append(f)
-    return out
+            out.append(tuple(f))
+    return sorted(out)
 
 
 def _valid_rows(g: FiniteGroup) -> list[tuple[int, ...]]:
@@ -301,43 +336,56 @@ def enumerate_skew_trusses(g: FiniteGroup, max_size: int = 4) -> list[SkewTruss]
     Searches translate-of-endomorphism rows (each such row is exactly the
     per-row content of the distributivity law) and prunes by associativity
     of the partial table. Output order matches a raw lexicographic sweep
-    of all n^(n*n) tables.
+    of all n^(n*n) tables. Carriers larger than max_size, or than
+    MAX_ENUMERATION_ORDER whatever max_size says, are refused up front.
     """
     n = g.size
     if n > max_size:
         raise BoundExceededError(
             f"carrier size {n} exceeds enumeration bound {max_size}")
+    if n > MAX_ENUMERATION_ORDER:
+        raise BoundExceededError(
+            f"carrier size {n} exceeds the fixed enumeration bound "
+            f"{MAX_ENUMERATION_ORDER}")
     rows = _valid_rows(g)
+    index = {row: i for i, row in enumerate(rows)}
+    # compose[r][s]: the index of row r after row s, or -1 if that is no row
+    compose = [[index.get(tuple(r[x] for x in s), -1) for s in rows] for r in rows]
+    # where[r][v]: the b that row r sends to v
+    where = [[tuple(b for b in range(n) if r[b] == v) for v in range(n)] for r in rows]
     found: list[SkewTruss] = []
-    chosen: list[tuple[int, ...]] = []
+    chosen: list[int] = []
 
     def partial_ok() -> bool:
-        k = len(chosen)
-        for a in range(k):
-            row_a = chosen[a]
-            for b in range(k):
-                ab = row_a[b]
-                if ab >= k:
-                    continue
-                row_ab = chosen[ab]
-                row_b = chosen[b]
-                for c in range(k):
-                    bc = row_b[c]
-                    if bc >= k:
-                        continue
-                    if row_ab[c] != row_a[bc]:
-                        return False
+        # (a*b)*c = a*(b*c) for every c says that row a*b is row a after
+        # row b. Pairs whose a, b and a*b are all earlier rows held at an
+        # earlier depth, so only pairs involving the new row j are checked:
+        # (j, b), (a, j), and (a, b) with a*b = j.
+        j = len(chosen) - 1
+        cj = chosen[j]
+        row_j, compose_j = rows[cj], compose[cj]
+        for b in range(j + 1):
+            ab = row_j[b]
+            if ab <= j and chosen[ab] != compose_j[chosen[b]]:
+                return False
+        for a in range(j):
+            ca = chosen[a]
+            compose_a = compose[ca]
+            ab = rows[ca][j]
+            if ab <= j and chosen[ab] != compose_a[cj]:
+                return False
+            for b in where[ca][j]:
+                if b < j and cj != compose_a[chosen[b]]:
+                    return False
         return True
 
     def extend() -> None:
         if len(chosen) == n:
-            table = tuple(chosen)
-            found.append(SkewTruss(
-                g, FiniteSemigroup(table),
-                derive_omega(g, FiniteSemigroup(table))))
+            semigroup = FiniteSemigroup(tuple(rows[i] for i in chosen))
+            found.append(SkewTruss(g, semigroup, derive_omega(g, semigroup)))
             return
-        for row in rows:
-            chosen.append(row)
+        for i in range(len(rows)):
+            chosen.append(i)
             if partial_ok():
                 extend()
             chosen.pop()
@@ -346,27 +394,55 @@ def enumerate_skew_trusses(g: FiniteGroup, max_size: int = 4) -> list[SkewTruss]
     return found
 
 
-def canonical_form(t: SkewTruss) -> tuple[Table, Table]:
-    """Minimal relabeling of both tables; equal forms mean isomorphic trusses."""
-    n = t.size
-    t1, t2 = t.group.table, t.semigroup.table
+def _relabel(table: Table, p: tuple[int, ...], pinv: list[int]) -> Table:
+    # p maps old labels to new ones, pinv[i] is the old label shown as i
+    n = len(table)
+    return tuple(tuple(p[table[pinv[a]][pinv[b]]] for b in range(n)) for a in range(n))
+
+
+def _group_form(table: Table) -> tuple[Table, list[tuple[tuple[int, ...], list[int]]]]:
+    """The minimal relabeled group table and every relabeling reaching it.
+
+    Those relabelings form one coset of Aut(G): two of them differ by a
+    relabeling that fixes the minimal table.
+    """
+    n = len(table)
     best = None
+    coset = []
     for p in itertools.permutations(range(n)):
-        # p maps old labels to new ones, pinv[i] is the old label shown as i
         pinv = sorted(range(n), key=p.__getitem__)
-        r1 = tuple(tuple(p[t1[pinv[a]][pinv[b]]] for b in range(n)) for a in range(n))
-        r2 = tuple(tuple(p[t2[pinv[a]][pinv[b]]] for b in range(n)) for a in range(n))
-        key = (r1, r2)
-        if best is None or key < best:
-            best = key
-    return best
+        r1 = _relabel(table, p, pinv)
+        if best is None or r1 < best:
+            best, coset = r1, [(p, pinv)]
+        elif r1 == best:
+            coset.append((p, pinv))
+    return best, coset
+
+
+def _form_over(group_form, t2: Table) -> tuple[Table, Table]:
+    best, coset = group_form
+    return best, min(_relabel(t2, p, pinv) for p, pinv in coset)
+
+
+def canonical_form(t: SkewTruss) -> tuple[Table, Table]:
+    """Minimal relabeling of both tables; equal forms mean isomorphic trusses.
+
+    The group table is compared first, so only the relabelings that
+    minimise it (a coset of the group's automorphisms) can minimise the
+    pair.
+    """
+    return _form_over(_group_form(t.group.table), t.semigroup.table)
 
 
 def isomorphism_classes(trusses: list[SkewTruss]) -> list[list[SkewTruss]]:
     """Group trusses by canonical form, preserving first-seen order."""
+    group_forms: dict[Table, tuple] = {}
     buckets: dict[tuple[Table, Table], list[SkewTruss]] = {}
     for t in trusses:
-        buckets.setdefault(canonical_form(t), []).append(t)
+        t1 = t.group.table
+        if t1 not in group_forms:
+            group_forms[t1] = _group_form(t1)
+        buckets.setdefault(_form_over(group_forms[t1], t.semigroup.table), []).append(t)
     return list(buckets.values())
 
 

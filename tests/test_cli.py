@@ -151,11 +151,25 @@ def test_enumerate_to_file_is_deterministic(tmp_path, capsys):
 
 
 def test_enumerate_respects_the_bound(capsys):
-    code, _, err = run(capsys, "enumerate", "--group", "S3")
+    code, _, err = run(capsys, "enumerate", "--group", "S3", "--max", "5")
     assert code == 2
     assert "bound" in err
     code, _, _ = run(capsys, "enumerate", "--group", "Z2", "--max", "1")
     assert code == 2
+
+
+def test_enumerate_refuses_large_orders_whatever_the_max(capsys):
+    code, out, err = run(capsys, "enumerate", "--group", "Z12", "--max", "12")
+    assert code == 2
+    assert "bound 7" in err
+    assert out == ""
+
+
+def test_enumerate_s3_under_the_default_bound(tmp_path, capsys):
+    path = tmp_path / "s3.json"
+    code, _, _ = run(capsys, "enumerate", "--group", "S3", "--out", str(path))
+    assert code == 0
+    assert json.loads(path.read_text(encoding="utf-8"))["count"] == 6178
 
 
 def test_enumerate_unknown_group(capsys):

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from trusslab import settruss
 from trusslab.errors import (
     BoundExceededError,
     ClosureError,
@@ -35,6 +36,70 @@ from trusslab.settruss import (
 )
 
 F5 = prime_field(5)
+KLEIN = FiniteGroup.from_table([[a ^ b for b in range(4)] for a in range(4)])
+
+
+def relabel_group(g, p):
+    """The group g with element x renamed p[x]."""
+    n = g.size
+    pinv = sorted(range(n), key=p.__getitem__)
+    return FiniteGroup.from_table(
+        [[p[g.table[pinv[a]][pinv[b]]] for b in range(n)] for a in range(n)])
+
+
+def naive_canonical_form(t):
+    """Oracle: the minimal relabeling of both tables over all n! relabelings."""
+    n = t.size
+    t1, t2 = t.group.table, t.semigroup.table
+    best = None
+    for p in itertools.permutations(range(n)):
+        pinv = sorted(range(n), key=p.__getitem__)
+        r1 = tuple(tuple(p[t1[pinv[a]][pinv[b]]] for b in range(n)) for a in range(n))
+        r2 = tuple(tuple(p[t2[pinv[a]][pinv[b]]] for b in range(n)) for a in range(n))
+        if best is None or (r1, r2) < best:
+            best = (r1, r2)
+    return best
+
+
+def naive_endomorphisms(g):
+    """Oracle: every map of the carrier that respects the group product."""
+    n = g.size
+    t1 = g.table
+    return [f for f in itertools.product(range(n), repeat=n)
+            if all(f[t1[a][b]] == t1[f[a]][f[b]] for a in range(n) for b in range(n))]
+
+
+def full_recheck_enumerate(g):
+    """Oracle: backtrack over translates of endomorphisms, re-checking every
+    triple of the partial table at each depth."""
+    n = g.size
+    t1 = g.table
+    rows = sorted({tuple(t1[w][f[x]] for x in range(n))
+                   for w in range(n) for f in naive_endomorphisms(g)})
+    found = []
+    chosen = []
+
+    def partial_ok():
+        k = len(chosen)
+        for a, b, c in itertools.product(range(k), repeat=3):
+            ab, bc = chosen[a][b], chosen[b][c]
+            if ab < k and bc < k and chosen[ab][c] != chosen[a][bc]:
+                return False
+        return True
+
+    def extend():
+        if len(chosen) == n:
+            s = FiniteSemigroup(chosen)
+            found.append(SkewTruss(g, s, derive_omega(g, s)))
+            return
+        for row in rows:
+            chosen.append(row)
+            if partial_ok():
+                extend()
+            chosen.pop()
+
+    extend()
+    return found
 
 
 def naive_enumerate(g):
@@ -222,6 +287,39 @@ def test_enumeration_bound():
         enumerate_skew_trusses(cyclic_group(3), max_size=2)
 
 
+def test_enumeration_refuses_large_orders_before_any_work(monkeypatch):
+    def no_work(g):
+        raise AssertionError("search started")
+
+    monkeypatch.setattr(settruss, "_valid_rows", no_work)
+    limit = settruss.MAX_ENUMERATION_ORDER
+    with pytest.raises(BoundExceededError):
+        enumerate_skew_trusses(cyclic_group(limit + 1), max_size=limit + 1)
+    with pytest.raises(BoundExceededError):
+        enumerate_skew_trusses(cyclic_group(12), max_size=12)
+
+
+@pytest.mark.parametrize("group", [cyclic_group(n) for n in range(1, 7)]
+                         + [KLEIN, symmetric_group(3)])
+def test_endomorphisms_match_the_full_sweep(group):
+    assert settruss._group_endomorphisms(group) == naive_endomorphisms(group)
+
+
+@pytest.mark.parametrize("group", [KLEIN, cyclic_group(5)])
+def test_enumeration_matches_the_full_recheck_search(group):
+    assert enumerate_skew_trusses(group, max_size=5) == full_recheck_enumerate(group)
+
+
+@pytest.mark.parametrize("group, trusses, classes", [
+    (cyclic_group(5), 622, 164),
+    (cyclic_group(6), 4249, 2211),
+])
+def test_truss_and_class_counts(group, trusses, classes):
+    found = enumerate_skew_trusses(group, max_size=6)
+    assert len(found) == trusses
+    assert len(isomorphism_classes(found)) == classes
+
+
 def test_enumeration_on_z4_smoke():
     g = cyclic_group(4)
     found = enumerate_skew_trusses(g)
@@ -243,6 +341,19 @@ def test_isomorphism_classes_on_z2():
     assert sorted(len(c) for c in classes) == [1] * 8
     assert all(canonical_form(t) == canonical_form(c[0])
                for c in classes for t in c)
+
+
+@pytest.mark.parametrize("group", [cyclic_group(4), KLEIN,
+                                   relabel_group(cyclic_group(4), (2, 0, 3, 1)),
+                                   cyclic_group(5)])
+def test_canonical_form_matches_the_full_relabeling_sweep(group):
+    trusses = enumerate_skew_trusses(group, max_size=5)
+    forms = [naive_canonical_form(t) for t in trusses]
+    assert [canonical_form(t) for t in trusses] == forms
+    buckets = {}
+    for t, form in zip(trusses, forms):
+        buckets.setdefault(form, []).append(t)
+    assert isomorphism_classes(trusses) == list(buckets.values())
 
 
 def test_canonical_form_identifies_relabeled_trusses():
