@@ -1,6 +1,6 @@
 """Exact verification toolkit for skew trusses, Hopf trusses, and cocycles."""
 
-from .algfile import document_of, kind_of, load, loads, save, serialize
+from .algfile import document_of, kind_of, load, loads, save, serialize, verify_structure
 from .coalgebra import (
     ComonoidData,
     HopfMonoidData,
@@ -12,7 +12,6 @@ from .coalgebra import (
     verify_hopf_monoid,
     verify_monoid,
     verify_nonunital_bimonoid,
-    verify_structure,
 )
 from .cocycle import (
     CocycleMorphism,

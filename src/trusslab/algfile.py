@@ -22,45 +22,42 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from .coalgebra import (
     ComonoidData,
     HopfMonoidData,
     MonoidData,
     NonUnitalBimonoidData,
+    dim_product,
+    verify_comonoid,
+    verify_hopf_monoid,
+    verify_monoid,
+    verify_nonunital_bimonoid,
 )
-from .cocycle import InvertibleCocycle
+from .cocycle import InvertibleCocycle, verify_cocycle
 from .errors import DimensionLimitError, ParseError
 from .fields import PRIME_KIND, RATIONAL_KIND, RATIONALS, FieldSpec, prime_field
-from .hopfmodules import HopfModuleData, TrussHopfModule
-from .hopftruss import HopfTruss
+from .hopfmodules import (
+    HopfModuleData,
+    TrussHopfModule,
+    verify_hopf_module,
+    verify_truss_hopf_module,
+)
+from .hopftruss import HopfTruss, verify_hopf_truss
 from .linmap import LinMap
-from .modules import PiModule, TrussModule
-from .settruss import FiniteGroup, FiniteSemigroup, SkewTruss
+from .modules import PiModule, TrussModule, verify_pi_module, verify_truss_module
+from .settruss import (
+    FiniteGroup,
+    FiniteSemigroup,
+    SkewTruss,
+    _unit_and_inverses,
+    verify_skew_truss,
+)
 
 DEFAULT_MAX_DIM = 16
 
-KINDS = (
-    "comonoid",
-    "monoid",
-    "bimonoid",
-    "hopf",
-    "hopftruss",
-    "gic",
-    "trussmodule",
-    "pimodule",
-    "hopfmodule",
-    "trusshopfmodule",
-    "settruss",
-)
-
 _TOP_KEYS = {"kind", "field", "dims", "maps", "tables"}
-
-# A carrier dimension may be a product of two structure dimensions
-# (free modules), so it gets the square of the cap.
-_STRUCTURE = 1
-_CARRIER = 2
 
 
 def max_dim() -> int:
@@ -76,242 +73,175 @@ def max_dim() -> int:
     return cap
 
 
-# -- schemas ------------------------------------------------------------------
-
-Shape = Callable[[Dict[str, int]], Tuple[int, int]]
+# -- the kind registry ----------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class _Schema:
+class Kind:
+    """Everything the toolkit knows about one document kind.
+
+    `dims` names the document's dimensions with their cap power: a
+    carrier may be a product of two structure dimensions (free modules),
+    so it gets the square of the cap.  `parts` lists the components the
+    structure is assembled from, as (attribute, kind, renamed); their
+    maps come first in the document.  When `renamed` names a dimension,
+    the component's "dim" is that dimension and its maps are prefixed
+    "renamed.".  The maps of the type itself, with their shapes, are the
+    type's own MAPS declaration, which its constructor checks too.
+    """
+
+    name: str
+    type: type
     dims: Tuple[Tuple[str, int], ...]
-    maps: Tuple[Tuple[str, Shape], ...]
-    build: Callable
-    explode: Callable
+    verify: Callable
+    parts: Tuple[Tuple[str, str, Optional[str]], ...] = ()
+
+    def _parts(self, dims, prefix):
+        for attr, kind, renamed in self.parts:
+            if renamed is None:
+                yield attr, REGISTRY[kind], dims, prefix
+            else:
+                yield attr, REGISTRY[kind], {"dim": dims[renamed]}, f"{prefix}{renamed}."
+
+    def slots(self, dims: Dict[str, int], prefix: str = ""):
+        """(document name, rows, columns) of every map, components first."""
+        for _, part, part_dims, part_prefix in self._parts(dims, prefix):
+            yield from part.slots(part_dims, part_prefix)
+        for name, cod, dom in self.type.MAPS:
+            yield prefix + name, dim_product(cod, dims), dim_product(dom, dims)
+
+    def maps_of(self, obj, prefix: str = "") -> Dict[str, LinMap]:
+        """Every map of obj by document name, in slot order."""
+        maps = {}
+        for attr, part, _, part_prefix in self._parts(obj.dims, prefix):
+            maps.update(part.maps_of(getattr(obj, attr), part_prefix))
+        for name, _, _ in self.type.MAPS:
+            maps[prefix + name] = getattr(obj, name)
+        return maps
+
+    def build(self, dims: Dict[str, int], maps: Dict[str, LinMap], prefix: str = ""):
+        """The structure with these dims and these maps by document name."""
+        args = {attr: part.build(part_dims, maps, part_prefix)
+                for attr, part, part_dims, part_prefix in self._parts(dims, prefix)}
+        if not self.parts:  # a structure with no components holds its dim
+            args["dim"] = dims["dim"]
+        for name, _, _ in self.type.MAPS:
+            args[name] = maps[prefix + name]
+        return self.type(**args)
+
+    def parse(self, doc: dict, cap: int):
+        if "tables" in doc:
+            raise ParseError(f"kind {self.name!r} carries maps, not tables")
+        if "field" not in doc:
+            raise ParseError("missing field description")
+        field = parse_field(doc["field"])
+        dims = _parse_dims(doc, self.dims, cap)
+        raw_maps = doc.get("maps")
+        if not isinstance(raw_maps, dict):
+            raise ParseError("maps must be an object")
+        slots = list(self.slots(dims))
+        expected = [name for name, _, _ in slots]
+        if sorted(raw_maps) != sorted(expected):
+            missing = sorted(set(expected) - set(raw_maps))
+            surplus = sorted(set(raw_maps) - set(expected))
+            parts = []
+            if missing:
+                parts.append(f"missing maps {missing}")
+            if surplus:
+                parts.append(f"unexpected maps {surplus}")
+            raise ParseError(f"kind {self.name!r}: " + ", ".join(parts))
+        maps = {name: _parse_matrix(field, name, raw_maps[name], cod, dom)
+                for name, cod, dom in slots}
+        return self.build(dims, maps)
+
+    def document(self, obj) -> dict:
+        return {
+            "kind": self.name,
+            "field": _field_doc(obj.field),
+            "dims": obj.dims,
+            "maps": {name: _matrix_doc(m) for name, m in self.maps_of(obj).items()},
+        }
 
 
-def _comonoid_slots(key: str, prefix: str = "") -> tuple:
-    return (
-        (prefix + "delta", lambda d: (d[key] * d[key], d[key])),
-        (prefix + "epsilon", lambda d: (1, d[key])),
-    )
+class _SetTrussKind(Kind):
+    """Skew trusses on finite sets, stored as Cayley tables of 0-based
+    indices in place of maps."""
+
+    def parse(self, doc: dict, cap: int) -> SkewTruss:
+        raw_dims = doc.get("dims")
+        if not isinstance(raw_dims, dict) or sorted(raw_dims) != ["size"]:
+            raise ParseError("settruss dims must name exactly ['size']")
+        size = raw_dims["size"]
+        if not isinstance(size, int) or isinstance(size, bool) or size < 1:
+            raise ParseError("settruss size must be a positive integer")
+        if size > cap:
+            raise DimensionLimitError(
+                f"dimension size={size} exceeds TRUSSLAB_MAX_DIM = {cap}")
+        if "maps" in doc:
+            raise ParseError("settruss documents carry tables, not maps")
+        tables = doc.get("tables")
+        if not isinstance(tables, dict):
+            raise ParseError("tables must be an object")
+        expected = ["cocycle", "group", "semigroup"]
+        if sorted(tables) != expected:
+            raise ParseError(f"tables must name exactly {expected}, got {sorted(tables)}")
+        # a table that is no group still parses, so that verification can
+        # report which group law it breaks
+        group_table = _parse_table("group", tables["group"], size, size)
+        unit, inv, _ = _unit_and_inverses(group_table)
+        group = FiniteGroup(group_table, unit, inv)
+        semigroup = FiniteSemigroup(_parse_table("semigroup", tables["semigroup"], size, size))
+        omega = _parse_table("cocycle", tables["cocycle"], 1, size)[0]
+        return SkewTruss(group, semigroup, omega)
+
+    def document(self, t: SkewTruss) -> dict:
+        return {
+            "kind": self.name,
+            "dims": {"size": t.size},
+            "tables": {
+                "group": [list(row) for row in t.group.table],
+                "semigroup": [list(row) for row in t.semigroup.table],
+                "cocycle": [list(t.omega)],
+            },
+        }
 
 
-def _monoid_slots(key: str, prefix: str = "") -> tuple:
-    return (
-        (prefix + "eta", lambda d: (d[key], 1)),
-        (prefix + "mu", lambda d: (d[key], d[key] * d[key])),
-    )
+REGISTRY: Dict[str, Kind] = {kind.name: kind for kind in (
+    Kind("comonoid", ComonoidData, (("dim", 1),), verify_comonoid),
+    Kind("monoid", MonoidData, (("dim", 1),), verify_monoid),
+    Kind("bimonoid", NonUnitalBimonoidData, (("dim", 1),), verify_nonunital_bimonoid,
+         (("comonoid", "comonoid", None),)),
+    Kind("hopf", HopfMonoidData, (("dim", 1),), verify_hopf_monoid,
+         (("comonoid", "comonoid", None),)),
+    Kind("hopftruss", HopfTruss, (("dim", 1),), verify_hopf_truss,
+         (("comonoid", "comonoid", None),)),
+    Kind("gic", InvertibleCocycle, (("source", 1), ("target", 1)), verify_cocycle,
+         (("bimonoid", "bimonoid", "source"), ("hopf", "hopf", "target"))),
+    Kind("trussmodule", TrussModule, (("dim", 1), ("carrier", 2)), verify_truss_module,
+         (("truss", "hopftruss", None),)),
+    Kind("pimodule", PiModule, (("source", 1), ("target", 1), ("carrier", 2), ("second", 2)),
+         verify_pi_module, (("system", "gic", None),)),
+    Kind("hopfmodule", HopfModuleData, (("dim", 1), ("carrier", 2)), verify_hopf_module,
+         (("hopf", "hopf", None),)),
+    Kind("trusshopfmodule", TrussHopfModule, (("dim", 1), ("carrier", 2)),
+         verify_truss_hopf_module, (("truss", "hopftruss", None),)),
+    _SetTrussKind("settruss", SkewTruss, (("size", 1),), verify_skew_truss),
+)}
 
-
-def _hopf_slots(key: str, prefix: str = "") -> tuple:
-    return _comonoid_slots(key, prefix) + _monoid_slots(key, prefix) + (
-        (prefix + "antipode", lambda d: (d[key], d[key])),
-    )
-
-
-def _hopftruss_slots(key: str) -> tuple:
-    return _comonoid_slots(key) + (
-        ("eta", lambda d: (d[key], 1)),
-        ("mu1", lambda d: (d[key], d[key] * d[key])),
-        ("mu2", lambda d: (d[key], d[key] * d[key])),
-        ("antipode", lambda d: (d[key], d[key])),
-        ("cocycle", lambda d: (d[key], d[key])),
-    )
-
-
-def _gic_slots() -> tuple:
-    return (
-        _comonoid_slots("source", "source.")
-        + (("source.mu", lambda d: (d["source"], d["source"] * d["source"])),)
-        + _hopf_slots("target", "target.")
-        + (
-            ("cocycle", lambda d: (d["target"], d["source"])),
-            ("twist", lambda d: (d["source"], d["source"])),
-            ("action", lambda d: (d["target"], d["source"] * d["target"])),
-        )
-    )
-
-
-def _build_comonoid(field, d, m):
-    return ComonoidData(d["dim"], m["delta"], m["epsilon"])
-
-
-def _explode_comonoid(c):
-    return c.field, {"dim": c.dim}, {"delta": c.delta, "epsilon": c.epsilon}
-
-
-def _build_monoid(field, d, m):
-    return MonoidData(d["dim"], m["eta"], m["mu"])
-
-
-def _explode_monoid(m):
-    return m.field, {"dim": m.dim}, {"eta": m.eta, "mu": m.mu}
-
-
-def _build_bimonoid(field, d, m):
-    return NonUnitalBimonoidData(_build_comonoid(field, d, m), m["mu"])
-
-
-def _explode_bimonoid(b):
-    field, dims, maps = _explode_comonoid(b.comonoid)
-    return field, dims, {**maps, "mu": b.mu}
-
-
-def _build_hopf(field, d, m):
-    return HopfMonoidData(_build_comonoid(field, d, m), m["eta"], m["mu"], m["antipode"])
-
-
-def _explode_hopf(h):
-    field, dims, maps = _explode_comonoid(h.comonoid)
-    return field, dims, {**maps, "eta": h.eta, "mu": h.mu, "antipode": h.antipode}
-
-
-def _build_hopftruss(field, d, m):
-    return HopfTruss(_build_comonoid(field, d, m),
-                     m["eta"], m["mu1"], m["mu2"], m["antipode"], m["cocycle"])
-
-
-def _explode_hopftruss(h):
-    field, dims, maps = _explode_comonoid(h.comonoid)
-    return field, dims, {**maps, "eta": h.eta, "mu1": h.mu1, "mu2": h.mu2,
-                         "antipode": h.antipode, "cocycle": h.cocycle}
-
-
-def _build_gic(field, d, m):
-    source = NonUnitalBimonoidData(
-        ComonoidData(d["source"], m["source.delta"], m["source.epsilon"]),
-        m["source.mu"])
-    target = HopfMonoidData(
-        ComonoidData(d["target"], m["target.delta"], m["target.epsilon"]),
-        m["target.eta"], m["target.mu"], m["target.antipode"])
-    return InvertibleCocycle(source, target, m["cocycle"], m["twist"], m["action"])
-
-
-def _explode_gic(c):
-    b, h = c.bimonoid, c.hopf
-    dims = {"source": b.dim, "target": h.dim}
-    maps = {
-        "source.delta": b.delta, "source.epsilon": b.epsilon, "source.mu": b.mu,
-        "target.delta": h.comonoid.delta, "target.epsilon": h.comonoid.epsilon,
-        "target.eta": h.eta, "target.mu": h.mu, "target.antipode": h.antipode,
-        "cocycle": c.cocycle, "twist": c.twist, "action": c.action,
-    }
-    return c.field, dims, maps
-
-
-def _build_trussmodule(field, d, m):
-    return TrussModule(_build_hopftruss(field, d, m), m["act1"], m["act2"])
-
-
-def _explode_trussmodule(m):
-    field, dims, maps = _explode_hopftruss(m.truss)
-    return field, {**dims, "carrier": m.mdim}, {**maps, "act1": m.act1, "act2": m.act2}
-
-
-def _build_pimodule(field, d, m):
-    return PiModule(_build_gic(field, d, m), m["mixed_action"], m["hopf_action"],
-                    m["base_action"], m["compare"])
-
-
-def _explode_pimodule(m):
-    field, dims, maps = _explode_gic(m.system)
-    dims = {**dims, "carrier": m.mdim, "second": m.ndim}
-    maps = {**maps, "mixed_action": m.mixed_action, "hopf_action": m.hopf_action,
-            "base_action": m.base_action, "compare": m.compare}
-    return field, dims, maps
-
-
-def _build_hopfmodule(field, d, m):
-    return HopfModuleData(_build_hopf(field, d, m), m["action"], m["coaction"])
-
-
-def _explode_hopfmodule(m):
-    field, dims, maps = _explode_hopf(m.hopf)
-    return field, {**dims, "carrier": m.mdim}, {**maps, "action": m.action,
-                                                "coaction": m.coaction}
-
-
-def _build_trusshopfmodule(field, d, m):
-    return TrussHopfModule(_build_hopftruss(field, d, m),
-                           m["act1"], m["act2"], m["coaction"])
-
-
-def _explode_trusshopfmodule(m):
-    field, dims, maps = _explode_hopftruss(m.truss)
-    return field, {**dims, "carrier": m.mdim}, {**maps, "act1": m.act1,
-                                                "act2": m.act2, "coaction": m.coaction}
-
-
-_SCHEMAS: Dict[str, _Schema] = {
-    "comonoid": _Schema((("dim", _STRUCTURE),), _comonoid_slots("dim"),
-                        _build_comonoid, _explode_comonoid),
-    "monoid": _Schema((("dim", _STRUCTURE),), _monoid_slots("dim"),
-                      _build_monoid, _explode_monoid),
-    "bimonoid": _Schema(
-        (("dim", _STRUCTURE),),
-        _comonoid_slots("dim") + (("mu", lambda d: (d["dim"], d["dim"] * d["dim"])),),
-        _build_bimonoid, _explode_bimonoid),
-    "hopf": _Schema((("dim", _STRUCTURE),), _hopf_slots("dim"),
-                    _build_hopf, _explode_hopf),
-    "hopftruss": _Schema((("dim", _STRUCTURE),), _hopftruss_slots("dim"),
-                         _build_hopftruss, _explode_hopftruss),
-    "gic": _Schema((("source", _STRUCTURE), ("target", _STRUCTURE)), _gic_slots(),
-                   _build_gic, _explode_gic),
-    "trussmodule": _Schema(
-        (("dim", _STRUCTURE), ("carrier", _CARRIER)),
-        _hopftruss_slots("dim") + (
-            ("act1", lambda d: (d["carrier"], d["dim"] * d["carrier"])),
-            ("act2", lambda d: (d["carrier"], d["dim"] * d["carrier"])),
-        ),
-        _build_trussmodule, _explode_trussmodule),
-    "pimodule": _Schema(
-        (("source", _STRUCTURE), ("target", _STRUCTURE),
-         ("carrier", _CARRIER), ("second", _CARRIER)),
-        _gic_slots() + (
-            ("mixed_action", lambda d: (d["carrier"], d["source"] * d["carrier"])),
-            ("hopf_action", lambda d: (d["carrier"], d["target"] * d["carrier"])),
-            ("base_action", lambda d: (d["second"], d["source"] * d["second"])),
-            ("compare", lambda d: (d["carrier"], d["second"])),
-        ),
-        _build_pimodule, _explode_pimodule),
-    "hopfmodule": _Schema(
-        (("dim", _STRUCTURE), ("carrier", _CARRIER)),
-        _hopf_slots("dim") + (
-            ("action", lambda d: (d["carrier"], d["dim"] * d["carrier"])),
-            ("coaction", lambda d: (d["dim"] * d["carrier"], d["carrier"])),
-        ),
-        _build_hopfmodule, _explode_hopfmodule),
-    "trusshopfmodule": _Schema(
-        (("dim", _STRUCTURE), ("carrier", _CARRIER)),
-        _hopftruss_slots("dim") + (
-            ("act1", lambda d: (d["carrier"], d["dim"] * d["carrier"])),
-            ("act2", lambda d: (d["carrier"], d["dim"] * d["carrier"])),
-            ("coaction", lambda d: (d["dim"] * d["carrier"], d["carrier"])),
-        ),
-        _build_trusshopfmodule, _explode_trusshopfmodule),
-}
-
-_KIND_OF_TYPE = {
-    ComonoidData: "comonoid",
-    MonoidData: "monoid",
-    NonUnitalBimonoidData: "bimonoid",
-    HopfMonoidData: "hopf",
-    HopfTruss: "hopftruss",
-    InvertibleCocycle: "gic",
-    TrussModule: "trussmodule",
-    PiModule: "pimodule",
-    HopfModuleData: "hopfmodule",
-    TrussHopfModule: "trusshopfmodule",
-    SkewTruss: "settruss",
-}
+KINDS = tuple(REGISTRY)
 
 
 def kind_of(obj) -> str:
     """The document kind tag for a structure object."""
-    try:
-        return _KIND_OF_TYPE[type(obj)]
-    except KeyError:
-        raise TypeError(f"no document kind for {type(obj).__name__}") from None
+    for name, kind in REGISTRY.items():
+        if type(obj) is kind.type:
+            return name
+    raise TypeError(f"no document kind for {type(obj).__name__}")
+
+
+def verify_structure(obj):
+    """The VerificationReport of obj's own kind."""
+    return REGISTRY[kind_of(obj)].verify(obj)
 
 
 # -- parsing ------------------------------------------------------------------
@@ -344,15 +274,15 @@ def _field_doc(field: FieldSpec) -> dict:
     return {"kind": PRIME_KIND, "p": field.p}
 
 
-def _parse_dims(doc: dict, schema: _Schema, cap: int) -> Dict[str, int]:
+def _parse_dims(doc: dict, declared, cap: int) -> Dict[str, int]:
     raw = doc.get("dims")
     if not isinstance(raw, dict):
         raise ParseError("dims must be an object")
-    expected = [key for key, _ in schema.dims]
+    expected = [key for key, _ in declared]
     if sorted(raw) != sorted(expected):
         raise ParseError(f"dims must name exactly {sorted(expected)}, got {sorted(raw)}")
     dims = {}
-    for key, power in schema.dims:
+    for key, power in declared:
         value = raw[key]
         if not isinstance(value, int) or isinstance(value, bool) or value < 0:
             raise ParseError(f"dimension {key!r} must be a non-negative integer")
@@ -403,44 +333,6 @@ def _parse_table(name: str, raw, nrows: int, size: int) -> tuple:
     return tuple(out)
 
 
-def group_from_table(table) -> FiniteGroup:
-    """Best-effort group bundle: derive the unit and inverses when they
-    exist, fall back to defaults otherwise so the law checks can report
-    exactly which group axiom fails."""
-    n = len(table)
-    unit = next((u for u in range(n)
-                 if all(table[u][a] == a and table[a][u] == a for a in range(n))), 0)
-    inv = tuple(
-        next((b for b in range(n)
-              if table[a][b] == unit and table[b][a] == unit), a)
-        for a in range(n))
-    return FiniteGroup(table, unit, inv)
-
-
-def _parse_settruss(doc: dict, cap: int) -> SkewTruss:
-    raw_dims = doc.get("dims")
-    if not isinstance(raw_dims, dict) or sorted(raw_dims) != ["size"]:
-        raise ParseError("settruss dims must name exactly ['size']")
-    size = raw_dims["size"]
-    if not isinstance(size, int) or isinstance(size, bool) or size < 1:
-        raise ParseError("settruss size must be a positive integer")
-    if size > cap:
-        raise DimensionLimitError(
-            f"dimension size={size} exceeds TRUSSLAB_MAX_DIM = {cap}")
-    if "maps" in doc:
-        raise ParseError("settruss documents carry tables, not maps")
-    tables = doc.get("tables")
-    if not isinstance(tables, dict):
-        raise ParseError("tables must be an object")
-    expected = ["cocycle", "group", "semigroup"]
-    if sorted(tables) != expected:
-        raise ParseError(f"tables must name exactly {expected}, got {sorted(tables)}")
-    group = group_from_table(_parse_table("group", tables["group"], size, size))
-    semigroup = FiniteSemigroup(_parse_table("semigroup", tables["semigroup"], size, size))
-    omega = _parse_table("cocycle", tables["cocycle"], 1, size)[0]
-    return SkewTruss(group, semigroup, omega)
-
-
 def parse_document(doc, kind: str | None = None):
     """Structure object from a parsed JSON document.
 
@@ -456,56 +348,12 @@ def parse_document(doc, kind: str | None = None):
     kind = kind if kind is not None else doc.get("kind")
     if kind not in KINDS:
         raise ParseError(f"unknown kind {kind!r}")
-    cap = max_dim()
-    if kind == "settruss":
-        return _parse_settruss(doc, cap)
-    if "tables" in doc:
-        raise ParseError(f"kind {kind!r} carries maps, not tables")
-    if "field" not in doc:
-        raise ParseError("missing field description")
-    field = parse_field(doc["field"])
-    schema = _SCHEMAS[kind]
-    dims = _parse_dims(doc, schema, cap)
-    raw_maps = doc.get("maps")
-    if not isinstance(raw_maps, dict):
-        raise ParseError("maps must be an object")
-    expected = [name for name, _ in schema.maps]
-    if sorted(raw_maps) != sorted(expected):
-        missing = sorted(set(expected) - set(raw_maps))
-        surplus = sorted(set(raw_maps) - set(expected))
-        parts = []
-        if missing:
-            parts.append(f"missing maps {missing}")
-        if surplus:
-            parts.append(f"unexpected maps {surplus}")
-        raise ParseError(f"kind {kind!r}: " + ", ".join(parts))
-    maps = {}
-    for name, shape in schema.maps:
-        cod, dom = shape(dims)
-        maps[name] = _parse_matrix(field, name, raw_maps[name], cod, dom)
-    return schema.build(field, dims, maps)
+    return REGISTRY[kind].parse(doc, max_dim())
 
 
 def document_of(obj) -> dict:
     """Plain JSON-ready document for a structure object."""
-    kind = kind_of(obj)
-    if kind == "settruss":
-        return {
-            "kind": kind,
-            "dims": {"size": obj.size},
-            "tables": {
-                "group": [list(row) for row in obj.group.table],
-                "semigroup": [list(row) for row in obj.semigroup.table],
-                "cocycle": [list(obj.omega)],
-            },
-        }
-    field, dims, maps = _SCHEMAS[kind].explode(obj)
-    return {
-        "kind": kind,
-        "field": _field_doc(field),
-        "dims": dims,
-        "maps": {name: _matrix_doc(m) for name, m in maps.items()},
-    }
+    return REGISTRY[kind_of(obj)].document(obj)
 
 
 def serialize(obj) -> str:
@@ -514,12 +362,16 @@ def serialize(obj) -> str:
     return json.dumps(document_of(obj), sort_keys=True, indent=2) + "\n"
 
 
-def loads(text: str, kind: str | None = None):
+def read_json(text: str):
+    """The JSON value in `text`; ParseError if it is not valid JSON."""
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"not valid JSON: {exc}") from exc
-    return parse_document(doc, kind)
+
+
+def loads(text: str, kind: str | None = None):
+    return parse_document(read_json(text), kind)
 
 
 def load(path, kind: str | None = None):

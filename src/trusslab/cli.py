@@ -16,75 +16,41 @@ import re
 import sys
 
 from . import algfile
-from .coalgebra import (
-    verify_comonoid,
-    verify_hopf_monoid,
-    verify_monoid,
-    verify_nonunital_bimonoid,
-)
-from .cocycle import InvertibleCocycle, cocycle_of_truss, truss_of_cocycle, verify_cocycle
+from .cocycle import InvertibleCocycle, cocycle_of_truss, truss_of_cocycle
 from .errors import ParseError, TrussLabError
 from .fields import RATIONALS
-from .hopfmodules import (
-    TrussHopfModule,
-    fundamental_iso,
-    verify_hopf_module,
-    verify_truss_hopf_module,
-)
-from .hopftruss import HopfTruss, verify_hopf_truss
-from .modules import verify_pi_module, verify_truss_module
+from .hopfmodules import TrussHopfModule, fundamental_iso
+from .hopftruss import HopfTruss
 from .report import VerificationReport, equation
 from .settruss import (
     FiniteGroup,
     SkewTruss,
+    check_enumeration_bound,
     cyclic_group,
     enumerate_skew_trusses,
     linearize,
     symmetric_group,
-    verify_skew_truss,
 )
-
-_VERIFIERS = {
-    "comonoid": verify_comonoid,
-    "monoid": verify_monoid,
-    "bimonoid": verify_nonunital_bimonoid,
-    "hopf": verify_hopf_monoid,
-    "hopftruss": verify_hopf_truss,
-    "gic": verify_cocycle,
-    "trussmodule": verify_truss_module,
-    "pimodule": verify_pi_module,
-    "hopfmodule": verify_hopf_module,
-    "trusshopfmodule": verify_truss_hopf_module,
-    "settruss": verify_skew_truss,
-}
 
 _STEP_ALIASES = {"E": "cocycle", "Q": "truss"}
 _STEPS = ("verify", "linearize", "cocycle", "truss", "roundtrip", "fundamental")
-
-
-def _verify_object(obj) -> VerificationReport:
-    return _VERIFIERS[algfile.kind_of(obj)](obj)
 
 
 def _json_text(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _read_document(path) -> dict:
+def _read_json(path):
     with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"not valid JSON: {exc}") from exc
+        return algfile.read_json(handle.read())
 
 
 # -- verify -------------------------------------------------------------------
 
 
 def cmd_verify(args) -> int:
-    obj = algfile.parse_document(_read_document(args.path), kind=args.kind)
-    rep = _verify_object(obj)
+    obj = algfile.parse_document(_read_json(args.path), kind=args.kind)
+    rep = algfile.verify_structure(obj)
     if args.format == "json":
         sys.stdout.write(_json_text(rep.to_dict()))
     else:
@@ -95,14 +61,17 @@ def cmd_verify(args) -> int:
 # -- enumerate ----------------------------------------------------------------
 
 
-def _group_by_name(name: str) -> FiniteGroup:
+def _group_by_name(name: str, max_size: int) -> FiniteGroup:
+    """The named group, refused by the enumeration bound before it is built."""
     match = re.fullmatch(r"Z([0-9]+)", name)
     if match:
-        return cyclic_group(int(match.group(1)))
+        n = int(match.group(1))
+        check_enumeration_bound(n, max_size)
+        return cyclic_group(n)
     if name == "S3":
         return symmetric_group(3)
     try:
-        doc = _read_document(name)
+        doc = _read_json(name)
     except OSError:
         raise ParseError(f"unknown group {name!r}: not Zn, not S3, "
                          "and no such Cayley file") from None
@@ -111,11 +80,12 @@ def _group_by_name(name: str) -> FiniteGroup:
             and all(isinstance(row, list) for row in table)):
         raise ParseError(f"Cayley file {name!r} must hold a table of rows "
                          "(bare, or under a \"table\" key)")
+    check_enumeration_bound(len(table), max_size)
     return FiniteGroup.from_table(table)
 
 
 def cmd_enumerate(args) -> int:
-    group = _group_by_name(args.group)
+    group = _group_by_name(args.group, args.max)
     trusses = enumerate_skew_trusses(group, max_size=args.max)
     text = _json_text({
         "count": len(trusses),
@@ -134,19 +104,12 @@ def cmd_enumerate(args) -> int:
 
 
 def _truss_equality_report(current: HopfTruss, base: HopfTruss) -> VerificationReport:
-    pairs = (
-        ("delta", current.comonoid.delta, base.comonoid.delta),
-        ("epsilon", current.comonoid.epsilon, base.comonoid.epsilon),
-        ("eta", current.eta, base.eta),
-        ("mu1", current.mu1, base.mu1),
-        ("mu2", current.mu2, base.mu2),
-        ("antipode", current.antipode, base.antipode),
-        ("cocycle", current.cocycle, base.cocycle),
-    )
+    hopftruss = algfile.REGISTRY["hopftruss"]
+    now, before = hopftruss.maps_of(current), hopftruss.maps_of(base)
     checks = tuple(
         equation(f"roundtrip.{name}", f"{name} returns unchanged from the transport",
-                 lhs, rhs)
-        for name, lhs, rhs in pairs)
+                 now[name], before[name])
+        for name in now)
     return VerificationReport("roundtrip", checks)
 
 
@@ -166,7 +129,7 @@ def cmd_pipeline(args) -> int:
         raise ParseError(f"unknown steps {unknown}; choose from {list(_STEPS)} "
                          f"(aliases E={_STEP_ALIASES['E']}, Q={_STEP_ALIASES['Q']})")
 
-    doc = _read_document(args.path)
+    doc = _read_json(args.path)
     obj = algfile.parse_document(doc, kind=args.kind)
     entries = []
 
@@ -177,28 +140,28 @@ def cmd_pipeline(args) -> int:
         entries.append((entry, rep))
         return rep.ok
 
-    ok = record("input", _verify_object(obj))
+    ok = record("input", algfile.verify_structure(obj))
     base_truss = None
     for step in steps:
         if not ok:
             break
         extra = None
         if step == "verify":
-            rep = _verify_object(obj)
+            rep = algfile.verify_structure(obj)
         elif step == "linearize":
             _require(step, obj, SkewTruss, "settruss")
             field = algfile.parse_field(doc["field"]) if "field" in doc else RATIONALS
             obj = linearize(obj, field)
-            rep = _verify_object(obj)
+            rep = algfile.verify_structure(obj)
         elif step == "cocycle":
             _require(step, obj, HopfTruss, "hopftruss")
             base_truss = obj
             obj = cocycle_of_truss(obj)
-            rep = _verify_object(obj)
+            rep = algfile.verify_structure(obj)
         elif step == "truss":
             _require(step, obj, InvertibleCocycle, "gic")
             obj = truss_of_cocycle(obj)
-            rep = _verify_object(obj)
+            rep = algfile.verify_structure(obj)
         elif step == "roundtrip":
             _require(step, obj, HopfTruss, "hopftruss")
             if base_truss is None:

@@ -8,6 +8,7 @@ All composite maps follow the left-major tensor convention of linmap.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -26,10 +27,25 @@ GROUPLIKE_BASIS = "basis"
 GROUPLIKE_EXHAUSTIVE = "exhaustive"
 
 
-def _expect_shape(name: str, m: LinMap, cod: int, dom: int) -> None:
-    if m.shape != (cod, dom):
-        raise DimensionMismatchError(
-            f"{name} has shape {m.shape}, expected {(cod, dom)}")
+def dim_product(expr: str, dims) -> int:
+    """The size a shape expression names over `dims`: "1", a dim name,
+    or dim names joined by "*" for a tensor product."""
+    return math.prod(dims[name] for name in expr.split("*") if name != "1")
+
+
+def check_maps(bundle) -> None:
+    """Check every map the bundle's class declares in MAPS, as
+    (name, cod, dom) over the bundle's named `dims`: it lives over the
+    bundle's field and has the declared shape.  The document parser reads
+    the same declarations."""
+    dims = bundle.dims
+    for name, cod, dom in bundle.MAPS:
+        m = getattr(bundle, name)
+        bundle.field.require_same(m.field)
+        expected = (dim_product(cod, dims), dim_product(dom, dims))
+        if m.shape != expected:
+            raise DimensionMismatchError(
+                f"{name} has shape {m.shape}, expected {expected}")
 
 
 @dataclass(frozen=True)
@@ -40,10 +56,14 @@ class ComonoidData:
     delta: LinMap
     epsilon: LinMap
 
+    MAPS = (("delta", "dim*dim", "dim"), ("epsilon", "1", "dim"))
+
     def __post_init__(self) -> None:
-        self.delta.field.require_same(self.epsilon.field)
-        _expect_shape("delta", self.delta, self.dim * self.dim, self.dim)
-        _expect_shape("epsilon", self.epsilon, 1, self.dim)
+        check_maps(self)
+
+    @property
+    def dims(self) -> dict:
+        return {"dim": self.dim}
 
     @property
     def field(self) -> FieldSpec:
@@ -58,10 +78,14 @@ class MonoidData:
     eta: LinMap
     mu: LinMap
 
+    MAPS = (("eta", "dim", "1"), ("mu", "dim", "dim*dim"))
+
     def __post_init__(self) -> None:
-        self.eta.field.require_same(self.mu.field)
-        _expect_shape("eta", self.eta, self.dim, 1)
-        _expect_shape("mu", self.mu, self.dim, self.dim * self.dim)
+        check_maps(self)
+
+    @property
+    def dims(self) -> dict:
+        return {"dim": self.dim}
 
     @property
     def field(self) -> FieldSpec:
@@ -75,13 +99,18 @@ class NonUnitalBimonoidData:
     comonoid: ComonoidData
     mu: LinMap
 
+    MAPS = (("mu", "dim", "dim*dim"),)
+
     def __post_init__(self) -> None:
-        self.comonoid.field.require_same(self.mu.field)
-        _expect_shape("mu", self.mu, self.dim, self.dim * self.dim)
+        check_maps(self)
 
     @property
     def dim(self) -> int:
         return self.comonoid.dim
+
+    @property
+    def dims(self) -> dict:
+        return self.comonoid.dims
 
     @property
     def field(self) -> FieldSpec:
@@ -105,16 +134,18 @@ class HopfMonoidData:
     mu: LinMap
     antipode: LinMap
 
+    MAPS = (("eta", "dim", "1"), ("mu", "dim", "dim*dim"), ("antipode", "dim", "dim"))
+
     def __post_init__(self) -> None:
-        for m in (self.eta, self.mu, self.antipode):
-            self.comonoid.field.require_same(m.field)
-        _expect_shape("eta", self.eta, self.dim, 1)
-        _expect_shape("mu", self.mu, self.dim, self.dim * self.dim)
-        _expect_shape("antipode", self.antipode, self.dim, self.dim)
+        check_maps(self)
 
     @property
     def dim(self) -> int:
         return self.comonoid.dim
+
+    @property
+    def dims(self) -> dict:
+        return self.comonoid.dims
 
     @property
     def field(self) -> FieldSpec:
@@ -213,19 +244,6 @@ def verify_hopf_monoid(h: HopfMonoidData, subject: str = "hopf") -> Verification
                  h.mu @ kron(identity(h.field, n), h.antipode) @ h.delta, unit_target),
     )
     return rep
-
-
-def verify_structure(data) -> VerificationReport:
-    """Dispatch to the verifier matching the bundle type."""
-    if isinstance(data, ComonoidData):
-        return verify_comonoid(data)
-    if isinstance(data, MonoidData):
-        return verify_monoid(data)
-    if isinstance(data, NonUnitalBimonoidData):
-        return verify_nonunital_bimonoid(data)
-    if isinstance(data, HopfMonoidData):
-        return verify_hopf_monoid(data)
-    raise TypeError(f"no verifier for {type(data).__name__}")
 
 
 def is_cocommutative(c: ComonoidData) -> bool:

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from .coalgebra import (
     HopfMonoidData,
     NonUnitalBimonoidData,
+    check_maps,
     find_unit,
     solve_antipode,
     verify_hopf_monoid,
@@ -44,22 +45,20 @@ class InvertibleCocycle:
     twist: LinMap
     action: LinMap
 
+    MAPS = (("cocycle", "target", "source"), ("twist", "source", "source"),
+            ("action", "target", "source*target"))
+
     def __post_init__(self) -> None:
         self.bimonoid.field.require_same(self.hopf.field)
-        b, h = self.bimonoid.dim, self.hopf.dim
-        for name, m, cod, dom in (
-            ("cocycle", self.cocycle, h, b),
-            ("twist", self.twist, b, b),
-            ("action", self.action, h, b * h),
-        ):
-            self.bimonoid.field.require_same(m.field)
-            if m.shape != (cod, dom):
-                raise DimensionMismatchError(
-                    f"{name} has shape {m.shape}, expected {(cod, dom)}")
+        check_maps(self)
 
     @property
     def field(self):
         return self.bimonoid.field
+
+    @property
+    def dims(self) -> dict:
+        return {"source": self.bimonoid.dim, "target": self.hopf.dim}
 
 
 @dataclass(frozen=True)

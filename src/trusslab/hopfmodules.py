@@ -15,8 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coalgebra import ComonoidData, HopfMonoidData, tensor_flip_middle
+from .coalgebra import ComonoidData, HopfMonoidData, check_maps, tensor_flip_middle
 from .errors import DimensionMismatchError, InvalidStructureError, TrussLabError
+from .fields import FieldSpec
 from .hopftruss import HopfTruss
 from .linmap import LinMap, identity, kron, nullspace, solve_through, split_idempotent
 from .modules import TrussModule, verify_truss_module
@@ -30,17 +31,22 @@ class ComoduleData:
     comonoid: ComonoidData
     coaction: LinMap
 
+    MAPS = (("coaction", "dim*carrier", "carrier"),)
+
     def __post_init__(self) -> None:
-        self.comonoid.field.require_same(self.coaction.field)
-        m = self.mdim
-        expected = (self.comonoid.dim * m, m)
-        if self.coaction.shape != expected:
-            raise DimensionMismatchError(
-                f"coaction has shape {self.coaction.shape}, expected {expected}")
+        check_maps(self)
+
+    @property
+    def field(self) -> FieldSpec:
+        return self.comonoid.field
 
     @property
     def mdim(self) -> int:
         return self.coaction.dom
+
+    @property
+    def dims(self) -> dict:
+        return {**self.comonoid.dims, "carrier": self.mdim}
 
 
 @dataclass(frozen=True)
@@ -51,20 +57,22 @@ class HopfModuleData:
     action: LinMap
     coaction: LinMap
 
+    MAPS = (("action", "carrier", "dim*carrier"),) + ComoduleData.MAPS
+
     def __post_init__(self) -> None:
-        n, m = self.hopf.dim, self.mdim
-        for name, a, cod, dom in (
-            ("action", self.action, m, n * m),
-            ("coaction", self.coaction, n * m, m),
-        ):
-            self.hopf.field.require_same(a.field)
-            if a.shape != (cod, dom):
-                raise DimensionMismatchError(
-                    f"{name} has shape {a.shape}, expected {(cod, dom)}")
+        check_maps(self)
+
+    @property
+    def field(self) -> FieldSpec:
+        return self.hopf.field
 
     @property
     def mdim(self) -> int:
         return self.action.cod
+
+    @property
+    def dims(self) -> dict:
+        return {**self.hopf.dims, "carrier": self.mdim}
 
     def comodule(self) -> ComoduleData:
         return ComoduleData(self.hopf.comonoid, self.coaction)
@@ -79,21 +87,22 @@ class TrussHopfModule:
     act2: LinMap
     coaction: LinMap
 
+    MAPS = TrussModule.MAPS + ComoduleData.MAPS
+
     def __post_init__(self) -> None:
-        n, m = self.truss.dim, self.mdim
-        for name, a, cod, dom in (
-            ("act1", self.act1, m, n * m),
-            ("act2", self.act2, m, n * m),
-            ("coaction", self.coaction, n * m, m),
-        ):
-            self.truss.field.require_same(a.field)
-            if a.shape != (cod, dom):
-                raise DimensionMismatchError(
-                    f"{name} has shape {a.shape}, expected {(cod, dom)}")
+        check_maps(self)
+
+    @property
+    def field(self) -> FieldSpec:
+        return self.truss.field
 
     @property
     def mdim(self) -> int:
         return self.act1.cod
+
+    @property
+    def dims(self) -> dict:
+        return {**self.truss.dims, "carrier": self.mdim}
 
     def hopf_module(self) -> HopfModuleData:
         return HopfModuleData(self.truss.hopf_part(), self.act1, self.coaction)
@@ -105,15 +114,12 @@ class CoinvariantData:
 
     inclusion embeds the coinvariants, retraction splits it off through
     the idempotent, and comparison identifies the canonical image basis
-    of the idempotent with the kernel basis; its inverse is
-    split_proj∘inclusion.
+    of the idempotent with the kernel basis.
     """
 
     inclusion: LinMap
     retraction: LinMap
     idempotent: LinMap
-    split_proj: LinMap
-    split_incl: LinMap
     comparison: LinMap
 
     @property
@@ -161,13 +167,10 @@ def _demand(ok: bool, label: str) -> None:
         raise InvalidStructureError(f"coinvariant identity failed: {label}")
 
 
-def coinvariants(m: HopfModuleData, point: LinMap | None = None) -> CoinvariantData:
-    """Split off the subspace on which the coaction is the chosen point.
+def coinvariants(m: HopfModuleData) -> CoinvariantData:
+    """Split off the subspace on which the coaction is the unit.
 
-    The default point is the unit. Every identity listed on
-    CoinvariantData is verified on the way out; a point other than the
-    unit is accepted but the antipode idempotent is still the unit's,
-    so the construction raises unless the two happen to agree.
+    Every identity listed on CoinvariantData is verified on the way out.
     """
     rep = verify_hopf_module(m)
     if not rep.ok:
@@ -175,17 +178,12 @@ def coinvariants(m: HopfModuleData, point: LinMap | None = None) -> CoinvariantD
     h = m.hopf
     field = h.field
     idm = identity(field, m.mdim)
-    if point is None:
-        point = h.eta
-    if point.shape != (h.dim, 1):
-        raise DimensionMismatchError(
-            f"point has shape {point.shape}, expected {(h.dim, 1)}")
 
     j = LinMap.from_columns(field, m.mdim,
-                            nullspace(m.coaction - kron(point, idm)))
+                            nullspace(m.coaction - kron(h.eta, idm)))
     q = m.action @ kron(h.antipode, idm) @ m.coaction
     _demand(q @ q == q, "idempotent squares to itself")
-    _demand(m.coaction @ q == kron(point, q), "coaction is the point on the image")
+    _demand(m.coaction @ q == kron(h.eta, q), "coaction is the unit on the image")
     proj, incl = split_idempotent(q)
     t = solve_through(j, q)
     omega = t @ incl
@@ -195,7 +193,7 @@ def coinvariants(m: HopfModuleData, point: LinMap | None = None) -> CoinvariantD
     _demand(t @ j == identity(field, j.dom), "retraction splits the inclusion")
     _demand(t @ m.action == kron(h.comonoid.epsilon, t),
             "retraction kills the action")
-    return CoinvariantData(j, t, q, proj, incl, omega)
+    return CoinvariantData(j, t, q, omega)
 
 
 def verify_truss_hopf_module(m: TrussHopfModule) -> VerificationReport:

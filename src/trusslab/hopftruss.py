@@ -16,6 +16,7 @@ from .coalgebra import (
     ComonoidData,
     HopfMonoidData,
     NonUnitalBimonoidData,
+    check_maps,
     find_unit,
     solve_antipode,
     verify_hopf_monoid,
@@ -38,23 +39,19 @@ class HopfTruss:
     antipode: LinMap
     cocycle: LinMap
 
+    MAPS = (("eta", "dim", "1"), ("mu1", "dim", "dim*dim"), ("mu2", "dim", "dim*dim"),
+            ("antipode", "dim", "dim"), ("cocycle", "dim", "dim"))
+
     def __post_init__(self) -> None:
-        n = self.dim
-        for name, m, cod, dom in (
-            ("eta", self.eta, n, 1),
-            ("mu1", self.mu1, n, n * n),
-            ("mu2", self.mu2, n, n * n),
-            ("antipode", self.antipode, n, n),
-            ("cocycle", self.cocycle, n, n),
-        ):
-            self.comonoid.field.require_same(m.field)
-            if m.shape != (cod, dom):
-                raise DimensionMismatchError(
-                    f"{name} has shape {m.shape}, expected {(cod, dom)}")
+        check_maps(self)
 
     @property
     def dim(self) -> int:
         return self.comonoid.dim
+
+    @property
+    def dims(self) -> dict:
+        return self.comonoid.dims
 
     @property
     def field(self) -> FieldSpec:

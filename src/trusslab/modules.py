@@ -25,12 +25,13 @@ from .cocycle import (
     cocycle_of_truss,
     truss_of_cocycle,
 )
-from .coalgebra import tensor_flip_middle
+from .coalgebra import check_maps, tensor_flip_middle
 from .errors import (
     DimensionMismatchError,
     InvalidStructureError,
     NotInvertibleError,
 )
+from .fields import FieldSpec
 from .hopftruss import HopfTruss, twisted_action, twisted_product
 from .linmap import LinMap, identity, invert, kron
 from .report import VerificationReport, condition, equation
@@ -44,17 +45,22 @@ class TrussModule:
     act1: LinMap
     act2: LinMap
 
+    MAPS = (("act1", "carrier", "dim*carrier"), ("act2", "carrier", "dim*carrier"))
+
     def __post_init__(self) -> None:
-        n, m = self.truss.dim, self.mdim
-        for name, a in (("act1", self.act1), ("act2", self.act2)):
-            self.truss.field.require_same(a.field)
-            if a.shape != (m, n * m):
-                raise DimensionMismatchError(
-                    f"{name} has shape {a.shape}, expected {(m, n * m)}")
+        check_maps(self)
+
+    @property
+    def field(self) -> FieldSpec:
+        return self.truss.field
 
     @property
     def mdim(self) -> int:
         return self.act1.cod
+
+    @property
+    def dims(self) -> dict:
+        return {**self.truss.dims, "carrier": self.mdim}
 
 
 @dataclass(frozen=True)
@@ -73,19 +79,17 @@ class PiModule:
     base_action: LinMap
     compare: LinMap
 
+    MAPS = (("mixed_action", "carrier", "source*carrier"),
+            ("hopf_action", "carrier", "target*carrier"),
+            ("base_action", "second", "source*second"),
+            ("compare", "carrier", "second"))
+
     def __post_init__(self) -> None:
-        b, h = self.system.bimonoid.dim, self.system.hopf.dim
-        m, n = self.mdim, self.ndim
-        for name, a, cod, dom in (
-            ("mixed_action", self.mixed_action, m, b * m),
-            ("hopf_action", self.hopf_action, m, h * m),
-            ("base_action", self.base_action, n, b * n),
-            ("compare", self.compare, m, n),
-        ):
-            self.system.field.require_same(a.field)
-            if a.shape != (cod, dom):
-                raise DimensionMismatchError(
-                    f"{name} has shape {a.shape}, expected {(cod, dom)}")
+        check_maps(self)
+
+    @property
+    def field(self) -> FieldSpec:
+        return self.system.field
 
     @property
     def mdim(self) -> int:
@@ -94,6 +98,10 @@ class PiModule:
     @property
     def ndim(self) -> int:
         return self.compare.dom
+
+    @property
+    def dims(self) -> dict:
+        return {**self.system.dims, "carrier": self.mdim, "second": self.ndim}
 
 
 def module_twisted_action(m: TrussModule) -> LinMap:

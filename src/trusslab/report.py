@@ -92,7 +92,3 @@ def equation(name: str, anchor: str, lhs: LinMap, rhs: LinMap) -> CheckResult:
 
 def condition(name: str, anchor: str, ok: bool, detail: str = "") -> CheckResult:
     return CheckResult(name, anchor, ok, detail="" if ok else detail)
-
-
-def report(subject: str, *checks: CheckResult) -> VerificationReport:
-    return VerificationReport(subject, tuple(checks))

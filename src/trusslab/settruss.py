@@ -63,6 +63,26 @@ def _associativity_witness(table: Table) -> tuple[int, int, int] | None:
     return None
 
 
+def _unit_and_inverses(table: Table) -> tuple[int, tuple[int, ...], str | None]:
+    """The two-sided unit and inverses of a table, and the first one that
+    is missing.  A missing unit reads as 0 and a missing inverse of a as
+    a, so a table that is no group still gives a bundle whose law checks
+    say which axiom fails."""
+    n = len(table)
+    unit = next((u for u in range(n)
+                 if all(table[u][a] == a and table[a][u] == a for a in range(n))), None)
+    fault = "no two-sided unit" if unit is None else None
+    unit = unit or 0
+    inv = []
+    for a in range(n):
+        b = next((b for b in range(n)
+                  if table[a][b] == unit and table[b][a] == unit), None)
+        if b is None:
+            fault = fault or f"element {a} has no two-sided inverse"
+        inv.append(a if b is None else b)
+    return unit, tuple(inv), fault
+
+
 @dataclass(frozen=True)
 class FiniteGroup:
     table: Table
@@ -92,21 +112,10 @@ class FiniteGroup:
         witness = _associativity_witness(table)
         if witness is not None:
             raise InvalidStructureError(f"not associative at {witness}")
-        unit = None
-        for u in range(n):
-            if all(table[u][a] == a and table[a][u] == a for a in range(n)):
-                unit = u
-                break
-        if unit is None:
-            raise InvalidStructureError("no two-sided unit")
-        inv = []
-        for a in range(n):
-            b = next((b for b in range(n)
-                      if table[a][b] == unit and table[b][a] == unit), None)
-            if b is None:
-                raise InvalidStructureError(f"element {a} has no two-sided inverse")
-            inv.append(b)
-        return cls(table, unit, tuple(inv))
+        unit, inv, fault = _unit_and_inverses(table)
+        if fault is not None:
+            raise InvalidStructureError(fault)
+        return cls(table, unit, inv)
 
 
 @dataclass(frozen=True)
@@ -330,6 +339,18 @@ def _valid_rows(g: FiniteGroup) -> list[tuple[int, ...]]:
     return sorted(rows)
 
 
+def check_enumeration_bound(n: int, max_size: int) -> None:
+    """Refuse enumeration over n elements: above max_size, or above
+    MAX_ENUMERATION_ORDER whatever max_size says."""
+    if n > max_size:
+        raise BoundExceededError(
+            f"carrier size {n} exceeds enumeration bound {max_size}")
+    if n > MAX_ENUMERATION_ORDER:
+        raise BoundExceededError(
+            f"carrier size {n} exceeds the fixed enumeration bound "
+            f"{MAX_ENUMERATION_ORDER}")
+
+
 def enumerate_skew_trusses(g: FiniteGroup, max_size: int = 4) -> list[SkewTruss]:
     """All skew trusses over the fixed group g, tables in lexicographic order.
 
@@ -340,13 +361,7 @@ def enumerate_skew_trusses(g: FiniteGroup, max_size: int = 4) -> list[SkewTruss]
     MAX_ENUMERATION_ORDER whatever max_size says, are refused up front.
     """
     n = g.size
-    if n > max_size:
-        raise BoundExceededError(
-            f"carrier size {n} exceeds enumeration bound {max_size}")
-    if n > MAX_ENUMERATION_ORDER:
-        raise BoundExceededError(
-            f"carrier size {n} exceeds the fixed enumeration bound "
-            f"{MAX_ENUMERATION_ORDER}")
+    check_enumeration_bound(n, max_size)
     rows = _valid_rows(g)
     index = {row: i for i, row in enumerate(rows)}
     # compose[r][s]: the index of row r after row s, or -1 if that is no row

@@ -1,15 +1,20 @@
 """Shared builders for hand-made fixtures.
 
-Everything here assembles matrices entry by entry from multiplication
+The builders assemble matrices entry by entry from multiplication
 tables, deliberately bypassing settruss.linearize, so the set-level and
 linear-level routes stay independent when tests compare them.
+sample_objects, one structure of every document kind for the format and
+dispatch tests, uses the library's own constructions instead.
 """
 
-from trusslab.coalgebra import ComonoidData, NonUnitalBimonoidData
-from trusslab.cocycle import InvertibleCocycle
-from trusslab.fields import FieldSpec
+from trusslab.coalgebra import ComonoidData, MonoidData, NonUnitalBimonoidData
+from trusslab.cocycle import InvertibleCocycle, cocycle_of_truss
+from trusslab.fields import RATIONALS, FieldSpec, prime_field
+from trusslab.hopfmodules import HopfModuleData, induction_functor
 from trusslab.hopftruss import HopfTruss
 from trusslab.linmap import LinMap, identity, invert, kron
+from trusslab.modules import regular_pi_module, regular_truss_module
+from trusslab.settruss import cyclic_group, linearize, right_projection_truss
 
 
 def table_unit(table) -> int:
@@ -75,3 +80,23 @@ def permute_cocycle_source(c: InvertibleCocycle, perm) -> InvertibleCocycle:
                              c.cocycle @ qi,
                              q @ c.twist @ qi,
                              c.action @ kron(qi, identity(c.field, c.hopf.dim)))
+
+
+def sample_objects():
+    """One small valid structure of every document kind, as (kind, object)."""
+    t = right_projection_truss(cyclic_group(3))
+    h = linearize(t, prime_field(5))
+    hq = cyclic_truss(RATIONALS, 2)
+    return [
+        ("settruss", t),
+        ("comonoid", h.comonoid),
+        ("monoid", MonoidData(h.dim, h.eta, h.mu1)),
+        ("bimonoid", h.second_part()),
+        ("hopf", h.hopf_part()),
+        ("hopftruss", h),
+        ("gic", cocycle_of_truss(h)),
+        ("trussmodule", regular_truss_module(h)),
+        ("pimodule", regular_pi_module(cocycle_of_truss(hq))),
+        ("hopfmodule", HopfModuleData(hq.hopf_part(), hq.mu1, hq.comonoid.delta)),
+        ("trusshopfmodule", induction_functor(h, 2)),
+    ]

@@ -4,53 +4,47 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import cyclic_truss
+from conftest import cyclic_truss, sample_objects
 
-from trusslab import algfile
+from trusslab import algfile, cli
 from trusslab.coalgebra import ComonoidData, MonoidData
-from trusslab.cocycle import cocycle_of_truss
-from trusslab.errors import DimensionLimitError, ParseError
+from trusslab.errors import DimensionLimitError, DimensionMismatchError, ParseError
 from trusslab.fields import RATIONALS, prime_field
-from trusslab.hopfmodules import HopfModuleData, induction_functor
+from trusslab.hopfmodules import induction_functor
 from trusslab.linmap import LinMap
-from trusslab.modules import regular_pi_module, regular_truss_module
-from trusslab.settruss import (
-    cyclic_group,
-    linearize,
-    right_projection_truss,
-    trivial_truss,
-    verify_skew_truss,
-)
+from trusslab.settruss import cyclic_group, trivial_truss, verify_skew_truss
 
 F5 = prime_field(5)
+SAMPLES = dict(sample_objects())
 
 
-def sample_objects():
-    t = right_projection_truss(cyclic_group(3))
-    h = linearize(t, F5)
-    hq = cyclic_truss(RATIONALS, 2)
-    return [
-        ("settruss", t),
-        ("comonoid", h.comonoid),
-        ("monoid", MonoidData(h.dim, h.eta, h.mu1)),
-        ("bimonoid", h.second_part()),
-        ("hopf", h.hopf_part()),
-        ("hopftruss", h),
-        ("gic", cocycle_of_truss(h)),
-        ("trussmodule", regular_truss_module(h)),
-        ("pimodule", regular_pi_module(cocycle_of_truss(hq))),
-        ("hopfmodule", HopfModuleData(hq.hopf_part(), hq.mu1, hq.comonoid.delta)),
-        ("trusshopfmodule", induction_functor(h, 2)),
-    ]
+def _kind_choices(command):
+    parser = cli._build_parser()._subparsers._group_actions[0].choices[command]
+    return next(action.choices for action in parser._actions if action.dest == "kind")
 
 
-@pytest.mark.parametrize("kind,obj", sample_objects(), ids=[k for k, _ in sample_objects()])
-def test_round_trip_every_kind(kind, obj):
+@pytest.mark.parametrize("kind", algfile.KINDS)
+def test_round_trip_every_kind(kind):
+    assert sorted(SAMPLES) == sorted(algfile.KINDS)
+    assert tuple(_kind_choices("verify")) == tuple(_kind_choices("pipeline")) == algfile.KINDS
+    obj = SAMPLES[kind]
     text = algfile.serialize(obj)
     back = algfile.loads(text)
     assert algfile.kind_of(back) == kind
     assert back == obj
     assert algfile.serialize(back) == text
+    assert algfile.verify_structure(obj).ok
+    if kind == "settruss":
+        return  # stored as tables, not maps
+    # constructors check every map against the shapes the parser reads
+    row = algfile.REGISTRY[kind]
+    maps = row.maps_of(obj)
+    assert sorted(maps) == sorted(algfile.document_of(obj)["maps"])
+    assert row.build(obj.dims, maps) == obj
+    for name, m in maps.items():
+        grown = LinMap(m.field, m.cod + 1, m.dom, dict(m.items()))
+        with pytest.raises(DimensionMismatchError):
+            row.build(obj.dims, {**maps, name: grown})
 
 
 def test_serialize_is_canonical():

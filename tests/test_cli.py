@@ -7,11 +7,12 @@ import sys
 
 import pytest
 
-from trusslab import algfile
+from trusslab import algfile, cli
 from trusslab.cli import main
 from trusslab.fields import RATIONALS
 from trusslab.hopfmodules import induction_functor
 from trusslab.settruss import (
+    FiniteGroup,
     cyclic_group,
     enumerate_skew_trusses,
     left_projection_truss,
@@ -163,6 +164,22 @@ def test_enumerate_refuses_large_orders_whatever_the_max(capsys):
     assert code == 2
     assert "bound 7" in err
     assert out == ""
+
+
+def test_enumerate_refuses_before_building_the_group(tmp_path, capsys, monkeypatch):
+    def build(*args):
+        raise AssertionError("group built before the bound check")
+
+    monkeypatch.setattr(cli, "cyclic_group", build)
+    monkeypatch.setattr(FiniteGroup, "from_table", classmethod(build))
+    code, out, err = run(capsys, "enumerate", "--group", "Z1000")
+    assert code == 2 and out == ""
+    assert "carrier size 1000 exceeds enumeration bound 6" in err
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps([[0] * 9] * 9), encoding="utf-8")
+    code, out, err = run(capsys, "enumerate", "--group", str(path), "--max", "12")
+    assert code == 2 and out == ""
+    assert "carrier size 9 exceeds the fixed enumeration bound 7" in err
 
 
 def test_enumerate_s3_under_the_default_bound(tmp_path, capsys):

@@ -5,6 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import sample_objects
+
+from trusslab import verify_structure
 from trusslab.coalgebra import (
     ComonoidData,
     GROUPLIKE_BASIS,
@@ -26,11 +29,15 @@ from trusslab.coalgebra import (
     verify_hopf_monoid,
     verify_monoid,
     verify_nonunital_bimonoid,
-    verify_structure,
 )
+from trusslab.cocycle import verify_cocycle
 from trusslab.errors import BoundExceededError, NoAntipodeError
 from trusslab.fields import RATIONALS, prime_field
+from trusslab.hopfmodules import verify_hopf_module, verify_truss_hopf_module
+from trusslab.hopftruss import verify_hopf_truss
 from trusslab.linmap import LinMap, identity, kron, rank, swap
+from trusslab.modules import verify_pi_module, verify_truss_module
+from trusslab.settruss import verify_skew_truss
 
 F2 = prime_field(2)
 F5 = prime_field(5)
@@ -80,11 +87,27 @@ def test_cyclic_group_algebra_is_hopf():
 
 
 def test_verify_structure_dispatch():
-    h = cyclic_group_algebra(2, RATIONALS)
-    assert verify_structure(h).ok
-    assert verify_structure(h.comonoid).ok
-    assert verify_structure(h.monoid()).ok
-    assert verify_structure(h.nonunital()).ok
+    expected = {
+        "comonoid": verify_comonoid,
+        "monoid": verify_monoid,
+        "bimonoid": verify_nonunital_bimonoid,
+        "hopf": verify_hopf_monoid,
+        "hopftruss": verify_hopf_truss,
+        "gic": verify_cocycle,
+        "trussmodule": verify_truss_module,
+        "pimodule": verify_pi_module,
+        "hopfmodule": verify_hopf_module,
+        "trusshopfmodule": verify_truss_hopf_module,
+        "settruss": verify_skew_truss,
+    }
+    samples = sample_objects()
+    assert sorted(kind for kind, _ in samples) == sorted(expected)
+    for kind, obj in samples:
+        rep = verify_structure(obj)
+        assert rep.ok
+        assert rep == expected[kind](obj)
+    with pytest.raises(TypeError):
+        verify_structure(42)
 
 
 def test_broken_coassociativity_is_caught():

@@ -145,15 +145,6 @@ def test_coinvariants_rejects_invalid_module():
         coinvariants(m)
 
 
-def test_coinvariants_at_a_non_unit_point():
-    # the other grouplike of the Z/2 algebra equalizes a 1-dimensional
-    # subspace, but the antipode idempotent still belongs to the unit
-    h = cyclic_truss(RATIONALS, 2).hopf_part()
-    other = LinMap(RATIONALS, 2, 1, {(1, 0): 1})
-    with pytest.raises(InvalidStructureError):
-        coinvariants(regular_hopf_module(h), point=other)
-
-
 # -- Hopf modules over a truss ------------------------------------------------
 
 
