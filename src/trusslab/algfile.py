@@ -366,7 +366,7 @@ def read_json(text: str):
     """The JSON value in `text`; ParseError if it is not valid JSON."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long for int()
         raise ParseError(f"not valid JSON: {exc}") from exc
 
 

@@ -17,7 +17,7 @@ import sys
 
 from . import algfile
 from .cocycle import InvertibleCocycle, cocycle_of_truss, truss_of_cocycle
-from .errors import ParseError, TrussLabError
+from .errors import BoundExceededError, ParseError, TrussLabError
 from .fields import RATIONALS
 from .hopfmodules import TrussHopfModule, fundamental_iso
 from .hopftruss import HopfTruss
@@ -65,7 +65,13 @@ def _group_by_name(name: str, max_size: int) -> FiniteGroup:
     """The named group, refused by the enumeration bound before it is built."""
     match = re.fullmatch(r"Z([0-9]+)", name)
     if match:
-        n = int(match.group(1))
+        digits = match.group(1).lstrip("0") or "0"
+        if len(digits) > len(str(max_size)):
+            # Above the bound by its length alone; int() refuses long digit strings.
+            size = digits if len(digits) <= 20 else f"of {len(digits)} digits"
+            raise BoundExceededError(
+                f"carrier size {size} exceeds enumeration bound {max_size}")
+        n = int(digits)
         check_enumeration_bound(n, max_size)
         return cyclic_group(n)
     if name == "S3":
@@ -81,6 +87,11 @@ def _group_by_name(name: str, max_size: int) -> FiniteGroup:
         raise ParseError(f"Cayley file {name!r} must hold a table of rows "
                          "(bare, or under a \"table\" key)")
     check_enumeration_bound(len(table), max_size)
+    for r, row in enumerate(table):
+        for c, x in enumerate(row):
+            if isinstance(x, bool) or not isinstance(x, int):
+                raise ParseError(f"Cayley file {name!r} entry [{r}][{c}] = "
+                                 f"{json.dumps(x)} is not an integer")
     return FiniteGroup.from_table(table)
 
 

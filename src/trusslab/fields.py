@@ -1,10 +1,12 @@
 """Exact coefficient fields: the rationals and prime fields.
 
-Scalars are plain values, not wrapper objects: `Fraction` over the
-rationals (kept canonical by Fraction itself: lowest terms, positive
-denominator) and `int` residues in [0, p) over a prime field.  A
-FieldSpec supplies the arithmetic so that all linear-algebra code is
-field generic.
+Scalars are plain values, not wrapper objects.  Over the rationals a
+scalar is an `int` when it is integral and a `Fraction` (lowest terms,
+positive denominator, denominator above 1) otherwise; every operation
+returns that canonical form, so equal scalars have equal types.  Over a
+prime field a scalar is an `int` residue in [0, p).  Bools are refused
+in both fields.  A FieldSpec supplies the arithmetic so that all
+linear-algebra code is field generic.
 """
 
 from __future__ import annotations
@@ -19,6 +21,13 @@ Scalar = Union[Fraction, int]
 
 RATIONAL_KIND = "Q"
 PRIME_KIND = "Fp"
+
+
+def _rational(q: Scalar) -> Scalar:
+    """The canonical rational scalar: an integral Fraction becomes its int."""
+    if type(q) is Fraction and q.denominator == 1:
+        return q.numerator
+    return q
 
 
 def _is_prime(n: int) -> bool:
@@ -53,21 +62,21 @@ class FieldSpec:
 
     # -- basic constants ------------------------------------------------
 
-    @property
-    def zero(self) -> Scalar:
-        return Fraction(0) if self.kind == RATIONAL_KIND else 0
-
-    @property
-    def one(self) -> Scalar:
-        return Fraction(1) if self.kind == RATIONAL_KIND else 1
+    # Both kinds of field share the ints 0 and 1 as canonical constants.
+    zero = 0
+    one = 1
 
     # -- arithmetic -----------------------------------------------------
 
     def coerce(self, value) -> Scalar:
         """Canonical scalar from an int, Fraction, or another residue."""
+        if isinstance(value, bool):
+            raise TypeError(f"cannot coerce bool {value!r} into {self}")
         if self.kind == RATIONAL_KIND:
-            if isinstance(value, (int, Fraction)):
-                return Fraction(value)
+            if isinstance(value, int):
+                return int(value)
+            if isinstance(value, Fraction):
+                return _rational(Fraction(value))
             raise TypeError(f"cannot coerce {value!r} into the rationals")
         if isinstance(value, Fraction):
             if value.denominator != 1:
@@ -78,13 +87,13 @@ class FieldSpec:
         return value % self.p
 
     def add(self, a: Scalar, b: Scalar) -> Scalar:
-        return a + b if self.kind == RATIONAL_KIND else (a + b) % self.p
+        return _rational(a + b) if self.kind == RATIONAL_KIND else (a + b) % self.p
 
     def sub(self, a: Scalar, b: Scalar) -> Scalar:
-        return a - b if self.kind == RATIONAL_KIND else (a - b) % self.p
+        return _rational(a - b) if self.kind == RATIONAL_KIND else (a - b) % self.p
 
     def mul(self, a: Scalar, b: Scalar) -> Scalar:
-        return a * b if self.kind == RATIONAL_KIND else (a * b) % self.p
+        return _rational(a * b) if self.kind == RATIONAL_KIND else (a * b) % self.p
 
     def neg(self, a: Scalar) -> Scalar:
         return -a if self.kind == RATIONAL_KIND else (-a) % self.p
@@ -93,7 +102,8 @@ class FieldSpec:
         if self.is_zero(a):
             raise ZeroDivisionError("scalar inverse of zero")
         if self.kind == RATIONAL_KIND:
-            return 1 / a
+            # 1 / int is a float: invert through Fraction, exactly.
+            return _rational(1 / Fraction(a))
         return pow(a, -1, self.p)
 
     def div(self, a: Scalar, b: Scalar) -> Scalar:
@@ -111,7 +121,7 @@ class FieldSpec:
         text = text.strip()
         if self.kind == RATIONAL_KIND:
             try:
-                return Fraction(text)
+                return _rational(Fraction(text))
             except (ValueError, ZeroDivisionError) as exc:
                 raise ParseError(f"bad rational scalar {text!r}") from exc
         try:

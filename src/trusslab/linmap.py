@@ -52,6 +52,28 @@ class LinMap:
         self._cols = None
         self._hash = None
 
+    @classmethod
+    def _of(cls, field: FieldSpec, cod: int, dom: int,
+            entries: Dict[Tuple[int, int], Scalar]) -> "LinMap":
+        """A map from entries this module computed itself.
+
+        The entries must already be canonical scalars of `field` at keys
+        inside cod x dom, so neither is checked again; exact zeros are
+        dropped.  Input from callers goes through `LinMap(...)`.
+        """
+        if cod < 0 or dom < 0:
+            raise DimensionMismatchError(f"negative shape {cod}x{dom}")
+        self = object.__new__(cls)
+        init = object.__setattr__
+        init(self, "field", field)
+        init(self, "cod", cod)
+        init(self, "dom", dom)
+        init(self, "_entries", {k: v for k, v in entries.items() if v})
+        init(self, "_rows", None)
+        init(self, "_cols", None)
+        init(self, "_hash", None)
+        return self
+
     # -- constructors ---------------------------------------------------
 
     @classmethod
@@ -83,16 +105,16 @@ class LinMap:
             col.field.require_same(field)
             for (i, _), value in col.items():
                 entries[(i, j)] = value
-        return cls(field, cod, len(columns), entries)
+        return cls._of(field, cod, len(columns), entries)
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "LinMap":
         one = field.one
-        return cls(field, n, n, {(i, i): one for i in range(n)})
+        return cls._of(field, n, n, {(i, i): one for i in range(n)})
 
     @classmethod
     def zero(cls, field: FieldSpec, cod: int, dom: int) -> "LinMap":
-        return cls(field, cod, dom, {})
+        return cls._of(field, cod, dom, {})
 
     @classmethod
     def basis_vector(cls, field: FieldSpec, n: int, index: int) -> "LinMap":
@@ -121,7 +143,7 @@ class LinMap:
 
     def column(self, j: int) -> "LinMap":
         entries = {(i, 0): v for (i, jj), v in self._entries.items() if jj == j}
-        return LinMap(self.field, self.cod, 1, entries)
+        return LinMap._of(self.field, self.cod, 1, entries)
 
     def is_zero(self) -> bool:
         return not self._entries
@@ -170,7 +192,7 @@ class LinMap:
                     key = (i, j)
                     acc = out.get(key)
                     out[key] = mul(u, v) if acc is None else add(acc, mul(u, v))
-        return LinMap(field, self.cod, other.dom, out)
+        return LinMap._of(field, self.cod, other.dom, out)
 
     def __matmul__(self, other: "LinMap") -> "LinMap":
         return self.compose(other)
@@ -184,7 +206,7 @@ class LinMap:
         for (i1, j1), u in self._entries.items():
             for (i2, j2), v in other._entries.items():
                 out[(i1 * cod2 + i2, j1 * dom2 + j2)] = mul(u, v)
-        return LinMap(self.field, self.cod * cod2, self.dom * dom2, out)
+        return LinMap._of(self.field, self.cod * cod2, self.dom * dom2, out)
 
     def __add__(self, other: "LinMap") -> "LinMap":
         self._require_same_shape(other)
@@ -192,7 +214,7 @@ class LinMap:
         out = dict(self._entries)
         for key, value in other._entries.items():
             out[key] = add(out[key], value) if key in out else value
-        return LinMap(self.field, self.cod, self.dom, out)
+        return LinMap._of(self.field, self.cod, self.dom, out)
 
     def __sub__(self, other: "LinMap") -> "LinMap":
         self._require_same_shape(other)
@@ -200,22 +222,22 @@ class LinMap:
         out = dict(self._entries)
         for key, value in other._entries.items():
             out[key] = sub(out[key], value) if key in out else neg(value)
-        return LinMap(self.field, self.cod, self.dom, out)
+        return LinMap._of(self.field, self.cod, self.dom, out)
 
     def __neg__(self) -> "LinMap":
         neg = self.field.neg
-        return LinMap(self.field, self.cod, self.dom,
-                      {k: neg(v) for k, v in self._entries.items()})
+        return LinMap._of(self.field, self.cod, self.dom,
+                          {k: neg(v) for k, v in self._entries.items()})
 
     def scale(self, scalar) -> "LinMap":
         scalar = self.field.coerce(scalar)
         mul = self.field.mul
-        return LinMap(self.field, self.cod, self.dom,
-                      {k: mul(scalar, v) for k, v in self._entries.items()})
+        return LinMap._of(self.field, self.cod, self.dom,
+                          {k: mul(scalar, v) for k, v in self._entries.items()})
 
     def transpose(self) -> "LinMap":
-        return LinMap(self.field, self.dom, self.cod,
-                      {(j, i): v for (i, j), v in self._entries.items()})
+        return LinMap._of(self.field, self.dom, self.cod,
+                          {(j, i): v for (i, j), v in self._entries.items()})
 
     def _require_same_shape(self, other: "LinMap") -> None:
         self.field.require_same(other.field)
@@ -264,7 +286,7 @@ def swap(m: int, n: int, field: FieldSpec) -> LinMap:
     for i in range(m):
         for j in range(n):
             entries[(j * m + i, i * n + j)] = one
-    return LinMap(field, m * n, m * n, entries)
+    return LinMap._of(field, m * n, m * n, entries)
 
 
 def identity(field: FieldSpec, n: int) -> LinMap:
@@ -328,16 +350,14 @@ def nullspace(f: LinMap) -> List[LinMap]:
     rows, pivots = _rref(field, f.rows())
     pivot_set = set(pivots)
     basis = []
-    one, zero, neg = field.one, field.zero, field.neg
+    one, neg = field.one, field.neg
     for j in range(f.dom):
         if j in pivot_set:
             continue
         entries = {(j, 0): one}
         for r, pc in enumerate(pivots):
-            value = rows[r][j]
-            if not field.is_zero(value):
-                entries[(pc, 0)] = neg(value)
-        basis.append(LinMap(field, f.dom, 1, entries))
+            entries[(pc, 0)] = neg(rows[r][j])
+        basis.append(LinMap._of(field, f.dom, 1, entries))
     return basis
 
 
@@ -357,13 +377,8 @@ def invert(f: LinMap) -> LinMap:
     aug, pivots = _rref(field, aug, pivot_limit=n)
     if pivots != list(range(n)):
         raise NotInvertibleError(f"map of rank {len(pivots)} < {n}")
-    entries = {}
-    for i in range(n):
-        for j in range(n):
-            value = aug[i][n + j]
-            if not field.is_zero(value):
-                entries[(i, j)] = value
-    return LinMap(field, n, n, entries)
+    entries = {(i, j): aug[i][n + j] for i in range(n) for j in range(n)}
+    return LinMap._of(field, n, n, entries)
 
 
 def solve_through(a: LinMap, b: LinMap) -> LinMap:
@@ -379,7 +394,7 @@ def solve_through(a: LinMap, b: LinMap) -> LinMap:
     if a.cod == 0:
         if n > 0:
             raise AmbiguousSystemError("zero equations, free unknowns")
-        return LinMap(field, 0, m, {})
+        return LinMap._of(field, 0, m, {})
     aug, pivots = _rref(field, aug, pivot_limit=n)
     if len(pivots) < len(aug):
         for r in range(len(pivots), len(aug)):
@@ -387,13 +402,8 @@ def solve_through(a: LinMap, b: LinMap) -> LinMap:
                 raise InconsistentSystemError("no exact solution")
     if [p for p in pivots if p < n] != list(range(n)):
         raise AmbiguousSystemError("left factor is not injective")
-    entries = {}
-    for r in range(n):
-        for j in range(m):
-            value = aug[r][n + j]
-            if not field.is_zero(value):
-                entries[(r, j)] = value
-    return LinMap(field, n, m, entries)
+    entries = {(r, j): aug[r][n + j] for r in range(n) for j in range(m)}
+    return LinMap._of(field, n, m, entries)
 
 
 def image_basis(f: LinMap) -> List[LinMap]:
@@ -402,11 +412,8 @@ def image_basis(f: LinMap) -> List[LinMap]:
     rows, pivots = _rref(field, f.transpose().rows())
     basis = []
     for r in range(len(pivots)):
-        entries = {}
-        for i, value in enumerate(rows[r]):
-            if not field.is_zero(value):
-                entries[(i, 0)] = value
-        basis.append(LinMap(field, f.cod, 1, entries))
+        entries = {(i, 0): value for i, value in enumerate(rows[r])}
+        basis.append(LinMap._of(field, f.cod, 1, entries))
     return basis
 
 

@@ -83,11 +83,11 @@ class VerificationReport:
 
 
 def equation(name: str, anchor: str, lhs: LinMap, rhs: LinMap) -> CheckResult:
-    """Check an exact matrix identity; residual is lhs - rhs."""
-    residual = lhs - rhs
-    if residual.is_zero():
+    """Check an exact matrix identity; a failure carries lhs - rhs."""
+    if lhs == rhs:
         return CheckResult(name, anchor, True)
-    return CheckResult(name, anchor, False, residual=residual)
+    # lhs - rhs raises on unequal fields or shapes.
+    return CheckResult(name, anchor, False, residual=lhs - rhs)
 
 
 def condition(name: str, anchor: str, ok: bool, detail: str = "") -> CheckResult:

@@ -227,3 +227,5 @@ def test_bad_cap_environment_value(monkeypatch):
 def test_loads_rejects_invalid_json():
     with pytest.raises(ParseError, match="not valid JSON"):
         algfile.loads("{nope")
+    with pytest.raises(ParseError, match="not valid JSON"):
+        algfile.loads('{"dims": {"dim": ' + "9" * 5000 + "}}")

@@ -182,6 +182,14 @@ def test_enumerate_refuses_before_building_the_group(tmp_path, capsys, monkeypat
     assert "carrier size 9 exceeds the fixed enumeration bound 7" in err
 
 
+def test_enumerate_refuses_a_huge_order_by_its_digit_count(capsys):
+    code, out, err = run(capsys, "enumerate", "--group", "Z" + "9" * 5000)
+    assert code == 2 and out == ""
+    assert "carrier size of 5000 digits exceeds enumeration bound 6" in err
+    code, out, _ = run(capsys, "enumerate", "--group", "Z" + "0" * 5000 + "5")
+    assert code == 0 and json.loads(out)["count"] == 622
+
+
 def test_enumerate_s3_under_the_default_bound(tmp_path, capsys):
     path = tmp_path / "s3.json"
     code, _, _ = run(capsys, "enumerate", "--group", "S3", "--out", str(path))
@@ -216,6 +224,19 @@ def test_enumerate_rejects_bad_cayley_file(tmp_path, capsys):
     assert "Cayley" in err
     path.write_text(json.dumps({"table": [[0, 0], [0, 0]]}), encoding="utf-8")
     assert run(capsys, "enumerate", "--group", str(path))[0] == 2
+
+
+@pytest.mark.parametrize("table, entry", [
+    ([["a"]], '"a"'),
+    ([[0.5, 1], [1, 0]], "0.5"),
+    ([[True, False], [False, True]], "true"),
+], ids=["string", "float", "bool"])
+def test_enumerate_refuses_non_integer_cayley_entries(tmp_path, capsys, table, entry):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(table), encoding="utf-8")
+    code, out, err = run(capsys, "enumerate", "--group", str(path))
+    assert code == 2 and out == ""
+    assert f"entry [0][0] = {entry} is not an integer" in err
 
 
 # -- pipeline -----------------------------------------------------------------

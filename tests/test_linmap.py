@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trusslab.errors import (
     AmbiguousSystemError,
@@ -27,6 +29,7 @@ from trusslab.linmap import (
     swap,
     zero_map,
 )
+from trusslab.report import equation
 
 F5 = prime_field(5)
 
@@ -317,3 +320,201 @@ def test_linmap_is_immutable_and_hashable():
         m.cod = 3
     assert hash(m) == hash(identity(RATIONALS, 2))
     assert len({m, identity(RATIONALS, 2)}) == 1
+
+
+def test_bools_are_not_scalars():
+    for field in (RATIONALS, F5):
+        for flag in (True, False):
+            with pytest.raises(TypeError):
+                field.coerce(flag)
+            with pytest.raises(TypeError):
+                LinMap(field, 1, 1, {(0, 0): flag})
+            with pytest.raises(TypeError):
+                identity(field, 2).scale(flag)
+
+
+# -- differential tests of the rational fast path ------------------------------
+#
+# Over Q a stored scalar is an int exactly when it is integral.  Every
+# operation is compared entry by entry with a dense reference below that
+# computes in Fraction only, and every output is checked for that form.
+
+
+def assert_canonical(m):
+    for _, value in m.items():
+        assert value != 0
+        if type(value) is Fraction:
+            assert value.denominator != 1
+        else:
+            assert type(value) is int
+
+
+def dense(m):
+    return [[Fraction(v) for v in row] for row in m.rows()]
+
+
+def ref_compose(a, b, dom):
+    """Dense product of a and b, where b has `dom` columns."""
+    return [[sum((a[i][k] * b[k][j] for k in range(len(b))), Fraction(0))
+             for j in range(dom)] for i in range(len(a))]
+
+
+def ref_rref(rows, ncols):
+    # Gauss-Jordan in Fraction: leftmost pivot column, first nonzero row.
+    rows = [list(r) for r in rows]
+    pivots = []
+    for col in range(ncols):
+        r0 = len(pivots)
+        hit = next((r for r in range(r0, len(rows)) if rows[r][col] != 0), None)
+        if hit is None:
+            continue
+        rows[r0], rows[hit] = rows[hit], rows[r0]
+        rows[r0] = [v / rows[r0][col] for v in rows[r0]]
+        for r in range(len(rows)):
+            if r != r0 and rows[r][col] != 0:
+                rows[r] = [x - rows[r][col] * y for x, y in zip(rows[r], rows[r0])]
+        pivots.append(col)
+    return rows, pivots
+
+
+scalars = st.one_of(st.just(0), st.integers(-3, 3),
+                    st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+@st.composite
+def rational_maps(draw, cod=None, dom=None):
+    cod = draw(st.integers(0, 4)) if cod is None else cod
+    dom = draw(st.integers(0, 4)) if dom is None else dom
+    rows = draw(st.lists(st.lists(scalars, min_size=dom, max_size=dom),
+                         min_size=cod, max_size=cod))
+    return LinMap.from_rows(RATIONALS, rows, dom=dom)
+
+
+@st.composite
+def composable(draw):
+    b = draw(rational_maps())
+    return draw(rational_maps(dom=b.cod)), b
+
+
+@st.composite
+def same_shape(draw):
+    a = draw(rational_maps())
+    return a, draw(rational_maps(cod=a.cod, dom=a.dom))
+
+
+EXAMPLES = settings(deadline=None, max_examples=60)
+
+
+@EXAMPLES
+@given(composable())
+def test_compose_matches_the_fraction_reference(pair):
+    a, b = pair
+    out = a @ b
+    assert_canonical(out)
+    assert dense(out) == ref_compose(dense(a), dense(b), b.dom)
+
+
+@EXAMPLES
+@given(rational_maps(), rational_maps())
+def test_kron_matches_the_fraction_reference(a, b):
+    out = kron(a, b)
+    assert_canonical(out)
+    da, db = dense(a), dense(b)
+    assert dense(out) == [[da[i1][j1] * db[i2][j2]
+                           for j1 in range(a.dom) for j2 in range(b.dom)]
+                          for i1 in range(a.cod) for i2 in range(b.cod)]
+
+
+@EXAMPLES
+@given(same_shape(), scalars)
+def test_add_sub_scale_transpose_match_the_fraction_reference(pair, c):
+    a, b = pair
+    da, db = dense(a), dense(b)
+    outs = {"add": a + b, "sub": a - b, "neg": -a, "scale": a.scale(c),
+            "transpose": a.transpose()}
+    for out in outs.values():
+        assert_canonical(out)
+    assert dense(outs["add"]) == [[x + y for x, y in zip(r, s)] for r, s in zip(da, db)]
+    assert dense(outs["sub"]) == [[x - y for x, y in zip(r, s)] for r, s in zip(da, db)]
+    assert dense(outs["neg"]) == [[-x for x in r] for r in da]
+    assert dense(outs["scale"]) == [[c * x for x in r] for r in da]
+    assert dense(outs["transpose"]) == [[da[i][j] for i in range(a.cod)]
+                                        for j in range(a.dom)]
+
+
+@EXAMPLES
+@given(rational_maps())
+def test_rank_and_nullspace_match_the_fraction_reference(a):
+    _, pivots = ref_rref(dense(a), a.dom)
+    assert rank(a) == len(pivots)
+    basis = nullspace(a)
+    free = [j for j in range(a.dom) if j not in pivots]
+    assert len(basis) == len(free)
+    for j, vec in zip(free, basis):
+        assert_canonical(vec)
+        column = [row[0] for row in dense(vec)]
+        # The canonical vector of free column j: e_j on the free columns.
+        assert [column[k] for k in free] == [int(k == j) for k in free]
+        assert all(v == 0 for row in ref_compose(dense(a), dense(vec), 1) for v in row)
+
+
+@EXAMPLES
+@given(st.integers(0, 4).flatmap(lambda n: rational_maps(cod=n, dom=n)))
+def test_invert_matches_the_fraction_reference(a):
+    n = a.cod
+    aug = [row + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(dense(a))]
+    rows, pivots = ref_rref(aug, n)
+    if pivots != list(range(n)):
+        with pytest.raises(NotInvertibleError):
+            invert(a)
+        return
+    inv = invert(a)
+    assert_canonical(inv)
+    assert dense(inv) == [row[n:] for row in rows]
+
+
+@EXAMPLES
+@given(st.integers(1, 4).flatmap(
+    lambda cod: st.tuples(rational_maps(cod=cod), rational_maps(cod=cod))))
+def test_solve_through_matches_the_fraction_reference(pair):
+    a, b = pair
+    n = a.dom
+    rows, pivots = ref_rref([r + s for r, s in zip(dense(a), dense(b))], n)
+    consistent = all(v == 0 for row in rows[len(pivots):] for v in row[n:])
+    if not consistent:
+        with pytest.raises(InconsistentSystemError):
+            solve_through(a, b)
+    elif pivots != list(range(n)):
+        with pytest.raises(AmbiguousSystemError):
+            solve_through(a, b)
+    else:
+        x = solve_through(a, b)
+        assert_canonical(x)
+        assert dense(x) == [row[n:] for row in rows[:n]]
+        assert ref_compose(dense(a), dense(x), b.dom) == dense(b)
+
+
+def test_rational_inverse_is_int_exactly_when_integral():
+    for value, expected in [(1, 1), (-1, -1), (Fraction(1, 2), 2),
+                            (Fraction(-1, 3), -3), (2, Fraction(1, 2)),
+                            (Fraction(2, 3), Fraction(3, 2))]:
+        got = RATIONALS.inv(value)
+        assert got == expected and type(got) is type(expected)
+    assert RATIONALS.parse("4/2") == 2 and type(RATIONALS.parse("4/2")) is int
+    assert type(RATIONALS.coerce(Fraction(6, 3))) is int
+    assert type(RATIONALS.add(Fraction(1, 2), Fraction(1, 2))) is int
+    assert type(RATIONALS.mul(2, Fraction(1, 2))) is int
+    assert RATIONALS.zero == 0 and RATIONALS.one == 1
+
+
+@EXAMPLES
+@given(same_shape(), st.booleans())
+def test_equation_agrees_with_the_residual(pair, equal):
+    lhs, rhs = pair
+    if equal:
+        rhs = LinMap.from_rows(RATIONALS, lhs.rows(), dom=lhs.dom)
+    result = equation("law", "lhs = rhs", lhs, rhs)
+    residual = lhs - rhs
+    assert result.passed == residual.is_zero()
+    assert result.residual == (None if result.passed else residual)
