@@ -3,6 +3,10 @@
 Every bundle is a frozen record of LinMaps over one field; verifiers
 return a VerificationReport whose checks are exact matrix identities.
 All composite maps follow the left-major tensor convention of linmap.
+
+The braiding enters the laws here only: diagonal builds every composite
+that moves a coproduct leg past another factor, in every module, and the
+tensor_* products and is_cocommutative are its only other uses.
 """
 
 from __future__ import annotations
@@ -169,16 +173,27 @@ class HopfMonoidData:
 # -- composite helpers -----------------------------------------------------
 
 
-def double_coproduct(c: ComonoidData) -> LinMap:
-    """Coproduct of the tensor-square comonoid: (id (x) swap (x) id) ∘ (delta (x) delta)."""
-    n = c.dim
-    mid = kron(kron(identity(c.field, n), swap(n, n, c.field)), identity(c.field, n))
-    return mid @ kron(c.delta, c.delta)
-
-
 def tensor_flip_middle(field: FieldSpec, a: int, b: int, c: int, d: int) -> LinMap:
     """id_a (x) swap(b, c) (x) id_d as one map."""
     return kron(kron(identity(field, a), swap(b, c, field)), identity(field, d))
+
+
+def diagonal(delta: LinMap, f: LinMap, g: LinMap) -> LinMap:
+    """(f (x) g)∘(id_A (x) swap(A, X) (x) id_Y)∘(delta (x) id_X (x) id_Y).
+
+    A acts on X (x) Y by a (x) x (x) y |-> f(a1 (x) x) (x) g(a2 (x) y), with
+    a2 braided past x.  Every law that moves a coproduct leg past another
+    factor is built here, so this is where the braiding enters them.
+    """
+    a = delta.dom
+    x, y = (m.dom // a if a else 0 for m in (f, g))
+    if delta.cod != a * a or a * x != f.dom or a * y != g.dom:
+        raise DimensionMismatchError(
+            f"diagonal needs delta: {a} -> {a}*{a} and f, g from multiples of {a}, "
+            f"got shapes {delta.shape}, {f.shape}, {g.shape}")
+    # the right-hand part first: kron(f, g) is the widest factor
+    return kron(f, g) @ (tensor_flip_middle(delta.field, a, a, x, y)
+                         @ kron(delta, identity(delta.field, x * y)))
 
 
 # -- verifiers ---------------------------------------------------------------
@@ -211,8 +226,7 @@ def verify_monoid(m: MonoidData, subject: str = "monoid") -> VerificationReport:
 
 
 def verify_nonunital_bimonoid(b: NonUnitalBimonoidData, subject: str = "bimonoid") -> VerificationReport:
-    n = b.dim
-    idn = identity(b.field, n)
+    idn = identity(b.field, b.dim)
     rep = verify_comonoid(b.comonoid, subject)
     rep = rep.with_checks(
         equation("product.assoc", "mu∘(mu(x)id) = mu∘(id(x)mu)",
@@ -220,7 +234,7 @@ def verify_nonunital_bimonoid(b: NonUnitalBimonoidData, subject: str = "bimonoid
         equation("product.counit", "epsilon∘mu = epsilon(x)epsilon",
                  b.epsilon @ b.mu, kron(b.epsilon, b.epsilon)),
         equation("product.coproduct", "delta∘mu = (mu(x)mu)∘delta2",
-                 b.delta @ b.mu, kron(b.mu, b.mu) @ double_coproduct(b.comonoid)),
+                 b.delta @ b.mu, diagonal(b.delta, b.mu, b.mu) @ kron(idn, b.delta)),
     )
     return rep
 
@@ -398,11 +412,14 @@ def tensor_comonoid(x: ComonoidData, y: ComonoidData) -> ComonoidData:
     return ComonoidData(n * m, delta, kron(x.epsilon, y.epsilon))
 
 
+def _tensor_mu(x, y) -> LinMap:
+    """The product of X (x) Y: (mu_X (x) mu_Y)∘(id (x) swap (x) id)."""
+    return kron(x.mu, y.mu) @ tensor_flip_middle(x.field, x.dim, y.dim, x.dim, y.dim)
+
+
 def tensor_monoid(x: MonoidData, y: MonoidData) -> MonoidData:
     x.field.require_same(y.field)
-    n, m = x.dim, y.dim
-    mu = kron(x.mu, y.mu) @ tensor_flip_middle(x.field, n, m, n, m)
-    return MonoidData(n * m, kron(x.eta, y.eta), mu)
+    return MonoidData(x.dim * y.dim, kron(x.eta, y.eta), _tensor_mu(x, y))
 
 
 def tensor_structure(x, y):
@@ -412,12 +429,10 @@ def tensor_structure(x, y):
     if isinstance(x, MonoidData) and isinstance(y, MonoidData):
         return tensor_monoid(x, y)
     if isinstance(x, NonUnitalBimonoidData) and isinstance(y, NonUnitalBimonoidData):
-        com = tensor_comonoid(x.comonoid, y.comonoid)
-        mu = kron(x.mu, y.mu) @ tensor_flip_middle(x.field, x.dim, y.dim, x.dim, y.dim)
-        return NonUnitalBimonoidData(com, mu)
+        return NonUnitalBimonoidData(tensor_comonoid(x.comonoid, y.comonoid),
+                                     _tensor_mu(x, y))
     if isinstance(x, HopfMonoidData) and isinstance(y, HopfMonoidData):
-        com = tensor_comonoid(x.comonoid, y.comonoid)
-        mu = kron(x.mu, y.mu) @ tensor_flip_middle(x.field, x.dim, y.dim, x.dim, y.dim)
-        return HopfMonoidData(com, kron(x.eta, y.eta), mu,
+        return HopfMonoidData(tensor_comonoid(x.comonoid, y.comonoid),
+                              kron(x.eta, y.eta), _tensor_mu(x, y),
                               kron(x.antipode, y.antipode))
     raise TypeError(f"cannot tensor {type(x).__name__} with {type(y).__name__}")

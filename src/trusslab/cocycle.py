@@ -21,6 +21,7 @@ from .coalgebra import (
     HopfMonoidData,
     NonUnitalBimonoidData,
     check_maps,
+    diagonal,
     find_unit,
     solve_antipode,
     verify_hopf_monoid,
@@ -33,7 +34,7 @@ from .errors import (
     NotInvertibleError,
 )
 from .hopftruss import HopfTruss, twisted_action, verify_hopf_truss
-from .linmap import LinMap, identity, invert, kron, swap
+from .linmap import LinMap, identity, invert, kron
 from .report import VerificationReport, condition, equation
 
 
@@ -79,9 +80,7 @@ def _is_invertible(m: LinMap) -> bool:
 
 
 def verify_cocycle(c: InvertibleCocycle) -> VerificationReport:
-    bdim, hdim = c.bimonoid.dim, c.hopf.dim
-    field = c.field
-    idb, idh = identity(field, bdim), identity(field, hdim)
+    idb, idh = identity(c.field, c.bimonoid.dim), identity(c.field, c.hopf.dim)
     delta_b, eps_b = c.bimonoid.delta, c.bimonoid.epsilon
     delta_h, eps_h = c.hopf.delta, c.hopf.epsilon
 
@@ -89,7 +88,6 @@ def verify_cocycle(c: InvertibleCocycle) -> VerificationReport:
     rep = rep.merged(verify_nonunital_bimonoid(c.bimonoid), prefix="b.")
     rep = rep.merged(verify_hopf_monoid(c.hopf), prefix="h.")
 
-    mid = kron(idb, kron(swap(bdim, hdim, field), idh))
     rep = rep.with_checks(
         equation("cocycle.comonoid.coproduct", "delta_H∘pi = (pi(x)pi)∘delta_B",
                  delta_h @ c.cocycle, kron(c.cocycle, c.cocycle) @ delta_b),
@@ -108,13 +106,12 @@ def verify_cocycle(c: InvertibleCocycle) -> VerificationReport:
         equation("action.product",
                  "phi∘(B(x)mu_H) = mu_H∘(phi(x)phi)∘(B(x)swap(x)H)∘(delta_B(x)H(x)H)",
                  c.action @ kron(idb, c.hopf.mu),
-                 c.hopf.mu @ kron(c.action, c.action) @ mid
-                 @ kron(delta_b, kron(idh, idh))),
+                 c.hopf.mu @ diagonal(delta_b, c.action, c.action)),
         equation("compat.cocycle",
                  "pi∘mu_B = mu_H∘((pi∘twist)(x)phi)∘(delta_B(x)pi)",
                  c.cocycle @ c.bimonoid.mu,
-                 c.hopf.mu @ kron(c.cocycle @ c.twist, c.action)
-                 @ kron(delta_b, c.cocycle)),
+                 c.hopf.mu @ diagonal(delta_b, c.cocycle @ c.twist, c.action)
+                 @ kron(idb, c.cocycle)),
     )
     return rep
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coalgebra import ComonoidData, HopfMonoidData, check_maps, tensor_flip_middle
+from .coalgebra import ComonoidData, HopfMonoidData, check_maps, diagonal
 from .errors import DimensionMismatchError, InvalidStructureError, TrussLabError
 from .fields import FieldSpec
 from .hopftruss import HopfTruss
@@ -143,9 +143,7 @@ def verify_comodule(c: ComoduleData) -> VerificationReport:
 def verify_hopf_module(m: HopfModuleData) -> VerificationReport:
     """Action laws, coaction laws, and their compatibility, all exact."""
     h = m.hopf
-    n, md = h.dim, m.mdim
-    field = h.field
-    idn, idm = identity(field, n), identity(field, md)
+    idn, idm = identity(h.field, h.dim), identity(h.field, m.mdim)
     rep = VerificationReport("hopfmodule").with_checks(
         equation("action.unit", "action∘(eta (x) id) = id",
                  m.action @ kron(h.eta, idm), idm),
@@ -153,12 +151,11 @@ def verify_hopf_module(m: HopfModuleData) -> VerificationReport:
                  m.action @ kron(idn, m.action), m.action @ kron(h.mu, idm)),
     )
     rep = rep.merged(verify_comodule(m.comodule()), prefix="comodule.")
-    flip = tensor_flip_middle(field, n, n, n, md)
     return rep.with_checks(
         equation("compat.coaction",
                  "coaction∘action = (mu (x) action)∘(id (x) swap (x) id)∘(delta (x) coaction)",
                  m.coaction @ m.action,
-                 kron(h.mu, m.action) @ flip @ kron(h.comonoid.delta, m.coaction)),
+                 diagonal(h.comonoid.delta, h.mu, m.action) @ kron(idn, m.coaction)),
     )
 
 
@@ -172,7 +169,11 @@ def coinvariants(m: HopfModuleData) -> CoinvariantData:
 
     Every identity listed on CoinvariantData is verified on the way out.
     """
-    rep = verify_hopf_module(m)
+    return _split_coinvariants(m, verify_hopf_module(m))
+
+
+def _split_coinvariants(m: HopfModuleData, rep: VerificationReport) -> CoinvariantData:
+    """coinvariants, given the report of verify_hopf_module(m)."""
     if not rep.ok:
         raise InvalidStructureError("not a Hopf module", report=rep)
     h = m.hopf
@@ -199,34 +200,37 @@ def coinvariants(m: HopfModuleData) -> CoinvariantData:
 def verify_truss_hopf_module(m: TrussHopfModule) -> VerificationReport:
     """Truss-module laws, Hopf-module laws over mu1, the mu2 compatibility,
     and the cocycle condition on coinvariants."""
+    return _verify_truss_hopf_module(m)[0]
+
+
+def _verify_truss_hopf_module(m: TrussHopfModule) -> tuple[VerificationReport, CoinvariantData | None]:
+    """verify_truss_hopf_module and the coinvariants it split, or None."""
     t = m.truss
-    n, md = t.dim, m.mdim
-    field = t.field
-    idn = identity(field, n)
+    idn = identity(t.field, t.dim)
     rep = VerificationReport("trusshopfmodule")
     rep = rep.merged(verify_truss_module(TrussModule(t, m.act1, m.act2)),
                      prefix="module.")
     hopf_part = m.hopf_module()
-    rep = rep.merged(verify_hopf_module(hopf_part), prefix="h1.")
-    flip = tensor_flip_middle(field, n, n, n, md)
+    h1 = verify_hopf_module(hopf_part)
+    rep = rep.merged(h1, prefix="h1.")
     rep = rep.with_checks(
         equation("h2.compat.coaction",
                  "coaction∘act2 = (mu2 (x) act2)∘(id (x) swap (x) id)∘(delta (x) coaction)",
                  m.coaction @ m.act2,
-                 kron(t.mu2, m.act2) @ flip @ kron(t.comonoid.delta, m.coaction)),
+                 diagonal(t.comonoid.delta, t.mu2, m.act2) @ kron(idn, m.coaction)),
     )
     try:
-        j = coinvariants(hopf_part).inclusion
+        w = _split_coinvariants(hopf_part, h1)
     except TrussLabError as err:
         return rep.with_checks(condition(
             "coinvariants.compat",
             "act1∘(cocycle (x) inclusion) = act2∘(id (x) inclusion)",
-            False, f"coinvariants unavailable: {err}"))
+            False, f"coinvariants unavailable: {err}")), None
     return rep.with_checks(
         equation("coinvariants.compat",
                  "act1∘(cocycle (x) inclusion) = act2∘(id (x) inclusion)",
-                 m.act1 @ kron(t.cocycle, j), m.act2 @ kron(idn, j)),
-    )
+                 m.act1 @ kron(t.cocycle, w.inclusion), m.act2 @ kron(idn, w.inclusion)),
+    ), w
 
 
 def fundamental_iso(m: TrussHopfModule) -> tuple[LinMap, LinMap, VerificationReport]:
@@ -236,7 +240,7 @@ def fundamental_iso(m: TrussHopfModule) -> tuple[LinMap, LinMap, VerificationRep
     module, and the report certifies two-sided invertibility plus the
     three intertwine identities.
     """
-    rep0 = verify_truss_hopf_module(m)
+    rep0, w = _verify_truss_hopf_module(m)
     if not rep0.ok:
         raise InvalidStructureError("not a Hopf module over the truss",
                                     report=rep0)
@@ -244,7 +248,6 @@ def fundamental_iso(m: TrussHopfModule) -> tuple[LinMap, LinMap, VerificationRep
     n = t.dim
     field = t.field
     idn = identity(field, n)
-    w = coinvariants(m.hopf_module())
     idw = identity(field, w.codim)
     theta = m.act1 @ kron(idn, w.inclusion)
     theta_inv = kron(idn, w.retraction) @ m.coaction

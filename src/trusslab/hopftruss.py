@@ -17,6 +17,7 @@ from .coalgebra import (
     HopfMonoidData,
     NonUnitalBimonoidData,
     check_maps,
+    diagonal,
     find_unit,
     solve_antipode,
     verify_hopf_monoid,
@@ -24,7 +25,7 @@ from .coalgebra import (
 )
 from .errors import DimensionMismatchError, NoAntipodeError
 from .fields import FieldSpec
-from .linmap import LinMap, identity, kron, swap
+from .linmap import LinMap, identity, kron
 from .report import VerificationReport, equation
 
 
@@ -72,34 +73,17 @@ def derive_cocycle(mu2: LinMap, eta: LinMap) -> LinMap:
 
 def twisted_action(h: HopfTruss) -> LinMap:
     """Gamma: H (x) H -> H, mu1∘((antipode∘cocycle) (x) mu2)∘(delta (x) id)."""
-    n = h.dim
-    idn = identity(h.field, n)
-    lam_sigma = h.antipode @ h.cocycle
-    return h.mu1 @ kron(lam_sigma, h.mu2) @ kron(h.comonoid.delta, idn)
+    return h.mu1 @ diagonal(h.comonoid.delta, h.antipode @ h.cocycle, h.mu2)
 
 
 def twisted_product(h: HopfTruss) -> LinMap:
     """Lambda: H (x) H -> H, mu1∘(mu2 (x) (antipode∘cocycle))∘(id (x) swap)∘(delta (x) id)."""
-    n = h.dim
-    idn = identity(h.field, n)
-    lam_sigma = h.antipode @ h.cocycle
-    inner = kron(idn, swap(n, n, h.field))
-    return h.mu1 @ kron(h.mu2, lam_sigma) @ inner @ kron(h.comonoid.delta, idn)
-
-
-def _distributivity_rhs(h: HopfTruss) -> LinMap:
-    n = h.dim
-    idn = identity(h.field, n)
-    gamma = twisted_action(h)
-    mid = kron(kron(idn, swap(n, n, h.field)), idn)
-    return h.mu1 @ kron(h.mu2, gamma) @ mid @ kron(h.comonoid.delta, kron(idn, idn))
+    return h.mu1 @ diagonal(h.comonoid.delta, h.mu2, h.antipode @ h.cocycle)
 
 
 def verify_hopf_truss(h: HopfTruss) -> VerificationReport:
     """All defining laws of a Hopf truss as exact identities."""
-    n = h.dim
-    field = h.field
-    idn = identity(field, n)
+    idn = identity(h.field, h.dim)
     delta, epsilon = h.comonoid.delta, h.comonoid.epsilon
     gamma = twisted_action(h)
 
@@ -107,7 +91,6 @@ def verify_hopf_truss(h: HopfTruss) -> VerificationReport:
     rep = rep.merged(verify_hopf_monoid(h.hopf_part()), prefix="h1.")
     rep = rep.merged(verify_nonunital_bimonoid(h.second_part()), prefix="h2.")
 
-    mid = kron(kron(idn, swap(n, n, field)), idn)
     unit_absorb = h.eta @ epsilon
     rep = rep.with_checks(
         equation("cocycle.comonoid.coproduct", "delta∘cocycle = (cocycle(x)cocycle)∘delta",
@@ -116,7 +99,7 @@ def verify_hopf_truss(h: HopfTruss) -> VerificationReport:
                  epsilon @ h.cocycle, epsilon),
         equation("compat.distributivity",
                  "mu2∘(id(x)mu1) = mu1∘(mu2(x)Gamma)∘(id(x)swap(x)id)∘(delta(x)id(x)id)",
-                 h.mu2 @ kron(idn, h.mu1), _distributivity_rhs(h)),
+                 h.mu2 @ kron(idn, h.mu1), h.mu1 @ diagonal(delta, h.mu2, gamma)),
         equation("cocycle.derived", "cocycle = mu2∘(id(x)eta)",
                  h.cocycle, derive_cocycle(h.mu2, h.eta)),
         equation("cocycle.product", "cocycle∘mu2 = mu2∘(id(x)cocycle)",
@@ -125,8 +108,7 @@ def verify_hopf_truss(h: HopfTruss) -> VerificationReport:
                  gamma @ kron(idn, h.eta), unit_absorb),
         equation("action.product",
                  "Gamma∘(id(x)mu1) = mu1∘(Gamma(x)Gamma)∘(id(x)swap(x)id)∘(delta(x)id(x)id)",
-                 gamma @ kron(idn, h.mu1),
-                 h.mu1 @ kron(gamma, gamma) @ mid @ kron(delta, kron(idn, idn))),
+                 gamma @ kron(idn, h.mu1), h.mu1 @ diagonal(delta, gamma, gamma)),
         equation("action.assoc", "Gamma∘(id(x)Gamma) = Gamma∘(mu2(x)id)",
                  gamma @ kron(idn, gamma), gamma @ kron(h.mu2, idn)),
     )

@@ -41,6 +41,8 @@ class LinMap:
         items = entries.items() if isinstance(entries, dict) else entries
         for key, value in items:
             i, j = key
+            if type(i) is not int or type(j) is not int:
+                raise TypeError(f"entry index ({i!r},{j!r}) is not a pair of ints")
             if not (0 <= i < cod and 0 <= j < dom):
                 raise DimensionMismatchError(
                     f"entry ({i},{j}) outside {cod}x{dom}")

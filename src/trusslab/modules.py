@@ -25,7 +25,7 @@ from .cocycle import (
     cocycle_of_truss,
     truss_of_cocycle,
 )
-from .coalgebra import check_maps, tensor_flip_middle
+from .coalgebra import check_maps, diagonal
 from .errors import (
     DimensionMismatchError,
     InvalidStructureError,
@@ -107,9 +107,7 @@ class PiModule:
 def module_twisted_action(m: TrussModule) -> LinMap:
     """Gamma on the module: act1∘((antipode∘cocycle) (x) act2)∘(delta (x) id)."""
     t = m.truss
-    lam_sigma = t.antipode @ t.cocycle
-    return m.act1 @ kron(lam_sigma, m.act2) @ kron(
-        t.comonoid.delta, identity(t.field, m.mdim))
+    return m.act1 @ diagonal(t.comonoid.delta, t.antipode @ t.cocycle, m.act2)
 
 
 def regular_truss_module(h: HopfTruss) -> TrussModule:
@@ -132,13 +130,9 @@ def induction_truss_module(h: HopfTruss, xdim: int) -> TrussModule:
 def verify_truss_module(m: TrussModule) -> VerificationReport:
     """Both action laws, twisted distributivity, and its two derived forms."""
     t = m.truss
-    n, md = t.dim, m.mdim
-    field = t.field
-    idn, idm = identity(field, n), identity(field, md)
+    idn, idm = identity(t.field, t.dim), identity(t.field, m.mdim)
+    delta = t.comonoid.delta
     gamma_m = module_twisted_action(m)
-    # shared right leg of the three mixed laws
-    spread = tensor_flip_middle(field, n, n, n, md) @ kron(
-        t.comonoid.delta, kron(idn, idm))
     return VerificationReport("trussmodule").with_checks(
         equation("act1.unit", "act1∘(eta (x) id) = id",
                  m.act1 @ kron(t.eta, idm), idm),
@@ -149,15 +143,15 @@ def verify_truss_module(m: TrussModule) -> VerificationReport:
         equation("compat.distributivity",
                  "act2∘(id (x) act1) = act1∘(mu2 (x) GammaM)∘(id (x) swap (x) id)∘(delta (x) id (x) id)",
                  m.act2 @ kron(idn, m.act1),
-                 m.act1 @ kron(t.mu2, gamma_m) @ spread),
+                 m.act1 @ diagonal(delta, t.mu2, gamma_m)),
         equation("compat.distributivity.alt",
                  "act2∘(id (x) act1) = act1∘(Lambda (x) act2)∘(id (x) swap (x) id)∘(delta (x) id (x) id)",
                  m.act2 @ kron(idn, m.act1),
-                 m.act1 @ kron(twisted_product(t), m.act2) @ spread),
+                 m.act1 @ diagonal(delta, twisted_product(t), m.act2)),
         equation("compat.derived",
                  "GammaM∘(id (x) act1) = act1∘(Gamma (x) GammaM)∘(id (x) swap (x) id)∘(delta (x) id (x) id)",
                  gamma_m @ kron(idn, m.act1),
-                 m.act1 @ kron(twisted_action(t), gamma_m) @ spread),
+                 m.act1 @ diagonal(delta, twisted_action(t), gamma_m)),
     )
 
 
@@ -169,13 +163,13 @@ def regular_pi_module(c: InvertibleCocycle) -> PiModule:
 def verify_pi_module(m: PiModule) -> VerificationReport:
     """All defining laws of a cocycle module plus the two derived identities."""
     c = m.system
-    b, h = c.bimonoid.dim, c.hopf.dim
-    md, nd = m.mdim, m.ndim
     field = c.field
-    idb, idh = identity(field, b), identity(field, h)
-    idm, idn = identity(field, md), identity(field, nd)
+    idb, idh = identity(field, c.bimonoid.dim), identity(field, c.hopf.dim)
+    idm, idn = identity(field, m.mdim), identity(field, m.ndim)
     delta_b = c.bimonoid.comonoid.delta
     through = c.cocycle @ c.twist
+    intertwined = (m.hopf_action @ diagonal(delta_b, through, m.mixed_action)
+                   @ kron(idb, m.compare))
 
     rep = VerificationReport("pimodule").with_checks(
         equation("hopf-action.unit", "hopf_action∘(eta (x) id) = id",
@@ -191,14 +185,10 @@ def verify_pi_module(m: PiModule) -> VerificationReport:
         equation("compat.mixed",
                  "mixed∘(id (x) hopf_action) = hopf_action∘(action (x) mixed)∘(id (x) swap (x) id)∘(delta (x) id (x) id)",
                  m.mixed_action @ kron(idb, m.hopf_action),
-                 m.hopf_action @ kron(c.action, m.mixed_action)
-                 @ tensor_flip_middle(field, b, b, h, md)
-                 @ kron(delta_b, kron(idh, idm))),
+                 m.hopf_action @ diagonal(delta_b, c.action, m.mixed_action)),
         equation("compare.intertwine",
                  "compare∘base_action = hopf_action∘((cocycle∘twist) (x) mixed)∘(delta (x) compare)",
-                 m.compare @ m.base_action,
-                 m.hopf_action @ kron(through, m.mixed_action)
-                 @ kron(delta_b, m.compare)),
+                 m.compare @ m.base_action, intertwined),
     )
     try:
         compare_inv = invert(m.compare)
@@ -212,14 +202,12 @@ def verify_pi_module(m: PiModule) -> VerificationReport:
     return rep.with_checks(
         equation("derived.base",
                  "base_action = compare⁻¹∘hopf_action∘((cocycle∘twist) (x) mixed)∘(delta (x) compare)",
-                 m.base_action,
-                 compare_inv @ m.hopf_action @ kron(through, m.mixed_action)
-                 @ kron(delta_b, m.compare)),
+                 m.base_action, compare_inv @ intertwined),
         equation("derived.mixed",
                  "mixed = hopf_action∘((antipode∘cocycle∘twist) (x) (compare∘base_action))∘(delta (x) compare⁻¹)",
                  m.mixed_action,
-                 m.hopf_action @ kron(lam_through, m.compare @ m.base_action)
-                 @ kron(delta_b, compare_inv)),
+                 m.hopf_action @ diagonal(delta_b, lam_through, m.compare @ m.base_action)
+                 @ kron(idb, compare_inv)),
     )
 
 

@@ -39,15 +39,25 @@ Table = tuple[tuple[int, ...], ...]
 MAX_ENUMERATION_ORDER = 7
 
 
+def _indices(values, n: int, out_of_range: str) -> tuple[int, ...]:
+    """values as a tuple of indices in range(n); a non-int is refused, never converted."""
+    values = tuple(values)
+    for x in values:
+        if type(x) is not int:
+            raise TypeError(f"element index {x!r} is not an int")
+        if not 0 <= x < n:
+            raise DimensionMismatchError(out_of_range.format(x=x))
+    return values
+
+
 def _as_table(rows) -> Table:
-    table = tuple(tuple(int(x) for x in row) for row in rows)
+    table = tuple(map(tuple, rows))
     n = len(table)
+    message = f"table entry {{x}} out of range for size {n}"
     for row in table:
         if len(row) != n:
             raise DimensionMismatchError("Cayley table must be square")
-        for x in row:
-            if not 0 <= x < n:
-                raise DimensionMismatchError(f"table entry {x} out of range for size {n}")
+        _indices(row, n, message)
     return table
 
 
@@ -91,12 +101,12 @@ class FiniteGroup:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "table", _as_table(self.table))
-        object.__setattr__(self, "inv", tuple(int(x) for x in self.inv))
         n = self.size
-        if not 0 <= self.unit < n:
-            raise DimensionMismatchError(f"unit index {self.unit} out of range")
-        if len(self.inv) != n or any(not 0 <= x < n for x in self.inv):
-            raise DimensionMismatchError("inverse vector does not match table size")
+        _indices((self.unit,), n, "unit index {x} out of range")
+        mismatch = "inverse vector does not match table size"
+        object.__setattr__(self, "inv", _indices(self.inv, n, mismatch))
+        if len(self.inv) != n:
+            raise DimensionMismatchError(mismatch)
 
     @property
     def size(self) -> int:
@@ -148,9 +158,10 @@ class SkewTruss:
         n = self.group.size
         if self.semigroup.size != n:
             raise DimensionMismatchError("group and semigroup sizes differ")
-        object.__setattr__(self, "omega", tuple(int(x) for x in self.omega))
-        if len(self.omega) != n or any(not 0 <= x < n for x in self.omega):
-            raise DimensionMismatchError("omega does not match carrier size")
+        mismatch = "omega does not match carrier size"
+        object.__setattr__(self, "omega", _indices(self.omega, n, mismatch))
+        if len(self.omega) != n:
+            raise DimensionMismatchError(mismatch)
 
     @property
     def size(self) -> int:
@@ -164,11 +175,11 @@ class SetMorphism:
     mapping: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mapping", tuple(int(x) for x in self.mapping))
-        if len(self.mapping) != self.src_size:
+        mapping = tuple(self.mapping)
+        if len(mapping) != self.src_size:
             raise DimensionMismatchError("mapping length does not match source size")
-        if any(not 0 <= x < self.dst_size for x in self.mapping):
-            raise DimensionMismatchError("mapping value out of range for target")
+        object.__setattr__(self, "mapping", _indices(
+            mapping, self.dst_size, "mapping value out of range for target"))
 
 
 def cyclic_group(n: int) -> FiniteGroup:

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import sample_objects
 
@@ -18,11 +20,12 @@ from trusslab.coalgebra import (
     convolution,
     convolution_inverse,
     convolution_unit,
-    double_coproduct,
+    diagonal,
     find_unit,
     grouplikes,
     is_cocommutative,
     solve_antipode,
+    tensor_comonoid,
     tensor_structure,
     to_hopf_monoid,
     verify_comonoid,
@@ -31,7 +34,7 @@ from trusslab.coalgebra import (
     verify_nonunital_bimonoid,
 )
 from trusslab.cocycle import verify_cocycle
-from trusslab.errors import BoundExceededError, NoAntipodeError
+from trusslab.errors import BoundExceededError, DimensionMismatchError, NoAntipodeError
 from trusslab.fields import RATIONALS, prime_field
 from trusslab.hopfmodules import verify_hopf_module, verify_truss_hopf_module
 from trusslab.hopftruss import verify_hopf_truss
@@ -128,9 +131,9 @@ def test_bimonoid_compatibility_catches_wrong_product():
     assert not rep.ok
 
 
-def test_double_coproduct_on_basis_diagonal():
+def test_tensor_square_coproduct_on_basis_diagonal():
     h = cyclic_group_algebra(2, RATIONALS)
-    d2 = double_coproduct(h.comonoid)
+    d2 = tensor_comonoid(h.comonoid, h.comonoid).delta
     for a in range(2):
         for b in range(2):
             v = LinMap.basis_vector(RATIONALS, 4, a * 2 + b)
@@ -309,3 +312,89 @@ def test_cocommutativity_flag():
     assert is_cocommutative(h.comonoid)
     b, _ = primitive_element_bundle(RATIONALS)
     assert is_cocommutative(b.comonoid)
+
+
+# -- the diagonal action ---------------------------------------------------------
+#
+# diagonal(delta, f, g) is compared with an explicit index sum: on the
+# basis tensor e_i (x) e_u (x) e_v it is
+#     sum over k, l of delta[k*A + l, i] * f[:, k*X + u] (x) g[:, l*Y + v],
+# written without swap or tensor_flip_middle.
+
+
+def reference_diagonal(delta, f, g):
+    field = delta.field
+    a = delta.dom
+    x, y = f.dom // a, g.dom // a
+    d, fr, gr = delta.rows(), f.rows(), g.rows()
+    rows = [[field.zero] * (a * x * y) for _ in range(f.cod * g.cod)]
+    for p in range(f.cod):
+        for q in range(g.cod):
+            for i in range(a):
+                for u in range(x):
+                    for v in range(y):
+                        total = field.zero
+                        for k in range(a):
+                            for l in range(a):
+                                term = field.mul(d[k * a + l][i], field.mul(
+                                    fr[p][k * x + u], gr[q][l * y + v]))
+                                total = field.add(total, term)
+                        rows[p * g.cod + q][(i * x + u) * y + v] = total
+    return LinMap.from_rows(field, rows, dom=a * x * y)
+
+
+@st.composite
+def diagonal_operands(draw):
+    field = draw(st.sampled_from([RATIONALS, F5]))
+    values = (st.one_of(st.just(0), st.integers(-3, 3),
+                        st.fractions(min_value=-3, max_value=3, max_denominator=4))
+              if field is RATIONALS else st.integers(0, 4))
+
+    def matrix(cod, dom):
+        rows = draw(st.lists(st.lists(values, min_size=dom, max_size=dom),
+                             min_size=cod, max_size=cod))
+        empty = draw(st.sets(st.integers(0, dom - 1), max_size=dom))
+        return LinMap.from_rows(
+            field, [[0 if j in empty else v for j, v in enumerate(row)] for row in rows],
+            dom=dom)
+
+    a, x, y = (draw(st.integers(1, 3)) for _ in range(3))
+    return (matrix(a * a, a), matrix(draw(st.integers(1, 2)), a * x),
+            matrix(draw(st.integers(1, 2)), a * y))
+
+
+@settings(deadline=None, max_examples=80)
+@given(diagonal_operands())
+def test_diagonal_matches_the_index_sum(operands):
+    delta, f, g = operands
+    out = diagonal(delta, f, g)
+    assert out == reference_diagonal(delta, f, g)
+    assert out.shape == (f.cod * g.cod, f.dom * g.dom // delta.dom)
+
+
+def test_diagonal_is_the_hopf_compatibility_composite():
+    h = cyclic_group_algebra(3, RATIONALS)
+    n = h.dim
+    flip = kron(kron(identity(RATIONALS, n), swap(n, n, RATIONALS)), identity(RATIONALS, n))
+    assert (diagonal(h.delta, h.mu, h.mu)
+            == kron(h.mu, h.mu) @ flip @ kron(h.delta, identity(RATIONALS, n * n)))
+
+
+def test_diagonal_refuses_mismatched_shapes():
+    d = cyclic_group_algebra(2, RATIONALS).delta
+    ok = identity(RATIONALS, 4)
+    for delta, f, g in [
+        (LinMap.zero(RATIONALS, 3, 2), ok, ok),   # delta is not A -> A (x) A
+        (LinMap.zero(RATIONALS, 4, 3), ok, ok),
+        (d, identity(RATIONALS, 3), ok),          # f.dom is no multiple of A
+        (d, ok, identity(RATIONALS, 5)),          # g.dom is no multiple of A
+        (LinMap.zero(RATIONALS, 0, 0), identity(RATIONALS, 1), identity(RATIONALS, 0)),
+    ]:
+        with pytest.raises(DimensionMismatchError):
+            diagonal(delta, f, g)
+
+
+def test_diagonal_of_the_zero_comonoid():
+    zero = LinMap.zero
+    assert diagonal(zero(RATIONALS, 0, 0), zero(RATIONALS, 2, 0),
+                    zero(RATIONALS, 3, 0)) == zero(RATIONALS, 6, 0)

@@ -3,6 +3,7 @@
 import pytest
 
 from conftest import cyclic_table, cyclic_truss, perturbed, truss_from_tables
+from trusslab import hopfmodules
 from trusslab.coalgebra import ComonoidData, HopfMonoidData
 from trusslab.errors import DimensionMismatchError, InvalidStructureError
 from trusslab.fields import RATIONALS, prime_field
@@ -205,6 +206,24 @@ def test_fundamental_iso_rejects_broken_input():
     m = TrussHopfModule(t, t.mu1, t.mu2, perturbed(t.comonoid.delta, 0, 1))
     with pytest.raises(InvalidStructureError):
         fundamental_iso(m)
+
+
+def test_fundamental_iso_verifies_and_splits_the_module_once(monkeypatch):
+    calls = {"verify_hopf_module": 0, "split_idempotent": 0}
+
+    def counting(name):
+        original = getattr(hopfmodules, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(hopfmodules, name, wrapper)
+
+    for name in calls:
+        counting(name)
+    theta, theta_inv, rep = fundamental_iso(induction_functor(cyclic_truss(RATIONALS, 3), 2))
+    assert rep.ok
+    assert calls == {"verify_hopf_module": 1, "split_idempotent": 1}
 
 
 def test_zero_dimensional_induction_is_vacuously_fine():

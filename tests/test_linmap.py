@@ -333,6 +333,17 @@ def test_bools_are_not_scalars():
                 identity(field, 2).scale(flag)
 
 
+@pytest.mark.parametrize("index", [0.5, 1.0, "1", True, None])
+def test_entry_indices_must_be_ints(index):
+    for field in (RATIONALS, F5):
+        with pytest.raises(TypeError):
+            LinMap(field, 2, 2, {(index, 0): 1})
+        with pytest.raises(TypeError):
+            LinMap(field, 2, 2, {(0, index): 1})
+        with pytest.raises(TypeError):
+            LinMap.basis_vector(field, 3, index)
+
+
 # -- differential tests of the rational fast path ------------------------------
 #
 # Over Q a stored scalar is an int exactly when it is integral.  Every

@@ -165,6 +165,69 @@ def test_symmetric_group_on_three_letters():
     assert g.unit == 0
 
 
+# Element indices are never converted: a float, a string or a bool in a
+# table, a unit, an inverse vector, an omega or a mapping is refused.
+NOT_INDICES = (0.5, 1.0, "1", True, False)
+Z2 = [[0, 1], [1, 0]]
+
+
+def with_entry(rows, value):
+    return [[value] + list(rows[0][1:])] + [list(r) for r in rows[1:]]
+
+
+@pytest.mark.parametrize("bad", NOT_INDICES)
+def test_semigroup_tables_refuse_non_int_entries(bad):
+    with pytest.raises(TypeError):
+        FiniteSemigroup(with_entry(Z2, bad))
+    with pytest.raises(TypeError):
+        FiniteSemigroup.from_table(with_entry(Z2, bad))
+
+
+def test_float_and_string_tables_are_not_read_as_z2():
+    for rows in ([[0.5, 1.7], [1, 0]], [["0", "1"], ["1", "0"]]):
+        with pytest.raises(TypeError):
+            FiniteSemigroup(rows)
+        with pytest.raises(TypeError):
+            FiniteGroup(rows, 0, (0, 1))
+
+
+@pytest.mark.parametrize("bad", NOT_INDICES)
+def test_groups_refuse_non_int_tables_units_and_inverses(bad):
+    with pytest.raises(TypeError):
+        FiniteGroup.from_table(with_entry(Z2, bad))
+    with pytest.raises(TypeError):
+        FiniteGroup(with_entry(Z2, bad), 0, (0, 1))
+    with pytest.raises(TypeError):
+        FiniteGroup(Z2, bad, (0, 1))
+    with pytest.raises(TypeError):
+        FiniteGroup(Z2, 0, (bad, 1))
+
+
+@pytest.mark.parametrize("bad", NOT_INDICES)
+def test_skew_trusses_refuse_a_non_int_omega(bad):
+    g = cyclic_group(2)
+    with pytest.raises(TypeError):
+        SkewTruss(g, FiniteSemigroup(g.table), (bad, 1))
+
+
+@pytest.mark.parametrize("bad", NOT_INDICES)
+def test_set_morphisms_refuse_a_non_int_mapping(bad):
+    with pytest.raises(TypeError):
+        SetMorphism(2, 2, (bad, 1))
+
+
+def test_int_inputs_still_give_tuples():
+    g = FiniteGroup([[0, 1], [1, 0]], 0, [0, 1])
+    assert g.table == ((0, 1), (1, 0)) and g.inv == (0, 1)
+    t = SkewTruss(g, FiniteSemigroup([[0, 1], [1, 0]]), [0, 1])
+    assert t.omega == (0, 1)
+    assert SetMorphism(2, 1, [0, 0]).mapping == (0, 0)
+    with pytest.raises(DimensionMismatchError):
+        FiniteGroup(Z2, 2, (0, 1))
+    with pytest.raises(DimensionMismatchError):
+        SetMorphism(3, 2, (0, 1))
+
+
 # -- axiom checking -----------------------------------------------------------
 
 
