@@ -356,10 +356,15 @@ def document_of(obj) -> dict:
     return REGISTRY[kind_of(obj)].document(obj)
 
 
+def json_text(value) -> str:
+    """Canonical JSON text: sorted keys, two-space indent, one trailing
+    newline.  Equal values give byte-identical text."""
+    return json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
 def serialize(obj) -> str:
-    """Canonical document text: sorted keys, two-space indent, one
-    trailing newline.  Equal structures give byte-identical text."""
-    return json.dumps(document_of(obj), sort_keys=True, indent=2) + "\n"
+    """The canonical text of the document of obj."""
+    return json_text(document_of(obj))
 
 
 def read_json(text: str):

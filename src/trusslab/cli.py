@@ -36,10 +36,6 @@ _STEP_ALIASES = {"E": "cocycle", "Q": "truss"}
 _STEPS = ("verify", "linearize", "cocycle", "truss", "roundtrip", "fundamental")
 
 
-def _json_text(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
 def _read_json(path):
     with open(path, "r", encoding="utf-8") as handle:
         return algfile.read_json(handle.read())
@@ -52,7 +48,7 @@ def cmd_verify(args) -> int:
     obj = algfile.parse_document(_read_json(args.path), kind=args.kind)
     rep = algfile.verify_structure(obj)
     if args.format == "json":
-        sys.stdout.write(_json_text(rep.to_dict()))
+        sys.stdout.write(algfile.json_text(rep.to_dict()))
     else:
         print(rep)
     return 0 if rep.ok else 1
@@ -98,7 +94,7 @@ def _group_by_name(name: str, max_size: int) -> FiniteGroup:
 def cmd_enumerate(args) -> int:
     group = _group_by_name(args.group, args.max)
     trusses = enumerate_skew_trusses(group, max_size=args.max)
-    text = _json_text({
+    text = algfile.json_text({
         "count": len(trusses),
         "group": args.group,
         "trusses": [algfile.document_of(t) for t in trusses],
@@ -186,7 +182,7 @@ def cmd_pipeline(args) -> int:
         ok = record(step, rep, extra)
 
     if args.format == "json":
-        sys.stdout.write(_json_text({
+        sys.stdout.write(algfile.json_text({
             "pass": ok,
             "steps": [entry for entry, _ in entries],
         }))

@@ -14,12 +14,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 from .errors import (
     AmbiguousSystemError,
     BoundExceededError,
     DimensionMismatchError,
+    IncompleteGrouplikesError,
     InconsistentSystemError,
     NoAntipodeError,
 )
@@ -27,8 +28,9 @@ from .fields import PRIME_KIND, FieldSpec
 from .linmap import LinMap, identity, kron, solve_through, swap
 from .report import VerificationReport, equation
 
-GROUPLIKE_BASIS = "basis"
-GROUPLIKE_EXHAUSTIVE = "exhaustive"
+# grouplikes scans every vector of a comonoid that is not basis-diagonal
+# over a prime field only up to this many candidates.
+MAX_GROUPLIKE_CANDIDATES = 100_000
 
 
 def dim_product(expr: str, dims) -> int:
@@ -191,9 +193,11 @@ def diagonal(delta: LinMap, f: LinMap, g: LinMap) -> LinMap:
         raise DimensionMismatchError(
             f"diagonal needs delta: {a} -> {a}*{a} and f, g from multiples of {a}, "
             f"got shapes {delta.shape}, {f.shape}, {g.shape}")
+    spread = kron(delta, identity(delta.field, x * y))
+    if a > 1 and x > 1:  # swap(A, X) is the identity when A or X is 1
+        spread = tensor_flip_middle(delta.field, a, a, x, y) @ spread
     # the right-hand part first: kron(f, g) is the widest factor
-    return kron(f, g) @ (tensor_flip_middle(delta.field, a, a, x, y)
-                         @ kron(delta, identity(delta.field, x * y)))
+    return kron(f, g) @ spread
 
 
 # -- verifiers ---------------------------------------------------------------
@@ -369,37 +373,32 @@ def _is_basis_diagonal(c: ComonoidData) -> bool:
     return True
 
 
-def grouplikes(c: ComonoidData, mode: str = GROUPLIKE_BASIS,
-               max_candidates: int = 100_000) -> Tuple[List[LinMap], bool]:
-    """Grouplike vectors g with delta(g) = g (x) g and epsilon(g) = 1.
+def grouplikes(c: ComonoidData) -> List[LinMap]:
+    """Every grouplike vector g, with delta(g) = g (x) g and epsilon(g) = 1.
 
-    BasisScan checks basis vectors only and is complete exactly when
-    delta is basis-diagonal; ExhaustiveFp enumerates every vector of a
-    small prime-field comonoid and is always complete.
+    A basis-diagonal delta has only basis vectors as grouplikes, so the
+    basis is scanned, in basis order.  Otherwise a prime-field comonoid
+    with at most MAX_GROUPLIKE_CANDIDATES vectors is scanned in full, in
+    lexicographic coefficient order; a larger one raises
+    BoundExceededError, and any other field IncompleteGrouplikesError.
     """
     field = c.field
     n = c.dim
-    if mode == GROUPLIKE_BASIS:
-        found = []
-        for j in range(n):
-            v = LinMap.basis_vector(field, n, j)
-            if c.delta @ v == kron(v, v) and c.epsilon @ v == identity(field, 1):
-                found.append(v)
-        return found, _is_basis_diagonal(c)
-    if mode == GROUPLIKE_EXHAUSTIVE:
-        if field.kind != PRIME_KIND:
-            raise BoundExceededError("exhaustive scan needs a prime field")
-        if field.p ** n > max_candidates:
+    one = identity(field, 1)
+    if _is_basis_diagonal(c):
+        candidates = (LinMap.basis_vector(field, n, j) for j in range(n))
+    elif field.kind == PRIME_KIND:
+        if field.p ** n > MAX_GROUPLIKE_CANDIDATES:
             raise BoundExceededError(
-                f"{field.p}^{n} candidate vectors exceed the bound {max_candidates}")
-        found = []
-        one = identity(field, 1)
-        for coeffs in itertools.product(range(field.p), repeat=n):
-            v = LinMap(field, n, 1, {(i, 0): a for i, a in enumerate(coeffs) if a})
-            if c.epsilon @ v == one and c.delta @ v == kron(v, v):
-                found.append(v)
-        return found, True
-    raise ValueError(f"unknown grouplike mode {mode!r}")
+                f"{field.p}^{n} candidate vectors exceed the bound "
+                f"{MAX_GROUPLIKE_CANDIDATES}")
+        candidates = (LinMap(field, n, 1, {(i, 0): a for i, a in enumerate(coeffs) if a})
+                      for coeffs in itertools.product(range(field.p), repeat=n))
+    else:
+        raise IncompleteGrouplikesError(
+            "grouplike scan is incomplete: coproduct is not basis-diagonal "
+            "and the field is not finite")
+    return [v for v in candidates if c.epsilon @ v == one and c.delta @ v == kron(v, v)]
 
 
 # -- tensor products -----------------------------------------------------------

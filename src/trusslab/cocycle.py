@@ -213,6 +213,6 @@ def roundtrip_report(c: InvertibleCocycle) -> VerificationReport:
         condition("unit-map.invertible", "both components are isomorphisms",
                   _is_invertible(c.cocycle), "pi is singular"),
         equation("roundtrip.action", "Gamma^(sigma_pi)∘(pi(x)id) = phi",
-                 twisted_action(t) @ kron(c.cocycle, idh), c.action),
+                 back.action @ kron(c.cocycle, idh), c.action),
     )
     return rep

@@ -1,14 +1,15 @@
 """Hopf modules, coinvariants, and the fundamental isomorphism.
 
 A Hopf module carries an action and a coaction whose interplay copies
-the bimonoid compatibility law. Its coinvariants are the kernel of
-rho - eta (x) id, realized concretely: the idempotent q built from the
-antipode projects onto them, splitting q gives the retraction, and
-theta = act∘(id (x) inclusion) is then invertible with inverse built
-from the retraction and the coaction. Over a Hopf truss the same
-coinvariants must also equalize the two actions through the cocycle,
-and induction from a plain space is adjoint (in fact inverse) to taking
-coinvariants, which is the content of the two triangle checks.
+the bimonoid compatibility law. Its coinvariants are the equalizer of
+rho and eta (x) id, computed once as the kernel basis of their
+difference: the idempotent q built from the antipode factors through
+that basis, the factor is the retraction, and theta = act∘(id (x)
+inclusion) is then invertible with inverse built from the retraction
+and the coaction. Over a Hopf truss the same coinvariants must also
+equalize the two actions through the cocycle, and induction from a
+plain space is adjoint (in fact inverse) to taking coinvariants, which
+is the content of the two triangle checks.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .coalgebra import ComonoidData, HopfMonoidData, check_maps, diagonal
 from .errors import DimensionMismatchError, InvalidStructureError, TrussLabError
 from .fields import FieldSpec
 from .hopftruss import HopfTruss
-from .linmap import LinMap, identity, kron, nullspace, solve_through, split_idempotent
+from .linmap import LinMap, identity, kron, nullspace, solve_through
 from .modules import TrussModule, verify_truss_module
 from .report import VerificationReport, condition, equation
 
@@ -112,15 +113,16 @@ class TrussHopfModule:
 class CoinvariantData:
     """The kernel of the coaction against the unit, with its retraction.
 
-    inclusion embeds the coinvariants, retraction splits it off through
-    the idempotent, and comparison identifies the canonical image basis
-    of the idempotent with the kernel basis.
+    inclusion is the kernel basis of rho - eta (x) id, the equalizer of
+    rho and eta (x) id; retraction solves inclusion∘retraction =
+    idempotent exactly and satisfies retraction∘inclusion = id, so the
+    idempotent projects onto that kernel and no second basis of its
+    image is needed.
     """
 
     inclusion: LinMap
     retraction: LinMap
     idempotent: LinMap
-    comparison: LinMap
 
     @property
     def codim(self) -> int:
@@ -185,16 +187,13 @@ def _split_coinvariants(m: HopfModuleData, rep: VerificationReport) -> Coinvaria
     q = m.action @ kron(h.antipode, idm) @ m.coaction
     _demand(q @ q == q, "idempotent squares to itself")
     _demand(m.coaction @ q == kron(h.eta, q), "coaction is the unit on the image")
-    proj, incl = split_idempotent(q)
+    # j∘t = q exactly, or solve_through raises; with t∘j = id below this
+    # gives q∘j = j, so the image of q is the kernel j spans.
     t = solve_through(j, q)
-    omega = t @ incl
-    omega_inv = proj @ j
-    _demand(omega @ omega_inv == identity(field, j.dom), "comparison inverts")
-    _demand(omega_inv @ omega == identity(field, incl.dom), "comparison inverts")
     _demand(t @ j == identity(field, j.dom), "retraction splits the inclusion")
     _demand(t @ m.action == kron(h.comonoid.epsilon, t),
             "retraction kills the action")
-    return CoinvariantData(j, t, q, omega)
+    return CoinvariantData(j, t, q)
 
 
 def verify_truss_hopf_module(m: TrussHopfModule) -> VerificationReport:
@@ -315,8 +314,8 @@ def adjunction_check(h: HopfTruss, xdim: int,
                  kron(idn, theta) @ kron(h.comonoid.delta,
                                          identity(field, w.codim))),
     )
-    round_free = induction_functor(h, w.codim)
-    w_round = coinvariants(round_free.hopf_module())
+    w_round = w_free if w.codim == xdim else coinvariants(
+        induction_functor(h, w.codim).hopf_module())
     if w_round.codim != w.codim:
         return rep.with_checks(condition(
             "triangle.coinvariants", "retraction∘theta∘inclusion = id",

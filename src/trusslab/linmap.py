@@ -367,20 +367,10 @@ def invert(f: LinMap) -> LinMap:
     """Exact two-sided inverse of a square map, else NotInvertibleError."""
     if f.cod != f.dom:
         raise NotInvertibleError(f"non-square shape {f.shape}")
-    field = f.field
-    n = f.cod
-    zero, one = field.zero, field.one
-    aug = []
-    dense = f.rows()
-    for i in range(n):
-        row = list(dense[i]) + [zero] * n
-        row[n + i] = one
-        aug.append(row)
-    aug, pivots = _rref(field, aug, pivot_limit=n)
-    if pivots != list(range(n)):
-        raise NotInvertibleError(f"map of rank {len(pivots)} < {n}")
-    entries = {(i, j): aug[i][n + j] for i in range(n) for j in range(n)}
-    return LinMap._of(field, n, n, entries)
+    try:
+        return solve_through(f, identity(f.field, f.cod))
+    except (InconsistentSystemError, AmbiguousSystemError) as exc:
+        raise NotInvertibleError(f"map of rank {rank(f)} < {f.cod}") from exc
 
 
 def solve_through(a: LinMap, b: LinMap) -> LinMap:

@@ -18,15 +18,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .coalgebra import ComonoidData, GROUPLIKE_BASIS, GROUPLIKE_EXHAUSTIVE, grouplikes
+from .coalgebra import ComonoidData, grouplikes
 from .errors import (
     BoundExceededError,
     ClosureError,
     DimensionMismatchError,
-    IncompleteGrouplikesError,
     InvalidStructureError,
 )
-from .fields import PRIME_KIND, FieldSpec
+from .fields import FieldSpec
 from .hopftruss import HopfTruss
 from .linmap import LinMap, kron
 from .report import CheckResult, VerificationReport, condition
@@ -507,18 +506,10 @@ def _grouplike_index(vectors: list[LinMap], v: LinMap, what: str) -> int:
 def truss_of_grouplikes(h: HopfTruss) -> SkewTruss:
     """Restrict both products and the cocycle to the grouplike elements.
 
-    Needs a complete grouplike scan: basis-diagonal coproducts always
-    qualify, otherwise a prime-field carrier is searched exhaustively.
+    Needs every grouplike: grouplikes refuses a comonoid it cannot scan
+    in full.
     """
-    gl, complete = grouplikes(h.comonoid, mode=GROUPLIKE_BASIS)
-    if not complete:
-        if h.field.kind != PRIME_KIND:
-            raise IncompleteGrouplikesError(
-                "grouplike scan is incomplete: coproduct is not basis-diagonal "
-                "and the field is not finite")
-        gl, complete = grouplikes(h.comonoid, mode=GROUPLIKE_EXHAUSTIVE)
-        if not complete:
-            raise IncompleteGrouplikesError("exhaustive grouplike scan hit its bound")
+    gl = grouplikes(h.comonoid)
     if not gl:
         raise ClosureError("carrier has no grouplikes")
 

@@ -1,5 +1,6 @@
 """Comonoid/monoid/Hopf bundles, convolution, antipodes, grouplikes."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,11 +10,9 @@ from hypothesis import strategies as st
 
 from conftest import sample_objects
 
-from trusslab import verify_structure
+from trusslab import coalgebra, verify_structure
 from trusslab.coalgebra import (
     ComonoidData,
-    GROUPLIKE_BASIS,
-    GROUPLIKE_EXHAUSTIVE,
     HopfMonoidData,
     MonoidData,
     NonUnitalBimonoidData,
@@ -33,16 +32,22 @@ from trusslab.coalgebra import (
     verify_monoid,
     verify_nonunital_bimonoid,
 )
-from trusslab.cocycle import verify_cocycle
-from trusslab.errors import BoundExceededError, DimensionMismatchError, NoAntipodeError
+from trusslab.cocycle import cocycle_of_truss, roundtrip_report, verify_cocycle
+from trusslab.errors import (
+    BoundExceededError,
+    DimensionMismatchError,
+    IncompleteGrouplikesError,
+    NoAntipodeError,
+)
 from trusslab.fields import RATIONALS, prime_field
 from trusslab.hopfmodules import verify_hopf_module, verify_truss_hopf_module
 from trusslab.hopftruss import verify_hopf_truss
-from trusslab.linmap import LinMap, identity, kron, rank, swap
+from trusslab.linmap import LinMap, identity, invert, kron, rank, swap
 from trusslab.modules import verify_pi_module, verify_truss_module
-from trusslab.settruss import verify_skew_truss
+from trusslab.settruss import linearize, symmetric_group, trivial_truss, verify_skew_truss
 
 F2 = prime_field(2)
+F3 = prime_field(3)
 F5 = prime_field(5)
 
 
@@ -232,48 +237,97 @@ def test_antipode_is_an_algebra_antimorphism():
 
 def test_basis_scan_on_group_algebra_is_complete():
     h = cyclic_group_algebra(3, RATIONALS)
-    vectors, complete = grouplikes(h.comonoid, GROUPLIKE_BASIS)
-    assert complete
-    assert vectors == [LinMap.basis_vector(RATIONALS, 3, j) for j in range(3)]
+    assert grouplikes(h.comonoid) == [LinMap.basis_vector(RATIONALS, 3, j) for j in range(3)]
 
 
 def test_basis_scan_on_primitive_comonoid_is_incomplete():
+    # The basis holds one grouplike, but a scan of it would not prove
+    # there are no others, and Q has too many vectors to try.
     b, _ = primitive_element_bundle(RATIONALS)
-    vectors, complete = grouplikes(b.comonoid, GROUPLIKE_BASIS)
-    assert not complete
-    assert vectors == [LinMap.basis_vector(RATIONALS, 2, 0)]
+    with pytest.raises(IncompleteGrouplikesError, match="not basis-diagonal"):
+        grouplikes(b.comonoid)
+
+
+def transported_comonoid(c: ComonoidData, p: LinMap) -> ComonoidData:
+    """c moved along the isomorphism p."""
+    q = invert(p)
+    return ComonoidData(c.dim, kron(p, p) @ c.delta @ q, c.epsilon @ q)
 
 
 def test_exhaustive_scan_over_f2():
     h = cyclic_group_algebra(2, F2)
-    vectors, complete = grouplikes(h.comonoid, GROUPLIKE_EXHAUSTIVE)
-    assert complete
-    # Candidate vectors run in lexicographic coefficient order.
-    assert set(vectors) == {LinMap.basis_vector(F2, 2, 0), LinMap.basis_vector(F2, 2, 1)}
-    assert grouplikes(h.comonoid, GROUPLIKE_EXHAUSTIVE)[0] == vectors
+    p = LinMap.from_rows(F2, [[1, 1], [0, 1]])
+    vectors = grouplikes(transported_comonoid(h.comonoid, p))
+    # Candidate vectors run in lexicographic coefficient order: p e1 = (1, 1)
+    # comes after p e0 = (1, 0).
+    assert vectors == [p @ LinMap.basis_vector(F2, 2, 0), p @ LinMap.basis_vector(F2, 2, 1)]
 
 
 def test_exhaustive_scan_sees_past_the_basis():
     b, _ = primitive_element_bundle(F5)
-    vectors, complete = grouplikes(b.comonoid, GROUPLIKE_EXHAUSTIVE)
-    assert complete
-    assert vectors == [LinMap.basis_vector(F5, 2, 0)]
+    assert grouplikes(b.comonoid) == [LinMap.basis_vector(F5, 2, 0)]
 
 
-def test_exhaustive_scan_bound():
-    h = cyclic_group_algebra(4, F5)
-    with pytest.raises(BoundExceededError):
-        grouplikes(h.comonoid, GROUPLIKE_EXHAUSTIVE, max_candidates=100)
-    with pytest.raises(BoundExceededError):
-        grouplikes(cyclic_group_algebra(2, RATIONALS).comonoid, GROUPLIKE_EXHAUSTIVE)
+def test_exhaustive_scan_bound(monkeypatch):
+    b, _ = primitive_element_bundle(F5)
+    monkeypatch.setattr(coalgebra, "MAX_GROUPLIKE_CANDIDATES", 24)
+    with pytest.raises(BoundExceededError, match="5\\^2 candidate vectors exceed the bound 24"):
+        grouplikes(b.comonoid)
+    # a basis-diagonal comonoid is scanned on its basis, under any bound
+    assert len(grouplikes(cyclic_group_algebra(4, F5).comonoid)) == 4
 
 
 def test_grouplikes_are_linearly_independent():
     for field in (RATIONALS, F5):
         h = cyclic_group_algebra(4, field)
-        vectors, _ = grouplikes(h.comonoid, GROUPLIKE_BASIS)
+        vectors = grouplikes(h.comonoid)
         stacked = LinMap.from_columns(field, 4, vectors)
         assert rank(stacked) == len(vectors)
+
+
+def brute_force_grouplikes(c: ComonoidData):
+    """Every grouplike of a prime-field comonoid, as coefficient tuples in
+    lexicographic order, by dense modular arithmetic on every vector."""
+    n, p = c.dim, c.field.p
+    delta = [[int(c.delta.entry(r, i)) for i in range(n)] for r in range(n * n)]
+    eps = [int(c.epsilon.entry(0, i)) for i in range(n)]
+    found = []
+    for v in itertools.product(range(p), repeat=n):
+        if sum(e * x for e, x in zip(eps, v)) % p != 1:
+            continue
+        if all(sum(d * x for d, x in zip(delta[a * n + b], v)) % p == v[a] * v[b] % p
+               for a in range(n) for b in range(n)):
+            found.append(v)
+    return found
+
+
+def _z2_squared(field) -> ComonoidData:
+    z2 = cyclic_group_algebra(2, field).comonoid
+    return tensor_comonoid(z2, z2)
+
+
+# (comonoid, whether its coproduct is basis-diagonal)
+ORACLE_COMONOIDS = [
+    pytest.param(lambda f=f, n=n: cyclic_group_algebra(n, f).comonoid, True, id=f"Z{n}-F{f.p}")
+    for f in (F2, F3, F5) for n in (2, 3)
+] + [
+    pytest.param(lambda f=f: _z2_squared(f), True, id=f"Z2xZ2-F{f.p}") for f in (F2, F3, F5)
+] + [
+    pytest.param(lambda: primitive_element_bundle(F5)[0].comonoid, False, id="primitive-F5"),
+    pytest.param(lambda: transported_comonoid(
+        cyclic_group_algebra(3, F5).comonoid,
+        LinMap.from_rows(F5, [[1, 4, 0], [0, 1, 3], [0, 0, 1]])), False, id="transported-Z3-F5"),
+]
+
+
+@pytest.mark.parametrize("make,diagonal_delta", ORACLE_COMONOIDS)
+def test_grouplikes_match_the_brute_force_oracle(make, diagonal_delta):
+    c = make()
+    oracle = brute_force_grouplikes(c)
+    got = [tuple(int(v.entry(i, 0)) for i in range(c.dim)) for v in grouplikes(c)]
+    # a basis-diagonal comonoid keeps basis order, the reverse of
+    # lexicographic order on basis vectors
+    assert got == (oracle[::-1] if diagonal_delta else oracle)
 
 
 # -- tensor products -----------------------------------------------------------
@@ -286,8 +340,7 @@ def test_tensor_of_hopf_monoids_is_hopf():
     assert t.dim == 6
     rep = verify_hopf_monoid(t)
     assert rep.ok, str(rep)
-    vectors, complete = grouplikes(t.comonoid, GROUPLIKE_BASIS)
-    assert complete and len(vectors) == 6
+    assert len(grouplikes(t.comonoid)) == 6
 
 
 def test_tensor_of_comonoids_and_monoids():
@@ -398,3 +451,17 @@ def test_diagonal_of_the_zero_comonoid():
     zero = LinMap.zero
     assert diagonal(zero(RATIONALS, 0, 0), zero(RATIONALS, 2, 0),
                     zero(RATIONALS, 3, 0)) == zero(RATIONALS, 6, 0)
+
+
+def test_diagonal_composes_no_identity_flip(monkeypatch):
+    c = cocycle_of_truss(linearize(trivial_truss(symmetric_group(3)), RATIONALS))
+    flips = []
+    original = coalgebra.tensor_flip_middle
+
+    def counting(field, a, b, x, y):
+        flips.append((b, x))
+        return original(field, a, b, x, y)
+    monkeypatch.setattr(coalgebra, "tensor_flip_middle", counting)
+    assert roundtrip_report(c).ok
+    # 11 flips before swap(A, 1) was skipped, 4 of them identities
+    assert flips == [(6, 6)] * 7

@@ -8,6 +8,7 @@ from conftest import (
     permute_cocycle_source,
     truss_from_tables,
 )
+from trusslab import cocycle, hopftruss
 from trusslab.coalgebra import ComonoidData, NonUnitalBimonoidData
 from trusslab.cocycle import (
     CocycleMorphism,
@@ -191,6 +192,21 @@ def test_roundtrip_report_passes_on_transported_cocycles():
         rep = roundtrip_report(c)
         assert rep.ok, str(rep)
         assert rep.named("roundtrip.action").passed
+
+
+def test_roundtrip_reuses_the_rebuilt_action(monkeypatch):
+    c = cocycle_of_truss(linearize(trivial_truss(symmetric_group(3)), RATIONALS))
+    calls = []
+
+    def counting(h):
+        calls.append(h)
+        return twisted_action(h)
+    monkeypatch.setattr(hopftruss, "twisted_action", counting)
+    monkeypatch.setattr(cocycle, "twisted_action", counting)
+    assert roundtrip_report(c).ok
+    # once in verify_hopf_truss, once in cocycle_of_truss; the
+    # roundtrip.action check reads the action cocycle_of_truss built
+    assert len(calls) == 2
 
 
 # -- broken inputs ------------------------------------------------------------

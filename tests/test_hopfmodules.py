@@ -1,5 +1,7 @@
 """Hopf modules, coinvariants, the fundamental isomorphism, induction."""
 
+from fractions import Fraction
+
 import pytest
 
 from conftest import cyclic_table, cyclic_truss, perturbed, truss_from_tables
@@ -20,6 +22,7 @@ from trusslab.hopfmodules import (
     verify_truss_hopf_module,
 )
 from trusslab.linmap import LinMap, identity, kron, rank
+from trusslab.report import VerificationReport
 
 F2 = prime_field(2)
 F5 = prime_field(5)
@@ -119,7 +122,6 @@ def test_regular_coinvariants_over_group_algebra():
     assert rank(w.idempotent) == 1
     assert w.inclusion == LinMap(RATIONALS, 2, 1, {(0, 0): 1})
     assert w.retraction == LinMap(RATIONALS, 1, 2, {(0, 0): 1, (0, 1): 1})
-    assert w.comparison == identity(RATIONALS, 1)
 
 
 def test_regular_coinvariants_over_primitive_bundle():
@@ -137,6 +139,53 @@ def test_coinvariants_of_one_dimensional_hopf_monoid():
     assert w.codim == 3
     assert w.inclusion == identity(RATIONALS, 3)
     assert w.idempotent == identity(RATIONALS, 3)
+
+
+COINVARIANT_MODULES = [
+    pytest.param(lambda make=make: regular_truss_hopf_module(make()), id=f"regular-{i}")
+    for i, make in enumerate(FIXTURE_TRUSSES)
+] + [
+    pytest.param(lambda make=make, x=x: induction_functor(make(), x), id=f"induced-{i}-{x}")
+    for i, make in enumerate(FIXTURE_TRUSSES) for x in range(4)
+]
+
+
+@pytest.mark.parametrize("make", COINVARIANT_MODULES)
+def test_coinvariants_split_the_idempotent_onto_the_kernel(make):
+    m = make().hopf_module()
+    h, field = m.hopf, m.field
+    w = coinvariants(m)
+    assert w.inclusion @ w.retraction == w.idempotent
+    assert w.retraction @ w.inclusion == identity(field, w.codim)
+    assert rank(w.idempotent) == w.codim
+    assert m.coaction @ w.inclusion == kron(h.eta, w.inclusion)
+
+
+def _over_the_unit_monoid(action_rows, coaction_rows) -> HopfModuleData:
+    h = cyclic_truss(RATIONALS, 1).hopf_part()
+    return HopfModuleData(h, LinMap.from_rows(RATIONALS, action_rows),
+                          LinMap.from_rows(RATIONALS, coaction_rows))
+
+
+# Over the one-dimensional Hopf monoid q = action∘coaction.  None of these
+# is a Hopf module; each breaks exactly one identity the split demands.
+BROKEN_SPLITS = [
+    ([[1, 1], [0, 1]], [[1, 0], [0, 1]], "idempotent squares to itself"),
+    ([[Fraction(1, 2)]], [[2]], "coaction is the unit on the image"),
+    # the kernel is everything, q keeps only e0
+    ([[1, 0], [0, 0]], [[1, 0], [0, 1]], "retraction splits the inclusion"),
+    # q = [[1, 2], [0, 0]] projects onto the kernel span(e0), t = (1 2)
+    ([[1, 1], [0, 0]], [[1, 0], [0, 2]], "retraction kills the action"),
+]
+
+
+@pytest.mark.parametrize("action,coaction,label", BROKEN_SPLITS)
+def test_each_coinvariant_identity_is_demanded(monkeypatch, action, coaction, label):
+    # with the module laws waved through, the split's own demands must refuse
+    monkeypatch.setattr(hopfmodules, "verify_hopf_module",
+                        lambda m: VerificationReport("hopfmodule"))
+    with pytest.raises(InvalidStructureError, match=label):
+        coinvariants(_over_the_unit_monoid(action, coaction))
 
 
 def test_coinvariants_rejects_invalid_module():
@@ -208,8 +257,9 @@ def test_fundamental_iso_rejects_broken_input():
         fundamental_iso(m)
 
 
-def test_fundamental_iso_verifies_and_splits_the_module_once(monkeypatch):
-    calls = {"verify_hopf_module": 0, "split_idempotent": 0}
+def count_calls(monkeypatch, *names):
+    """Wrap each named hopfmodules function to count its calls."""
+    calls = dict.fromkeys(names, 0)
 
     def counting(name):
         original = getattr(hopfmodules, name)
@@ -219,11 +269,16 @@ def test_fundamental_iso_verifies_and_splits_the_module_once(monkeypatch):
             return original(*args)
         monkeypatch.setattr(hopfmodules, name, wrapper)
 
-    for name in calls:
+    for name in names:
         counting(name)
+    return calls
+
+
+def test_fundamental_iso_verifies_and_splits_the_module_once(monkeypatch):
+    calls = count_calls(monkeypatch, "verify_hopf_module", "_split_coinvariants")
     theta, theta_inv, rep = fundamental_iso(induction_functor(cyclic_truss(RATIONALS, 3), 2))
     assert rep.ok
-    assert calls == {"verify_hopf_module": 1, "split_idempotent": 1}
+    assert calls == {"verify_hopf_module": 1, "_split_coinvariants": 1}
 
 
 def test_zero_dimensional_induction_is_vacuously_fine():
@@ -270,10 +325,22 @@ def test_adjunction_on_regular_module():
     assert rep.ok, str(rep)
 
 
-def test_adjunction_mixed_dimensions():
+def test_adjunction_mixed_dimensions(monkeypatch):
     t = right_projection_truss(F5, 3)
+    calls = count_calls(monkeypatch, "coinvariants")
     rep = adjunction_check(t, 3, induction_functor(t, 2))
     assert rep.ok, str(rep)
+    # free modules on 3 and on 2 dimensions, and m
+    assert calls == {"coinvariants": 3}
+
+
+def test_adjunction_splits_the_free_module_once(monkeypatch):
+    t = cyclic_truss(F5, 4)
+    calls = count_calls(monkeypatch, "coinvariants")
+    assert adjunction_check(t, 2, induction_functor(t, 2)).ok
+    # the free module on 2 dimensions is both the inducing module and the
+    # module rebuilt from m's coinvariants; only m is split besides it
+    assert calls == {"coinvariants": 2}
 
 
 def test_adjunction_flags_corrupted_coaction():

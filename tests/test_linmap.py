@@ -231,7 +231,7 @@ def test_invert_over_prime_field():
 
 
 def test_invert_singular_raises():
-    with pytest.raises(NotInvertibleError):
+    with pytest.raises(NotInvertibleError, match="map of rank 1 < 2"):
         invert(LinMap.from_rows(RATIONALS, [[1, 2], [2, 4]]))
     with pytest.raises(NotInvertibleError):
         invert(zero_map(RATIONALS, 2, 3))
