@@ -25,7 +25,7 @@ from .errors import (
     NoAntipodeError,
 )
 from .fields import PRIME_KIND, FieldSpec
-from .linmap import LinMap, identity, kron, solve_through, swap
+from .linmap import LinMap, identity, kron, solve_through, swap, tensor_compose
 from .report import VerificationReport, equation
 
 # grouplikes scans every vector of a comonoid that is not basis-diagonal
@@ -186,6 +186,8 @@ def diagonal(delta: LinMap, f: LinMap, g: LinMap) -> LinMap:
     A acts on X (x) Y by a (x) x (x) y |-> f(a1 (x) x) (x) g(a2 (x) y), with
     a2 braided past x.  Every law that moves a coproduct leg past another
     factor is built here, so this is where the braiding enters them.
+    Neither a Kronecker product nor a flip map is formed: the spread is
+    delta's entries relabelled, and f (x) g is applied by tensor_compose.
     """
     a = delta.dom
     x, y = (m.dom // a if a else 0 for m in (f, g))
@@ -193,11 +195,15 @@ def diagonal(delta: LinMap, f: LinMap, g: LinMap) -> LinMap:
         raise DimensionMismatchError(
             f"diagonal needs delta: {a} -> {a}*{a} and f, g from multiples of {a}, "
             f"got shapes {delta.shape}, {f.shape}, {g.shape}")
-    spread = kron(delta, identity(delta.field, x * y))
-    if a > 1 and x > 1:  # swap(A, X) is the identity when A or X is 1
-        spread = tensor_flip_middle(delta.field, a, a, x, y) @ spread
-    # the right-hand part first: kron(f, g) is the widest factor
-    return kron(f, g) @ spread
+    # delta(e_k) ∋ e_a1 (x) e_a2, so e_k (x) e_u (x) e_v ↦ e_a1 (x) e_u (x) e_a2 (x) e_v:
+    # the braid is the move of u ahead of a2 in the row index.
+    spread = {}
+    for (row, k), value in delta.items():
+        a1, a2 = divmod(row, a)
+        for u in range(x):
+            for v in range(y):
+                spread[(((a1 * x + u) * a + a2) * y + v, (k * x + u) * y + v)] = value
+    return tensor_compose(f, g, LinMap._of(delta.field, a * x * a * y, a * x * y, spread))
 
 
 # -- verifiers ---------------------------------------------------------------
@@ -208,11 +214,12 @@ def verify_comonoid(c: ComonoidData, subject: str = "comonoid") -> VerificationR
     idn = identity(c.field, n)
     checks = (
         equation("counit.left", "(epsilon(x)id)∘delta = id",
-                 kron(c.epsilon, idn) @ c.delta, idn),
+                 tensor_compose(c.epsilon, idn, c.delta), idn),
         equation("counit.right", "(id(x)epsilon)∘delta = id",
-                 kron(idn, c.epsilon) @ c.delta, idn),
+                 tensor_compose(idn, c.epsilon, c.delta), idn),
         equation("coassoc", "(delta(x)id)∘delta = (id(x)delta)∘delta",
-                 kron(c.delta, idn) @ c.delta, kron(idn, c.delta) @ c.delta),
+                 tensor_compose(c.delta, idn, c.delta),
+                 tensor_compose(idn, c.delta, c.delta)),
     )
     return VerificationReport(subject, checks)
 
@@ -244,22 +251,22 @@ def verify_nonunital_bimonoid(b: NonUnitalBimonoidData, subject: str = "bimonoid
 
 
 def verify_hopf_monoid(h: HopfMonoidData, subject: str = "hopf") -> VerificationReport:
-    n = h.dim
+    idn = identity(h.field, h.dim)
     one = identity(h.field, 1)
     rep = verify_nonunital_bimonoid(h.nonunital(), subject)
     unit_target = h.eta @ h.epsilon
     rep = rep.with_checks(
         equation("unit.left", "mu∘(eta(x)id) = id",
-                 h.mu @ kron(h.eta, identity(h.field, n)), identity(h.field, n)),
+                 h.mu @ kron(h.eta, idn), idn),
         equation("unit.right", "mu∘(id(x)eta) = id",
-                 h.mu @ kron(identity(h.field, n), h.eta), identity(h.field, n)),
+                 h.mu @ kron(idn, h.eta), idn),
         equation("unit.counit", "epsilon∘eta = id_K", h.epsilon @ h.eta, one),
         equation("unit.coproduct", "delta∘eta = eta(x)eta",
                  h.delta @ h.eta, kron(h.eta, h.eta)),
         equation("antipode.left", "mu∘(antipode(x)id)∘delta = eta∘epsilon",
-                 h.mu @ kron(h.antipode, identity(h.field, n)) @ h.delta, unit_target),
+                 h.mu @ tensor_compose(h.antipode, idn, h.delta), unit_target),
         equation("antipode.right", "mu∘(id(x)antipode)∘delta = eta∘epsilon",
-                 h.mu @ kron(identity(h.field, n), h.antipode) @ h.delta, unit_target),
+                 h.mu @ tensor_compose(idn, h.antipode, h.delta), unit_target),
     )
     return rep
 
@@ -277,7 +284,7 @@ def convolution(f: LinMap, g: LinMap, source: ComonoidData, target: MonoidData) 
         raise DimensionMismatchError("convolution operands must start at the comonoid")
     if f.cod != target.dim or g.cod != target.dim:
         raise DimensionMismatchError("convolution operands must land in the monoid")
-    return target.mu @ kron(f, g) @ source.delta
+    return target.mu @ tensor_compose(f, g, source.delta)
 
 
 def convolution_unit(source: ComonoidData, target: MonoidData) -> LinMap:

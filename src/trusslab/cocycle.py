@@ -33,8 +33,8 @@ from .errors import (
     NoAntipodeError,
     NotInvertibleError,
 )
-from .hopftruss import HopfTruss, twisted_action, verify_hopf_truss
-from .linmap import LinMap, identity, invert, kron
+from .hopftruss import HopfTruss, _verify_hopf_truss, twisted_action
+from .linmap import LinMap, identity, invert, kron, tensor_compose
 from .report import VerificationReport, condition, equation
 
 
@@ -90,13 +90,13 @@ def verify_cocycle(c: InvertibleCocycle) -> VerificationReport:
 
     rep = rep.with_checks(
         equation("cocycle.comonoid.coproduct", "delta_H∘pi = (pi(x)pi)∘delta_B",
-                 delta_h @ c.cocycle, kron(c.cocycle, c.cocycle) @ delta_b),
+                 delta_h @ c.cocycle, tensor_compose(c.cocycle, c.cocycle, delta_b)),
         equation("cocycle.comonoid.counit", "epsilon_H∘pi = epsilon_B",
                  eps_h @ c.cocycle, eps_b),
         condition("cocycle.invertible", "pi has a two-sided inverse",
                   _is_invertible(c.cocycle), "pi is singular"),
         equation("twist.comonoid.coproduct", "delta_B∘twist = (twist(x)twist)∘delta_B",
-                 delta_b @ c.twist, kron(c.twist, c.twist) @ delta_b),
+                 delta_b @ c.twist, tensor_compose(c.twist, c.twist, delta_b)),
         equation("twist.comonoid.counit", "epsilon_B∘twist = epsilon_B",
                  eps_b @ c.twist, eps_b),
         equation("action.module", "phi∘(B(x)phi) = phi∘(mu_B(x)H)",
@@ -135,9 +135,13 @@ def is_brace_case(c: InvertibleCocycle) -> bool:
 def cocycle_of_truss(h: HopfTruss) -> InvertibleCocycle:
     """Read a Hopf truss as the identity cocycle from its second product
     onto its Hopf part, twisted by the truss cocycle."""
+    return _cocycle_of_truss(h, twisted_action(h))
+
+
+def _cocycle_of_truss(h: HopfTruss, gamma: LinMap) -> InvertibleCocycle:
+    """cocycle_of_truss, given the twisted action Gamma of h."""
     return InvertibleCocycle(
-        h.second_part(), h.hopf_part(),
-        identity(h.field, h.dim), h.cocycle, twisted_action(h))
+        h.second_part(), h.hopf_part(), identity(h.field, h.dim), h.cocycle, gamma)
 
 
 def truss_of_cocycle(c: InvertibleCocycle) -> HopfTruss:
@@ -165,21 +169,20 @@ def verify_cocycle_morphism(m: CocycleMorphism,
         raise DimensionMismatchError(
             f"target map has shape {g.shape}, expected "
             f"{(dst.hopf.dim, src.hopf.dim)}")
-    ff, gg = kron(f, f), kron(g, g)
     checks = (
         equation("f.comonoid.coproduct", "delta'∘f = (f(x)f)∘delta",
-                 dst.bimonoid.delta @ f, ff @ src.bimonoid.delta),
+                 dst.bimonoid.delta @ f, tensor_compose(f, f, src.bimonoid.delta)),
         equation("f.comonoid.counit", "epsilon'∘f = epsilon",
                  dst.bimonoid.epsilon @ f, src.bimonoid.epsilon),
         equation("f.product", "f∘mu_B = mu_B'∘(f(x)f)",
-                 f @ src.bimonoid.mu, dst.bimonoid.mu @ ff),
+                 f @ src.bimonoid.mu, dst.bimonoid.mu @ kron(f, f)),
         equation("g.comonoid.coproduct", "delta'∘g = (g(x)g)∘delta",
-                 dst.hopf.delta @ g, gg @ src.hopf.delta),
+                 dst.hopf.delta @ g, tensor_compose(g, g, src.hopf.delta)),
         equation("g.comonoid.counit", "epsilon'∘g = epsilon",
                  dst.hopf.epsilon @ g, src.hopf.epsilon),
         equation("g.unit", "g∘eta = eta'", g @ src.hopf.eta, dst.hopf.eta),
         equation("g.product", "g∘mu_H = mu_H'∘(g(x)g)",
-                 g @ src.hopf.mu, dst.hopf.mu @ gg),
+                 g @ src.hopf.mu, dst.hopf.mu @ kron(g, g)),
         equation("g.implied.antipode", "g∘antipode = antipode'∘g",
                  g @ src.hopf.antipode, dst.hopf.antipode @ g),
         equation("compat.twist", "f∘twist = twist'∘f",
@@ -204,8 +207,9 @@ def roundtrip_report(c: InvertibleCocycle) -> VerificationReport:
         return rep.with_checks(condition(
             "roundtrip.transport", "pi is invertible", False,
             "cocycle map is singular, cannot transport"))
-    rep = rep.merged(verify_hopf_truss(t), prefix="truss.")
-    back = cocycle_of_truss(t)
+    truss_rep, gamma = _verify_hopf_truss(t)
+    rep = rep.merged(truss_rep, prefix="truss.")
+    back = _cocycle_of_truss(t, gamma)
     idh = identity(c.field, c.hopf.dim)
     pair = CocycleMorphism(c.cocycle, idh)
     rep = rep.merged(verify_cocycle_morphism(pair, c, back), prefix="unit-map.")

@@ -20,7 +20,7 @@ from .coalgebra import ComonoidData, HopfMonoidData, check_maps, diagonal
 from .errors import DimensionMismatchError, InvalidStructureError, TrussLabError
 from .fields import FieldSpec
 from .hopftruss import HopfTruss
-from .linmap import LinMap, identity, kron, nullspace, solve_through
+from .linmap import LinMap, identity, kron, nullspace, solve_through, tensor_compose
 from .modules import TrussModule, verify_truss_module
 from .report import VerificationReport, condition, equation
 
@@ -135,10 +135,10 @@ def verify_comodule(c: ComoduleData) -> VerificationReport:
     idm = identity(field, m)
     return VerificationReport("comodule").with_checks(
         equation("counit", "(epsilon (x) id)∘coaction = id",
-                 kron(c.comonoid.epsilon, idm) @ c.coaction, idm),
+                 tensor_compose(c.comonoid.epsilon, idm, c.coaction), idm),
         equation("coassoc", "(delta (x) id)∘coaction = (id (x) coaction)∘coaction",
-                 kron(c.comonoid.delta, idm) @ c.coaction,
-                 kron(identity(field, n), c.coaction) @ c.coaction),
+                 tensor_compose(c.comonoid.delta, idm, c.coaction),
+                 tensor_compose(identity(field, n), c.coaction, c.coaction)),
     )
 
 
@@ -184,7 +184,7 @@ def _split_coinvariants(m: HopfModuleData, rep: VerificationReport) -> Coinvaria
 
     j = LinMap.from_columns(field, m.mdim,
                             nullspace(m.coaction - kron(h.eta, idm)))
-    q = m.action @ kron(h.antipode, idm) @ m.coaction
+    q = m.action @ tensor_compose(h.antipode, idm, m.coaction)
     _demand(q @ q == q, "idempotent squares to itself")
     _demand(m.coaction @ q == kron(h.eta, q), "coaction is the unit on the image")
     # j∘t = q exactly, or solve_through raises; with t∘j = id below this
@@ -249,7 +249,7 @@ def fundamental_iso(m: TrussHopfModule) -> tuple[LinMap, LinMap, VerificationRep
     idn = identity(field, n)
     idw = identity(field, w.codim)
     theta = m.act1 @ kron(idn, w.inclusion)
-    theta_inv = kron(idn, w.retraction) @ m.coaction
+    theta_inv = tensor_compose(idn, w.retraction, m.coaction)
     rep = VerificationReport("fundamental").with_checks(
         equation("inverse.left", "theta∘theta_inv = id",
                  theta @ theta_inv, identity(field, m.mdim)),
@@ -262,7 +262,7 @@ def fundamental_iso(m: TrussHopfModule) -> tuple[LinMap, LinMap, VerificationRep
         equation("intertwine.coaction",
                  "coaction∘theta = (id (x) theta)∘(delta (x) id)",
                  m.coaction @ theta,
-                 kron(idn, theta) @ kron(t.comonoid.delta, idw)),
+                 tensor_compose(idn, theta, kron(t.comonoid.delta, idw))),
     )
     return theta, theta_inv, rep
 
@@ -311,8 +311,8 @@ def adjunction_check(h: HopfTruss, xdim: int,
         equation("counit.comodule",
                  "coaction∘theta = (id (x) theta)∘(delta (x) id)",
                  m.coaction @ theta,
-                 kron(idn, theta) @ kron(h.comonoid.delta,
-                                         identity(field, w.codim))),
+                 tensor_compose(idn, theta, kron(h.comonoid.delta,
+                                                 identity(field, w.codim)))),
     )
     w_round = w_free if w.codim == xdim else coinvariants(
         induction_functor(h, w.codim).hopf_module())

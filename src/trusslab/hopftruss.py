@@ -25,7 +25,7 @@ from .coalgebra import (
 )
 from .errors import DimensionMismatchError, NoAntipodeError
 from .fields import FieldSpec
-from .linmap import LinMap, identity, kron
+from .linmap import LinMap, identity, kron, tensor_compose
 from .report import VerificationReport, equation
 
 
@@ -83,6 +83,11 @@ def twisted_product(h: HopfTruss) -> LinMap:
 
 def verify_hopf_truss(h: HopfTruss) -> VerificationReport:
     """All defining laws of a Hopf truss as exact identities."""
+    return _verify_hopf_truss(h)[0]
+
+
+def _verify_hopf_truss(h: HopfTruss) -> tuple[VerificationReport, LinMap]:
+    """verify_hopf_truss and the twisted action Gamma it built."""
     idn = identity(h.field, h.dim)
     delta, epsilon = h.comonoid.delta, h.comonoid.epsilon
     gamma = twisted_action(h)
@@ -94,7 +99,7 @@ def verify_hopf_truss(h: HopfTruss) -> VerificationReport:
     unit_absorb = h.eta @ epsilon
     rep = rep.with_checks(
         equation("cocycle.comonoid.coproduct", "delta∘cocycle = (cocycle(x)cocycle)∘delta",
-                 delta @ h.cocycle, kron(h.cocycle, h.cocycle) @ delta),
+                 delta @ h.cocycle, tensor_compose(h.cocycle, h.cocycle, delta)),
         equation("cocycle.comonoid.counit", "epsilon∘cocycle = epsilon",
                  epsilon @ h.cocycle, epsilon),
         equation("compat.distributivity",
@@ -112,7 +117,7 @@ def verify_hopf_truss(h: HopfTruss) -> VerificationReport:
         equation("action.assoc", "Gamma∘(id(x)Gamma) = Gamma∘(mu2(x)id)",
                  gamma @ kron(idn, gamma), gamma @ kron(h.mu2, idn)),
     )
-    return rep
+    return rep, gamma
 
 
 def verify_truss_morphism(f: LinMap, src: HopfTruss, dst: HopfTruss) -> VerificationReport:
@@ -124,7 +129,7 @@ def verify_truss_morphism(f: LinMap, src: HopfTruss, dst: HopfTruss) -> Verifica
     ff = kron(f, f)
     checks = (
         equation("comonoid.coproduct", "delta'∘f = (f(x)f)∘delta",
-                 dst.comonoid.delta @ f, ff @ src.comonoid.delta),
+                 dst.comonoid.delta @ f, tensor_compose(f, f, src.comonoid.delta)),
         equation("comonoid.counit", "epsilon'∘f = epsilon",
                  dst.comonoid.epsilon @ f, src.comonoid.epsilon),
         equation("h1.unit", "f∘eta = eta'", f @ src.eta, dst.eta),

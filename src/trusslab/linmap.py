@@ -57,7 +57,9 @@ class LinMap:
     @classmethod
     def _of(cls, field: FieldSpec, cod: int, dom: int,
             entries: Dict[Tuple[int, int], Scalar]) -> "LinMap":
-        """A map from entries this module computed itself.
+        """A map from entries this module computed itself, or copied
+        unchanged from a LinMap (coalgebra.diagonal relabels the entries
+        of a coproduct this way).
 
         The entries must already be canonical scalars of `field` at keys
         inside cod x dom, so neither is checked again; exact zeros are
@@ -279,6 +281,37 @@ def compose(g: LinMap, f: LinMap) -> LinMap:
 def kron(f: LinMap, g: LinMap) -> LinMap:
     """f (x) g with left-major flattening."""
     return f.kron(g)
+
+
+def tensor_compose(f: LinMap, g: LinMap, x: LinMap) -> LinMap:
+    """(f (x) g) ∘ x, without forming f (x) g.
+
+    Row r of x is the basis tensor e_{r // g.dom} (x) e_{r % g.dom}, so
+    its image under f (x) g is that pair of columns of f and g; each is
+    formed once per nonzero row of x (Van Loan's (A⊗B)vec(X) = vec(B X Aᵀ)).
+    """
+    field = f.field
+    field.require_same(g.field)
+    field.require_same(x.field)
+    gdom, gcod = g.dom, g.cod
+    if x.cod != f.dom * gdom:
+        raise DimensionMismatchError(
+            f"tensor_compose: dom {f.dom}*{gdom} != cod {x.cod}")
+    mul, add = field.mul, field.add
+    fcols, gcols = f._by_col(), g._by_col()
+    out: Dict[Tuple[int, int], Scalar] = {}
+    for r, xrow in x._by_row().items():
+        r1, r2 = divmod(r, gdom)
+        fcol, gcol = fcols.get(r1), gcols.get(r2)
+        if not fcol or not gcol:
+            continue
+        image = [(i1 * gcod + i2, mul(u, w)) for i1, u in fcol for i2, w in gcol]
+        for j, v in xrow:
+            for i, uw in image:
+                key = (i, j)
+                acc = out.get(key)
+                out[key] = mul(uw, v) if acc is None else add(acc, mul(uw, v))
+    return LinMap._of(field, f.cod * gcod, x.dom, out)
 
 
 def swap(m: int, n: int, field: FieldSpec) -> LinMap:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import sample_objects
 
-from trusslab import coalgebra, verify_structure
+from trusslab import coalgebra, cocycle, hopftruss, verify_structure
 from trusslab.coalgebra import (
     ComonoidData,
     HopfMonoidData,
@@ -36,6 +36,7 @@ from trusslab.cocycle import cocycle_of_truss, roundtrip_report, verify_cocycle
 from trusslab.errors import (
     BoundExceededError,
     DimensionMismatchError,
+    FieldMismatchError,
     IncompleteGrouplikesError,
     NoAntipodeError,
 )
@@ -406,12 +407,13 @@ def diagonal_operands(draw):
     def matrix(cod, dom):
         rows = draw(st.lists(st.lists(values, min_size=dom, max_size=dom),
                              min_size=cod, max_size=cod))
-        empty = draw(st.sets(st.integers(0, dom - 1), max_size=dom))
+        empty = draw(st.sets(st.integers(0, dom - 1), max_size=dom)) if dom else set()
         return LinMap.from_rows(
             field, [[0 if j in empty else v for j, v in enumerate(row)] for row in rows],
             dom=dom)
 
-    a, x, y = (draw(st.integers(1, 3)) for _ in range(3))
+    a = draw(st.integers(1, 3))
+    x, y = draw(st.integers(0, 3)), draw(st.integers(0, 3))
     return (matrix(a * a, a), matrix(draw(st.integers(1, 2)), a * x),
             matrix(draw(st.integers(1, 2)), a * y))
 
@@ -453,15 +455,44 @@ def test_diagonal_of_the_zero_comonoid():
                     zero(RATIONALS, 3, 0)) == zero(RATIONALS, 6, 0)
 
 
-def test_diagonal_composes_no_identity_flip(monkeypatch):
+def test_diagonal_forms_no_kron_compose_or_flip(monkeypatch):
+    # diagonal relabels delta's entries into the braided spread and
+    # applies f (x) g to it by tensor_compose, so no Kronecker product,
+    # composite or flip map is formed inside it.
     c = cocycle_of_truss(linearize(trivial_truss(symmetric_group(3)), RATIONALS))
-    flips = []
-    original = coalgebra.tensor_flip_middle
+    original = coalgebra.diagonal
+    spreads, inside, depth = [], [], [0]
 
-    def counting(field, a, b, x, y):
-        flips.append((b, x))
-        return original(field, a, b, x, y)
-    monkeypatch.setattr(coalgebra, "tensor_flip_middle", counting)
+    def tracked(delta, f, g):
+        spreads.append(delta.dom)
+        depth[0] += 1
+        try:
+            return original(delta, f, g)
+        finally:
+            depth[0] -= 1
+
+    def watched(name, fn):
+        def wrapper(*args, **kwargs):
+            if depth[0]:
+                inside.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (coalgebra, hopftruss, cocycle):
+        monkeypatch.setattr(module, "diagonal", tracked)
+    monkeypatch.setattr(LinMap, "kron", watched("kron", LinMap.kron))
+    monkeypatch.setattr(LinMap, "compose", watched("compose", LinMap.compose))
+    monkeypatch.setattr(coalgebra, "tensor_flip_middle",
+                        watched("tensor_flip_middle", coalgebra.tensor_flip_middle))
     assert roundtrip_report(c).ok
-    # 11 flips before swap(A, 1) was skipped, 4 of them identities
-    assert flips == [(6, 6)] * 7
+    assert spreads and set(spreads) == {6}
+    assert inside == []
+
+
+def test_diagonal_refuses_mixed_fields():
+    q = cyclic_group_algebra(2, RATIONALS)
+    f5 = cyclic_group_algebra(2, F5)
+    for delta, f, g in [(q.delta, f5.mu, f5.mu), (f5.delta, q.mu, f5.mu),
+                        (f5.delta, f5.mu, q.mu)]:
+        with pytest.raises(FieldMismatchError):
+            diagonal(delta, f, g)

@@ -204,9 +204,9 @@ def test_roundtrip_reuses_the_rebuilt_action(monkeypatch):
     monkeypatch.setattr(hopftruss, "twisted_action", counting)
     monkeypatch.setattr(cocycle, "twisted_action", counting)
     assert roundtrip_report(c).ok
-    # once in verify_hopf_truss, once in cocycle_of_truss; the
-    # roundtrip.action check reads the action cocycle_of_truss built
-    assert len(calls) == 2
+    # once, for the transported truss's own laws; reading it back as a
+    # cocycle and the roundtrip.action check reuse that Gamma
+    assert len(calls) == 1
 
 
 # -- broken inputs ------------------------------------------------------------

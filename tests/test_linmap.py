@@ -27,6 +27,7 @@ from trusslab.linmap import (
     solve_through,
     split_idempotent,
     swap,
+    tensor_compose,
     zero_map,
 )
 from trusslab.report import equation
@@ -529,3 +530,69 @@ def test_equation_agrees_with_the_residual(pair, equal):
     residual = lhs - rhs
     assert result.passed == residual.is_zero()
     assert result.residual == (None if result.passed else residual)
+
+
+# -- tensor_compose against the materialising path ------------------------------
+#
+# tensor_compose(f, g, x) must equal kron(f, g) @ x, the path it replaces,
+# and a dense product computed in Fraction only (reduced mod p over F_5).
+
+
+@st.composite
+def tensor_operands(draw):
+    field = draw(st.sampled_from([RATIONALS, F5]))
+    values = scalars if field is RATIONALS else st.integers(0, 4)
+
+    def matrix(cod, dom):
+        rows = draw(st.lists(st.lists(values, min_size=dom, max_size=dom),
+                             min_size=cod, max_size=cod))
+        empty = draw(st.sets(st.integers(0, dom - 1), max_size=dom)) if dom else set()
+        return LinMap.from_rows(
+            field, [[0 if j in empty else v for j, v in enumerate(row)] for row in rows],
+            dom=dom)
+
+    legs = st.integers(0, 3)
+    f = matrix(draw(legs), draw(legs))
+    g = matrix(draw(legs), draw(legs))
+    return f, g, matrix(f.dom * g.dom, draw(legs))
+
+
+def ref_tensor_compose(f, g, x):
+    df, dg = dense(f), dense(g)
+    fg = [[df[i1][j1] * dg[i2][j2] for j1 in range(f.dom) for j2 in range(g.dom)]
+          for i1 in range(f.cod) for i2 in range(g.cod)]
+    out = ref_compose(fg, dense(x), x.dom)
+    if f.field is F5:
+        out = [[v % 5 for v in row] for row in out]
+    return out
+
+
+@settings(deadline=None, max_examples=120)
+@given(tensor_operands())
+def test_tensor_compose_matches_kron_and_the_fraction_reference(operands):
+    f, g, x = operands
+    out = tensor_compose(f, g, x)
+    assert out.shape == (f.cod * g.cod, x.dom)
+    assert_canonical(out)
+    assert out == kron(f, g) @ x
+    assert dense(out) == ref_tensor_compose(f, g, x)
+
+
+def test_tensor_compose_drops_cancelled_entries():
+    # Column 0 sums 2*1 + 2*4 = 10 = 0 in F_5; column 1 sums 2*1 + 2*1 = 4.
+    f = LinMap.from_rows(F5, [[1, 1]])
+    g = LinMap.from_rows(F5, [[2]])
+    x = LinMap.from_rows(F5, [[1, 1], [4, 1]])
+    out = tensor_compose(f, g, x)
+    assert dict(out.items()) == {(0, 1): 4}
+    assert out == kron(f, g) @ x
+
+
+def test_tensor_compose_guards():
+    f, g = identity(RATIONALS, 2), identity(RATIONALS, 3)
+    with pytest.raises(DimensionMismatchError):
+        tensor_compose(f, g, identity(RATIONALS, 5))
+    with pytest.raises(FieldMismatchError):
+        tensor_compose(f, identity(F5, 3), identity(RATIONALS, 6))
+    with pytest.raises(FieldMismatchError):
+        tensor_compose(f, g, identity(F5, 6))

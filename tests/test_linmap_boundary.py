@@ -1,0 +1,49 @@
+"""LinMap's trusted constructor and its caches stay inside linmap.
+
+`LinMap._of` skips the shape and scalar checks of `LinMap(...)`, and
+`_by_col`/`_by_row` expose a map's cached entry lists, so a module that
+named them could build an unchecked map or mutate a shared cache.  This
+test reads the source of every module and fails when any module other
+than linmap names them.  The one exception is coalgebra.diagonal, which
+builds its braided spread with `_of` from delta's entries: canonical
+scalars of delta's field, copied to relabelled keys.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "trusslab"
+TRUSTED = {"_of", "_by_col", "_by_row"}
+ALLOWED = {("coalgebra.py", "diagonal", "_of")}
+
+
+def trusted_references(path):
+    """(line, enclosing function, name) for every attribute naming a trusted member."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Attribute) and node.attr in TRUSTED:
+            found.append((node.lineno, function, node.attr))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    return found
+
+
+def test_only_linmap_names_the_trusted_constructor_and_caches():
+    offenders = [
+        f"{path.name}:{line}: {name} in {function}"
+        for path in sorted(SRC.glob("*.py")) if path.name != "linmap.py"
+        for line, function, name in trusted_references(path)
+        if (path.name, function, name) not in ALLOWED
+    ]
+    assert offenders == []
+
+
+def test_the_scan_sees_the_trusted_members_where_they_are_used():
+    assert {name for _, _, name in trusted_references(SRC / "linmap.py")} == TRUSTED
+    assert [(function, name) for _, function, name in trusted_references(SRC / "coalgebra.py")] \
+        == [("diagonal", "_of")]
