@@ -294,37 +294,46 @@ def convolution_unit(source: ComonoidData, target: MonoidData) -> LinMap:
 def convolution_inverse(f: LinMap, source: ComonoidData, target: MonoidData) -> LinMap:
     """The two-sided convolution inverse of f, or NoAntipodeError.
 
-    The two convolution equations are linear in the unknown map, so the
-    inverse is found by one exact solve over the matrix entries; a
-    consistent system forces the unique two-sided inverse.
+    The two convolution equations are linear in the unknown map X, so the
+    inverse is found by one exact solve over its entries; a consistent
+    system forces the unique two-sided inverse.  For X = e_i e_jᵀ,
+    (f*X)(e_c) = Σ_k delta[k·nd+j, c]·P[:, k·na+i] with P = mu∘(f (x) id) and
+    (X*f)(e_c) = Σ_l delta[j·nd+l, c]·Q[:, i·nd+l] with Q = mu∘(id (x) f),
+    so the system is read off delta's entries in one pass.
     """
     nd, na = source.dim, target.dim
+    if f.dom != nd:
+        raise DimensionMismatchError("convolution operands must start at the comonoid")
+    if f.cod != na:
+        raise DimensionMismatchError("convolution operands must land in the monoid")
     field = f.field
-    unit = convolution_unit(source, target)
-    columns = []
-    for i in range(na):
-        for j in range(nd):
-            basis = LinMap(field, na, nd, {(i, j): field.one})
-            left = convolution(f, basis, source, target)
-            right = convolution(basis, f, source, target)
-            col = [left.entry(r, c) for r in range(na) for c in range(nd)]
-            col += [right.entry(r, c) for r in range(na) for c in range(nd)]
-            columns.append(col)
-    rows = [[columns[k][r] for k in range(na * nd)] for r in range(2 * na * nd)]
-    system = LinMap.from_rows(field, rows, dom=na * nd)
-    target_vec = [[unit.entry(r, c)] for r in range(na) for c in range(nd)] * 2
-    rhs = LinMap.from_rows(field, target_vec, dom=1)
+    idn = identity(field, na)
+    # P's entries grouped by k and Q's by l, as (row offset, unknown offset, value).
+    by_k, by_l = {}, {}
+    for (r, col), v in (target.mu @ kron(f, idn)).items():
+        k, i = divmod(col, na)
+        by_k.setdefault(k, []).append((r * nd, i * nd, v))
+    for (r, col), v in (target.mu @ kron(idn, f)).items():
+        i, l = divmod(col, nd)
+        by_l.setdefault(l, []).append((r * nd, i * nd, v))
+    half = na * nd
+    system, rhs = {}, {}
+    for (row, c), d in source.delta.items():
+        a1, a2 = divmod(row, nd)
+        for r, i, p in by_k.get(a1, ()):
+            key = (r + c, i + a2)
+            system[key] = system.get(key, 0) + d * p
+        for r, i, q in by_l.get(a2, ()):
+            key = (half + r + c, i + a1)
+            system[key] = system.get(key, 0) + d * q
+    for (r, c), v in convolution_unit(source, target).items():
+        rhs[(r * nd + c, 0)] = rhs[(half + r * nd + c, 0)] = v
     try:
-        solution = solve_through(system, rhs)
+        solution = solve_through(LinMap(field, 2 * half, half, system),
+                                 LinMap(field, 2 * half, 1, rhs))
     except InconsistentSystemError as exc:
         raise NoAntipodeError("no two-sided convolution inverse") from exc
-    entries = {}
-    for i in range(na):
-        for j in range(nd):
-            value = solution.entry(i * nd + j, 0)
-            if not field.is_zero(value):
-                entries[(i, j)] = value
-    return LinMap(field, na, nd, entries)
+    return LinMap(field, na, nd, {divmod(k, nd): v for (k, _), v in solution.items()})
 
 
 def solve_antipode(b: NonUnitalBimonoidData, eta: LinMap) -> LinMap:

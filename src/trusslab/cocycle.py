@@ -80,13 +80,19 @@ def _is_invertible(m: LinMap) -> bool:
 
 
 def verify_cocycle(c: InvertibleCocycle) -> VerificationReport:
+    return _verify_cocycle(c)[0]
+
+
+def _verify_cocycle(c: InvertibleCocycle) -> tuple[VerificationReport, VerificationReport]:
+    """verify_cocycle and the report of its Hopf monoid c.hopf."""
     idb, idh = identity(c.field, c.bimonoid.dim), identity(c.field, c.hopf.dim)
     delta_b, eps_b = c.bimonoid.delta, c.bimonoid.epsilon
     delta_h, eps_h = c.hopf.delta, c.hopf.epsilon
 
     rep = VerificationReport("cocycle")
     rep = rep.merged(verify_nonunital_bimonoid(c.bimonoid), prefix="b.")
-    rep = rep.merged(verify_hopf_monoid(c.hopf), prefix="h.")
+    hopf_rep = verify_hopf_monoid(c.hopf)
+    rep = rep.merged(hopf_rep, prefix="h.")
 
     rep = rep.with_checks(
         equation("cocycle.comonoid.coproduct", "delta_H∘pi = (pi(x)pi)∘delta_B",
@@ -113,7 +119,7 @@ def verify_cocycle(c: InvertibleCocycle) -> VerificationReport:
                  c.hopf.mu @ diagonal(delta_b, c.cocycle @ c.twist, c.action)
                  @ kron(idb, c.cocycle)),
     )
-    return rep
+    return rep, hopf_rep
 
 
 def is_brace_case(c: InvertibleCocycle) -> bool:
@@ -200,14 +206,16 @@ def roundtrip_report(c: InvertibleCocycle) -> VerificationReport:
     valid, reading it back gives an isomorphic cocycle, and the
     comparison pair (pi, id) is that isomorphism."""
     rep = VerificationReport("cocycle-roundtrip")
-    rep = rep.merged(verify_cocycle(c), prefix="src.")
+    src_rep, hopf_rep = _verify_cocycle(c)
+    rep = rep.merged(src_rep, prefix="src.")
     try:
         t = truss_of_cocycle(c)
     except InvalidStructureError:
         return rep.with_checks(condition(
             "roundtrip.transport", "pi is invertible", False,
             "cocycle map is singular, cannot transport"))
-    truss_rep, gamma = _verify_hopf_truss(t)
+    # t carries c.hopf's maps unchanged, so its Hopf part is verified already.
+    truss_rep, gamma = _verify_hopf_truss(t, hopf_rep if t.hopf_part() == c.hopf else None)
     rep = rep.merged(truss_rep, prefix="truss.")
     back = _cocycle_of_truss(t, gamma)
     idh = identity(c.field, c.hopf.dim)

@@ -45,7 +45,12 @@ def _is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """Tag for an exact field together with its scalar operations."""
+    """Tag for an exact field together with its scalar operations.
+
+    `reduce` maps any exact int or Fraction result of ring arithmetic on
+    scalars to its canonical scalar; it is bound per instance and is not
+    a dataclass field, so equality, hash and repr see only kind and p.
+    """
 
     kind: str
     p: int | None = None
@@ -54,11 +59,19 @@ class FieldSpec:
         if self.kind == RATIONAL_KIND:
             if self.p is not None:
                 raise ValueError("rational field takes no modulus")
+            reduce = _rational
         elif self.kind == PRIME_KIND:
             if self.p is None or not _is_prime(self.p):
                 raise ValueError(f"modulus {self.p!r} is not prime")
+            p = self.p
+            reduce = lambda v: v % p
         else:
             raise ValueError(f"unknown field kind {self.kind!r}")
+        object.__setattr__(self, "reduce", reduce)
+
+    def __reduce__(self):
+        # Rebuild through __post_init__: the bound `reduce` is not picklable.
+        return (FieldSpec, (self.kind, self.p))
 
     # -- basic constants ------------------------------------------------
 
@@ -87,16 +100,16 @@ class FieldSpec:
         return value % self.p
 
     def add(self, a: Scalar, b: Scalar) -> Scalar:
-        return _rational(a + b) if self.kind == RATIONAL_KIND else (a + b) % self.p
+        return self.reduce(a + b)
 
     def sub(self, a: Scalar, b: Scalar) -> Scalar:
-        return _rational(a - b) if self.kind == RATIONAL_KIND else (a - b) % self.p
+        return self.reduce(a - b)
 
     def mul(self, a: Scalar, b: Scalar) -> Scalar:
-        return _rational(a * b) if self.kind == RATIONAL_KIND else (a * b) % self.p
+        return self.reduce(a * b)
 
     def neg(self, a: Scalar) -> Scalar:
-        return -a if self.kind == RATIONAL_KIND else (-a) % self.p
+        return self.reduce(-a)
 
     def inv(self, a: Scalar) -> Scalar:
         if self.is_zero(a):

@@ -86,14 +86,18 @@ def verify_hopf_truss(h: HopfTruss) -> VerificationReport:
     return _verify_hopf_truss(h)[0]
 
 
-def _verify_hopf_truss(h: HopfTruss) -> tuple[VerificationReport, LinMap]:
-    """verify_hopf_truss and the twisted action Gamma it built."""
+def _verify_hopf_truss(h: HopfTruss, hopf_report: VerificationReport | None = None
+                       ) -> tuple[VerificationReport, LinMap]:
+    """verify_hopf_truss and the twisted action Gamma it built; a given
+    hopf_report, of a Hopf monoid equal to h.hopf_part(), is merged as is."""
     idn = identity(h.field, h.dim)
     delta, epsilon = h.comonoid.delta, h.comonoid.epsilon
     gamma = twisted_action(h)
 
     rep = VerificationReport("hopftruss")
-    rep = rep.merged(verify_hopf_monoid(h.hopf_part()), prefix="h1.")
+    if hopf_report is None:
+        hopf_report = verify_hopf_monoid(h.hopf_part())
+    rep = rep.merged(hopf_report, prefix="h1.")
     rep = rep.merged(verify_nonunital_bimonoid(h.second_part()), prefix="h2.")
 
     unit_absorb = h.eta @ epsilon

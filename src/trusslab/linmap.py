@@ -29,7 +29,7 @@ from .fields import FieldSpec, Scalar
 class LinMap:
     """Immutable exact matrix with dense semantics."""
 
-    __slots__ = ("field", "cod", "dom", "_entries", "_rows", "_cols", "_hash")
+    __slots__ = ("field", "cod", "dom", "_entries", "_cols", "_hash")
 
     def __init__(self, field: FieldSpec, cod: int, dom: int, entries) -> None:
         if cod < 0 or dom < 0:
@@ -50,7 +50,6 @@ class LinMap:
             if not field.is_zero(value):
                 data[(i, j)] = value
         self._entries = data
-        self._rows = None
         self._cols = None
         self._hash = None
 
@@ -61,9 +60,11 @@ class LinMap:
         unchanged from a LinMap (coalgebra.diagonal relabels the entries
         of a coproduct this way).
 
-        The entries must already be canonical scalars of `field` at keys
-        inside cod x dom, so neither is checked again; exact zeros are
-        dropped.  Input from callers goes through `LinMap(...)`.
+        The entries must be exact sums and products of scalars of `field`
+        at keys inside cod x dom; keys are not checked again.  Each value
+        is reduced once here and exact zeros are dropped, so kernels may
+        accumulate with native arithmetic.  Input from callers goes
+        through `LinMap(...)`.
         """
         if cod < 0 or dom < 0:
             raise DimensionMismatchError(f"negative shape {cod}x{dom}")
@@ -72,8 +73,8 @@ class LinMap:
         init(self, "field", field)
         init(self, "cod", cod)
         init(self, "dom", dom)
-        init(self, "_entries", {k: v for k, v in entries.items() if v})
-        init(self, "_rows", None)
+        reduce = field.reduce
+        init(self, "_entries", {k: r for k, v in entries.items() if (r := reduce(v))})
         init(self, "_cols", None)
         init(self, "_hash", None)
         return self
@@ -158,14 +159,6 @@ class LinMap:
         one = self.field.one
         return all(self._entries.get((i, i)) == one for i in range(self.cod))
 
-    def _by_row(self):
-        if self._rows is None:
-            rows: Dict[int, list] = {}
-            for (i, j), value in self._entries.items():
-                rows.setdefault(i, []).append((j, value))
-            self._rows = rows
-        return self._rows
-
     def _by_col(self):
         if self._cols is None:
             cols: Dict[int, list] = {}
@@ -182,21 +175,14 @@ class LinMap:
         if self.dom != other.cod:
             raise DimensionMismatchError(
                 f"compose: dom {self.dom} != cod {other.cod}")
-        field = self.field
-        mul, add = field.mul, field.add
         out: Dict[Tuple[int, int], Scalar] = {}
+        get = out.get
         cols = self._by_col()
-        rows = other._by_row()
-        for k, gcol in cols.items():
-            frow = rows.get(k)
-            if not frow:
-                continue
-            for i, u in gcol:
-                for j, v in frow:
-                    key = (i, j)
-                    acc = out.get(key)
-                    out[key] = mul(u, v) if acc is None else add(acc, mul(u, v))
-        return LinMap._of(field, self.cod, other.dom, out)
+        for (k, j), v in other._entries.items():
+            for i, u in cols.get(k, ()):
+                key = (i, j)
+                out[key] = get(key, 0) + u * v
+        return LinMap._of(self.field, self.cod, other.dom, out)
 
     def __matmul__(self, other: "LinMap") -> "LinMap":
         return self.compose(other)
@@ -204,40 +190,37 @@ class LinMap:
     def kron(self, other: "LinMap") -> "LinMap":
         """Tensor product; left-major flat indices (i1*cod2 + i2, j1*dom2 + j2)."""
         self.field.require_same(other.field)
-        mul = self.field.mul
         cod2, dom2 = other.cod, other.dom
         out = {}
         for (i1, j1), u in self._entries.items():
             for (i2, j2), v in other._entries.items():
-                out[(i1 * cod2 + i2, j1 * dom2 + j2)] = mul(u, v)
+                out[(i1 * cod2 + i2, j1 * dom2 + j2)] = u * v
         return LinMap._of(self.field, self.cod * cod2, self.dom * dom2, out)
 
     def __add__(self, other: "LinMap") -> "LinMap":
         self._require_same_shape(other)
-        add = self.field.add
         out = dict(self._entries)
+        get = out.get
         for key, value in other._entries.items():
-            out[key] = add(out[key], value) if key in out else value
+            out[key] = get(key, 0) + value
         return LinMap._of(self.field, self.cod, self.dom, out)
 
     def __sub__(self, other: "LinMap") -> "LinMap":
         self._require_same_shape(other)
-        sub, neg = self.field.sub, self.field.neg
         out = dict(self._entries)
+        get = out.get
         for key, value in other._entries.items():
-            out[key] = sub(out[key], value) if key in out else neg(value)
+            out[key] = get(key, 0) - value
         return LinMap._of(self.field, self.cod, self.dom, out)
 
     def __neg__(self) -> "LinMap":
-        neg = self.field.neg
         return LinMap._of(self.field, self.cod, self.dom,
-                          {k: neg(v) for k, v in self._entries.items()})
+                          {k: -v for k, v in self._entries.items()})
 
     def scale(self, scalar) -> "LinMap":
         scalar = self.field.coerce(scalar)
-        mul = self.field.mul
         return LinMap._of(self.field, self.cod, self.dom,
-                          {k: mul(scalar, v) for k, v in self._entries.items()})
+                          {k: scalar * v for k, v in self._entries.items()})
 
     def transpose(self) -> "LinMap":
         return LinMap._of(self.field, self.dom, self.cod,
@@ -267,7 +250,7 @@ class LinMap:
 
     def __setattr__(self, name, value):
         # Cache slots stay writable; the matrix itself is frozen.
-        if name in ("_rows", "_cols", "_hash") or not hasattr(self, "_hash"):
+        if name in ("_cols", "_hash") or not hasattr(self, "_hash"):
             object.__setattr__(self, name, value)
         else:
             raise AttributeError("LinMap is immutable")
@@ -297,20 +280,19 @@ def tensor_compose(f: LinMap, g: LinMap, x: LinMap) -> LinMap:
     if x.cod != f.dom * gdom:
         raise DimensionMismatchError(
             f"tensor_compose: dom {f.dom}*{gdom} != cod {x.cod}")
-    mul, add = field.mul, field.add
     fcols, gcols = f._by_col(), g._by_col()
+    images: Dict[int, list] = {}
     out: Dict[Tuple[int, int], Scalar] = {}
-    for r, xrow in x._by_row().items():
-        r1, r2 = divmod(r, gdom)
-        fcol, gcol = fcols.get(r1), gcols.get(r2)
-        if not fcol or not gcol:
-            continue
-        image = [(i1 * gcod + i2, mul(u, w)) for i1, u in fcol for i2, w in gcol]
-        for j, v in xrow:
-            for i, uw in image:
-                key = (i, j)
-                acc = out.get(key)
-                out[key] = mul(uw, v) if acc is None else add(acc, mul(uw, v))
+    get = out.get
+    for (r, j), v in x._entries.items():
+        image = images.get(r)
+        if image is None:
+            r1, r2 = divmod(r, gdom)
+            image = images[r] = [(i1 * gcod + i2, u * w) for i1, u in fcols.get(r1, ())
+                                 for i2, w in gcols.get(r2, ())]
+        for i, uw in image:
+            key = (i, j)
+            out[key] = get(key, 0) + uw * v
     return LinMap._of(field, f.cod * gcod, x.dom, out)
 
 
@@ -346,24 +328,25 @@ def _rref(field: FieldSpec, rows: List[List[Scalar]], pivot_limit: int | None = 
     ncols = len(rows[0]) if nrows else 0
     if pivot_limit is not None:
         ncols = min(ncols, pivot_limit)
-    is_zero, inv, mul, sub = field.is_zero, field.inv, field.mul, field.sub
+    reduce = field.reduce
     pivots: List[int] = []
     rank = 0
     for col in range(ncols):
         pivot_row = None
         for r in range(rank, nrows):
-            if not is_zero(rows[r][col]):
+            if rows[r][col]:
                 pivot_row = r
                 break
         if pivot_row is None:
             continue
         rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        scale = inv(rows[rank][col])
-        rows[rank] = [mul(scale, v) for v in rows[rank]]
+        scale = field.inv(rows[rank][col])
+        rows[rank] = [reduce(scale * v) for v in rows[rank]]
         for r in range(nrows):
-            if r != rank and not is_zero(rows[r][col]):
-                factor = rows[r][col]
-                rows[r] = [sub(a, mul(factor, b)) for a, b in zip(rows[r], rows[rank])]
+            factor = rows[r][col]
+            if r != rank and factor:
+                rows[r] = [reduce(a - factor * b) if b else a
+                           for a, b in zip(rows[r], rows[rank])]
         pivots.append(col)
         rank += 1
     return rows, pivots
@@ -385,13 +368,12 @@ def nullspace(f: LinMap) -> List[LinMap]:
     rows, pivots = _rref(field, f.rows())
     pivot_set = set(pivots)
     basis = []
-    one, neg = field.one, field.neg
     for j in range(f.dom):
         if j in pivot_set:
             continue
-        entries = {(j, 0): one}
+        entries = {(j, 0): field.one}
         for r, pc in enumerate(pivots):
-            entries[(pc, 0)] = neg(rows[r][j])
+            entries[(pc, 0)] = -rows[r][j]
         basis.append(LinMap._of(field, f.dom, 1, entries))
     return basis
 

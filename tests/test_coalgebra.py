@@ -38,14 +38,22 @@ from trusslab.errors import (
     DimensionMismatchError,
     FieldMismatchError,
     IncompleteGrouplikesError,
+    InconsistentSystemError,
     NoAntipodeError,
 )
 from trusslab.fields import RATIONALS, prime_field
 from trusslab.hopfmodules import verify_hopf_module, verify_truss_hopf_module
-from trusslab.hopftruss import verify_hopf_truss
-from trusslab.linmap import LinMap, identity, invert, kron, rank, swap
+from trusslab.hopftruss import HopfTruss, verify_hopf_truss
+from trusslab.linmap import LinMap, identity, invert, kron, rank, solve_through, swap
 from trusslab.modules import verify_pi_module, verify_truss_module
-from trusslab.settruss import linearize, symmetric_group, trivial_truss, verify_skew_truss
+from trusslab.settruss import (
+    cyclic_group,
+    linearize,
+    right_projection_truss,
+    symmetric_group,
+    trivial_truss,
+    verify_skew_truss,
+)
 
 F2 = prime_field(2)
 F3 = prime_field(3)
@@ -196,11 +204,16 @@ def test_convolution_inverse_counit_killing_map_fails():
 
 
 def test_idempotent_monoid_has_no_antipode():
-    com, mon = idempotent_monoid_algebra(RATIONALS)
-    assert verify_comonoid(com).ok
-    assert verify_monoid(mon).ok
-    with pytest.raises(NoAntipodeError):
-        convolution_inverse(identity(RATIONALS, 2), com, mon)
+    # The monoid algebra of {e, z} with z absorbing is a unital bimonoid
+    # that is not Hopf: z is grouplike and not invertible.
+    for field in (RATIONALS, F5):
+        com, mon = idempotent_monoid_algebra(field)
+        assert verify_comonoid(com).ok
+        assert verify_monoid(mon).ok
+        assert verify_nonunital_bimonoid(NonUnitalBimonoidData(com, mon.mu)).ok
+        for inverse in (convolution_inverse, reference_convolution_inverse):
+            with pytest.raises(NoAntipodeError):
+                inverse(identity(field, 2), com, mon)
 
 
 def test_convolution_inverse_of_identity_for_primitive_element():
@@ -231,6 +244,102 @@ def test_antipode_is_an_algebra_antimorphism():
         assert h.delta @ s == flip @ kron(s, s) @ h.delta
         assert s @ h.eta == h.eta
         assert h.epsilon @ s == h.epsilon
+
+
+# -- convolution_inverse against the basis-convolution construction --------------
+
+
+def reference_convolution_inverse(f, source, target):
+    """The inverse from 2·na·nd convolutions with basis maps and a dense solve."""
+    nd, na = source.dim, target.dim
+    field = f.field
+    unit = convolution_unit(source, target)
+    columns = []
+    for i in range(na):
+        for j in range(nd):
+            basis = LinMap(field, na, nd, {(i, j): field.one})
+            left = convolution(f, basis, source, target)
+            right = convolution(basis, f, source, target)
+            columns.append([left.entry(r, c) for r in range(na) for c in range(nd)]
+                           + [right.entry(r, c) for r in range(na) for c in range(nd)])
+    rows = [[col[r] for col in columns] for r in range(2 * na * nd)]
+    rhs = [[unit.entry(r, c)] for r in range(na) for c in range(nd)] * 2
+    try:
+        x = solve_through(LinMap.from_rows(field, rows, dom=na * nd),
+                          LinMap.from_rows(field, rhs, dom=1))
+    except InconsistentSystemError as exc:
+        raise NoAntipodeError("no two-sided convolution inverse") from exc
+    return LinMap(field, na, nd, {divmod(k, nd): v for (k, _), v in x.items()})
+
+
+def moved_truss(t: HopfTruss, p: LinMap) -> HopfTruss:
+    """t moved along the isomorphism p."""
+    q = invert(p)
+    return HopfTruss(transported_comonoid(t.comonoid, p), p @ t.eta,
+                     p @ t.mu1 @ kron(q, q), p @ t.mu2 @ kron(q, q),
+                     p @ t.antipode @ q, p @ t.cocycle @ q)
+
+
+def unitriangular(field, n):
+    # 1/2 above the diagonal: Δ moved along it is not basis-diagonal and,
+    # over Q, has fractional entries.
+    half = field.inv(2)
+    return LinMap(field, n, n, {(i, j): 1 if i == j else half
+                                for i in range(n) for j in range(i, n)})
+
+
+def inverse_or_refusal(inverse, f, source, target):
+    try:
+        return inverse(f, source, target)
+    except NoAntipodeError:
+        return NoAntipodeError
+
+
+@pytest.mark.parametrize("field", [RATIONALS, F5], ids=str)
+@pytest.mark.parametrize("group", [cyclic_group(4), symmetric_group(3)], ids=["Z4", "S3"])
+def test_convolution_inverse_matches_the_basis_convolution_reference(field, group):
+    rnd = random.Random(41)
+    for make in (trivial_truss, right_projection_truss):
+        plain = linearize(make(group), field)
+        for t in (plain, moved_truss(plain, unitriangular(field, plain.dim))):
+            n = t.dim
+            some = LinMap(field, n, n, {(i, j): rnd.randint(-2, 2) for i in range(n)
+                                        for j in range(n) if rnd.random() < 0.5})
+            for mu in (t.mu1, t.mu2):
+                target = MonoidData(n, t.eta, mu)
+                for f in (identity(field, n), t.antipode, some):
+                    got = inverse_or_refusal(convolution_inverse, f, t.comonoid, target)
+                    assert got == inverse_or_refusal(
+                        reference_convolution_inverse, f, t.comonoid, target)
+            # The Hopf part always has its antipode as the inverse of id.
+            assert convolution_inverse(identity(field, n), t.comonoid,
+                                       MonoidData(n, t.eta, t.mu1)) == t.antipode
+
+
+def test_convolution_inverse_shape_errors():
+    h = cyclic_group_algebra(2, RATIONALS)
+    with pytest.raises(DimensionMismatchError, match="start at the comonoid"):
+        convolution_inverse(LinMap(RATIONALS, 2, 3, {}), h.comonoid, h.monoid())
+    with pytest.raises(DimensionMismatchError, match="land in the monoid"):
+        convolution_inverse(LinMap(RATIONALS, 3, 2, {}), h.comonoid, h.monoid())
+
+
+def test_convolution_inverse_calls_no_convolution_or_from_rows(monkeypatch):
+    # The system is read off delta's entries, so no basis-map convolution
+    # and no dense matrix is formed.
+    h = linearize(trivial_truss(symmetric_group(3)), RATIONALS).hopf_part()
+    calls = []
+
+    def watched(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(coalgebra, "convolution", watched("convolution", convolution))
+    monkeypatch.setattr(LinMap, "from_rows", watched("from_rows", LinMap.from_rows))
+    assert convolution_inverse(identity(RATIONALS, 6), h.comonoid, h.monoid()) == h.antipode
+    assert calls == []
 
 
 # -- grouplikes ---------------------------------------------------------------

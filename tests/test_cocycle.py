@@ -1,15 +1,18 @@
 """Invertible cocycles and the truss equivalence."""
 
+from dataclasses import replace
+
 import pytest
 
 from conftest import (
     cyclic_table,
     cyclic_truss,
     permute_cocycle_source,
+    perturbed,
     truss_from_tables,
 )
 from trusslab import cocycle, hopftruss
-from trusslab.coalgebra import ComonoidData, NonUnitalBimonoidData
+from trusslab.coalgebra import ComonoidData, NonUnitalBimonoidData, verify_hopf_monoid
 from trusslab.cocycle import (
     CocycleMorphism,
     InvertibleCocycle,
@@ -207,6 +210,29 @@ def test_roundtrip_reuses_the_rebuilt_action(monkeypatch):
     # once, for the transported truss's own laws; reading it back as a
     # cocycle and the roundtrip.action check reuse that Gamma
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("broken", [False, True], ids=["lawful", "bad-antipode"])
+def test_roundtrip_verifies_the_hopf_part_once(monkeypatch, broken):
+    c = cocycle_of_truss(linearize(trivial_truss(symmetric_group(3)), RATIONALS))
+    if broken:
+        c = replace(c, hopf=replace(c.hopf, antipode=perturbed(c.hopf.antipode, 0, 1)))
+    calls = []
+
+    def counting(h, *args):
+        calls.append(h)
+        return verify_hopf_monoid(h, *args)
+    monkeypatch.setattr(hopftruss, "verify_hopf_monoid", counting)
+    monkeypatch.setattr(cocycle, "verify_hopf_monoid", counting)
+    rep = roundtrip_report(c)
+    assert rep.ok is not broken
+    # once, for c.hopf: the transported truss carries c.hopf's maps
+    # unchanged, so its h1.* checks are that report's checks
+    assert calls == [c.hopf]
+    fresh = [(ch.name, ch.passed, ch.residual) for ch in verify_hopf_monoid(c.hopf).checks]
+    for prefix in ("src.h.", "truss.h1."):
+        assert [(ch.name[len(prefix):], ch.passed, ch.residual)
+                for ch in rep.checks if ch.name.startswith(prefix)] == fresh
 
 
 # -- broken inputs ------------------------------------------------------------

@@ -1,5 +1,8 @@
 """Exact linear algebra: oracles, frozen bases, and algebraic properties."""
 
+import copy
+import dataclasses
+import pickle
 import random
 from fractions import Fraction
 
@@ -15,7 +18,7 @@ from trusslab.errors import (
     NotIdempotentError,
     NotInvertibleError,
 )
-from trusslab.fields import RATIONALS, prime_field
+from trusslab.fields import RATIONALS, FieldSpec, prime_field
 from trusslab.linmap import (
     LinMap,
     identity,
@@ -345,11 +348,18 @@ def test_entry_indices_must_be_ints(index):
             LinMap.basis_vector(field, 3, index)
 
 
-# -- differential tests of the rational fast path ------------------------------
+# -- differential tests of the reduce-once kernels ------------------------------
 #
-# Over Q a stored scalar is an int exactly when it is integral.  Every
-# operation is compared entry by entry with a dense reference below that
-# computes in Fraction only, and every output is checked for that form.
+# The kernels accumulate with native arithmetic and reduce each output
+# entry once.  Over Q a stored scalar is an int exactly when it is
+# integral; over F_p it is an int residue in [1, p).  Every operation is
+# compared entry by entry with a dense reference below that computes in
+# Fraction only, reduced mod p over a prime field, and every output is
+# checked for the canonical form.  Residues lean on p - 1, so raw sums
+# pass p many times before their one reduction.
+
+FIELDS = [RATIONALS] + [prime_field(p) for p in (2, 3, 5, 11)]
+ELIMINATION_FIELDS = [RATIONALS, prime_field(2), prime_field(3)]
 
 
 def assert_canonical(m):
@@ -359,6 +369,11 @@ def assert_canonical(m):
             assert value.denominator != 1
         else:
             assert type(value) is int
+            assert m.field.p is None or 0 < value < m.field.p
+
+
+def reduced(rows, field):
+    return rows if field.p is None else [[v % field.p for v in row] for row in rows]
 
 
 def dense(m):
@@ -371,9 +386,13 @@ def ref_compose(a, b, dom):
              for j in range(dom)] for i in range(len(a))]
 
 
-def ref_rref(rows, ncols):
-    # Gauss-Jordan in Fraction: leftmost pivot column, first nonzero row.
-    rows = [list(r) for r in rows]
+def ref_rref(rows, ncols, field=RATIONALS):
+    # Gauss-Jordan in Fraction, reduced mod p after every step over F_p:
+    # leftmost pivot column, first nonzero row.
+    def red(row):
+        return row if field.p is None else [v % field.p for v in row]
+
+    rows = [red(r) for r in rows]
     pivots = []
     for col in range(ncols):
         r0 = len(pivots)
@@ -381,10 +400,12 @@ def ref_rref(rows, ncols):
         if hit is None:
             continue
         rows[r0], rows[hit] = rows[hit], rows[r0]
-        rows[r0] = [v / rows[r0][col] for v in rows[r0]]
+        pivot = rows[r0][col]
+        inv = Fraction(1, pivot) if field.p is None else pow(int(pivot), -1, field.p)
+        rows[r0] = red([v * inv for v in rows[r0]])
         for r in range(len(rows)):
             if r != r0 and rows[r][col] != 0:
-                rows[r] = [x - rows[r][col] * y for x, y in zip(rows[r], rows[r0])]
+                rows[r] = red([x - rows[r][col] * y for x, y in zip(rows[r], rows[r0])])
         pivots.append(col)
     return rows, pivots
 
@@ -393,25 +414,35 @@ scalars = st.one_of(st.just(0), st.integers(-3, 3),
                     st.fractions(min_value=-3, max_value=3, max_denominator=4))
 
 
+def scalars_of(field):
+    if field is RATIONALS:
+        return scalars
+    return st.one_of(st.just(field.p - 1), st.integers(0, field.p - 1))
+
+
 @st.composite
-def rational_maps(draw, cod=None, dom=None):
+def exact_maps(draw, cod=None, dom=None, field=RATIONALS):
     cod = draw(st.integers(0, 4)) if cod is None else cod
     dom = draw(st.integers(0, 4)) if dom is None else dom
-    rows = draw(st.lists(st.lists(scalars, min_size=dom, max_size=dom),
+    rows = draw(st.lists(st.lists(scalars_of(field), min_size=dom, max_size=dom),
                          min_size=cod, max_size=cod))
-    return LinMap.from_rows(RATIONALS, rows, dom=dom)
+    return LinMap.from_rows(field, rows, dom=dom)
 
 
-@st.composite
-def composable(draw):
-    b = draw(rational_maps())
-    return draw(rational_maps(dom=b.cod)), b
+def over(fields, operands):
+    """A field drawn from `fields`, then `operands(field)` over it."""
+    return st.sampled_from(fields).flatmap(operands)
 
 
-@st.composite
-def same_shape(draw):
-    a = draw(rational_maps())
-    return a, draw(rational_maps(cod=a.cod, dom=a.dom))
+def composable():
+    return over(FIELDS, lambda field: exact_maps(field=field).flatmap(
+        lambda b: st.tuples(exact_maps(dom=b.cod, field=field), st.just(b))))
+
+
+def same_shape():
+    return over(FIELDS, lambda field: exact_maps(field=field).flatmap(
+        lambda a: st.tuples(st.just(a), exact_maps(a.cod, a.dom, field),
+                            scalars_of(field))))
 
 
 EXAMPLES = settings(deadline=None, max_examples=60)
@@ -423,41 +454,46 @@ def test_compose_matches_the_fraction_reference(pair):
     a, b = pair
     out = a @ b
     assert_canonical(out)
-    assert dense(out) == ref_compose(dense(a), dense(b), b.dom)
+    assert dense(out) == reduced(ref_compose(dense(a), dense(b), b.dom), a.field)
 
 
 @EXAMPLES
-@given(rational_maps(), rational_maps())
-def test_kron_matches_the_fraction_reference(a, b):
+@given(over(FIELDS, lambda field: st.tuples(exact_maps(field=field),
+                                            exact_maps(field=field))))
+def test_kron_matches_the_fraction_reference(pair):
+    a, b = pair
     out = kron(a, b)
     assert_canonical(out)
     da, db = dense(a), dense(b)
-    assert dense(out) == [[da[i1][j1] * db[i2][j2]
-                           for j1 in range(a.dom) for j2 in range(b.dom)]
-                          for i1 in range(a.cod) for i2 in range(b.cod)]
+    assert dense(out) == reduced([[da[i1][j1] * db[i2][j2]
+                                   for j1 in range(a.dom) for j2 in range(b.dom)]
+                                  for i1 in range(a.cod) for i2 in range(b.cod)], a.field)
 
 
 @EXAMPLES
-@given(same_shape(), scalars)
-def test_add_sub_scale_transpose_match_the_fraction_reference(pair, c):
-    a, b = pair
+@given(same_shape())
+def test_add_sub_scale_transpose_match_the_fraction_reference(operands):
+    a, b, c = operands
     da, db = dense(a), dense(b)
     outs = {"add": a + b, "sub": a - b, "neg": -a, "scale": a.scale(c),
             "transpose": a.transpose()}
     for out in outs.values():
         assert_canonical(out)
-    assert dense(outs["add"]) == [[x + y for x, y in zip(r, s)] for r, s in zip(da, db)]
-    assert dense(outs["sub"]) == [[x - y for x, y in zip(r, s)] for r, s in zip(da, db)]
-    assert dense(outs["neg"]) == [[-x for x in r] for r in da]
-    assert dense(outs["scale"]) == [[c * x for x in r] for r in da]
+    field = a.field
+    assert dense(outs["add"]) == reduced(
+        [[x + y for x, y in zip(r, s)] for r, s in zip(da, db)], field)
+    assert dense(outs["sub"]) == reduced(
+        [[x - y for x, y in zip(r, s)] for r, s in zip(da, db)], field)
+    assert dense(outs["neg"]) == reduced([[-x for x in r] for r in da], field)
+    assert dense(outs["scale"]) == reduced([[c * x for x in r] for r in da], field)
     assert dense(outs["transpose"]) == [[da[i][j] for i in range(a.cod)]
                                         for j in range(a.dom)]
 
 
 @EXAMPLES
-@given(rational_maps())
+@given(over(ELIMINATION_FIELDS, lambda field: exact_maps(field=field)))
 def test_rank_and_nullspace_match_the_fraction_reference(a):
-    _, pivots = ref_rref(dense(a), a.dom)
+    _, pivots = ref_rref(dense(a), a.dom, a.field)
     assert rank(a) == len(pivots)
     basis = nullspace(a)
     free = [j for j in range(a.dom) if j not in pivots]
@@ -467,16 +503,18 @@ def test_rank_and_nullspace_match_the_fraction_reference(a):
         column = [row[0] for row in dense(vec)]
         # The canonical vector of free column j: e_j on the free columns.
         assert [column[k] for k in free] == [int(k == j) for k in free]
-        assert all(v == 0 for row in ref_compose(dense(a), dense(vec), 1) for v in row)
+        assert all(v == 0 for row in reduced(ref_compose(dense(a), dense(vec), 1), a.field)
+                   for v in row)
 
 
 @EXAMPLES
-@given(st.integers(0, 4).flatmap(lambda n: rational_maps(cod=n, dom=n)))
+@given(over(ELIMINATION_FIELDS, lambda field: st.integers(0, 4).flatmap(
+    lambda n: exact_maps(n, n, field))))
 def test_invert_matches_the_fraction_reference(a):
     n = a.cod
     aug = [row + [Fraction(int(i == j)) for j in range(n)]
            for i, row in enumerate(dense(a))]
-    rows, pivots = ref_rref(aug, n)
+    rows, pivots = ref_rref(aug, n, a.field)
     if pivots != list(range(n)):
         with pytest.raises(NotInvertibleError):
             invert(a)
@@ -487,12 +525,12 @@ def test_invert_matches_the_fraction_reference(a):
 
 
 @EXAMPLES
-@given(st.integers(1, 4).flatmap(
-    lambda cod: st.tuples(rational_maps(cod=cod), rational_maps(cod=cod))))
+@given(over(ELIMINATION_FIELDS, lambda field: st.integers(1, 4).flatmap(
+    lambda cod: st.tuples(exact_maps(cod, field=field), exact_maps(cod, field=field)))))
 def test_solve_through_matches_the_fraction_reference(pair):
     a, b = pair
     n = a.dom
-    rows, pivots = ref_rref([r + s for r, s in zip(dense(a), dense(b))], n)
+    rows, pivots = ref_rref([r + s for r, s in zip(dense(a), dense(b))], n, a.field)
     consistent = all(v == 0 for row in rows[len(pivots):] for v in row[n:])
     if not consistent:
         with pytest.raises(InconsistentSystemError):
@@ -504,7 +542,7 @@ def test_solve_through_matches_the_fraction_reference(pair):
         x = solve_through(a, b)
         assert_canonical(x)
         assert dense(x) == [row[n:] for row in rows[:n]]
-        assert ref_compose(dense(a), dense(x), b.dom) == dense(b)
+        assert reduced(ref_compose(dense(a), dense(x), b.dom), a.field) == dense(b)
 
 
 def test_rational_inverse_is_int_exactly_when_integral():
@@ -520,12 +558,51 @@ def test_rational_inverse_is_int_exactly_when_integral():
     assert RATIONALS.zero == 0 and RATIONALS.one == 1
 
 
+def test_rational_sums_that_are_integral_or_cancel_store_an_int_or_nothing():
+    # Each kernel sums raw Fractions; the one reduction per entry must
+    # turn 1/3 + 2/3 into the int 1 and drop 1/3 + 2/3 - 1 altogether.
+    thirds = LinMap.from_rows(RATIONALS, [[Fraction(1, 3), Fraction(2, 3), Fraction(1, 2)]])
+    half = LinMap.from_rows(RATIONALS, [[Fraction(1, 2), Fraction(-1, 2)]])
+    outs = {
+        "compose": (thirds @ LinMap.from_rows(RATIONALS, [[1, 1], [1, 1], [0, 2]]),
+                    {(0, 0): 1, (0, 1): 2}),
+        "compose-cancel": (thirds @ LinMap.from_rows(RATIONALS, [[1], [1], [-2]]), {}),
+        "tensor_compose": (tensor_compose(thirds, identity(RATIONALS, 1),
+                                          LinMap.from_rows(RATIONALS, [[1, 2], [1, -1], [0, 2]])),
+                           {(0, 0): 1, (0, 1): 1}),
+        "tensor_compose-cancel": (tensor_compose(thirds, identity(RATIONALS, 1),
+                                                 LinMap.from_rows(RATIONALS, [[1], [1], [-2]])),
+                                  {}),
+        "kron": (kron(half, LinMap.from_rows(RATIONALS, [[2, 4]])),
+                 {(0, 0): 1, (0, 1): 2, (0, 2): -1, (0, 3): -2}),
+        "add": (half + half, {(0, 0): 1, (0, 1): -1}),
+        "add-cancel": (half + -half, {}),
+        "sub-cancel": (half - half, {}),
+        "scale": (half.scale(2), {(0, 0): 1, (0, 1): -1}),
+    }
+    for name, (out, expected) in outs.items():
+        assert dict(out.items()) == expected, name
+        assert all(type(v) is int for _, v in out.items()), name
+
+
+def test_reduce_is_bound_per_field_and_not_a_dataclass_field():
+    assert [f.name for f in dataclasses.fields(FieldSpec)] == ["kind", "p"]
+    f5 = prime_field(5)
+    assert repr(f5) == "FieldSpec(kind='Fp', p=5)"
+    for twin in (copy.copy(f5), copy.deepcopy(f5), pickle.loads(pickle.dumps(f5))):
+        assert twin == f5 and hash(twin) == hash(f5)
+        assert twin.reduce(-1) == 4 and twin.reduce(4 * 4 + 4) == 0
+        assert twin.mul(4, 4) == 1
+    q = pickle.loads(pickle.dumps(RATIONALS))
+    assert q == RATIONALS and type(q.reduce(Fraction(6, 3))) is int
+
+
 @EXAMPLES
 @given(same_shape(), st.booleans())
-def test_equation_agrees_with_the_residual(pair, equal):
-    lhs, rhs = pair
+def test_equation_agrees_with_the_residual(operands, equal):
+    lhs, rhs, _ = operands
     if equal:
-        rhs = LinMap.from_rows(RATIONALS, lhs.rows(), dom=lhs.dom)
+        rhs = LinMap.from_rows(lhs.field, lhs.rows(), dom=lhs.dom)
     result = equation("law", "lhs = rhs", lhs, rhs)
     residual = lhs - rhs
     assert result.passed == residual.is_zero()
@@ -535,13 +612,13 @@ def test_equation_agrees_with_the_residual(pair, equal):
 # -- tensor_compose against the materialising path ------------------------------
 #
 # tensor_compose(f, g, x) must equal kron(f, g) @ x, the path it replaces,
-# and a dense product computed in Fraction only (reduced mod p over F_5).
+# and a dense product computed in Fraction only (reduced mod p over F_p).
 
 
 @st.composite
 def tensor_operands(draw):
-    field = draw(st.sampled_from([RATIONALS, F5]))
-    values = scalars if field is RATIONALS else st.integers(0, 4)
+    field = draw(st.sampled_from(FIELDS))
+    values = scalars_of(field)
 
     def matrix(cod, dom):
         rows = draw(st.lists(st.lists(values, min_size=dom, max_size=dom),
@@ -561,10 +638,7 @@ def ref_tensor_compose(f, g, x):
     df, dg = dense(f), dense(g)
     fg = [[df[i1][j1] * dg[i2][j2] for j1 in range(f.dom) for j2 in range(g.dom)]
           for i1 in range(f.cod) for i2 in range(g.cod)]
-    out = ref_compose(fg, dense(x), x.dom)
-    if f.field is F5:
-        out = [[v % 5 for v in row] for row in out]
-    return out
+    return reduced(ref_compose(fg, dense(x), x.dom), f.field)
 
 
 @settings(deadline=None, max_examples=120)

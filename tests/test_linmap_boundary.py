@@ -1,7 +1,7 @@
 """LinMap's trusted constructor and its caches stay inside linmap.
 
-`LinMap._of` skips the shape and scalar checks of `LinMap(...)`, and
-`_by_col`/`_by_row` expose a map's cached entry lists, so a module that
+`LinMap._of` skips the index and scalar type checks of `LinMap(...)`,
+and `_by_col` exposes a map's cached column lists, so a module that
 named them could build an unchecked map or mutate a shared cache.  This
 test reads the source of every module and fails when any module other
 than linmap names them.  The one exception is coalgebra.diagonal, which
@@ -13,7 +13,7 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "trusslab"
-TRUSTED = {"_of", "_by_col", "_by_row"}
+TRUSTED = {"_of", "_by_col"}
 ALLOWED = {("coalgebra.py", "diagonal", "_of")}
 
 
