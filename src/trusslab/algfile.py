@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
 from .coalgebra import (
     ComonoidData,
@@ -78,30 +78,43 @@ def max_dim() -> int:
 
 @dataclass(frozen=True)
 class Kind:
-    """Everything the toolkit knows about one document kind.
+    """Everything the toolkit knows about one document kind: its tag, the
+    structure class it parses to, and that class's verifier.
 
-    `dims` names the document's dimensions with their cap power: a
-    carrier may be a product of two structure dimensions (free modules),
-    so it gets the square of the cap.  `parts` lists the components the
-    structure is assembled from, as (attribute, kind, renamed); their
-    maps come first in the document.  When `renamed` names a dimension,
-    the component's "dim" is that dimension and its maps are prefixed
-    "renamed.".  The maps of the type itself, with their shapes, are the
-    type's own MAPS declaration, which its constructor checks too.
+    The rest is read off the class's PARTS and MAPS declarations.  The
+    components' maps come first in the document; a component renamed to
+    a dim has its "dim" set to that dim and its maps prefixed
+    "renamed.".  The dims are the components' dims followed by the names
+    the class's own MAPS add.  Each dim is capped by TRUSSLAB_MAX_DIM,
+    except that a dim a structure adds on top of its components is a
+    module carrier, which may be a product of two capped dims (free
+    modules), and gets the square of the cap.
     """
 
     name: str
     type: type
-    dims: Tuple[Tuple[str, int], ...]
     verify: Callable
-    parts: Tuple[Tuple[str, str, Optional[str]], ...] = ()
+
+    @property
+    def dims(self) -> Tuple[Tuple[str, int], ...]:
+        """(name, cap power) of every dim, in document order."""
+        dims = {}
+        for _, cls, renamed in self.type.PARTS:
+            for key, power in _BY_TYPE[cls].dims:
+                dims[renamed or key] = power
+        power = 2 if self.type.PARTS else 1
+        for _, cod, dom in self.type.MAPS:
+            for key in f"{cod}*{dom}".split("*"):
+                if key != "1":
+                    dims.setdefault(key, power)
+        return tuple(dims.items())
 
     def _parts(self, dims, prefix):
-        for attr, kind, renamed in self.parts:
+        for attr, cls, renamed in self.type.PARTS:
             if renamed is None:
-                yield attr, REGISTRY[kind], dims, prefix
+                yield attr, _BY_TYPE[cls], dims, prefix
             else:
-                yield attr, REGISTRY[kind], {"dim": dims[renamed]}, f"{prefix}{renamed}."
+                yield attr, _BY_TYPE[cls], {"dim": dims[renamed]}, f"{prefix}{renamed}."
 
     def slots(self, dims: Dict[str, int], prefix: str = ""):
         """(document name, rows, columns) of every map, components first."""
@@ -123,7 +136,7 @@ class Kind:
         """The structure with these dims and these maps by document name."""
         args = {attr: part.build(part_dims, maps, part_prefix)
                 for attr, part, part_dims, part_prefix in self._parts(dims, prefix)}
-        if not self.parts:  # a structure with no components holds its dim
+        if not self.type.PARTS:  # a structure with no components holds its dim
             args["dim"] = dims["dim"]
         for name, _, _ in self.type.MAPS:
             args[name] = maps[prefix + name]
@@ -167,6 +180,8 @@ class _SetTrussKind(Kind):
     """Skew trusses on finite sets, stored as Cayley tables of 0-based
     indices in place of maps."""
 
+    dims = (("size", 1),)
+
     def parse(self, doc: dict, cap: int) -> SkewTruss:
         raw_dims = doc.get("dims")
         if not isinstance(raw_dims, dict) or sorted(raw_dims) != ["size"]:
@@ -207,36 +222,30 @@ class _SetTrussKind(Kind):
 
 
 REGISTRY: Dict[str, Kind] = {kind.name: kind for kind in (
-    Kind("comonoid", ComonoidData, (("dim", 1),), verify_comonoid),
-    Kind("monoid", MonoidData, (("dim", 1),), verify_monoid),
-    Kind("bimonoid", NonUnitalBimonoidData, (("dim", 1),), verify_nonunital_bimonoid,
-         (("comonoid", "comonoid", None),)),
-    Kind("hopf", HopfMonoidData, (("dim", 1),), verify_hopf_monoid,
-         (("comonoid", "comonoid", None),)),
-    Kind("hopftruss", HopfTruss, (("dim", 1),), verify_hopf_truss,
-         (("comonoid", "comonoid", None),)),
-    Kind("gic", InvertibleCocycle, (("source", 1), ("target", 1)), verify_cocycle,
-         (("bimonoid", "bimonoid", "source"), ("hopf", "hopf", "target"))),
-    Kind("trussmodule", TrussModule, (("dim", 1), ("carrier", 2)), verify_truss_module,
-         (("truss", "hopftruss", None),)),
-    Kind("pimodule", PiModule, (("source", 1), ("target", 1), ("carrier", 2), ("second", 2)),
-         verify_pi_module, (("system", "gic", None),)),
-    Kind("hopfmodule", HopfModuleData, (("dim", 1), ("carrier", 2)), verify_hopf_module,
-         (("hopf", "hopf", None),)),
-    Kind("trusshopfmodule", TrussHopfModule, (("dim", 1), ("carrier", 2)),
-         verify_truss_hopf_module, (("truss", "hopftruss", None),)),
-    _SetTrussKind("settruss", SkewTruss, (("size", 1),), verify_skew_truss),
+    Kind("comonoid", ComonoidData, verify_comonoid),
+    Kind("monoid", MonoidData, verify_monoid),
+    Kind("bimonoid", NonUnitalBimonoidData, verify_nonunital_bimonoid),
+    Kind("hopf", HopfMonoidData, verify_hopf_monoid),
+    Kind("hopftruss", HopfTruss, verify_hopf_truss),
+    Kind("gic", InvertibleCocycle, verify_cocycle),
+    Kind("trussmodule", TrussModule, verify_truss_module),
+    Kind("pimodule", PiModule, verify_pi_module),
+    Kind("hopfmodule", HopfModuleData, verify_hopf_module),
+    Kind("trusshopfmodule", TrussHopfModule, verify_truss_hopf_module),
+    _SetTrussKind("settruss", SkewTruss, verify_skew_truss),
 )}
 
 KINDS = tuple(REGISTRY)
 
+_BY_TYPE = {kind.type: kind for kind in REGISTRY.values()}
+
 
 def kind_of(obj) -> str:
     """The document kind tag for a structure object."""
-    for name, kind in REGISTRY.items():
-        if type(obj) is kind.type:
-            return name
-    raise TypeError(f"no document kind for {type(obj).__name__}")
+    kind = _BY_TYPE.get(type(obj))
+    if kind is None:
+        raise TypeError(f"no document kind for {type(obj).__name__}")
+    return kind.name
 
 
 def verify_structure(obj):

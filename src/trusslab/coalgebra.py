@@ -39,23 +39,62 @@ def dim_product(expr: str, dims) -> int:
     return math.prod(dims[name] for name in expr.split("*") if name != "1")
 
 
-def check_maps(bundle) -> None:
-    """Check every map the bundle's class declares in MAPS, as
-    (name, cod, dom) over the bundle's named `dims`: it lives over the
-    bundle's field and has the declared shape.  The document parser reads
-    the same declarations."""
-    dims = bundle.dims
-    for name, cod, dom in bundle.MAPS:
-        m = getattr(bundle, name)
-        bundle.field.require_same(m.field)
-        expected = (dim_product(cod, dims), dim_product(dom, dims))
-        if m.shape != expected:
-            raise DimensionMismatchError(
-                f"{name} has shape {m.shape}, expected {expected}")
+class Structure:
+    """Base of every structure that carries maps.
+
+    A subclass declares the components it is built on once, in PARTS, as
+    (attribute, class, renamed), and its own maps with their shapes in
+    MAPS, as (name, cod, dom) over named dims.  When `renamed` names a
+    dim, the component's "dim" becomes that dim.  The field, the dims and
+    the constructor check follow from these declarations, and the
+    document parser reads the same ones.
+    """
+
+    PARTS = ()
+    MAPS = ()
+
+    @property
+    def field(self) -> FieldSpec:
+        """The field of the first component, or of the first map."""
+        return getattr(self, (self.PARTS or self.MAPS)[0][0]).field
+
+    @property
+    def dims(self) -> dict:
+        """Every named dim: a structure with no components has its "dim";
+        otherwise the components' dims come first, renamed where declared,
+        and each dim the own maps add is the size of the first of them
+        that has that dim alone as codomain or domain."""
+        if not self.PARTS:
+            return {"dim": self.dim}
+        dims = {}
+        for attr, _, renamed in self.PARTS:
+            part = getattr(self, attr).dims
+            dims.update(part if renamed is None else {renamed: part["dim"]})
+        for name, cod, dom in self.MAPS:
+            m = getattr(self, name)
+            for expr, size in ((cod, m.cod), (dom, m.dom)):
+                if expr not in dims and expr != "1" and "*" not in expr:
+                    dims[expr] = size
+        return dims
+
+    def __post_init__(self) -> None:
+        """Every component and every declared map lives over the field, and
+        every map has its declared shape."""
+        field = self.field
+        for attr, _, _ in self.PARTS:
+            field.require_same(getattr(self, attr).field)
+        dims = self.dims
+        for name, cod, dom in self.MAPS:
+            m = getattr(self, name)
+            field.require_same(m.field)
+            expected = (dim_product(cod, dims), dim_product(dom, dims))
+            if m.shape != expected:
+                raise DimensionMismatchError(
+                    f"{name} has shape {m.shape}, expected {expected}")
 
 
 @dataclass(frozen=True)
-class ComonoidData:
+class ComonoidData(Structure):
     """Comonoid structure constants: delta (dim -> dim^2), epsilon (dim -> 1)."""
 
     dim: int
@@ -64,20 +103,9 @@ class ComonoidData:
 
     MAPS = (("delta", "dim*dim", "dim"), ("epsilon", "1", "dim"))
 
-    def __post_init__(self) -> None:
-        check_maps(self)
-
-    @property
-    def dims(self) -> dict:
-        return {"dim": self.dim}
-
-    @property
-    def field(self) -> FieldSpec:
-        return self.delta.field
-
 
 @dataclass(frozen=True)
-class MonoidData:
+class MonoidData(Structure):
     """Monoid structure constants: eta (1 -> dim), mu (dim^2 -> dim)."""
 
     dim: int
@@ -86,41 +114,20 @@ class MonoidData:
 
     MAPS = (("eta", "dim", "1"), ("mu", "dim", "dim*dim"))
 
-    def __post_init__(self) -> None:
-        check_maps(self)
-
-    @property
-    def dims(self) -> dict:
-        return {"dim": self.dim}
-
-    @property
-    def field(self) -> FieldSpec:
-        return self.mu.field
-
 
 @dataclass(frozen=True)
-class NonUnitalBimonoidData:
+class NonUnitalBimonoidData(Structure):
     """A comonoid with an associative product that is a comonoid morphism."""
 
     comonoid: ComonoidData
     mu: LinMap
 
+    PARTS = (("comonoid", ComonoidData, None),)
     MAPS = (("mu", "dim", "dim*dim"),)
-
-    def __post_init__(self) -> None:
-        check_maps(self)
 
     @property
     def dim(self) -> int:
         return self.comonoid.dim
-
-    @property
-    def dims(self) -> dict:
-        return self.comonoid.dims
-
-    @property
-    def field(self) -> FieldSpec:
-        return self.comonoid.field
 
     @property
     def delta(self) -> LinMap:
@@ -132,7 +139,7 @@ class NonUnitalBimonoidData:
 
 
 @dataclass(frozen=True)
-class HopfMonoidData:
+class HopfMonoidData(Structure):
     """Unital bimonoid with antipode."""
 
     comonoid: ComonoidData
@@ -140,22 +147,12 @@ class HopfMonoidData:
     mu: LinMap
     antipode: LinMap
 
+    PARTS = (("comonoid", ComonoidData, None),)
     MAPS = (("eta", "dim", "1"), ("mu", "dim", "dim*dim"), ("antipode", "dim", "dim"))
-
-    def __post_init__(self) -> None:
-        check_maps(self)
 
     @property
     def dim(self) -> int:
         return self.comonoid.dim
-
-    @property
-    def dims(self) -> dict:
-        return self.comonoid.dims
-
-    @property
-    def field(self) -> FieldSpec:
-        return self.comonoid.field
 
     @property
     def delta(self) -> LinMap:
@@ -348,26 +345,25 @@ def to_hopf_monoid(b: NonUnitalBimonoidData, eta: LinMap) -> HopfMonoidData:
 
 
 def find_unit(mu: LinMap) -> LinMap | None:
-    """The unique two-sided unit of mu as a 1-column map, if one exists."""
+    """The unique two-sided unit of mu as a 1-column map, if one exists.
+
+    The unknown u solves mu(u (x) e_c) = e_c (rows r·n+c) and
+    mu(e_c (x) u) = e_c (rows n²+r·n+c), so mu's entry at (r, a·n+b) is
+    the coefficient of u_a in row r·n+b and of u_b in row n²+r·n+a.
+    """
     field = mu.field
     n = mu.cod
     if mu.dom != n * n:
         raise DimensionMismatchError("find_unit expects mu: dim^2 -> dim")
-    rows = []
-    rhs_rows = []
-    one, zero = field.one, field.zero
-    for r in range(n):
-        for c in range(n):
-            rows.append([mu.entry(r, k * n + c) for k in range(n)])
-            rhs_rows.append([one if r == c else zero])
-    for r in range(n):
-        for c in range(n):
-            rows.append([mu.entry(r, c * n + k) for k in range(n)])
-            rhs_rows.append([one if r == c else zero])
-    system = LinMap.from_rows(field, rows, dom=n)
-    rhs = LinMap.from_rows(field, rhs_rows, dom=1)
+    half = n * n
+    system = {}
+    for (r, col), v in mu.items():
+        a, b = divmod(col, n)
+        system[(r * n + b, a)] = system[(half + r * n + a, b)] = v
+    rhs = {(h + r * n + r, 0): field.one for h in (0, half) for r in range(n)}
     try:
-        return solve_through(system, rhs)
+        return solve_through(LinMap(field, 2 * half, n, system),
+                             LinMap(field, 2 * half, 1, rhs))
     except (InconsistentSystemError, AmbiguousSystemError):
         return None
 

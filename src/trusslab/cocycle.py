@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .coalgebra import (
     HopfMonoidData,
     NonUnitalBimonoidData,
-    check_maps,
+    Structure,
     diagonal,
     find_unit,
     solve_antipode,
@@ -39,27 +39,17 @@ from .report import VerificationReport, condition, equation
 
 
 @dataclass(frozen=True)
-class InvertibleCocycle:
+class InvertibleCocycle(Structure):
     bimonoid: NonUnitalBimonoidData
     hopf: HopfMonoidData
     cocycle: LinMap
     twist: LinMap
     action: LinMap
 
+    PARTS = (("bimonoid", NonUnitalBimonoidData, "source"),
+             ("hopf", HopfMonoidData, "target"))
     MAPS = (("cocycle", "target", "source"), ("twist", "source", "source"),
             ("action", "target", "source*target"))
-
-    def __post_init__(self) -> None:
-        self.bimonoid.field.require_same(self.hopf.field)
-        check_maps(self)
-
-    @property
-    def field(self):
-        return self.bimonoid.field
-
-    @property
-    def dims(self) -> dict:
-        return {"source": self.bimonoid.dim, "target": self.hopf.dim}
 
 
 @dataclass(frozen=True)
@@ -215,7 +205,7 @@ def roundtrip_report(c: InvertibleCocycle) -> VerificationReport:
             "roundtrip.transport", "pi is invertible", False,
             "cocycle map is singular, cannot transport"))
     # t carries c.hopf's maps unchanged, so its Hopf part is verified already.
-    truss_rep, gamma = _verify_hopf_truss(t, hopf_rep if t.hopf_part() == c.hopf else None)
+    truss_rep, gamma = _verify_hopf_truss(t, hopf_rep)
     rep = rep.merged(truss_rep, prefix="truss.")
     back = _cocycle_of_truss(t, gamma)
     idh = identity(c.field, c.hopf.dim)

@@ -11,6 +11,7 @@ linear-algebra code is field generic.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -18,6 +19,10 @@ from typing import Union
 from .errors import FieldMismatchError, ParseError
 
 Scalar = Union[Fraction, int]
+
+# The text of a scalar: a signed ASCII-digit numerator, and over Q an
+# optional ASCII-digit denominator.
+_SCALAR = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 RATIONAL_KIND = "Q"
 PRIME_KIND = "Fp"
@@ -128,20 +133,27 @@ class FieldSpec:
     # -- text forms -----------------------------------------------------
 
     def parse(self, text: str) -> Scalar:
-        """Parse the serialized form: "a/b" or "a" over Q, a residue over Fp."""
+        """Parse the serialized form: "a/b" or "a" over Q, a residue over Fp.
+
+        Only ASCII digits with an optional sign are read, and over Q an
+        optional "/" and ASCII-digit denominator; surrounding whitespace
+        is stripped.  Other forms that int or Fraction would take ("0.5",
+        "1e3", "1_000", non-ASCII digits) are refused.
+        """
         if not isinstance(text, str):
             raise ParseError(f"scalar must be a string, got {text!r}")
         text = text.strip()
-        if self.kind == RATIONAL_KIND:
-            try:
-                return _rational(Fraction(text))
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ParseError(f"bad rational scalar {text!r}") from exc
+        form = _SCALAR.fullmatch(text)
+        rational = self.kind == RATIONAL_KIND
         try:
-            value = int(text)
-        except ValueError as exc:
-            raise ParseError(f"bad F_{self.p} scalar {text!r}") from exc
-        if not 0 <= value < self.p:
+            if form is None or not rational and form[2] is not None:
+                raise ValueError(text)
+            num, den = form.groups()
+            value = int(num) if den is None else _rational(Fraction(int(num), int(den)))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ParseError(f"bad {'rational' if rational else f'F_{self.p}'} scalar "
+                             f"{text!r}") from exc
+        if not rational and not 0 <= value < self.p:
             raise ParseError(f"residue {value} out of range for F_{self.p}")
         return value
 

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coalgebra import ComonoidData, HopfMonoidData, check_maps, diagonal
+from .coalgebra import ComonoidData, HopfMonoidData, Structure, diagonal
 from .errors import DimensionMismatchError, InvalidStructureError, TrussLabError
-from .fields import FieldSpec
 from .hopftruss import HopfTruss
 from .linmap import LinMap, identity, kron, nullspace, solve_through, tensor_compose
 from .modules import TrussModule, verify_truss_module
@@ -26,61 +25,41 @@ from .report import VerificationReport, condition, equation
 
 
 @dataclass(frozen=True)
-class ComoduleData:
+class ComoduleData(Structure):
     """Carrier with a coaction of a comonoid on the left."""
 
     comonoid: ComonoidData
     coaction: LinMap
 
+    PARTS = (("comonoid", ComonoidData, None),)
     MAPS = (("coaction", "dim*carrier", "carrier"),)
-
-    def __post_init__(self) -> None:
-        check_maps(self)
-
-    @property
-    def field(self) -> FieldSpec:
-        return self.comonoid.field
 
     @property
     def mdim(self) -> int:
         return self.coaction.dom
 
-    @property
-    def dims(self) -> dict:
-        return {**self.comonoid.dims, "carrier": self.mdim}
-
 
 @dataclass(frozen=True)
-class HopfModuleData:
+class HopfModuleData(Structure):
     """Module and comodule over one Hopf monoid, compatibly."""
 
     hopf: HopfMonoidData
     action: LinMap
     coaction: LinMap
 
+    PARTS = (("hopf", HopfMonoidData, None),)
     MAPS = (("action", "carrier", "dim*carrier"),) + ComoduleData.MAPS
-
-    def __post_init__(self) -> None:
-        check_maps(self)
-
-    @property
-    def field(self) -> FieldSpec:
-        return self.hopf.field
 
     @property
     def mdim(self) -> int:
         return self.action.cod
-
-    @property
-    def dims(self) -> dict:
-        return {**self.hopf.dims, "carrier": self.mdim}
 
     def comodule(self) -> ComoduleData:
         return ComoduleData(self.hopf.comonoid, self.coaction)
 
 
 @dataclass(frozen=True)
-class TrussHopfModule:
+class TrussHopfModule(Structure):
     """Truss module that is also a comodule, compatible with both products."""
 
     truss: HopfTruss
@@ -88,22 +67,12 @@ class TrussHopfModule:
     act2: LinMap
     coaction: LinMap
 
+    PARTS = TrussModule.PARTS
     MAPS = TrussModule.MAPS + ComoduleData.MAPS
-
-    def __post_init__(self) -> None:
-        check_maps(self)
-
-    @property
-    def field(self) -> FieldSpec:
-        return self.truss.field
 
     @property
     def mdim(self) -> int:
         return self.act1.cod
-
-    @property
-    def dims(self) -> dict:
-        return {**self.truss.dims, "carrier": self.mdim}
 
     def hopf_module(self) -> HopfModuleData:
         return HopfModuleData(self.truss.hopf_part(), self.act1, self.coaction)

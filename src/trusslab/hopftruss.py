@@ -16,7 +16,7 @@ from .coalgebra import (
     ComonoidData,
     HopfMonoidData,
     NonUnitalBimonoidData,
-    check_maps,
+    Structure,
     diagonal,
     find_unit,
     solve_antipode,
@@ -24,13 +24,12 @@ from .coalgebra import (
     verify_nonunital_bimonoid,
 )
 from .errors import DimensionMismatchError, NoAntipodeError
-from .fields import FieldSpec
 from .linmap import LinMap, identity, kron, tensor_compose
 from .report import VerificationReport, equation
 
 
 @dataclass(frozen=True)
-class HopfTruss:
+class HopfTruss(Structure):
     """Shared comonoid, Hopf product mu1, second product mu2, cocycle."""
 
     comonoid: ComonoidData
@@ -40,23 +39,13 @@ class HopfTruss:
     antipode: LinMap
     cocycle: LinMap
 
+    PARTS = (("comonoid", ComonoidData, None),)
     MAPS = (("eta", "dim", "1"), ("mu1", "dim", "dim*dim"), ("mu2", "dim", "dim*dim"),
             ("antipode", "dim", "dim"), ("cocycle", "dim", "dim"))
-
-    def __post_init__(self) -> None:
-        check_maps(self)
 
     @property
     def dim(self) -> int:
         return self.comonoid.dim
-
-    @property
-    def dims(self) -> dict:
-        return self.comonoid.dims
-
-    @property
-    def field(self) -> FieldSpec:
-        return self.comonoid.field
 
     def hopf_part(self) -> HopfMonoidData:
         return HopfMonoidData(self.comonoid, self.eta, self.mu1, self.antipode)

@@ -146,10 +146,6 @@ class LinMap:
             out[i][j] = value
         return out
 
-    def column(self, j: int) -> "LinMap":
-        entries = {(i, 0): v for (i, jj), v in self._entries.items() if jj == j}
-        return LinMap._of(self.field, self.cod, 1, entries)
-
     def is_zero(self) -> bool:
         return not self._entries
 

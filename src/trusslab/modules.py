@@ -25,46 +25,35 @@ from .cocycle import (
     cocycle_of_truss,
     truss_of_cocycle,
 )
-from .coalgebra import check_maps, diagonal
+from .coalgebra import Structure, diagonal
 from .errors import (
     DimensionMismatchError,
     InvalidStructureError,
     NotInvertibleError,
 )
-from .fields import FieldSpec
 from .hopftruss import HopfTruss, twisted_action, twisted_product
 from .linmap import LinMap, identity, invert, kron
 from .report import VerificationReport, condition, equation
 
 
 @dataclass(frozen=True)
-class TrussModule:
+class TrussModule(Structure):
     """Carrier with a unital action of mu1 and a plain action of mu2."""
 
     truss: HopfTruss
     act1: LinMap
     act2: LinMap
 
+    PARTS = (("truss", HopfTruss, None),)
     MAPS = (("act1", "carrier", "dim*carrier"), ("act2", "carrier", "dim*carrier"))
-
-    def __post_init__(self) -> None:
-        check_maps(self)
-
-    @property
-    def field(self) -> FieldSpec:
-        return self.truss.field
 
     @property
     def mdim(self) -> int:
         return self.act1.cod
 
-    @property
-    def dims(self) -> dict:
-        return {**self.truss.dims, "carrier": self.mdim}
-
 
 @dataclass(frozen=True)
-class PiModule:
+class PiModule(Structure):
     """Module over an invertible cocycle: two carriers, three actions.
 
     hopf_action makes the main carrier a unital module over the Hopf
@@ -79,17 +68,11 @@ class PiModule:
     base_action: LinMap
     compare: LinMap
 
+    PARTS = (("system", InvertibleCocycle, None),)
     MAPS = (("mixed_action", "carrier", "source*carrier"),
             ("hopf_action", "carrier", "target*carrier"),
             ("base_action", "second", "source*second"),
             ("compare", "carrier", "second"))
-
-    def __post_init__(self) -> None:
-        check_maps(self)
-
-    @property
-    def field(self) -> FieldSpec:
-        return self.system.field
 
     @property
     def mdim(self) -> int:
@@ -98,10 +81,6 @@ class PiModule:
     @property
     def ndim(self) -> int:
         return self.compare.dom
-
-    @property
-    def dims(self) -> dict:
-        return {**self.system.dims, "carrier": self.mdim, "second": self.ndim}
 
 
 def module_twisted_action(m: TrussModule) -> LinMap:

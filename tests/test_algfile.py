@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import cyclic_truss, sample_objects
 
@@ -10,7 +12,6 @@ from trusslab import algfile, cli
 from trusslab.coalgebra import ComonoidData, MonoidData
 from trusslab.errors import DimensionLimitError, DimensionMismatchError, ParseError
 from trusslab.fields import RATIONALS, prime_field
-from trusslab.hopfmodules import induction_functor
 from trusslab.linmap import LinMap
 from trusslab.settruss import cyclic_group, trivial_truss, verify_skew_truss
 
@@ -139,7 +140,12 @@ def test_rejects_missing_and_surplus_maps():
     ([["1", "x"], ["0", "1"]], r"entry \[0\]\[1\]"),
     ([["1", "1/0"], ["0", "1"]], r"entry \[0\]\[1\]"),
     ([["1", 0], ["0", "1"]], "must be a string"),
-], ids=["row-count", "column-count", "junk-scalar", "zero-denominator", "bare-int"])
+    ([["1", "0.5"], ["0", "1"]], r"entry \[0\]\[1\]: bad rational scalar"),
+    ([["1", "1e3"], ["0", "1"]], r"entry \[0\]\[1\]: bad rational scalar"),
+    ([["1", "1_000"], ["0", "1"]], r"entry \[0\]\[1\]: bad rational scalar"),
+    ([["1", "\u0663"], ["0", "1"]], r"entry \[0\]\[1\]: bad rational scalar"),
+], ids=["row-count", "column-count", "junk-scalar", "zero-denominator", "bare-int",
+        "decimal-point", "exponent", "digit-separator", "non-ascii-digit"])
 def test_rejects_malformed_matrices(rows, message):
     doc = algfile.document_of(cyclic_truss(RATIONALS, 2))
     doc["maps"]["cocycle"] = rows
@@ -148,11 +154,15 @@ def test_rejects_malformed_matrices(rows, message):
 
 
 def test_prime_field_scalars_must_be_reduced_residues():
-    doc = algfile.document_of(cyclic_truss(F5, 2))
-    for bad in ("7", "-1", "1/2"):
+    # "1_0" reads as 10 and "\u0663" (Arabic-Indic three) as 3 through int()
+    for p, bad in ((5, "7"), (5, "-1"), (5, "1/2"), (5, "\u0663"), (11, "1_0")):
+        doc = algfile.document_of(cyclic_truss(prime_field(p), 2))
         doc["maps"]["cocycle"] = [[bad, "0"], ["0", "1"]]
         with pytest.raises(ParseError):
             algfile.parse_document(doc)
+    # surrounding whitespace and a plus sign are still read
+    doc["maps"]["cocycle"] = [[" 1 ", "0"], ["0", "+1"]]
+    assert algfile.parse_document(doc) == cyclic_truss(prime_field(11), 2)
 
 
 def test_settruss_document_shape_errors():
@@ -197,15 +207,69 @@ def test_dimension_cap_applies_at_parse_time(monkeypatch):
     assert algfile.parse_document(doc) == cyclic_truss(RATIONALS, 3)
 
 
-def test_carrier_dimension_gets_the_squared_cap(monkeypatch):
-    h = cyclic_truss(RATIONALS, 2)
-    module = induction_functor(h, 2)  # carrier 4 over a dim-2 truss
-    doc = algfile.document_of(module)
+# Every map kind's dims with their cap power, as the parser has always
+# capped them: a module carrier may be a product of two capped dims.
+DIM_CAPS = {
+    "comonoid": (("dim", 1),),
+    "monoid": (("dim", 1),),
+    "bimonoid": (("dim", 1),),
+    "hopf": (("dim", 1),),
+    "hopftruss": (("dim", 1),),
+    "gic": (("source", 1), ("target", 1)),
+    "trussmodule": (("dim", 1), ("carrier", 2)),
+    "pimodule": (("source", 1), ("target", 1), ("carrier", 2), ("second", 2)),
+    "hopfmodule": (("dim", 1), ("carrier", 2)),
+    "trusshopfmodule": (("dim", 1), ("carrier", 2)),
+}
+
+
+def zero_document(kind, dims):
+    """A document of `kind` over Q with these dims whose maps are all zero."""
+    return {"kind": kind, "field": {"kind": "Q"}, "dims": dims,
+            "maps": {name: [["0"] * cols for _ in range(rows)]
+                     for name, rows, cols in algfile.REGISTRY[kind].slots(dims)}}
+
+
+@pytest.mark.parametrize("kind", DIM_CAPS)
+def test_carrier_dimension_gets_the_squared_cap(monkeypatch, kind):
+    assert algfile.REGISTRY[kind].dims == DIM_CAPS[kind]
     monkeypatch.setenv("TRUSSLAB_MAX_DIM", "2")
-    assert algfile.parse_document(doc) == module
-    doc["dims"]["carrier"] = 5
-    with pytest.raises(DimensionLimitError):
-        algfile.parse_document(doc)
+    for key, power in DIM_CAPS[kind]:
+        dims = {name: 1 for name, _ in DIM_CAPS[kind]}
+        dims[key] = 2 ** power
+        doc = zero_document(kind, dims)
+        assert algfile.parse_document(doc).dims == dims
+        doc["dims"][key] += 1
+        with pytest.raises(DimensionLimitError, match=f"dimension {key}="):
+            algfile.parse_document(doc)
+
+
+@settings(deadline=None, max_examples=25)
+@given(data=st.data())
+@pytest.mark.parametrize("field", [RATIONALS, F5], ids=str)
+@pytest.mark.parametrize("kind", DIM_CAPS)
+def test_every_kind_round_trips_random_maps(kind, field, data):
+    # The constructors take any maps of the declared shapes, so random
+    # entries suffice; zero dims read carriers off 0 x n maps.
+    row = algfile.REGISTRY[kind]
+    dims = {name: data.draw(st.integers(0, 3), label=name) for name, _ in row.dims}
+    scalar = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)).map(field.coerce) \
+        if field is RATIONALS else st.integers(0, 4)
+    maps = {}
+    for name, rows, cols in row.slots(dims):
+        entries = data.draw(st.dictionaries(st.integers(0, max(rows * cols - 1, 0)), scalar,
+                                            max_size=min(rows * cols, 8)), label=name)
+        maps[name] = LinMap(field, rows, cols, {divmod(k, cols): v
+                                                for k, v in entries.items()})
+    obj = row.build(dims, maps)
+    assert obj.dims == dims
+    text = algfile.serialize(obj)
+    back = algfile.loads(text)
+    assert back == obj and algfile.serialize(back) == text
+    for name, m in maps.items():
+        grown = LinMap(field, m.cod + 1, m.dom, dict(m.items()))
+        with pytest.raises(DimensionMismatchError):
+            row.build(dims, {**maps, name: grown})
 
 
 def test_settruss_size_is_capped(monkeypatch):

@@ -34,6 +34,7 @@ from trusslab.coalgebra import (
 )
 from trusslab.cocycle import cocycle_of_truss, roundtrip_report, verify_cocycle
 from trusslab.errors import (
+    AmbiguousSystemError,
     BoundExceededError,
     DimensionMismatchError,
     FieldMismatchError,
@@ -48,6 +49,8 @@ from trusslab.linmap import LinMap, identity, invert, kron, rank, solve_through,
 from trusslab.modules import verify_pi_module, verify_truss_module
 from trusslab.settruss import (
     cyclic_group,
+    enumerate_skew_trusses,
+    isomorphism_classes,
     linearize,
     right_projection_truss,
     symmetric_group,
@@ -468,6 +471,53 @@ def test_find_unit():
     assert find_unit(h.mu) == h.eta
     no_unit = LinMap.zero(RATIONALS, 2, 4)
     assert find_unit(no_unit) is None
+
+
+def reference_find_unit(mu):
+    """find_unit from a dense system of 2n³ entry reads, row by row."""
+    field = mu.field
+    n = mu.cod
+    rows, rhs_rows = [], []
+    for r in range(n):
+        for c in range(n):
+            rows.append([mu.entry(r, k * n + c) for k in range(n)])
+            rhs_rows.append([field.one if r == c else field.zero])
+    for r in range(n):
+        for c in range(n):
+            rows.append([mu.entry(r, c * n + k) for k in range(n)])
+            rhs_rows.append([field.one if r == c else field.zero])
+    try:
+        return solve_through(LinMap.from_rows(field, rows, dom=n),
+                             LinMap.from_rows(field, rhs_rows, dom=1))
+    except (InconsistentSystemError, AmbiguousSystemError):
+        return None
+
+
+def test_find_unit_matches_the_dense_reference():
+    # Both products of every truss over Z2-Z4, of every 50th class over S3,
+    # and of every 8th of these moved along a unitriangular map (not
+    # basis-diagonal, fractional over Q), over Q and F_5.
+    trusses = [t for g in (cyclic_group(2), cyclic_group(3), cyclic_group(4))
+               for t in enumerate_skew_trusses(g)]
+    trusses += [c[0] for c in isomorphism_classes(
+        enumerate_skew_trusses(symmetric_group(3), max_size=6))[::50]]
+    for field in (RATIONALS, F5):
+        linear = [linearize(t, field) for t in trusses]
+        linear += [moved_truss(h, unitriangular(field, h.dim)) for h in linear[::8]]
+        found = 0
+        for h in linear:
+            for mu in (h.mu1, h.mu2):
+                unit = find_unit(mu)
+                assert unit == reference_find_unit(mu)
+                found += unit is not None
+            assert find_unit(h.mu1) == h.eta
+        assert len(linear) < found < 2 * len(linear)  # some second products have no unit
+        # a (x) b -> a has no unit; e0 is the only right unit of the next
+        # product and the only left unit of its mirror, and neither is two-sided
+        for entries in ({(a, 2 * a + b): 1 for a in range(2) for b in range(2)},
+                        {(0, 0): 1, (1, 2): 1, (1, 3): 1}, {(0, 0): 1, (1, 1): 1, (1, 3): 1}):
+            no_unit = LinMap(field, 2, 4, entries)
+            assert find_unit(no_unit) is None and reference_find_unit(no_unit) is None
 
 
 def test_cocommutativity_flag():

@@ -9,6 +9,7 @@ from conftest import (
     cyclic_truss,
     permute_cocycle_source,
     perturbed,
+    sample_objects,
     truss_from_tables,
 )
 from trusslab import cocycle, hopftruss
@@ -195,6 +196,16 @@ def test_roundtrip_report_passes_on_transported_cocycles():
         rep = roundtrip_report(c)
         assert rep.ok, str(rep)
         assert rep.named("roundtrip.action").passed
+
+
+def test_transported_truss_carries_the_hopf_part_unchanged():
+    # roundtrip_report merges the report of c.hopf as the truss's h1.*
+    # checks, which holds because transport keeps the Hopf part as is.
+    samples = dict(sample_objects())
+    base = cocycle_of_truss(right_projection_truss(F5, 3))
+    for c in (samples["gic"], samples["pimodule"].system, base,
+              permute_cocycle_source(base, (2, 0, 1)), shear_source(base)):
+        assert truss_of_cocycle(c).hopf_part() == c.hopf
 
 
 def test_roundtrip_reuses_the_rebuilt_action(monkeypatch):
