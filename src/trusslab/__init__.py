@@ -47,7 +47,6 @@ from .hopftruss import (
 )
 from .linmap import (
     LinMap,
-    compose,
     identity,
     invert,
     kron,
@@ -55,8 +54,6 @@ from .linmap import (
     rank,
     solve_through,
     split_idempotent,
-    swap,
-    zero_map,
 )
 from .modules import (
     PiModule,

@@ -37,7 +37,7 @@ from .coalgebra import (
 )
 from .cocycle import InvertibleCocycle, verify_cocycle
 from .errors import DimensionLimitError, ParseError
-from .fields import PRIME_KIND, RATIONAL_KIND, RATIONALS, FieldSpec, prime_field
+from .fields import PRIME_KIND, RATIONAL_KIND, RATIONALS, FieldSpec, ascii_int, prime_field
 from .hopfmodules import (
     HopfModuleData,
     TrussHopfModule,
@@ -65,9 +65,9 @@ def max_dim() -> int:
     if raw is None:
         return DEFAULT_MAX_DIM
     try:
-        cap = int(raw)
+        cap = ascii_int(raw)
     except ValueError as exc:
-        raise ParseError(f"TRUSSLAB_MAX_DIM must be an integer, got {raw!r}") from exc
+        raise ParseError(f"TRUSSLAB_MAX_DIM must be an ASCII integer, got {raw!r}") from exc
     if cap < 1:
         raise ParseError(f"TRUSSLAB_MAX_DIM must be positive, got {cap}")
     return cap

@@ -18,7 +18,7 @@ import sys
 from . import algfile
 from .cocycle import InvertibleCocycle, cocycle_of_truss, truss_of_cocycle
 from .errors import BoundExceededError, ParseError, TrussLabError
-from .fields import RATIONALS
+from .fields import RATIONALS, ascii_int
 from .hopfmodules import TrussHopfModule, fundamental_iso
 from .hopftruss import HopfTruss
 from .report import VerificationReport, equation
@@ -219,7 +219,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="list every skew truss over a fixed group")
     enum.add_argument("--group", required=True,
                       help="Zn, S3, or a JSON file holding a Cayley table")
-    enum.add_argument("--max", type=int, default=6,
+    enum.add_argument("--max", type=ascii_int, default=6,
                       help="largest carrier size to attempt (default 6; "
                            "sizes above 7 are always refused)")
     enum.add_argument("--out", help="write the listing here instead of stdout")

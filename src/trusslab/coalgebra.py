@@ -5,8 +5,8 @@ return a VerificationReport whose checks are exact matrix identities.
 All composite maps follow the left-major tensor convention of linmap.
 
 The braiding enters the laws here only: diagonal builds every composite
-that moves a coproduct leg past another factor, in every module, and the
-tensor_* products and is_cocommutative are its only other uses.
+that moves a coproduct leg past another factor, in every module, and no
+other code forms a braid.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .errors import (
     NoAntipodeError,
 )
 from .fields import PRIME_KIND, FieldSpec
-from .linmap import LinMap, identity, kron, solve_through, swap, tensor_compose
+from .linmap import LinMap, identity, kron, solve_through, tensor_compose
 from .report import VerificationReport, equation
 
 # grouplikes scans every vector of a comonoid that is not basis-diagonal
@@ -172,11 +172,6 @@ class HopfMonoidData(Structure):
 # -- composite helpers -----------------------------------------------------
 
 
-def tensor_flip_middle(field: FieldSpec, a: int, b: int, c: int, d: int) -> LinMap:
-    """id_a (x) swap(b, c) (x) id_d as one map."""
-    return kron(kron(identity(field, a), swap(b, c, field)), identity(field, d))
-
-
 def diagonal(delta: LinMap, f: LinMap, g: LinMap) -> LinMap:
     """(f (x) g)∘(id_A (x) swap(A, X) (x) id_Y)∘(delta (x) id_X (x) id_Y).
 
@@ -268,10 +263,6 @@ def verify_hopf_monoid(h: HopfMonoidData, subject: str = "hopf") -> Verification
     return rep
 
 
-def is_cocommutative(c: ComonoidData) -> bool:
-    return swap(c.dim, c.dim, c.field) @ c.delta == c.delta
-
-
 # -- convolution -------------------------------------------------------------
 
 
@@ -337,11 +328,6 @@ def solve_antipode(b: NonUnitalBimonoidData, eta: LinMap) -> LinMap:
     """Convolution inverse of the identity for a unital bimonoid."""
     target = MonoidData(b.dim, eta, b.mu)
     return convolution_inverse(identity(b.field, b.dim), b.comonoid, target)
-
-
-def to_hopf_monoid(b: NonUnitalBimonoidData, eta: LinMap) -> HopfMonoidData:
-    """Promote a unital bimonoid to a Hopf monoid, solving for the antipode."""
-    return HopfMonoidData(b.comonoid, eta, b.mu, solve_antipode(b, eta))
 
 
 def find_unit(mu: LinMap) -> LinMap | None:
@@ -411,39 +397,3 @@ def grouplikes(c: ComonoidData) -> List[LinMap]:
             "grouplike scan is incomplete: coproduct is not basis-diagonal "
             "and the field is not finite")
     return [v for v in candidates if c.epsilon @ v == one and c.delta @ v == kron(v, v)]
-
-
-# -- tensor products -----------------------------------------------------------
-
-
-def tensor_comonoid(x: ComonoidData, y: ComonoidData) -> ComonoidData:
-    x.field.require_same(y.field)
-    n, m = x.dim, y.dim
-    delta = tensor_flip_middle(x.field, n, n, m, m) @ kron(x.delta, y.delta)
-    return ComonoidData(n * m, delta, kron(x.epsilon, y.epsilon))
-
-
-def _tensor_mu(x, y) -> LinMap:
-    """The product of X (x) Y: (mu_X (x) mu_Y)∘(id (x) swap (x) id)."""
-    return kron(x.mu, y.mu) @ tensor_flip_middle(x.field, x.dim, y.dim, x.dim, y.dim)
-
-
-def tensor_monoid(x: MonoidData, y: MonoidData) -> MonoidData:
-    x.field.require_same(y.field)
-    return MonoidData(x.dim * y.dim, kron(x.eta, y.eta), _tensor_mu(x, y))
-
-
-def tensor_structure(x, y):
-    """Tensor product of two like bundles, with the symmetric braiding."""
-    if isinstance(x, ComonoidData) and isinstance(y, ComonoidData):
-        return tensor_comonoid(x, y)
-    if isinstance(x, MonoidData) and isinstance(y, MonoidData):
-        return tensor_monoid(x, y)
-    if isinstance(x, NonUnitalBimonoidData) and isinstance(y, NonUnitalBimonoidData):
-        return NonUnitalBimonoidData(tensor_comonoid(x.comonoid, y.comonoid),
-                                     _tensor_mu(x, y))
-    if isinstance(x, HopfMonoidData) and isinstance(y, HopfMonoidData):
-        return HopfMonoidData(tensor_comonoid(x.comonoid, y.comonoid),
-                              kron(x.eta, y.eta), _tensor_mu(x, y),
-                              kron(x.antipode, y.antipode))
-    raise TypeError(f"cannot tensor {type(x).__name__} with {type(y).__name__}")

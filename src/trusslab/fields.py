@@ -20,9 +20,19 @@ from .errors import FieldMismatchError, ParseError
 
 Scalar = Union[Fraction, int]
 
-# The text of a scalar: a signed ASCII-digit numerator, and over Q an
-# optional ASCII-digit denominator.
-_SCALAR = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+# The text of an integer: an optional sign and ASCII digits.  A scalar is
+# one such numerator, over Q with an optional ASCII-digit denominator.
+_INTEGER = "[+-]?[0-9]+"
+_SCALAR = re.compile(f"({_INTEGER})(?:/([0-9]+))?")
+
+
+def ascii_int(text: str) -> int:
+    """`text` read as a scalar numerator, or ValueError ("1_6", "16.0", "١٦")."""
+    text = text.strip()
+    if re.fullmatch(_INTEGER, text) is None:
+        raise ValueError(f"not an ASCII integer: {text!r}")
+    return int(text)
+
 
 RATIONAL_KIND = "Q"
 PRIME_KIND = "Fp"

@@ -149,12 +149,6 @@ class LinMap:
     def is_zero(self) -> bool:
         return not self._entries
 
-    def is_identity(self) -> bool:
-        if self.cod != self.dom or len(self._entries) != self.cod:
-            return False
-        one = self.field.one
-        return all(self._entries.get((i, i)) == one for i in range(self.cod))
-
     def _by_col(self):
         if self._cols is None:
             cols: Dict[int, list] = {}
@@ -252,11 +246,6 @@ class LinMap:
             raise AttributeError("LinMap is immutable")
 
 
-def compose(g: LinMap, f: LinMap) -> LinMap:
-    """g ∘ f."""
-    return g.compose(f)
-
-
 def kron(f: LinMap, g: LinMap) -> LinMap:
     """f (x) g with left-major flattening."""
     return f.kron(g)
@@ -292,22 +281,8 @@ def tensor_compose(f: LinMap, g: LinMap, x: LinMap) -> LinMap:
     return LinMap._of(field, f.cod * gcod, x.dom, out)
 
 
-def swap(m: int, n: int, field: FieldSpec) -> LinMap:
-    """The braiding M(x)N -> N(x)M: flat index i*n + j goes to j*m + i."""
-    one = field.one
-    entries = {}
-    for i in range(m):
-        for j in range(n):
-            entries[(j * m + i, i * n + j)] = one
-    return LinMap._of(field, m * n, m * n, entries)
-
-
 def identity(field: FieldSpec, n: int) -> LinMap:
     return LinMap.identity(field, n)
-
-
-def zero_map(field: FieldSpec, cod: int, dom: int) -> LinMap:
-    return LinMap.zero(field, cod, dom)
 
 
 # -- elimination ---------------------------------------------------------

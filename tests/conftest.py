@@ -50,6 +50,13 @@ def truss_from_tables(field: FieldSpec, table1, table2, omega=None) -> HopfTruss
         LinMap(field, n, n, {(omega[a], a): one for a in range(n)}))
 
 
+def flip(m: int, n: int, field: FieldSpec) -> LinMap:
+    """The flip M (x) N -> N (x) M, entry by entry: e_i (x) e_j at flat
+    index i*n + j goes to e_j (x) e_i at flat index j*m + i."""
+    return LinMap(field, m * n, m * n,
+                  {(j * m + i, i * n + j): field.one for i in range(m) for j in range(n)})
+
+
 def cyclic_table(n: int):
     return [[(a + b) % n for b in range(n)] for a in range(n)]
 

@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from conftest import permute_cocycle_source, perturbed
+from conftest import flip, permute_cocycle_source, perturbed
 from test_settruss import naive_enumerate
 
 from trusslab.cli import main
@@ -31,7 +31,7 @@ from trusslab.hopfmodules import (
     induction_functor,
 )
 from trusslab.hopftruss import HopfTruss, verify_hopf_truss
-from trusslab.linmap import identity, kron, swap
+from trusslab.linmap import identity, kron
 from trusslab.modules import (
     functor_G_H,
     functor_H_tr_pi,
@@ -243,14 +243,14 @@ def test_criterion_7_adjunction_triangles():
 def test_criterion_8_derived_identity_regression():
     for name, h in fixture_trusses():
         n, field = h.dim, h.field
-        lam, flip = h.antipode, swap(n, n, field)
+        lam, braid = h.antipode, flip(n, n, field)
         rep = verify_hopf_truss(h)
         for check in ("cocycle.derived", "action.unit", "action.product",
                       "action.assoc"):
             assert rep.named(check).passed, f"{name}: {check}"
         # antipode anti(co)multiplicativity, stated directly
-        assert lam @ h.mu1 == h.mu1 @ flip @ kron(lam, lam), name
-        assert h.comonoid.delta @ lam == flip @ kron(lam, lam) @ h.comonoid.delta, name
+        assert lam @ h.mu1 == h.mu1 @ braid @ kron(lam, lam), name
+        assert h.comonoid.delta @ lam == braid @ kron(lam, lam) @ h.comonoid.delta, name
 
         mod_rep = verify_truss_module(regular_truss_module(h))
         for check in ("compat.distributivity", "compat.distributivity.alt",

@@ -280,12 +280,20 @@ def test_settruss_size_is_capped(monkeypatch):
 
 
 def test_bad_cap_environment_value(monkeypatch):
-    monkeypatch.setenv("TRUSSLAB_MAX_DIM", "soup")
-    with pytest.raises(ParseError, match="TRUSSLAB_MAX_DIM"):
-        algfile.parse_document(algfile.document_of(cyclic_truss(RATIONALS, 2)))
+    for raw in ("soup", "1_6", "\u0661\u0666", "16.0", "1e1", "0x10", "+ 16", ""):
+        monkeypatch.setenv("TRUSSLAB_MAX_DIM", raw)
+        with pytest.raises(ParseError, match="TRUSSLAB_MAX_DIM"):
+            algfile.parse_document(algfile.document_of(cyclic_truss(RATIONALS, 2)))
     monkeypatch.setenv("TRUSSLAB_MAX_DIM", "0")
     with pytest.raises(ParseError, match="positive"):
         algfile.parse_document(algfile.document_of(cyclic_truss(RATIONALS, 2)))
+
+
+def test_cap_environment_value_in_ascii_form(monkeypatch):
+    # the form of a scalar numerator: optional sign and ASCII digits
+    for raw, cap in (("16", 16), (" 3\n", 3), ("+7", 7), ("007", 7)):
+        monkeypatch.setenv("TRUSSLAB_MAX_DIM", raw)
+        assert algfile.max_dim() == cap
 
 
 def test_loads_rejects_invalid_json():

@@ -159,6 +159,19 @@ def test_enumerate_respects_the_bound(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("raw", ["1_6", "\u0666", "6.0", "0x6", ""])
+def test_enumerate_refuses_a_max_not_in_ascii_form(capsys, raw):
+    code, out, err = run(capsys, "enumerate", "--group", "Z2", "--max", raw)
+    assert code == 2 and out == ""
+    assert "--max" in err
+
+
+def test_enumerate_reads_a_max_in_ascii_form(capsys):
+    for raw in (" 6", "+6", "06"):
+        code, out, _ = run(capsys, "enumerate", "--group", "Z2", "--max", raw)
+        assert code == 0 and json.loads(out)["count"] == 8
+
+
 def test_enumerate_refuses_large_orders_whatever_the_max(capsys):
     code, out, err = run(capsys, "enumerate", "--group", "Z12", "--max", "12")
     assert code == 2

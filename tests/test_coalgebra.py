@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import sample_objects
+from conftest import flip, sample_objects, truss_from_tables
 
 from trusslab import coalgebra, cocycle, hopftruss, verify_structure
 from trusslab.coalgebra import (
@@ -22,11 +22,7 @@ from trusslab.coalgebra import (
     diagonal,
     find_unit,
     grouplikes,
-    is_cocommutative,
     solve_antipode,
-    tensor_comonoid,
-    tensor_structure,
-    to_hopf_monoid,
     verify_comonoid,
     verify_hopf_monoid,
     verify_monoid,
@@ -45,7 +41,7 @@ from trusslab.errors import (
 from trusslab.fields import RATIONALS, prime_field
 from trusslab.hopfmodules import verify_hopf_module, verify_truss_hopf_module
 from trusslab.hopftruss import HopfTruss, verify_hopf_truss
-from trusslab.linmap import LinMap, identity, invert, kron, rank, solve_through, swap
+from trusslab.linmap import LinMap, identity, invert, kron, rank, solve_through
 from trusslab.modules import verify_pi_module, verify_truss_module
 from trusslab.settruss import (
     cyclic_group,
@@ -148,15 +144,6 @@ def test_bimonoid_compatibility_catches_wrong_product():
     assert not rep.ok
 
 
-def test_tensor_square_coproduct_on_basis_diagonal():
-    h = cyclic_group_algebra(2, RATIONALS)
-    d2 = tensor_comonoid(h.comonoid, h.comonoid).delta
-    for a in range(2):
-        for b in range(2):
-            v = LinMap.basis_vector(RATIONALS, 4, a * 2 + b)
-            assert d2 @ v == kron(v, v)
-
-
 # -- convolution -----------------------------------------------------------
 
 
@@ -230,7 +217,7 @@ def test_convolution_inverse_of_identity_for_primitive_element():
 
 def test_primitive_element_bundle_is_hopf_only_in_char_2():
     b2, eta2 = primitive_element_bundle(F2)
-    hopf = to_hopf_monoid(b2, eta2)
+    hopf = HopfMonoidData(b2.comonoid, eta2, b2.mu, solve_antipode(b2, eta2))
     assert hopf.antipode == identity(F2, 2)
     assert verify_hopf_monoid(hopf).ok
     bq, _ = primitive_element_bundle(RATIONALS)
@@ -242,9 +229,9 @@ def test_antipode_is_an_algebra_antimorphism():
     # Derived identities: antipode flips products and coproducts.
     for h in (cyclic_group_algebra(3, RATIONALS), cyclic_group_algebra(4, F5)):
         s = h.antipode
-        flip = swap(h.dim, h.dim, h.field)
-        assert s @ h.mu == h.mu @ kron(s, s) @ flip
-        assert h.delta @ s == flip @ kron(s, s) @ h.delta
+        braid = flip(h.dim, h.dim, h.field)
+        assert s @ h.mu == h.mu @ kron(s, s) @ braid
+        assert h.delta @ s == braid @ kron(s, s) @ h.delta
         assert s @ h.eta == h.eta
         assert h.epsilon @ s == h.epsilon
 
@@ -415,8 +402,9 @@ def brute_force_grouplikes(c: ComonoidData):
 
 
 def _z2_squared(field) -> ComonoidData:
-    z2 = cyclic_group_algebra(2, field).comonoid
-    return tensor_comonoid(z2, z2)
+    """The comonoid of the group algebra of Z2×Z2, from its Cayley table."""
+    table = [[a ^ b for b in range(4)] for a in range(4)]
+    return truss_from_tables(field, table, table).comonoid
 
 
 # (comonoid, whether its coproduct is basis-diagonal)
@@ -443,27 +431,7 @@ def test_grouplikes_match_the_brute_force_oracle(make, diagonal_delta):
     assert got == (oracle[::-1] if diagonal_delta else oracle)
 
 
-# -- tensor products -----------------------------------------------------------
-
-
-def test_tensor_of_hopf_monoids_is_hopf():
-    a = cyclic_group_algebra(2, RATIONALS)
-    b = cyclic_group_algebra(3, RATIONALS)
-    t = tensor_structure(a, b)
-    assert t.dim == 6
-    rep = verify_hopf_monoid(t)
-    assert rep.ok, str(rep)
-    assert len(grouplikes(t.comonoid)) == 6
-
-
-def test_tensor_of_comonoids_and_monoids():
-    a = cyclic_group_algebra(2, RATIONALS)
-    tc = tensor_structure(a.comonoid, a.comonoid)
-    tm = tensor_structure(a.monoid(), a.monoid())
-    assert verify_comonoid(tc).ok
-    assert verify_monoid(tm).ok
-    tb = tensor_structure(a.nonunital(), a.nonunital())
-    assert verify_nonunital_bimonoid(tb).ok
+# -- units -----------------------------------------------------------------------
 
 
 def test_find_unit():
@@ -520,19 +488,12 @@ def test_find_unit_matches_the_dense_reference():
             assert find_unit(no_unit) is None and reference_find_unit(no_unit) is None
 
 
-def test_cocommutativity_flag():
-    h = cyclic_group_algebra(3, RATIONALS)
-    assert is_cocommutative(h.comonoid)
-    b, _ = primitive_element_bundle(RATIONALS)
-    assert is_cocommutative(b.comonoid)
-
-
 # -- the diagonal action ---------------------------------------------------------
 #
 # diagonal(delta, f, g) is compared with an explicit index sum: on the
 # basis tensor e_i (x) e_u (x) e_v it is
 #     sum over k, l of delta[k*A + l, i] * f[:, k*X + u] (x) g[:, l*Y + v],
-# written without swap or tensor_flip_middle.
+# written without a flip map.
 
 
 def reference_diagonal(delta, f, g):
@@ -589,9 +550,9 @@ def test_diagonal_matches_the_index_sum(operands):
 def test_diagonal_is_the_hopf_compatibility_composite():
     h = cyclic_group_algebra(3, RATIONALS)
     n = h.dim
-    flip = kron(kron(identity(RATIONALS, n), swap(n, n, RATIONALS)), identity(RATIONALS, n))
+    middle = kron(kron(identity(RATIONALS, n), flip(n, n, RATIONALS)), identity(RATIONALS, n))
     assert (diagonal(h.delta, h.mu, h.mu)
-            == kron(h.mu, h.mu) @ flip @ kron(h.delta, identity(RATIONALS, n * n)))
+            == kron(h.mu, h.mu) @ middle @ kron(h.delta, identity(RATIONALS, n * n)))
 
 
 def test_diagonal_refuses_mismatched_shapes():
@@ -641,8 +602,6 @@ def test_diagonal_forms_no_kron_compose_or_flip(monkeypatch):
         monkeypatch.setattr(module, "diagonal", tracked)
     monkeypatch.setattr(LinMap, "kron", watched("kron", LinMap.kron))
     monkeypatch.setattr(LinMap, "compose", watched("compose", LinMap.compose))
-    monkeypatch.setattr(coalgebra, "tensor_flip_middle",
-                        watched("tensor_flip_middle", coalgebra.tensor_flip_middle))
     assert roundtrip_report(c).ok
     assert spreads and set(spreads) == {6}
     assert inside == []

@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import cyclic_table, cyclic_truss, perturbed, truss_from_tables
+from conftest import cyclic_table, cyclic_truss, flip, perturbed, truss_from_tables
 from trusslab.errors import DimensionMismatchError
 from trusslab.fields import RATIONALS, prime_field
 from trusslab.hopftruss import (
@@ -14,7 +14,7 @@ from trusslab.hopftruss import (
     verify_hopf_truss,
     verify_truss_morphism,
 )
-from trusslab.linmap import LinMap, identity, kron, swap
+from trusslab.linmap import LinMap, identity, kron
 
 F5 = prime_field(5)
 
@@ -113,7 +113,7 @@ def test_distributivity_in_twisted_product_form(make):
     h = make()
     n = h.dim
     idn = identity(h.field, n)
-    mid = kron(kron(idn, swap(n, n, h.field)), idn)
+    mid = kron(kron(idn, flip(n, n, h.field)), idn)
     lhs = h.mu2 @ kron(idn, h.mu1)
     rhs = (h.mu1 @ kron(twisted_product(h), h.mu2)
            @ mid @ kron(h.comonoid.delta, kron(idn, idn)))

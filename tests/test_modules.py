@@ -5,11 +5,11 @@ import pytest
 from conftest import (
     cyclic_table,
     cyclic_truss,
+    flip,
     permute_cocycle_source,
     perturbed,
     truss_from_tables,
 )
-from trusslab.coalgebra import tensor_flip_middle
 from trusslab.cocycle import CocycleMorphism, cocycle_of_truss, truss_of_cocycle
 from trusslab.errors import DimensionMismatchError, InvalidStructureError
 from trusslab.fields import RATIONALS, prime_field
@@ -121,8 +121,9 @@ def test_distributivity_and_alternate_form_agree_even_when_broken():
     bad = TrussModule(h, h.mu1, perturbed(h.mu2, 1, 3))
     for m in (good, bad):
         t = m.truss
-        spread = tensor_flip_middle(t.field, t.dim, t.dim, t.dim, m.mdim) @ kron(
-            t.comonoid.delta, identity(t.field, t.dim * m.mdim))
+        middle = kron(kron(identity(t.field, t.dim), flip(t.dim, t.dim, t.field)),
+                      identity(t.field, m.mdim))
+        spread = middle @ kron(t.comonoid.delta, identity(t.field, t.dim * m.mdim))
         lhs = m.act1 @ kron(t.mu2, module_twisted_action(m)) @ spread
         rhs = m.act1 @ kron(twisted_product(t), m.act2) @ spread
         assert lhs == rhs
