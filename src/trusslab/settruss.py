@@ -34,7 +34,7 @@ Table = tuple[tuple[int, ...], ...]
 
 # enumerate_skew_trusses refuses larger carriers before any work starts,
 # so every call is bounded: the search and its output grow steeply with
-# the order (Z7 alone has 20449 skew trusses).
+# the order (Z7 alone has 20449 skew trusses in 3440 classes).
 MAX_ENUMERATION_ORDER = 7
 
 
@@ -165,6 +165,18 @@ class SkewTruss:
     @property
     def size(self) -> int:
         return self.group.size
+
+
+def _truss_of_rows(group: FiniteGroup, table: Table) -> SkewTruss:
+    """A truss over n rows of n ints in range that the caller checked
+    itself; omega is read off the table.  Input goes through SkewTruss."""
+    semigroup = object.__new__(FiniteSemigroup)
+    object.__setattr__(semigroup, "table", table)
+    truss = object.__new__(SkewTruss)
+    object.__setattr__(truss, "group", group)
+    object.__setattr__(truss, "semigroup", semigroup)
+    object.__setattr__(truss, "omega", tuple(row[group.unit] for row in table))
+    return truss
 
 
 @dataclass(frozen=True)
@@ -372,20 +384,31 @@ def enumerate_skew_trusses(g: FiniteGroup, max_size: int = 4) -> list[SkewTruss]
     """
     n = g.size
     check_enumeration_bound(n, max_size)
-    rows = _valid_rows(g)
+    message = f"row entry {{x}} out of range for size {n}"
+    rows = [_indices(row, n, message) for row in _valid_rows(g)]
     index = {row: i for i, row in enumerate(rows)}
     # compose[r][s]: the index of row r after row s, or -1 if that is no row
     compose = [[index.get(tuple(r[x] for x in s), -1) for s in rows] for r in rows]
     # where[r][v]: the b that row r sends to v
     where = [[tuple(b for b in range(n) if r[b] == v) for v in range(n)] for r in rows]
+    # Sets of rows are bit masks over row indices; bit[-1] is the empty
+    # set, so a composite that is no row admits no row.
+    bit = [1 << i for i in range(len(rows))] + [0]
+    every_row = (1 << len(rows)) - 1
+    # preimage[r][t]: the rows s with r after s equal to row t;
+    # fixed[r]: the rows s with r after s equal to s
+    preimage = [[0] * len(rows) for _ in rows]
+    for r, compose_r in enumerate(compose):
+        for s, t in enumerate(compose_r):
+            if t >= 0:
+                preimage[r][t] |= bit[s]
+    fixed = [sum(bit[s] for s, t in enumerate(c) if t == s) for c in compose]
     found: list[SkewTruss] = []
     chosen: list[int] = []
 
     def partial_ok() -> bool:
-        # (a*b)*c = a*(b*c) for every c says that row a*b is row a after
-        # row b. Pairs whose a, b and a*b are all earlier rows held at an
-        # earlier depth, so only pairs involving the new row j are checked:
-        # (j, b), (a, j), and (a, b) with a*b = j.
+        # The pairs (j, b) with b <= j and j*b <= j, which read row j's
+        # own entries.
         j = len(chosen) - 1
         cj = chosen[j]
         row_j, compose_j = rows[cj], compose[cj]
@@ -393,60 +416,71 @@ def enumerate_skew_trusses(g: FiniteGroup, max_size: int = 4) -> list[SkewTruss]
             ab = row_j[b]
             if ab <= j and chosen[ab] != compose_j[chosen[b]]:
                 return False
-        for a in range(j):
-            ca = chosen[a]
-            compose_a = compose[ca]
-            ab = rows[ca][j]
-            if ab <= j and chosen[ab] != compose_a[cj]:
-                return False
-            for b in where[ca][j]:
-                if b < j and cj != compose_a[chosen[b]]:
-                    return False
         return True
 
     def extend() -> None:
-        if len(chosen) == n:
-            semigroup = FiniteSemigroup(tuple(rows[i] for i in chosen))
-            found.append(SkewTruss(g, semigroup, derive_omega(g, semigroup)))
+        j = len(chosen)
+        if j == n:
+            found.append(_truss_of_rows(g, tuple(rows[i] for i in chosen)))
             return
-        for i in range(len(rows)):
-            chosen.append(i)
+        # (a*b)*c = a*(b*c) for every c says that row a*b is row a after
+        # row b. Pairs whose a, b and a*b are all earlier rows held at an
+        # earlier depth. For a < j, the pairs (a, j) and (a, b) with
+        # a*b = j read row j only through compose, so they cut the
+        # candidates for row j, which are tried in ascending order.
+        mask = every_row
+        for a in range(j):
+            ca = chosen[a]
+            ab = rows[ca][j]
+            if ab < j:
+                mask &= preimage[ca][chosen[ab]]
+            elif ab == j:
+                mask &= fixed[ca]
+            for b in where[ca][j]:
+                if b < j:
+                    mask &= bit[compose[ca][chosen[b]]]
+        while mask:
+            low = mask & -mask
+            chosen.append(low.bit_length() - 1)
             if partial_ok():
                 extend()
             chosen.pop()
+            mask ^= low
 
     extend()
     return found
 
 
-def _relabel(table: Table, p: tuple[int, ...], pinv: list[int]) -> Table:
-    # p maps old labels to new ones, pinv[i] is the old label shown as i
-    n = len(table)
-    return tuple(tuple(p[table[pinv[a]][pinv[b]]] for b in range(n)) for a in range(n))
-
-
-def _group_form(table: Table) -> tuple[Table, list[tuple[tuple[int, ...], list[int]]]]:
-    """The minimal relabeled group table and every relabeling reaching it.
+def _group_form(table: Table) -> tuple[tuple[int, ...], list]:
+    """The minimal relabeled group table, flat, and every relabeling
+    reaching it, as p (old label to new) with the flat index that each
+    position of a relabeled table is read from.
 
     Those relabelings form one coset of Aut(G): two of them differ by a
     relabeling that fixes the minimal table.
     """
     n = len(table)
+    flat = [x for row in table for x in row]
     best = None
     coset = []
     for p in itertools.permutations(range(n)):
         pinv = sorted(range(n), key=p.__getitem__)
-        r1 = _relabel(table, p, pinv)
+        idx = [a * n + b for a in pinv for b in pinv]
+        r1 = tuple(map(p.__getitem__, map(flat.__getitem__, idx)))
         if best is None or r1 < best:
-            best, coset = r1, [(p, pinv)]
+            best, coset = r1, [(p, idx)]
         elif r1 == best:
-            coset.append((p, pinv))
+            coset.append((p, idx))
     return best, coset
 
 
-def _form_over(group_form, t2: Table) -> tuple[Table, Table]:
+def _form_over(group_form, t2: Table) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Both minimal tables, flat: for equal-width rows the flat order is
+    the order on tuples of rows."""
     best, coset = group_form
-    return best, min(_relabel(t2, p, pinv) for p, pinv in coset)
+    flat = [x for row in t2 for x in row]
+    return best, min(tuple(map(p.__getitem__, map(flat.__getitem__, idx)))
+                     for p, idx in coset)
 
 
 def canonical_form(t: SkewTruss) -> tuple[Table, Table]:
@@ -456,13 +490,15 @@ def canonical_form(t: SkewTruss) -> tuple[Table, Table]:
     minimise it (a coset of the group's automorphisms) can minimise the
     pair.
     """
-    return _form_over(_group_form(t.group.table), t.semigroup.table)
+    n = t.size
+    return tuple(tuple(flat[i:i + n] for i in range(0, n * n, n))
+                 for flat in _form_over(_group_form(t.group.table), t.semigroup.table))
 
 
 def isomorphism_classes(trusses: list[SkewTruss]) -> list[list[SkewTruss]]:
     """Group trusses by canonical form, preserving first-seen order."""
     group_forms: dict[Table, tuple] = {}
-    buckets: dict[tuple[Table, Table], list[SkewTruss]] = {}
+    buckets: dict[tuple, list[SkewTruss]] = {}
     for t in trusses:
         t1 = t.group.table
         if t1 not in group_forms:

@@ -8,8 +8,6 @@ F5; nothing here tolerates a nonzero residual.
 
 import json
 
-import pytest
-
 from conftest import flip, permute_cocycle_source, perturbed
 from test_settruss import naive_enumerate
 
@@ -20,7 +18,6 @@ from trusslab.cocycle import (
     cocycle_of_truss,
     roundtrip_report,
     truss_of_cocycle,
-    verify_cocycle,
 )
 from trusslab.fields import RATIONALS, prime_field
 from trusslab.hopfmodules import (

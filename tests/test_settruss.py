@@ -1,6 +1,7 @@
 """Set-level skew trusses: axioms, enumeration, linearization, grouplikes."""
 
 import itertools
+import random
 
 import pytest
 
@@ -47,6 +48,16 @@ def relabel_group(g, p):
         [[p[g.table[pinv[a]][pinv[b]]] for b in range(n)] for a in range(n)])
 
 
+def move_truss(t, group, p):
+    """The truss t with element x renamed p[x], over group, which is
+    relabel_group(t.group, p)."""
+    n = t.size
+    pinv = sorted(range(n), key=p.__getitem__)
+    t2 = t.semigroup.table
+    s = FiniteSemigroup([[p[t2[pinv[a]][pinv[b]]] for b in range(n)] for a in range(n)])
+    return SkewTruss(group, s, derive_omega(group, s))
+
+
 def naive_canonical_form(t):
     """Oracle: the minimal relabeling of both tables over all n! relabelings."""
     n = t.size
@@ -59,6 +70,18 @@ def naive_canonical_form(t):
         if best is None or (r1, r2) < best:
             best = (r1, r2)
     return best
+
+
+def check_forms_against_the_sweep(trusses):
+    """canonical_form and isomorphism_classes agree with naive_canonical_form;
+    returns the naive buckets."""
+    forms = [naive_canonical_form(t) for t in trusses]
+    assert [canonical_form(t) for t in trusses] == forms
+    buckets = {}
+    for t, form in zip(trusses, forms):
+        buckets.setdefault(form, []).append(t)
+    assert isomorphism_classes(trusses) == list(buckets.values())
+    return buckets
 
 
 def naive_endomorphisms(g):
@@ -373,14 +396,45 @@ def test_enumeration_matches_the_full_recheck_search(group):
     assert enumerate_skew_trusses(group, max_size=5) == full_recheck_enumerate(group)
 
 
+@pytest.mark.parametrize("group", [symmetric_group(3), cyclic_group(6)])
+def test_enumeration_commutes_with_relabeling(group):
+    # The full recheck costs 22 s on S3 and 7 s on Z6, so the candidate
+    # filter is checked there by moving the group along a permutation:
+    # the search must find exactly the moved trusses.
+    p = (3, 5, 0, 2, 4, 1)
+    moved = relabel_group(group, p)
+    expected = {move_truss(t, moved, p) for t in enumerate_skew_trusses(group, max_size=6)}
+    found = enumerate_skew_trusses(moved, max_size=6)
+    assert len(found) == len(expected)
+    assert set(found) == expected
+
+
 @pytest.mark.parametrize("group, trusses, classes", [
     (cyclic_group(5), 622, 164),
     (cyclic_group(6), 4249, 2211),
+    (symmetric_group(3), 6178, 1150),
+    (cyclic_group(7), 20449, 3440),
 ])
 def test_truss_and_class_counts(group, trusses, classes):
-    found = enumerate_skew_trusses(group, max_size=6)
+    found = enumerate_skew_trusses(group, max_size=7)
     assert len(found) == trusses
     assert len(isomorphism_classes(found)) == classes
+
+
+@pytest.mark.parametrize("group", [cyclic_group(4), KLEIN])
+def test_search_trusses_equal_checked_ones(group):
+    # the search builds its trusses without the constructors' checks
+    n = group.size
+    for t in enumerate_skew_trusses(group):
+        table = t.semigroup.table
+        checked = SkewTruss(group, FiniteSemigroup(table), t.omega)
+        assert t == checked
+        assert hash(t) == hash(checked)
+        assert type(table) is tuple and len(table) == n
+        assert all(type(row) is tuple and len(row) == n for row in table)
+        assert all(type(x) is int and 0 <= x < n for row in table for x in row)
+        assert all(type(x) is int for x in t.omega)
+        assert verify_skew_truss(t).ok
 
 
 def test_enumeration_on_z4_smoke():
@@ -410,13 +464,19 @@ def test_isomorphism_classes_on_z2():
                                    relabel_group(cyclic_group(4), (2, 0, 3, 1)),
                                    cyclic_group(5)])
 def test_canonical_form_matches_the_full_relabeling_sweep(group):
-    trusses = enumerate_skew_trusses(group, max_size=5)
-    forms = [naive_canonical_form(t) for t in trusses]
-    assert [canonical_form(t) for t in trusses] == forms
-    buckets = {}
-    for t, form in zip(trusses, forms):
-        buckets.setdefault(form, []).append(t)
-    assert isomorphism_classes(trusses) == list(buckets.values())
+    check_forms_against_the_sweep(enumerate_skew_trusses(group, max_size=5))
+
+
+def test_canonical_form_on_the_non_abelian_coset():
+    # Aut(S3) has six elements and S3 is not abelian; the sample mixes S3
+    # with a relabeled S3, whose trusses share classes with S3's
+    rng = random.Random(12)
+    s3 = symmetric_group(3)
+    relabeled = relabel_group(s3, (2, 4, 0, 5, 1, 3))
+    sample = (rng.sample(enumerate_skew_trusses(s3, max_size=6), 40)
+              + rng.sample(enumerate_skew_trusses(relabeled, max_size=6), 20))
+    buckets = check_forms_against_the_sweep(sample)
+    assert any(len({t.group for t in c}) == 2 for c in buckets.values())
 
 
 def test_canonical_form_identifies_relabeled_trusses():
