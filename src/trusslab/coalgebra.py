@@ -25,7 +25,7 @@ from .errors import (
     NoAntipodeError,
 )
 from .fields import PRIME_KIND, FieldSpec
-from .linmap import LinMap, identity, kron, solve_through, tensor_compose
+from .linmap import LinMap, compose_tensor, identity, kron, solve_through, tensor_apply, tensor_compose
 from .report import VerificationReport, equation
 
 # grouplikes scans every vector of a comonoid that is not basis-diagonal
@@ -172,30 +172,34 @@ class HopfMonoidData(Structure):
 # -- composite helpers -----------------------------------------------------
 
 
-def diagonal(delta: LinMap, f: LinMap, g: LinMap) -> LinMap:
-    """(f (x) g)∘(id_A (x) swap(A, X) (x) id_Y)∘(delta (x) id_X (x) id_Y).
+def diagonal(delta: LinMap, f: LinMap, g: LinMap, m: LinMap | None = None) -> LinMap:
+    """(f (x) g)∘(id_A (x) swap(A, X) (x) id_Y)∘(delta (x) id_X (x) id_Y)∘(id_A (x) m).
 
     A acts on X (x) Y by a (x) x (x) y |-> f(a1 (x) x) (x) g(a2 (x) y), with
-    a2 braided past x.  Every law that moves a coproduct leg past another
-    factor is built here, so this is where the braiding enters them.
-    Neither a Kronecker product nor a flip map is formed: the spread is
-    delta's entries relabelled, and f (x) g is applied by tensor_compose.
+    a2 braided past x, and m: M -> X (x) Y is the identity when not given.
+    Every law that moves a coproduct leg past another factor is built
+    here, so this is where the braiding enters them.  No Kronecker
+    product or flip map is formed: each pair of entries of delta and m
+    is relabelled into one leg of tensor_apply.
     """
+    delta.field.require_same(f.field)
     a = delta.dom
-    x, y = (m.dom // a if a else 0 for m in (f, g))
-    if delta.cod != a * a or a * x != f.dom or a * y != g.dom:
+    x, y = (h.dom // a if a else 0 for h in (f, g))
+    m = identity(delta.field, x * y) if m is None else m
+    delta.field.require_same(m.field)
+    if delta.cod != a * a or a * x != f.dom or a * y != g.dom or m.cod != x * y:
         raise DimensionMismatchError(
-            f"diagonal needs delta: {a} -> {a}*{a} and f, g from multiples of {a}, "
-            f"got shapes {delta.shape}, {f.shape}, {g.shape}")
-    # delta(e_k) ∋ e_a1 (x) e_a2, so e_k (x) e_u (x) e_v ↦ e_a1 (x) e_u (x) e_a2 (x) e_v:
-    # the braid is the move of u ahead of a2 in the row index.
-    spread = {}
-    for (row, k), value in delta.items():
-        a1, a2 = divmod(row, a)
-        for u in range(x):
-            for v in range(y):
-                spread[(((a1 * x + u) * a + a2) * y + v, (k * x + u) * y + v)] = value
-    return tensor_compose(f, g, LinMap._of(delta.field, a * x * a * y, a * x * y, spread))
+            f"diagonal needs delta: {a} -> {a}*{a}, f, g from multiples of {a} and m into "
+            f"their quotients, got shapes {delta.shape}, {f.shape}, {g.shape}, {m.shape}")
+    if len({r for (r, _), _ in m.items()}) < len(m.items()):
+        # Fused legs would multiply out a row of m once per entry; spread it once instead.
+        return compose_tensor(diagonal(delta, f, g), identity(delta.field, a), m)
+    # delta(e_k) ∋ e_a1 (x) e_a2 and m(e_c) ∋ e_u (x) e_v, so e_k (x) e_c ↦
+    # e_a1 (x) e_u (x) e_a2 (x) e_v: the braid is the move of u ahead of a2.
+    tail = [(u * a * y + v, c, w) for (r, c), w in m.items() for u, v in (divmod(r, y),)]
+    legs = ((((a1 * x * a + a2) * y + t, k * m.dom + c), d if w == 1 else d * w)
+            for (row, k), d in delta.items() for a1, a2 in (divmod(row, a),) for t, c, w in tail)
+    return tensor_apply(f, g, legs, a * m.dom)
 
 
 # -- verifiers ---------------------------------------------------------------
@@ -220,10 +224,10 @@ def verify_monoid(m: MonoidData, subject: str = "monoid") -> VerificationReport:
     n = m.dim
     idn = identity(m.field, n)
     checks = (
-        equation("unit.left", "mu∘(eta(x)id) = id", m.mu @ kron(m.eta, idn), idn),
-        equation("unit.right", "mu∘(id(x)eta) = id", m.mu @ kron(idn, m.eta), idn),
+        equation("unit.left", "mu∘(eta(x)id) = id", compose_tensor(m.mu, m.eta, idn), idn),
+        equation("unit.right", "mu∘(id(x)eta) = id", compose_tensor(m.mu, idn, m.eta), idn),
         equation("assoc", "mu∘(mu(x)id) = mu∘(id(x)mu)",
-                 m.mu @ kron(m.mu, idn), m.mu @ kron(idn, m.mu)),
+                 compose_tensor(m.mu, m.mu, idn), compose_tensor(m.mu, idn, m.mu)),
     )
     return VerificationReport(subject, checks)
 
@@ -233,11 +237,11 @@ def verify_nonunital_bimonoid(b: NonUnitalBimonoidData, subject: str = "bimonoid
     rep = verify_comonoid(b.comonoid, subject)
     rep = rep.with_checks(
         equation("product.assoc", "mu∘(mu(x)id) = mu∘(id(x)mu)",
-                 b.mu @ kron(b.mu, idn), b.mu @ kron(idn, b.mu)),
+                 compose_tensor(b.mu, b.mu, idn), compose_tensor(b.mu, idn, b.mu)),
         equation("product.counit", "epsilon∘mu = epsilon(x)epsilon",
                  b.epsilon @ b.mu, kron(b.epsilon, b.epsilon)),
         equation("product.coproduct", "delta∘mu = (mu(x)mu)∘delta2",
-                 b.delta @ b.mu, diagonal(b.delta, b.mu, b.mu) @ kron(idn, b.delta)),
+                 b.delta @ b.mu, diagonal(b.delta, b.mu, b.mu, b.delta)),
     )
     return rep
 
@@ -248,10 +252,8 @@ def verify_hopf_monoid(h: HopfMonoidData, subject: str = "hopf") -> Verification
     rep = verify_nonunital_bimonoid(h.nonunital(), subject)
     unit_target = h.eta @ h.epsilon
     rep = rep.with_checks(
-        equation("unit.left", "mu∘(eta(x)id) = id",
-                 h.mu @ kron(h.eta, idn), idn),
-        equation("unit.right", "mu∘(id(x)eta) = id",
-                 h.mu @ kron(idn, h.eta), idn),
+        equation("unit.left", "mu∘(eta(x)id) = id", compose_tensor(h.mu, h.eta, idn), idn),
+        equation("unit.right", "mu∘(id(x)eta) = id", compose_tensor(h.mu, idn, h.eta), idn),
         equation("unit.counit", "epsilon∘eta = id_K", h.epsilon @ h.eta, one),
         equation("unit.coproduct", "delta∘eta = eta(x)eta",
                  h.delta @ h.eta, kron(h.eta, h.eta)),
@@ -298,10 +300,10 @@ def convolution_inverse(f: LinMap, source: ComonoidData, target: MonoidData) -> 
     idn = identity(field, na)
     # P's entries grouped by k and Q's by l, as (row offset, unknown offset, value).
     by_k, by_l = {}, {}
-    for (r, col), v in (target.mu @ kron(f, idn)).items():
+    for (r, col), v in compose_tensor(target.mu, f, idn).items():
         k, i = divmod(col, na)
         by_k.setdefault(k, []).append((r * nd, i * nd, v))
-    for (r, col), v in (target.mu @ kron(idn, f)).items():
+    for (r, col), v in compose_tensor(target.mu, idn, f).items():
         i, l = divmod(col, nd)
         by_l.setdefault(l, []).append((r * nd, i * nd, v))
     half = na * nd
@@ -360,15 +362,8 @@ def find_unit(mu: LinMap) -> LinMap | None:
 def _is_basis_diagonal(c: ComonoidData) -> bool:
     # Every delta column must be exactly one tensor square e_k (x) e_k.
     n = c.dim
-    one = c.field.one
-    for j in range(n):
-        col = [(i, v) for (i, jj), v in c.delta.items() if jj == j]
-        if len(col) != 1:
-            return False
-        i, v = col[0]
-        if v != one or i % (n + 1) != 0:
-            return False
-    return True
+    cols = sorted(j for (i, j), v in c.delta.items() if v == 1 and i % (n + 1) == 0)
+    return len(c.delta.items()) == n and cols == list(range(n))
 
 
 def grouplikes(c: ComonoidData) -> List[LinMap]:

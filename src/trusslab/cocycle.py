@@ -34,7 +34,7 @@ from .errors import (
     NotInvertibleError,
 )
 from .hopftruss import HopfTruss, _verify_hopf_truss, twisted_action
-from .linmap import LinMap, identity, invert, kron, tensor_compose
+from .linmap import LinMap, compose_tensor, identity, invert, tensor_compose
 from .report import VerificationReport, condition, equation
 
 
@@ -96,18 +96,17 @@ def _verify_cocycle(c: InvertibleCocycle) -> tuple[VerificationReport, Verificat
         equation("twist.comonoid.counit", "epsilon_B∘twist = epsilon_B",
                  eps_b @ c.twist, eps_b),
         equation("action.module", "phi∘(B(x)phi) = phi∘(mu_B(x)H)",
-                 c.action @ kron(idb, c.action), c.action @ kron(c.bimonoid.mu, idh)),
+                 compose_tensor(c.action, idb, c.action), compose_tensor(c.action, c.bimonoid.mu, idh)),
         equation("action.unit", "phi∘(B(x)eta) = eta∘epsilon_B",
-                 c.action @ kron(idb, c.hopf.eta), c.hopf.eta @ eps_b),
+                 compose_tensor(c.action, idb, c.hopf.eta), c.hopf.eta @ eps_b),
         equation("action.product",
                  "phi∘(B(x)mu_H) = mu_H∘(phi(x)phi)∘(B(x)swap(x)H)∘(delta_B(x)H(x)H)",
-                 c.action @ kron(idb, c.hopf.mu),
+                 compose_tensor(c.action, idb, c.hopf.mu),
                  c.hopf.mu @ diagonal(delta_b, c.action, c.action)),
         equation("compat.cocycle",
                  "pi∘mu_B = mu_H∘((pi∘twist)(x)phi)∘(delta_B(x)pi)",
                  c.cocycle @ c.bimonoid.mu,
-                 c.hopf.mu @ diagonal(delta_b, c.cocycle @ c.twist, c.action)
-                 @ kron(idb, c.cocycle)),
+                 c.hopf.mu @ diagonal(delta_b, c.cocycle @ c.twist, c.action, c.cocycle)),
     )
     return rep, hopf_rep
 
@@ -125,7 +124,7 @@ def is_brace_case(c: InvertibleCocycle) -> bool:
         solve_antipode(c.bimonoid, unit)
     except NoAntipodeError:
         return False
-    return c.action @ kron(unit, identity(c.field, hdim)) == identity(c.field, hdim)
+    return compose_tensor(c.action, unit, identity(c.field, hdim)) == identity(c.field, hdim)
 
 
 def cocycle_of_truss(h: HopfTruss) -> InvertibleCocycle:
@@ -146,7 +145,7 @@ def truss_of_cocycle(c: InvertibleCocycle) -> HopfTruss:
         inv_pi = invert(c.cocycle)
     except NotInvertibleError as exc:
         raise InvalidStructureError("cocycle map is singular") from exc
-    mu_pi = c.cocycle @ c.bimonoid.mu @ kron(inv_pi, inv_pi)
+    mu_pi = compose_tensor(c.cocycle @ c.bimonoid.mu, inv_pi, inv_pi)
     sigma = c.cocycle @ c.twist @ inv_pi
     return HopfTruss(c.hopf.comonoid, c.hopf.eta, c.hopf.mu,
                      mu_pi, c.hopf.antipode, sigma)
@@ -171,14 +170,14 @@ def verify_cocycle_morphism(m: CocycleMorphism,
         equation("f.comonoid.counit", "epsilon'∘f = epsilon",
                  dst.bimonoid.epsilon @ f, src.bimonoid.epsilon),
         equation("f.product", "f∘mu_B = mu_B'∘(f(x)f)",
-                 f @ src.bimonoid.mu, dst.bimonoid.mu @ kron(f, f)),
+                 f @ src.bimonoid.mu, compose_tensor(dst.bimonoid.mu, f, f)),
         equation("g.comonoid.coproduct", "delta'∘g = (g(x)g)∘delta",
                  dst.hopf.delta @ g, tensor_compose(g, g, src.hopf.delta)),
         equation("g.comonoid.counit", "epsilon'∘g = epsilon",
                  dst.hopf.epsilon @ g, src.hopf.epsilon),
         equation("g.unit", "g∘eta = eta'", g @ src.hopf.eta, dst.hopf.eta),
         equation("g.product", "g∘mu_H = mu_H'∘(g(x)g)",
-                 g @ src.hopf.mu, dst.hopf.mu @ kron(g, g)),
+                 g @ src.hopf.mu, compose_tensor(dst.hopf.mu, g, g)),
         equation("g.implied.antipode", "g∘antipode = antipode'∘g",
                  g @ src.hopf.antipode, dst.hopf.antipode @ g),
         equation("compat.twist", "f∘twist = twist'∘f",
@@ -186,7 +185,7 @@ def verify_cocycle_morphism(m: CocycleMorphism,
         equation("compat.cocycle", "g∘pi = pi'∘f",
                  g @ src.cocycle, dst.cocycle @ f),
         equation("compat.action", "g∘phi = phi'∘(f(x)g)",
-                 g @ src.action, dst.action @ kron(f, g)),
+                 g @ src.action, compose_tensor(dst.action, f, g)),
     )
     return VerificationReport("cocycle-morphism", checks)
 
@@ -215,6 +214,6 @@ def roundtrip_report(c: InvertibleCocycle) -> VerificationReport:
         condition("unit-map.invertible", "both components are isomorphisms",
                   _is_invertible(c.cocycle), "pi is singular"),
         equation("roundtrip.action", "Gamma^(sigma_pi)∘(pi(x)id) = phi",
-                 back.action @ kron(c.cocycle, idh), c.action),
+                 compose_tensor(back.action, c.cocycle, idh), c.action),
     )
     return rep

@@ -63,8 +63,9 @@ class FieldSpec:
     """Tag for an exact field together with its scalar operations.
 
     `reduce` maps any exact int or Fraction result of ring arithmetic on
-    scalars to its canonical scalar; it is bound per instance and is not
-    a dataclass field, so equality, hash and repr see only kind and p.
+    scalars to its canonical scalar; `reduce_entries` maps a dict's values
+    so in one pass and drops zeros.  Both are bound per instance and are
+    not dataclass fields, so equality, hash and repr see only kind and p.
     """
 
     kind: str
@@ -75,17 +76,21 @@ class FieldSpec:
             if self.p is not None:
                 raise ValueError("rational field takes no modulus")
             reduce = _rational
+            reduce_entries = lambda entries: {
+                k: v if type(v) is int else _rational(v) for k, v in entries.items() if v}
         elif self.kind == PRIME_KIND:
             if self.p is None or not _is_prime(self.p):
                 raise ValueError(f"modulus {self.p!r} is not prime")
             p = self.p
             reduce = lambda v: v % p
+            reduce_entries = lambda entries: {k: r for k, v in entries.items() if (r := v % p)}
         else:
             raise ValueError(f"unknown field kind {self.kind!r}")
         object.__setattr__(self, "reduce", reduce)
+        object.__setattr__(self, "reduce_entries", reduce_entries)
 
     def __reduce__(self):
-        # Rebuild through __post_init__: the bound `reduce` is not picklable.
+        # Rebuild through __post_init__: the bound reducers are not picklable.
         return (FieldSpec, (self.kind, self.p))
 
     # -- basic constants ------------------------------------------------

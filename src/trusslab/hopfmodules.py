@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .coalgebra import ComonoidData, HopfMonoidData, Structure, diagonal
 from .errors import DimensionMismatchError, InvalidStructureError, TrussLabError
 from .hopftruss import HopfTruss
-from .linmap import LinMap, identity, kron, nullspace, solve_through, tensor_compose
+from .linmap import LinMap, compose_tensor, identity, kron, nullspace, solve_through, tensor_compose
 from .modules import TrussModule, verify_truss_module
 from .report import VerificationReport, condition, equation
 
@@ -117,16 +117,16 @@ def verify_hopf_module(m: HopfModuleData) -> VerificationReport:
     idn, idm = identity(h.field, h.dim), identity(h.field, m.mdim)
     rep = VerificationReport("hopfmodule").with_checks(
         equation("action.unit", "action∘(eta (x) id) = id",
-                 m.action @ kron(h.eta, idm), idm),
+                 compose_tensor(m.action, h.eta, idm), idm),
         equation("action.product", "action∘(id (x) action) = action∘(mu (x) id)",
-                 m.action @ kron(idn, m.action), m.action @ kron(h.mu, idm)),
+                 compose_tensor(m.action, idn, m.action), compose_tensor(m.action, h.mu, idm)),
     )
     rep = rep.merged(verify_comodule(m.comodule()), prefix="comodule.")
     return rep.with_checks(
         equation("compat.coaction",
                  "coaction∘action = (mu (x) action)∘(id (x) swap (x) id)∘(delta (x) coaction)",
                  m.coaction @ m.action,
-                 diagonal(h.comonoid.delta, h.mu, m.action) @ kron(idn, m.coaction)),
+                 diagonal(h.comonoid.delta, h.mu, m.action, m.coaction)),
     )
 
 
@@ -185,7 +185,7 @@ def _verify_truss_hopf_module(m: TrussHopfModule) -> tuple[VerificationReport, C
         equation("h2.compat.coaction",
                  "coaction∘act2 = (mu2 (x) act2)∘(id (x) swap (x) id)∘(delta (x) coaction)",
                  m.coaction @ m.act2,
-                 diagonal(t.comonoid.delta, t.mu2, m.act2) @ kron(idn, m.coaction)),
+                 diagonal(t.comonoid.delta, t.mu2, m.act2, m.coaction)),
     )
     try:
         w = _split_coinvariants(hopf_part, h1)
@@ -197,7 +197,7 @@ def _verify_truss_hopf_module(m: TrussHopfModule) -> tuple[VerificationReport, C
     return rep.with_checks(
         equation("coinvariants.compat",
                  "act1∘(cocycle (x) inclusion) = act2∘(id (x) inclusion)",
-                 m.act1 @ kron(t.cocycle, w.inclusion), m.act2 @ kron(idn, w.inclusion)),
+                 compose_tensor(m.act1, t.cocycle, w.inclusion), compose_tensor(m.act2, idn, w.inclusion)),
     ), w
 
 
@@ -217,7 +217,7 @@ def fundamental_iso(m: TrussHopfModule) -> tuple[LinMap, LinMap, VerificationRep
     field = t.field
     idn = identity(field, n)
     idw = identity(field, w.codim)
-    theta = m.act1 @ kron(idn, w.inclusion)
+    theta = compose_tensor(m.act1, idn, w.inclusion)
     theta_inv = tensor_compose(idn, w.retraction, m.coaction)
     rep = VerificationReport("fundamental").with_checks(
         equation("inverse.left", "theta∘theta_inv = id",
@@ -225,9 +225,9 @@ def fundamental_iso(m: TrussHopfModule) -> tuple[LinMap, LinMap, VerificationRep
         equation("inverse.right", "theta_inv∘theta = id",
                  theta_inv @ theta, identity(field, n * w.codim)),
         equation("intertwine.act1", "act1∘(id (x) theta) = theta∘(mu1 (x) id)",
-                 m.act1 @ kron(idn, theta), theta @ kron(t.mu1, idw)),
+                 compose_tensor(m.act1, idn, theta), compose_tensor(theta, t.mu1, idw)),
         equation("intertwine.act2", "act2∘(id (x) theta) = theta∘(mu2 (x) id)",
-                 m.act2 @ kron(idn, theta), theta @ kron(t.mu2, idw)),
+                 compose_tensor(m.act2, idn, theta), compose_tensor(theta, t.mu2, idw)),
         equation("intertwine.coaction",
                  "coaction∘theta = (id (x) theta)∘(delta (x) id)",
                  m.coaction @ theta,
@@ -266,7 +266,7 @@ def adjunction_check(h: HopfTruss, xdim: int,
         equation("induction.inclusion", "inclusion = eta (x) id",
                  w_free.inclusion, kron(h.eta, identity(field, xdim))),
         equation("triangle.free", "theta of the free module = id",
-                 free.act1 @ kron(idn, w_free.inclusion),
+                 compose_tensor(free.act1, idn, w_free.inclusion),
                  identity(field, n * xdim)),
     )
     try:
@@ -275,13 +275,12 @@ def adjunction_check(h: HopfTruss, xdim: int,
         return rep.with_checks(condition(
             "counit.comodule", "coaction∘theta = (id (x) theta)∘(delta (x) id)",
             False, f"coinvariants unavailable: {err}"))
-    theta = m.act1 @ kron(idn, w.inclusion)
+    theta = compose_tensor(m.act1, idn, w.inclusion)
     rep = rep.with_checks(
         equation("counit.comodule",
                  "coaction∘theta = (id (x) theta)∘(delta (x) id)",
                  m.coaction @ theta,
-                 tensor_compose(idn, theta, kron(h.comonoid.delta,
-                                                 identity(field, w.codim)))),
+                 tensor_compose(idn, theta, kron(h.comonoid.delta, identity(field, w.codim)))),
     )
     w_round = w_free if w.codim == xdim else coinvariants(
         induction_functor(h, w.codim).hopf_module())

@@ -56,15 +56,11 @@ class LinMap:
     @classmethod
     def _of(cls, field: FieldSpec, cod: int, dom: int,
             entries: Dict[Tuple[int, int], Scalar]) -> "LinMap":
-        """A map from entries this module computed itself, or copied
-        unchanged from a LinMap (coalgebra.diagonal relabels the entries
-        of a coproduct this way).
-
-        The entries must be exact sums and products of scalars of `field`
-        at keys inside cod x dom; keys are not checked again.  Each value
-        is reduced once here and exact zeros are dropped, so kernels may
-        accumulate with native arithmetic.  Input from callers goes
-        through `LinMap(...)`.
+        """A map from entries this module computed itself: exact sums and
+        products of scalars of `field` at keys inside cod x dom, which are
+        not checked again.  `field.reduce_entries` canonicalises the values
+        in one pass and drops exact zeros, so kernels may accumulate with
+        native arithmetic.  Input from callers goes through `LinMap(...)`.
         """
         if cod < 0 or dom < 0:
             raise DimensionMismatchError(f"negative shape {cod}x{dom}")
@@ -73,8 +69,7 @@ class LinMap:
         init(self, "field", field)
         init(self, "cod", cod)
         init(self, "dom", dom)
-        reduce = field.reduce
-        init(self, "_entries", {k: r for k, v in entries.items() if (r := reduce(v))})
+        init(self, "_entries", field.reduce_entries(entries))
         init(self, "_cols", None)
         init(self, "_hash", None)
         return self
@@ -94,11 +89,8 @@ class LinMap:
         width = widths.pop()
         if dom is not None and dom != width:
             raise DimensionMismatchError(f"dom {dom} != row width {width}")
-        entries = {}
-        for i, row in enumerate(rows):
-            for j, value in enumerate(row):
-                entries[(i, j)] = value
-        return cls(field, cod, width, entries)
+        return cls(field, cod, width,
+                   {(i, j): value for i, row in enumerate(rows) for j, value in enumerate(row)})
 
     @classmethod
     def from_columns(cls, field: FieldSpec, cod: int, columns: Sequence["LinMap"]) -> "LinMap":
@@ -252,33 +244,79 @@ def kron(f: LinMap, g: LinMap) -> LinMap:
 
 
 def tensor_compose(f: LinMap, g: LinMap, x: LinMap) -> LinMap:
-    """(f (x) g) ∘ x, without forming f (x) g.
+    """(f (x) g) ∘ x, without forming f (x) g."""
+    f.field.require_same(x.field)
+    if x.cod != f.dom * g.dom:
+        raise DimensionMismatchError(f"tensor_compose: dom {f.dom}*{g.dom} != cod {x.cod}")
+    return tensor_apply(f, g, x.items(), x.dom)
 
-    Row r of x is the basis tensor e_{r // g.dom} (x) e_{r % g.dom}, so
-    its image under f (x) g is that pair of columns of f and g; each is
-    formed once per nonzero row of x (Van Loan's (A⊗B)vec(X) = vec(B X Aᵀ)).
-    """
+
+def tensor_apply(f: LinMap, g: LinMap, legs, dom: int) -> LinMap:
+    """(f (x) g) ∘ x for the x with entries `legs`: a leg ((c1*g.dom + c2, j), v),
+    whose key may repeat and whose v is an exact product of scalars of f's
+    field, adds v·(f(e_c1) (x) g(e_c2)) to column j < dom.  Each such image
+    is multiplied out once (Van Loan's (A⊗B)vec(X) = vec(B X Aᵀ))."""
     field = f.field
     field.require_same(g.field)
-    field.require_same(x.field)
     gdom, gcod = g.dom, g.cod
-    if x.cod != f.dom * gdom:
-        raise DimensionMismatchError(
-            f"tensor_compose: dom {f.dom}*{gdom} != cod {x.cod}")
     fcols, gcols = f._by_col(), g._by_col()
     images: Dict[int, list] = {}
     out: Dict[Tuple[int, int], Scalar] = {}
     get = out.get
-    for (r, j), v in x._entries.items():
-        image = images.get(r)
+    for (c, j), v in legs:
+        image = images.get(c)
         if image is None:
-            r1, r2 = divmod(r, gdom)
-            image = images[r] = [(i1 * gcod + i2, u * w) for i1, u in fcols.get(r1, ())
-                                 for i2, w in gcols.get(r2, ())]
+            if not 0 <= c < f.dom * gdom:
+                raise DimensionMismatchError(f"tensor_apply: row {c} outside {f.dom}*{gdom}")
+            c1, c2 = divmod(c, gdom)
+            image = images[c] = [(i1 * gcod + i2, u * w) for i1, u in fcols.get(c1, ())
+                                 for i2, w in gcols.get(c2, ())]
+        if not 0 <= j < dom:
+            raise DimensionMismatchError(f"tensor_apply: column {j} outside dom {dom}")
         for i, uw in image:
             key = (i, j)
             out[key] = get(key, 0) + uw * v
-    return LinMap._of(field, f.cod * gcod, x.dom, out)
+    return LinMap._of(field, f.cod * gcod, dom, out)
+
+
+def compose_tensor(x: LinMap, f: LinMap, g: LinMap) -> LinMap:
+    """x ∘ (f (x) g), without forming f (x) g.  The block of x's columns
+    i1*g.cod + i2 is composed with g once, sharing a column that is one
+    column of x times 1, and then scaled by each entry f[i1, j1]."""
+    field = x.field
+    field.require_same(f.field)
+    field.require_same(g.field)
+    gcod, gdom = g.cod, g.dom
+    if x.dom != f.cod * gcod:
+        raise DimensionMismatchError(f"compose_tensor: dom {x.dom} != cod {f.cod}*{gcod}")
+    xcols, gcols = x._by_col(), g._by_col()
+    blocks: Dict[int, list] = {}
+    out: Dict[Tuple[int, int], Scalar] = {}
+    get = out.get
+    for j1, fcol in f._by_col().items():
+        single = len(fcol) == 1
+        for i1, u in fcol:
+            block = blocks.get(i1)
+            if block is None:
+                block = blocks[i1] = []
+                base = i1 * gcod
+                for j2, gcol in gcols.items():
+                    if len(gcol) == 1 and gcol[0][1] == 1:
+                        col = xcols.get(base + gcol[0][0])
+                    else:
+                        acc: Dict[int, Scalar] = {}
+                        for i2, w in gcol:
+                            for i, v in xcols.get(base + i2, ()):
+                                acc[i] = acc.get(i, 0) + w * v
+                        col = list(acc.items())
+                    if col:
+                        block.append((j2, col))
+            for j2, col in block:
+                j = j1 * gdom + j2
+                for i, v in col:
+                    key = (i, j)
+                    out[key] = u * v if single else get(key, 0) + u * v
+    return LinMap._of(field, x.cod, f.dom * gdom, out)
 
 
 def identity(field: FieldSpec, n: int) -> LinMap:
@@ -366,9 +404,7 @@ def solve_through(a: LinMap, b: LinMap) -> LinMap:
         raise DimensionMismatchError(f"cod {a.cod} != cod {b.cod}")
     field = a.field
     n, m = a.dom, b.dom
-    dense_a = a.rows()
-    dense_b = b.rows()
-    aug = [list(dense_a[i]) + list(dense_b[i]) for i in range(a.cod)]
+    aug = [row_a + row_b for row_a, row_b in zip(a.rows(), b.rows())]
     if a.cod == 0:
         if n > 0:
             raise AmbiguousSystemError("zero equations, free unknowns")

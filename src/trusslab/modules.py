@@ -32,7 +32,7 @@ from .errors import (
     NotInvertibleError,
 )
 from .hopftruss import HopfTruss, twisted_action, twisted_product
-from .linmap import LinMap, identity, invert, kron
+from .linmap import LinMap, compose_tensor, identity, invert, kron
 from .report import VerificationReport, condition, equation
 
 
@@ -114,22 +114,22 @@ def verify_truss_module(m: TrussModule) -> VerificationReport:
     gamma_m = module_twisted_action(m)
     return VerificationReport("trussmodule").with_checks(
         equation("act1.unit", "act1∘(eta (x) id) = id",
-                 m.act1 @ kron(t.eta, idm), idm),
+                 compose_tensor(m.act1, t.eta, idm), idm),
         equation("act1.product", "act1∘(id (x) act1) = act1∘(mu1 (x) id)",
-                 m.act1 @ kron(idn, m.act1), m.act1 @ kron(t.mu1, idm)),
+                 compose_tensor(m.act1, idn, m.act1), compose_tensor(m.act1, t.mu1, idm)),
         equation("act2.product", "act2∘(id (x) act2) = act2∘(mu2 (x) id)",
-                 m.act2 @ kron(idn, m.act2), m.act2 @ kron(t.mu2, idm)),
+                 compose_tensor(m.act2, idn, m.act2), compose_tensor(m.act2, t.mu2, idm)),
         equation("compat.distributivity",
                  "act2∘(id (x) act1) = act1∘(mu2 (x) GammaM)∘(id (x) swap (x) id)∘(delta (x) id (x) id)",
-                 m.act2 @ kron(idn, m.act1),
+                 compose_tensor(m.act2, idn, m.act1),
                  m.act1 @ diagonal(delta, t.mu2, gamma_m)),
         equation("compat.distributivity.alt",
                  "act2∘(id (x) act1) = act1∘(Lambda (x) act2)∘(id (x) swap (x) id)∘(delta (x) id (x) id)",
-                 m.act2 @ kron(idn, m.act1),
+                 compose_tensor(m.act2, idn, m.act1),
                  m.act1 @ diagonal(delta, twisted_product(t), m.act2)),
         equation("compat.derived",
                  "GammaM∘(id (x) act1) = act1∘(Gamma (x) GammaM)∘(id (x) swap (x) id)∘(delta (x) id (x) id)",
-                 gamma_m @ kron(idn, m.act1),
+                 compose_tensor(gamma_m, idn, m.act1),
                  m.act1 @ diagonal(delta, twisted_action(t), gamma_m)),
     )
 
@@ -147,23 +147,22 @@ def verify_pi_module(m: PiModule) -> VerificationReport:
     idm, idn = identity(field, m.mdim), identity(field, m.ndim)
     delta_b = c.bimonoid.comonoid.delta
     through = c.cocycle @ c.twist
-    intertwined = (m.hopf_action @ diagonal(delta_b, through, m.mixed_action)
-                   @ kron(idb, m.compare))
+    intertwined = m.hopf_action @ diagonal(delta_b, through, m.mixed_action, m.compare)
 
     rep = VerificationReport("pimodule").with_checks(
         equation("hopf-action.unit", "hopf_action∘(eta (x) id) = id",
-                 m.hopf_action @ kron(c.hopf.eta, idm), idm),
+                 compose_tensor(m.hopf_action, c.hopf.eta, idm), idm),
         equation("hopf-action.product",
                  "hopf_action∘(id (x) hopf_action) = hopf_action∘(mu (x) id)",
-                 m.hopf_action @ kron(idh, m.hopf_action),
-                 m.hopf_action @ kron(c.hopf.mu, idm)),
+                 compose_tensor(m.hopf_action, idh, m.hopf_action),
+                 compose_tensor(m.hopf_action, c.hopf.mu, idm)),
         equation("base-action.product",
                  "base_action∘(id (x) base_action) = base_action∘(mu (x) id)",
-                 m.base_action @ kron(idb, m.base_action),
-                 m.base_action @ kron(c.bimonoid.mu, idn)),
+                 compose_tensor(m.base_action, idb, m.base_action),
+                 compose_tensor(m.base_action, c.bimonoid.mu, idn)),
         equation("compat.mixed",
                  "mixed∘(id (x) hopf_action) = hopf_action∘(action (x) mixed)∘(id (x) swap (x) id)∘(delta (x) id (x) id)",
-                 m.mixed_action @ kron(idb, m.hopf_action),
+                 compose_tensor(m.mixed_action, idb, m.hopf_action),
                  m.hopf_action @ diagonal(delta_b, c.action, m.mixed_action)),
         equation("compare.intertwine",
                  "compare∘base_action = hopf_action∘((cocycle∘twist) (x) mixed)∘(delta (x) compare)",
@@ -185,8 +184,7 @@ def verify_pi_module(m: PiModule) -> VerificationReport:
         equation("derived.mixed",
                  "mixed = hopf_action∘((antipode∘cocycle∘twist) (x) (compare∘base_action))∘(delta (x) compare⁻¹)",
                  m.mixed_action,
-                 m.hopf_action @ diagonal(delta_b, lam_through, m.compare @ m.base_action)
-                 @ kron(idb, compare_inv)),
+                 m.hopf_action @ diagonal(delta_b, lam_through, m.compare @ m.base_action, compare_inv)),
     )
 
 
@@ -204,11 +202,11 @@ def verify_pi_module_morphism(h: LinMap, l: LinMap, src: PiModule,
     idb, idh = identity(field, b), identity(field, hd)
     rep = VerificationReport("pimodule-morphism").with_checks(
         equation("main.mixed", "h∘mixed = mixed'∘(id (x) h)",
-                 h @ src.mixed_action, dst.mixed_action @ kron(idb, h)),
+                 h @ src.mixed_action, compose_tensor(dst.mixed_action, idb, h)),
         equation("main.module", "h∘hopf_action = hopf_action'∘(id (x) h)",
-                 h @ src.hopf_action, dst.hopf_action @ kron(idh, h)),
+                 h @ src.hopf_action, compose_tensor(dst.hopf_action, idh, h)),
         equation("second.module", "l∘base_action = base_action'∘(id (x) l)",
-                 l @ src.base_action, dst.base_action @ kron(idb, l)),
+                 l @ src.base_action, compose_tensor(dst.base_action, idb, l)),
         equation("compat.compare", "h∘compare = compare'∘l",
                  h @ src.compare, dst.compare @ l),
     )
@@ -230,9 +228,9 @@ def restrict_along(fg: CocycleMorphism, source: InvertibleCocycle,
     field = source.field
     idm = identity(field, m.mdim)
     return PiModule(source,
-                    m.mixed_action @ kron(f, idm),
-                    m.hopf_action @ kron(g, idm),
-                    m.base_action @ kron(f, identity(field, m.ndim)),
+                    compose_tensor(m.mixed_action, f, idm),
+                    compose_tensor(m.hopf_action, g, idm),
+                    compose_tensor(m.base_action, f, identity(field, m.ndim)),
                     m.compare)
 
 
@@ -256,9 +254,9 @@ def functor_H_tr_pi(m: PiModule) -> TrussModule:
     pi_inv = invert(c.cocycle)
     compare_inv = invert(m.compare)
     out = TrussModule(t, m.hopf_action,
-                      m.compare @ m.base_action @ kron(pi_inv, compare_inv))
+                      compose_tensor(m.compare @ m.base_action, pi_inv, compare_inv))
     transported = module_twisted_action(out)
-    expected = m.mixed_action @ kron(pi_inv, identity(c.field, m.mdim))
+    expected = compose_tensor(m.mixed_action, pi_inv, identity(c.field, m.mdim))
     if transported != expected:
         raise InvalidStructureError(
             "twisted action of the output disagrees with the mixed action; "

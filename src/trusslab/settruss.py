@@ -27,7 +27,7 @@ from .errors import (
 )
 from .fields import FieldSpec
 from .hopftruss import HopfTruss
-from .linmap import LinMap, kron
+from .linmap import LinMap, compose_tensor
 from .report import CheckResult, VerificationReport, condition
 
 Table = tuple[tuple[int, ...], ...]
@@ -551,7 +551,7 @@ def truss_of_grouplikes(h: HopfTruss) -> SkewTruss:
 
     def product_table(mu: LinMap, label: str) -> Table:
         return tuple(
-            tuple(_grouplike_index(gl, mu @ kron(a, b), f"{label}-product of grouplikes")
+            tuple(_grouplike_index(gl, compose_tensor(mu, a, b), f"{label}-product of grouplikes")
                   for b in gl)
             for a in gl)
 

@@ -547,6 +547,36 @@ def test_diagonal_matches_the_index_sum(operands):
     assert out.shape == (f.cod * g.cod, f.dom * g.dom // delta.dom)
 
 
+@st.composite
+def diagonal_operands_with_a_right_factor(draw):
+    delta, f, g = draw(diagonal_operands())
+    a = delta.dom
+    values = (st.one_of(st.just(0), st.integers(-3, 3),
+                        st.fractions(min_value=-3, max_value=3, max_denominator=4))
+              if delta.field is RATIONALS else st.integers(0, 4))
+    dom = draw(st.integers(0, 3))
+    rows = draw(st.lists(st.lists(values, min_size=dom, max_size=dom),
+                         min_size=f.dom * g.dom // (a * a), max_size=f.dom * g.dom // (a * a)))
+    return delta, f, g, LinMap.from_rows(delta.field, rows, dom=dom)
+
+
+@settings(deadline=None, max_examples=60)
+@given(diagonal_operands_with_a_right_factor())
+def test_diagonal_with_a_right_factor_is_the_composite_through_id_and_it(operands):
+    delta, f, g, m = operands
+    expected = reference_diagonal(delta, f, g) @ kron(identity(delta.field, delta.dom), m)
+    assert diagonal(delta, f, g, m) == expected
+    assert diagonal(delta, f, g, identity(delta.field, m.cod)) == diagonal(delta, f, g)
+
+
+def test_diagonal_refuses_a_right_factor_of_the_wrong_shape_or_field():
+    h = cyclic_group_algebra(2, RATIONALS)
+    with pytest.raises(DimensionMismatchError):
+        diagonal(h.delta, h.mu, h.mu, identity(RATIONALS, 3))
+    with pytest.raises(FieldMismatchError):
+        diagonal(h.delta, h.mu, h.mu, identity(F5, 4))
+
+
 def test_diagonal_is_the_hopf_compatibility_composite():
     h = cyclic_group_algebra(3, RATIONALS)
     n = h.dim
@@ -576,18 +606,19 @@ def test_diagonal_of_the_zero_comonoid():
 
 
 def test_diagonal_forms_no_kron_compose_or_flip(monkeypatch):
-    # diagonal relabels delta's entries into the braided spread and
-    # applies f (x) g to it by tensor_compose, so no Kronecker product,
-    # composite or flip map is formed inside it.
+    # diagonal relabels pairs of entries of delta and m into the legs of
+    # the braided spread and applies f (x) g to them by tensor_apply, so on
+    # a group algebra no Kronecker product, composite or flip map is formed
+    # inside it.
     c = cocycle_of_truss(linearize(trivial_truss(symmetric_group(3)), RATIONALS))
     original = coalgebra.diagonal
     spreads, inside, depth = [], [], [0]
 
-    def tracked(delta, f, g):
+    def tracked(delta, f, g, m=None):
         spreads.append(delta.dom)
         depth[0] += 1
         try:
-            return original(delta, f, g)
+            return original(delta, f, g, m)
         finally:
             depth[0] -= 1
 

@@ -3,6 +3,8 @@
 import pytest
 
 from conftest import cyclic_table, cyclic_truss, flip, perturbed, truss_from_tables
+from test_coalgebra import moved_truss, unitriangular
+from trusslab.cocycle import cocycle_of_truss, roundtrip_report, verify_cocycle
 from trusslab.errors import DimensionMismatchError
 from trusslab.fields import RATIONALS, prime_field
 from trusslab.hopftruss import (
@@ -195,6 +197,45 @@ def test_wrong_cocycle_pinned_to_cocycle_checks():
     # a permutation is still a comonoid morphism
     assert rep.named("cocycle.comonoid.coproduct").passed
     assert rep.named("cocycle.comonoid.counit").passed
+
+
+# -- dense maps through the fused kernels ----------------------------------------
+#
+# Every truss above is a group algebra, whose maps are monomial.  Moved
+# along a unitriangular P with 1/2 above the diagonal, the same truss has
+# dense maps (fractional over Q), so compose_tensor, tensor_apply and
+# diagonal meet columns with several entries and sums that cancel.
+
+
+def failing(rep):
+    return [check.name for check in rep.failures()]
+
+
+@pytest.mark.parametrize("field", [RATIONALS, F5], ids=str)
+def test_moved_z4_truss_passes_every_law(field):
+    h = cyclic_truss(field, 4)
+    moved = moved_truss(h, unitriangular(field, 4))
+    assert len(moved.mu1.items()) > 2 * len(h.mu1.items())
+    assert verify_hopf_truss(moved).ok
+    c = cocycle_of_truss(moved)
+    assert verify_cocycle(c).ok
+    assert roundtrip_report(c).ok
+
+
+@pytest.mark.parametrize("field", [RATIONALS, F5], ids=str)
+@pytest.mark.parametrize("defect, caught", [("antipode", "h1.antipode.left"),
+                                             ("cocycle", "cocycle.derived")])
+def test_moved_defects_fail_exactly_the_checks_they_fail_unmoved(field, defect, caught):
+    base = cyclic_truss(field, 4)
+    if defect == "antipode":
+        bad = HopfTruss(base.comonoid, base.eta, base.mu1, base.mu2,
+                        identity(field, 4), base.cocycle)
+    else:
+        shift = LinMap(field, 4, 4, {((a + 1) % 4, a): 1 for a in range(4)})
+        bad = HopfTruss(base.comonoid, base.eta, base.mu1, base.mu2, base.antipode, shift)
+    unmoved = failing(verify_hopf_truss(bad))
+    assert caught in unmoved
+    assert failing(verify_hopf_truss(moved_truss(bad, unitriangular(field, 4)))) == unmoved
 
 
 def test_incompatible_products_pinned_to_distributivity():

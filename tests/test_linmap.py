@@ -23,6 +23,7 @@ from trusslab.errors import (
 from trusslab.fields import RATIONALS, FieldSpec, prime_field
 from trusslab.linmap import (
     LinMap,
+    compose_tensor,
     identity,
     image_basis,
     invert,
@@ -31,6 +32,7 @@ from trusslab.linmap import (
     rank,
     solve_through,
     split_idempotent,
+    tensor_apply,
     tensor_compose,
 )
 from trusslab.report import equation
@@ -670,3 +672,142 @@ def test_tensor_compose_guards():
         tensor_compose(f, identity(F5, 3), identity(RATIONALS, 6))
     with pytest.raises(FieldMismatchError):
         tensor_compose(f, g, identity(F5, 6))
+
+
+# -- compose_tensor and tensor_apply against the materialising path ------------
+#
+# compose_tensor(x, f, g) must equal x @ kron(f, g), the path it replaces,
+# and tensor_apply(f, g, legs, dom) must equal (f (x) g) applied to the map
+# that sums the legs; both are checked against products computed in
+# Fraction only as well.
+
+
+@st.composite
+def compose_tensor_operands(draw):
+    field = draw(st.sampled_from(FIELDS))
+    legs = st.integers(0, 3)
+    f = draw(exact_maps(draw(legs), draw(legs), field))
+    g = draw(exact_maps(draw(legs), draw(legs), field))
+    return draw(exact_maps(draw(legs), f.cod * g.cod, field)), f, g
+
+
+def ref_compose_tensor(x, f, g):
+    df, dg = dense(f), dense(g)
+    fg = [[df[i1][j1] * dg[i2][j2] for j1 in range(f.dom) for j2 in range(g.dom)]
+          for i1 in range(f.cod) for i2 in range(g.cod)]
+    return reduced(ref_compose(dense(x), fg, f.dom * g.dom), x.field)
+
+
+@EXAMPLES
+@given(compose_tensor_operands())
+def test_compose_tensor_matches_kron_and_the_fraction_reference(operands):
+    x, f, g = operands
+    out = compose_tensor(x, f, g)
+    assert out.shape == (x.cod, f.dom * g.dom)
+    assert_canonical(out)
+    assert out == x @ kron(f, g)
+    assert dense(out) == ref_compose_tensor(x, f, g)
+
+
+@st.composite
+def tensor_apply_operands(draw):
+    field = draw(st.sampled_from(FIELDS))
+    legs = st.integers(0, 3)
+    f = draw(exact_maps(draw(legs), draw(legs), field))
+    g = draw(exact_maps(draw(legs), draw(legs), field))
+    dom = draw(legs)
+    rows = f.dom * g.dom
+    keys = st.tuples(st.integers(0, rows - 1), st.integers(0, dom - 1))
+    # keys repeat, so the legs at one key are summed before f (x) g applies
+    drawn = draw(st.lists(st.tuples(keys, scalars_of(field)), max_size=12)) if rows and dom else []
+    return f, g, drawn, dom
+
+
+@EXAMPLES
+@given(tensor_apply_operands())
+def test_tensor_apply_matches_the_fraction_reference(operands):
+    f, g, legs, dom = operands
+    out = tensor_apply(f, g, iter(legs), dom)
+    assert out.shape == (f.cod * g.cod, dom)
+    assert_canonical(out)
+    x = [[Fraction(0)] * dom for _ in range(f.dom * g.dom)]
+    for (c, j), v in legs:
+        x[c][j] += v
+    summed = LinMap.from_rows(f.field, reduced(x, f.field), dom=dom)
+    assert out == tensor_compose(f, g, summed)
+    assert dense(out) == ref_tensor_compose(f, g, summed)
+
+
+def test_compose_tensor_and_tensor_apply_drop_cancelled_entries():
+    # Over F_5, columns 0 and 1 of x∘(f (x) g) are g[0, j2]·(1*1 + 2*2) = 0;
+    # columns 2 and 3 are g[0, j2]·(1*1 + 2*1), that is 3 and 6 = 1.
+    f = LinMap.from_rows(F5, [[1, 1], [2, 1]])
+    g = LinMap.from_rows(F5, [[1, 2]])
+    x = LinMap.from_rows(F5, [[1, 2]])
+    out = compose_tensor(x, f, g)
+    assert dict(out.items()) == {(0, 2): 3, (0, 3): 1}
+    assert out == x @ kron(f, g)
+    # Over Q, legs at one key cancel: 1/2 - 1/2, and 1/3 + 2/3 is the int 1.
+    third = LinMap.from_rows(RATIONALS, [[Fraction(1, 3)], [Fraction(2, 3)]])
+    legs = [((0, 0), Fraction(1, 2)), ((0, 0), Fraction(-1, 2)), ((0, 1), 1), ((0, 1), 2)]
+    out = tensor_apply(third, identity(RATIONALS, 1), legs, 2)
+    assert dict(out.items()) == {(0, 1): 1, (1, 1): 2}
+    assert all(type(v) is int for _, v in out.items())
+
+
+def test_compose_tensor_guards():
+    f, g = identity(RATIONALS, 2), identity(RATIONALS, 3)
+    with pytest.raises(DimensionMismatchError):
+        compose_tensor(identity(RATIONALS, 5), f, g)
+    with pytest.raises(FieldMismatchError):
+        compose_tensor(identity(RATIONALS, 6), f, identity(F5, 3))
+    with pytest.raises(FieldMismatchError):
+        compose_tensor(identity(F5, 6), f, g)
+
+
+def test_tensor_apply_guards():
+    f, g = identity(RATIONALS, 2), identity(RATIONALS, 3)
+    with pytest.raises(FieldMismatchError):
+        tensor_apply(f, identity(F5, 3), [((0, 0), 1)], 1)
+    for legs in ([((6, 0), 1)], [((-1, 0), 1)], [((0, 1), 1)], [((0, -1), 1)]):
+        with pytest.raises(DimensionMismatchError):
+            tensor_apply(f, g, legs, 1)
+    assert tensor_apply(f, g, [], 0).shape == (6, 0)
+
+
+# -- the per-field dict canonicaliser -------------------------------------------
+
+
+def canonical_by_reduce(field, entries):
+    return {k: r for k, v in entries.items() if (r := field.reduce(v))}
+
+
+@EXAMPLES
+@given(st.sampled_from(FIELDS).flatmap(lambda field: st.tuples(st.just(field), st.dictionaries(
+    st.tuples(st.integers(0, 5), st.integers(0, 5)),
+    st.integers(-40, 40) if field.p else st.one_of(
+        st.integers(-9, 9), st.fractions(min_value=-3, max_value=3, max_denominator=6),
+        st.integers(-9, 9).map(lambda n: Fraction(2 * n, 2))),
+    max_size=12))))
+def test_reduce_entries_is_reduce_on_each_value_with_zeros_dropped(operands):
+    field, entries = operands
+    out = field.reduce_entries(entries)
+    assert out == canonical_by_reduce(field, entries)
+    assert [type(v) for v in out.values()] == [type(v) for v in canonical_by_reduce(
+        field, entries).values()]
+    assert_canonical(LinMap._of(field, 6, 6, entries))
+
+
+def test_reduce_entries_on_integral_fractions_negative_residues_and_cancelled_sums():
+    f5 = prime_field(5)
+    q_entries = {(0, 0): Fraction(4, 2), (0, 1): Fraction(1, 3) + Fraction(2, 3),
+                 (0, 2): Fraction(1, 2) - Fraction(1, 2), (0, 3): 0, (0, 4): Fraction(-3, 6),
+                 (0, 5): -7}
+    assert RATIONALS.reduce_entries(q_entries) == {(0, 0): 2, (0, 1): 1, (0, 4): Fraction(-1, 2),
+                                                  (0, 5): -7}
+    assert [type(v) for v in RATIONALS.reduce_entries(q_entries).values()] == [
+        int, int, Fraction, int]
+    assert f5.reduce_entries({(0, 0): -1, (0, 1): -5, (0, 2): 4 * 4 + 4, (0, 3): 12}) == {
+        (0, 0): 4, (0, 3): 2}
+    twin = pickle.loads(pickle.dumps(f5))
+    assert twin.reduce_entries({(1, 1): -6}) == {(1, 1): 4}

@@ -4,9 +4,9 @@
 and `_by_col` exposes a map's cached column lists, so a module that
 named them could build an unchecked map or mutate a shared cache.  This
 test reads the source of every module and fails when any module other
-than linmap names them.  The one exception is coalgebra.diagonal, which
-builds its braided spread with `_of` from delta's entries: canonical
-scalars of delta's field, copied to relabelled keys.
+than linmap names them.  There are no exceptions: coalgebra.diagonal
+hands its braided legs to linmap.tensor_apply instead of building a map
+with `_of`.
 """
 
 import ast
@@ -14,7 +14,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "trusslab"
 TRUSTED = {"_of", "_by_col"}
-ALLOWED = {("coalgebra.py", "diagonal", "_of")}
+ALLOWED = set()
 
 
 def trusted_references(path):
@@ -45,5 +45,4 @@ def test_only_linmap_names_the_trusted_constructor_and_caches():
 
 def test_the_scan_sees_the_trusted_members_where_they_are_used():
     assert {name for _, _, name in trusted_references(SRC / "linmap.py")} == TRUSTED
-    assert [(function, name) for _, function, name in trusted_references(SRC / "coalgebra.py")] \
-        == [("diagonal", "_of")]
+    assert trusted_references(SRC / "coalgebra.py") == []
