@@ -182,22 +182,22 @@ def diagonal(delta: LinMap, f: LinMap, g: LinMap, m: LinMap | None = None) -> Li
     product or flip map is formed: each pair of entries of delta and m
     is relabelled into one leg of tensor_apply.
     """
-    delta.field.require_same(f.field)
     a = delta.dom
     x, y = (h.dom // a if a else 0 for h in (f, g))
     m = identity(delta.field, x * y) if m is None else m
-    delta.field.require_same(m.field)
-    if delta.cod != a * a or a * x != f.dom or a * y != g.dom or m.cod != x * y:
+    for h in (f, g, m):
+        delta.field.require_same(h.field)
+    if delta.cod != a * a or a * x != f.dom or a * y != g.dom or (a and m.cod != x * y):
         raise DimensionMismatchError(
             f"diagonal needs delta: {a} -> {a}*{a}, f, g from multiples of {a} and m into "
             f"their quotients, got shapes {delta.shape}, {f.shape}, {g.shape}, {m.shape}")
-    if len({r for (r, _), _ in m.items()}) < len(m.items()):
-        # Fused legs would multiply out a row of m once per entry; spread it once instead.
-        return compose_tensor(diagonal(delta, f, g), identity(delta.field, a), m)
+    if not a:
+        # id_0 (x) m is 0 x 0 whatever m is, and so is the composite's domain.
+        return LinMap.zero(delta.field, f.cod * g.cod, 0)
     # delta(e_k) ∋ e_a1 (x) e_a2 and m(e_c) ∋ e_u (x) e_v, so e_k (x) e_c ↦
     # e_a1 (x) e_u (x) e_a2 (x) e_v: the braid is the move of u ahead of a2.
     tail = [(u * a * y + v, c, w) for (r, c), w in m.items() for u, v in (divmod(r, y),)]
-    legs = ((((a1 * x * a + a2) * y + t, k * m.dom + c), d if w == 1 else d * w)
+    legs = ((((a1 * x * a + a2) * y + t, k * m.dom + c), d * w)
             for (row, k), d in delta.items() for a1, a2 in (divmod(row, a),) for t, c, w in tail)
     return tensor_apply(f, g, legs, a * m.dom)
 
@@ -252,8 +252,10 @@ def verify_hopf_monoid(h: HopfMonoidData, subject: str = "hopf") -> Verification
     rep = verify_nonunital_bimonoid(h.nonunital(), subject)
     unit_target = h.eta @ h.epsilon
     rep = rep.with_checks(
-        equation("unit.left", "mu∘(eta(x)id) = id", compose_tensor(h.mu, h.eta, idn), idn),
-        equation("unit.right", "mu∘(id(x)eta) = id", compose_tensor(h.mu, idn, h.eta), idn),
+        equation("unit.left", "mu∘(eta(x)id) = id",
+                 compose_tensor(h.mu, h.eta, idn), idn),
+        equation("unit.right", "mu∘(id(x)eta) = id",
+                 compose_tensor(h.mu, idn, h.eta), idn),
         equation("unit.counit", "epsilon∘eta = id_K", h.epsilon @ h.eta, one),
         equation("unit.coproduct", "delta∘eta = eta(x)eta",
                  h.delta @ h.eta, kron(h.eta, h.eta)),
@@ -362,8 +364,15 @@ def find_unit(mu: LinMap) -> LinMap | None:
 def _is_basis_diagonal(c: ComonoidData) -> bool:
     # Every delta column must be exactly one tensor square e_k (x) e_k.
     n = c.dim
-    cols = sorted(j for (i, j), v in c.delta.items() if v == 1 and i % (n + 1) == 0)
-    return len(c.delta.items()) == n and cols == list(range(n))
+    one = c.field.one
+    for j in range(n):
+        col = [(i, v) for (i, jj), v in c.delta.items() if jj == j]
+        if len(col) != 1:
+            return False
+        i, v = col[0]
+        if v != one or i % (n + 1) != 0:
+            return False
+    return True
 
 
 def grouplikes(c: ComonoidData) -> List[LinMap]:

@@ -280,7 +280,8 @@ def adjunction_check(h: HopfTruss, xdim: int,
         equation("counit.comodule",
                  "coaction∘theta = (id (x) theta)∘(delta (x) id)",
                  m.coaction @ theta,
-                 tensor_compose(idn, theta, kron(h.comonoid.delta, identity(field, w.codim)))),
+                 tensor_compose(idn, theta, kron(h.comonoid.delta,
+                                                 identity(field, w.codim)))),
     )
     w_round = w_free if w.codim == xdim else coinvariants(
         induction_functor(h, w.codim).hopf_module())

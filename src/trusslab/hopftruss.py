@@ -56,7 +56,8 @@ class HopfTruss(Structure):
 
 def derive_cocycle(mu2: LinMap, eta: LinMap) -> LinMap:
     """The cocycle forced by the axioms: mu2 ∘ (id (x) eta)."""
-    return compose_tensor(mu2, identity(mu2.field, mu2.cod), eta)
+    n = mu2.cod
+    return compose_tensor(mu2, identity(mu2.field, n), eta)
 
 
 def twisted_action(h: HopfTruss) -> LinMap:

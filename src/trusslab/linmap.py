@@ -89,8 +89,11 @@ class LinMap:
         width = widths.pop()
         if dom is not None and dom != width:
             raise DimensionMismatchError(f"dom {dom} != row width {width}")
-        return cls(field, cod, width,
-                   {(i, j): value for i, row in enumerate(rows) for j, value in enumerate(row)})
+        entries = {}
+        for i, row in enumerate(rows):
+            for j, value in enumerate(row):
+                entries[(i, j)] = value
+        return cls(field, cod, width, entries)
 
     @classmethod
     def from_columns(cls, field: FieldSpec, cod: int, columns: Sequence["LinMap"]) -> "LinMap":
@@ -294,7 +297,6 @@ def compose_tensor(x: LinMap, f: LinMap, g: LinMap) -> LinMap:
     out: Dict[Tuple[int, int], Scalar] = {}
     get = out.get
     for j1, fcol in f._by_col().items():
-        single = len(fcol) == 1
         for i1, u in fcol:
             block = blocks.get(i1)
             if block is None:
@@ -315,7 +317,7 @@ def compose_tensor(x: LinMap, f: LinMap, g: LinMap) -> LinMap:
                 j = j1 * gdom + j2
                 for i, v in col:
                     key = (i, j)
-                    out[key] = u * v if single else get(key, 0) + u * v
+                    out[key] = get(key, 0) + u * v
     return LinMap._of(field, x.cod, f.dom * gdom, out)
 
 
@@ -404,7 +406,9 @@ def solve_through(a: LinMap, b: LinMap) -> LinMap:
         raise DimensionMismatchError(f"cod {a.cod} != cod {b.cod}")
     field = a.field
     n, m = a.dom, b.dom
-    aug = [row_a + row_b for row_a, row_b in zip(a.rows(), b.rows())]
+    dense_a = a.rows()
+    dense_b = b.rows()
+    aug = [list(dense_a[i]) + list(dense_b[i]) for i in range(a.cod)]
     if a.cod == 0:
         if n > 0:
             raise AmbiguousSystemError("zero equations, free unknowns")

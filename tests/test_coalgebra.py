@@ -601,8 +601,13 @@ def test_diagonal_refuses_mismatched_shapes():
 
 def test_diagonal_of_the_zero_comonoid():
     zero = LinMap.zero
-    assert diagonal(zero(RATIONALS, 0, 0), zero(RATIONALS, 2, 0),
-                    zero(RATIONALS, 3, 0)) == zero(RATIONALS, 6, 0)
+    delta, f, g = zero(RATIONALS, 0, 0), zero(RATIONALS, 2, 0), zero(RATIONALS, 3, 0)
+    assert diagonal(delta, f, g) == zero(RATIONALS, 6, 0)
+    # id_0 (x) m is 0 x 0, so a right factor of any shape composes.
+    for m in (identity(RATIONALS, 2), LinMap(RATIONALS, 2, 3, {(0, 1): 4, (1, 2): 1}),
+              zero(RATIONALS, 0, 4)):
+        assert diagonal(delta, f, g, m) == zero(RATIONALS, 6, 0)
+        assert diagonal(delta, f, g, m) == diagonal(delta, f, g) @ kron(identity(RATIONALS, 0), m)
 
 
 def test_diagonal_forms_no_kron_compose_or_flip(monkeypatch):

@@ -1,5 +1,6 @@
 """Invertible cocycles and the truss equivalence."""
 
+import random
 from dataclasses import replace
 
 import pytest
@@ -12,7 +13,7 @@ from conftest import (
     sample_objects,
     truss_from_tables,
 )
-from trusslab import cocycle, hopftruss
+from trusslab import algfile, coalgebra, cocycle, hopftruss, modules
 from trusslab.coalgebra import ComonoidData, NonUnitalBimonoidData, verify_hopf_monoid
 from trusslab.cocycle import (
     CocycleMorphism,
@@ -28,6 +29,7 @@ from trusslab.errors import DimensionMismatchError
 from trusslab.fields import RATIONALS, prime_field
 from trusslab.hopftruss import derive_cocycle, twisted_action
 from trusslab.linmap import LinMap, identity, invert, kron
+from trusslab.modules import verify_pi_module
 from trusslab.settruss import linearize, symmetric_group, trivial_truss
 
 F5 = prime_field(5)
@@ -276,3 +278,36 @@ def test_wrong_shape_action_rejected():
     with pytest.raises(DimensionMismatchError):
         InvertibleCocycle(c.bimonoid, c.hopf, c.cocycle, c.twist,
                           identity(RATIONALS, 4))
+
+
+_fused_diagonal = coalgebra.diagonal
+
+
+def _diagonal_through_formed_right_factor(delta, f, g, m=None):
+    # id_A (x) m formed and composed after the spread, the construction
+    # that the fused right factor of diagonal replaces.
+    out = _fused_diagonal(delta, f, g)
+    return out if m is None else out @ kron(identity(delta.field, delta.dom), m)
+
+
+@pytest.mark.parametrize("field", [RATIONALS, F5], ids=str)
+@pytest.mark.parametrize("kind,dims", [
+    ("gic", {"source": 0, "target": 1}),
+    ("gic", {"source": 0, "target": 2}),
+    ("pimodule", {"source": 0, "target": 1, "carrier": 2, "second": 1}),
+    ("pimodule", {"source": 0, "target": 0, "carrier": 1, "second": 2}),
+], ids=str)
+def test_zero_source_reports_match_the_formed_right_factor(monkeypatch, field, kind, dims):
+    # Over a 0-dim source id_0 (x) m is 0 x 0 for every m, so compat.cocycle
+    # and compare.intertwine take a right factor of any codomain.
+    rng = random.Random(str(dims))
+    row = algfile.REGISTRY[kind]
+    maps = {name: LinMap(field, rows, cols, {(i, j): field.coerce(rng.randint(-2, 2))
+                                             for i in range(rows) for j in range(cols)})
+            for name, rows, cols in row.slots(dims)}
+    obj = row.build(dims, maps)
+    verify = verify_cocycle if kind == "gic" else verify_pi_module
+    fused = verify(obj)
+    for module in (coalgebra, cocycle, modules):
+        monkeypatch.setattr(module, "diagonal", _diagonal_through_formed_right_factor)
+    assert fused.to_dict() == verify(obj).to_dict()
