@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from typing import Callable, Dict, Tuple
 
 from .coalgebra import (
@@ -47,6 +46,7 @@ from .hopfmodules import (
 from .hopftruss import HopfTruss, verify_hopf_truss
 from .linmap import LinMap
 from .modules import PiModule, TrussModule, verify_pi_module, verify_truss_module
+from .record import Record
 from .settruss import (
     FiniteGroup,
     FiniteSemigroup,
@@ -76,8 +76,7 @@ def max_dim() -> int:
 # -- the kind registry ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Kind:
+class Kind(Record):
     """Everything the toolkit knows about one document kind: its tag, the
     structure class it parses to, and that class's verifier.
 
@@ -134,13 +133,11 @@ class Kind:
 
     def build(self, dims: Dict[str, int], maps: Dict[str, LinMap], prefix: str = ""):
         """The structure with these dims and these maps by document name."""
-        args = {attr: part.build(part_dims, maps, part_prefix)
-                for attr, part, part_dims, part_prefix in self._parts(dims, prefix)}
-        if not self.type.PARTS:  # a structure with no components holds its dim
-            args["dim"] = dims["dim"]
-        for name, _, _ in self.type.MAPS:
-            args[name] = maps[prefix + name]
-        return self.type(**args)
+        values = {attr: part.build(part_dims, maps, part_prefix)
+                  for attr, part, part_dims, part_prefix in self._parts(dims, prefix)}
+        values.update((name, maps[prefix + name]) for name, _, _ in self.type.MAPS)
+        # the one field that is neither a component nor a map is "dim"
+        return self.type(*(values[f] if f in values else dims[f] for f in self.type.FIELDS))
 
     def parse(self, doc: dict, cap: int):
         if "tables" in doc:
@@ -380,7 +377,7 @@ def read_json(text: str):
     """The JSON value in `text`; ParseError if it is not valid JSON."""
     try:
         return json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer too long for int()
+    except (ValueError, RecursionError) as exc:  # also too long an integer, too deep nesting
         raise ParseError(f"not valid JSON: {exc}") from exc
 
 

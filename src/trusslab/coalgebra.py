@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import List
 
 from .errors import (
@@ -26,6 +25,7 @@ from .errors import (
 )
 from .fields import PRIME_KIND, FieldSpec
 from .linmap import LinMap, compose_tensor, identity, kron, solve_through, tensor_apply, tensor_compose
+from .record import Record
 from .report import VerificationReport, equation
 
 # grouplikes scans every vector of a comonoid that is not basis-diagonal
@@ -39,19 +39,25 @@ def dim_product(expr: str, dims) -> int:
     return math.prod(dims[name] for name in expr.split("*") if name != "1")
 
 
-class Structure:
+class Structure(Record):
     """Base of every structure that carries maps.
 
     A subclass declares the components it is built on once, in PARTS, as
     (attribute, class, renamed), and its own maps with their shapes in
     MAPS, as (name, cod, dom) over named dims.  When `renamed` names a
-    dim, the component's "dim" becomes that dim.  The field, the dims and
-    the constructor check follow from these declarations, and the
-    document parser reads the same ones.
+    dim, the component's "dim" becomes that dim.  The record fields (the
+    components, or "dim" when there are none, then the maps), the field,
+    the dims and the constructor check follow from these declarations,
+    and the document parser reads the same ones.
     """
 
     PARTS = ()
     MAPS = ()
+
+    @classmethod
+    def _fields(cls) -> tuple:
+        parts = tuple(attr for attr, _, _ in cls.PARTS)
+        return (parts or ("dim",)) + tuple(name for name, _, _ in cls.MAPS)
 
     @property
     def field(self) -> FieldSpec:
@@ -93,34 +99,20 @@ class Structure:
                     f"{name} has shape {m.shape}, expected {expected}")
 
 
-@dataclass(frozen=True)
 class ComonoidData(Structure):
     """Comonoid structure constants: delta (dim -> dim^2), epsilon (dim -> 1)."""
-
-    dim: int
-    delta: LinMap
-    epsilon: LinMap
 
     MAPS = (("delta", "dim*dim", "dim"), ("epsilon", "1", "dim"))
 
 
-@dataclass(frozen=True)
 class MonoidData(Structure):
     """Monoid structure constants: eta (1 -> dim), mu (dim^2 -> dim)."""
-
-    dim: int
-    eta: LinMap
-    mu: LinMap
 
     MAPS = (("eta", "dim", "1"), ("mu", "dim", "dim*dim"))
 
 
-@dataclass(frozen=True)
 class NonUnitalBimonoidData(Structure):
     """A comonoid with an associative product that is a comonoid morphism."""
-
-    comonoid: ComonoidData
-    mu: LinMap
 
     PARTS = (("comonoid", ComonoidData, None),)
     MAPS = (("mu", "dim", "dim*dim"),)
@@ -138,14 +130,8 @@ class NonUnitalBimonoidData(Structure):
         return self.comonoid.epsilon
 
 
-@dataclass(frozen=True)
 class HopfMonoidData(Structure):
     """Unital bimonoid with antipode."""
-
-    comonoid: ComonoidData
-    eta: LinMap
-    mu: LinMap
-    antipode: LinMap
 
     PARTS = (("comonoid", ComonoidData, None),)
     MAPS = (("eta", "dim", "1"), ("mu", "dim", "dim*dim"), ("antipode", "dim", "dim"))

@@ -15,8 +15,6 @@ which roundtrip_report certifies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .coalgebra import (
     HopfMonoidData,
     NonUnitalBimonoidData,
@@ -35,25 +33,18 @@ from .errors import (
 )
 from .hopftruss import HopfTruss, _verify_hopf_truss, twisted_action
 from .linmap import LinMap, compose_tensor, identity, invert, tensor_compose
+from .record import Record
 from .report import VerificationReport, condition, equation
 
 
-@dataclass(frozen=True)
 class InvertibleCocycle(Structure):
-    bimonoid: NonUnitalBimonoidData
-    hopf: HopfMonoidData
-    cocycle: LinMap
-    twist: LinMap
-    action: LinMap
-
     PARTS = (("bimonoid", NonUnitalBimonoidData, "source"),
              ("hopf", HopfMonoidData, "target"))
     MAPS = (("cocycle", "target", "source"), ("twist", "source", "source"),
             ("action", "target", "source*target"))
 
 
-@dataclass(frozen=True)
-class CocycleMorphism:
+class CocycleMorphism(Record):
     """Pair of maps: source_map between the bimonoids, target_map between
     the Hopf monoids."""
 

@@ -12,11 +12,11 @@ linear-algebra code is field generic.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
 from .errors import FieldMismatchError, ParseError
+from .record import Record
 
 Scalar = Union[Fraction, int]
 
@@ -45,27 +45,35 @@ def _rational(q: Scalar) -> Scalar:
     return q
 
 
+# Miller-Rabin to the prime bases up to 41 decides primality exactly below
+# PRIME_BOUND, the least strong pseudoprime to all of them; bases up to 37
+# alone pass the composite 318665857834031151167461.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    """Whether n is prime, exactly; ValueError from PRIME_BOUND on."""
+    if n >= PRIME_BOUND:
+        raise ValueError(f"modulus {n} is not below the primality bound {PRIME_BOUND}")
+    if n < 2 or any(n % a == 0 for a in _WITNESSES):
+        return n in _WITNESSES
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    # n - 1 = d * 2^s with d odd; n is a strong probable prime to base a
+    # when a^d = 1 or a^(d * 2^r) = -1 for some r < s.
+    return all(pow(a, d, n) == 1 or any(pow(a, d << r, n) == n - 1 for r in range(s))
+               for a in _WITNESSES)
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(Record):
     """Tag for an exact field together with its scalar operations.
 
     `reduce` maps any exact int or Fraction result of ring arithmetic on
     scalars to its canonical scalar; `reduce_entries` maps a dict's values
     so in one pass and drops zeros.  Both are bound per instance and are
-    not dataclass fields, so equality, hash and repr see only kind and p.
+    not record fields, so equality, hash and repr see only kind and p.
     """
 
     kind: str

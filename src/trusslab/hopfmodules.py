@@ -14,22 +14,17 @@ is the content of the two triangle checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .coalgebra import ComonoidData, HopfMonoidData, Structure, diagonal
 from .errors import DimensionMismatchError, InvalidStructureError, TrussLabError
 from .hopftruss import HopfTruss
 from .linmap import LinMap, compose_tensor, identity, kron, nullspace, solve_through, tensor_compose
 from .modules import TrussModule, verify_truss_module
+from .record import Record
 from .report import VerificationReport, condition, equation
 
 
-@dataclass(frozen=True)
 class ComoduleData(Structure):
     """Carrier with a coaction of a comonoid on the left."""
-
-    comonoid: ComonoidData
-    coaction: LinMap
 
     PARTS = (("comonoid", ComonoidData, None),)
     MAPS = (("coaction", "dim*carrier", "carrier"),)
@@ -39,13 +34,8 @@ class ComoduleData(Structure):
         return self.coaction.dom
 
 
-@dataclass(frozen=True)
 class HopfModuleData(Structure):
     """Module and comodule over one Hopf monoid, compatibly."""
-
-    hopf: HopfMonoidData
-    action: LinMap
-    coaction: LinMap
 
     PARTS = (("hopf", HopfMonoidData, None),)
     MAPS = (("action", "carrier", "dim*carrier"),) + ComoduleData.MAPS
@@ -58,14 +48,8 @@ class HopfModuleData(Structure):
         return ComoduleData(self.hopf.comonoid, self.coaction)
 
 
-@dataclass(frozen=True)
 class TrussHopfModule(Structure):
     """Truss module that is also a comodule, compatible with both products."""
-
-    truss: HopfTruss
-    act1: LinMap
-    act2: LinMap
-    coaction: LinMap
 
     PARTS = TrussModule.PARTS
     MAPS = TrussModule.MAPS + ComoduleData.MAPS
@@ -78,8 +62,7 @@ class TrussHopfModule(Structure):
         return HopfModuleData(self.truss.hopf_part(), self.act1, self.coaction)
 
 
-@dataclass(frozen=True)
-class CoinvariantData:
+class CoinvariantData(Record):
     """The kernel of the coaction against the unit, with its retraction.
 
     inclusion is the kernel basis of rho - eta (x) id, the equalizer of

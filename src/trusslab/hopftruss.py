@@ -10,8 +10,6 @@ second product, which is the shape of the distributivity law.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .coalgebra import (
     ComonoidData,
     HopfMonoidData,
@@ -28,16 +26,8 @@ from .linmap import LinMap, compose_tensor, identity, tensor_compose
 from .report import VerificationReport, equation
 
 
-@dataclass(frozen=True)
 class HopfTruss(Structure):
     """Shared comonoid, Hopf product mu1, second product mu2, cocycle."""
-
-    comonoid: ComonoidData
-    eta: LinMap
-    mu1: LinMap
-    mu2: LinMap
-    antipode: LinMap
-    cocycle: LinMap
 
     PARTS = (("comonoid", ComonoidData, None),)
     MAPS = (("eta", "dim", "1"), ("mu1", "dim", "dim*dim"), ("mu2", "dim", "dim*dim"),

@@ -17,8 +17,6 @@ other lands on an isomorphic cocycle module with comparison map id.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .cocycle import (
     CocycleMorphism,
     InvertibleCocycle,
@@ -36,13 +34,8 @@ from .linmap import LinMap, compose_tensor, identity, invert, kron
 from .report import VerificationReport, condition, equation
 
 
-@dataclass(frozen=True)
 class TrussModule(Structure):
     """Carrier with a unital action of mu1 and a plain action of mu2."""
-
-    truss: HopfTruss
-    act1: LinMap
-    act2: LinMap
 
     PARTS = (("truss", HopfTruss, None),)
     MAPS = (("act1", "carrier", "dim*carrier"), ("act2", "carrier", "dim*carrier"))
@@ -52,7 +45,6 @@ class TrussModule(Structure):
         return self.act1.cod
 
 
-@dataclass(frozen=True)
 class PiModule(Structure):
     """Module over an invertible cocycle: two carriers, three actions.
 
@@ -61,12 +53,6 @@ class PiModule(Structure):
     second carrier, and mixed_action is the bimonoid acting on the main
     carrier through the cocycle data. compare identifies the carriers.
     """
-
-    system: InvertibleCocycle
-    mixed_action: LinMap
-    hopf_action: LinMap
-    base_action: LinMap
-    compare: LinMap
 
     PARTS = (("system", InvertibleCocycle, None),)
     MAPS = (("mixed_action", "carrier", "source*carrier"),

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from .linmap import LinMap
+from .record import Record
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     """One verified law.
 
     `name` is a stable slug, `anchor` states the law as a formula.  For
@@ -32,10 +31,9 @@ class CheckResult:
         }
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Record):
     subject: str
-    checks: Tuple[CheckResult, ...] = field(default_factory=tuple)
+    checks: Tuple[CheckResult, ...] = ()
 
     @property
     def ok(self) -> bool:
@@ -87,8 +85,8 @@ def equation(name: str, anchor: str, lhs: LinMap, rhs: LinMap) -> CheckResult:
     if lhs == rhs:
         return CheckResult(name, anchor, True)
     # lhs - rhs raises on unequal fields or shapes.
-    return CheckResult(name, anchor, False, residual=lhs - rhs)
+    return CheckResult(name, anchor, False, lhs - rhs)
 
 
 def condition(name: str, anchor: str, ok: bool, detail: str = "") -> CheckResult:
-    return CheckResult(name, anchor, ok, detail="" if ok else detail)
+    return CheckResult(name, anchor, ok, None, "" if ok else detail)

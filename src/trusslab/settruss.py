@@ -16,7 +16,6 @@ assumed to be index 0.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .coalgebra import ComonoidData, grouplikes
 from .errors import (
@@ -28,6 +27,7 @@ from .errors import (
 from .fields import FieldSpec
 from .hopftruss import HopfTruss
 from .linmap import LinMap, compose_tensor
+from .record import Record
 from .report import CheckResult, VerificationReport, condition
 
 Table = tuple[tuple[int, ...], ...]
@@ -92,8 +92,7 @@ def _unit_and_inverses(table: Table) -> tuple[int, tuple[int, ...], str | None]:
     return unit, tuple(inv), fault
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
+class FiniteGroup(Record):
     table: Table
     unit: int
     inv: tuple[int, ...]
@@ -127,8 +126,7 @@ class FiniteGroup:
         return cls(table, unit, inv)
 
 
-@dataclass(frozen=True)
-class FiniteSemigroup:
+class FiniteSemigroup(Record):
     table: Table
 
     def __post_init__(self) -> None:
@@ -147,8 +145,7 @@ class FiniteSemigroup:
         return cls(table)
 
 
-@dataclass(frozen=True)
-class SkewTruss:
+class SkewTruss(Record):
     group: FiniteGroup
     semigroup: FiniteSemigroup
     omega: tuple[int, ...]
@@ -179,8 +176,7 @@ def _truss_of_rows(group: FiniteGroup, table: Table) -> SkewTruss:
     return truss
 
 
-@dataclass(frozen=True)
-class SetMorphism:
+class SetMorphism(Record):
     src_size: int
     dst_size: int
     mapping: tuple[int, ...]

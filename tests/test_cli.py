@@ -1,6 +1,7 @@
 """Command front-end: exit codes, report schema, byte-level determinism."""
 
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import pytest
 
 from trusslab import algfile, cli
 from trusslab.cli import main
-from trusslab.fields import RATIONALS
+from trusslab.fields import PRIME_BOUND, RATIONALS
 from trusslab.hopfmodules import induction_functor
 from trusslab.settruss import (
     FiniteGroup,
@@ -22,6 +23,7 @@ from trusslab.settruss import (
 )
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+SRC = pathlib.Path(__file__).parent.parent / "src"
 BRACE = str(FIXTURES / "hopftruss-z2-brace.json")
 CORRUPT = str(FIXTURES / "hopftruss-z2-corrupt-cocycle.json")
 Z3_TRIVIAL = str(FIXTURES / "settruss-z3-trivial.json")
@@ -64,6 +66,25 @@ def test_verify_malformed_json(tmp_path, capsys):
     assert out == ""
     assert err.startswith("error:")
 
+
+
+def test_verify_deep_json_is_a_parse_error(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    code, out, err = run(capsys, "verify", str(deep))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: not valid JSON")
+
+
+@pytest.mark.parametrize("p,code", [(2**61 - 1, 0), (PRIME_BOUND, 2)])
+def test_verify_checks_a_large_modulus_or_refuses_it(tmp_path, capsys, p, code):
+    doc = json.loads(pathlib.Path(BRACE).read_text(encoding="utf-8"))
+    path = tmp_path / "big-p.json"
+    path.write_text(json.dumps({**doc, "field": {"kind": "Fp", "p": p}}), encoding="utf-8")
+    got, out, err = run(capsys, "verify", str(path))
+    assert got == code
+    assert ("hopftruss: PASS" in out) if code == 0 else ("primality bound" in err and out == "")
 
 def test_verify_missing_file(capsys):
     code, _, err = run(capsys, "verify", "no-such-file.json")
@@ -351,6 +372,18 @@ def test_help_exits_cleanly(capsys):
 def test_missing_subcommand_is_a_usage_error(capsys):
     assert run(capsys)[0] == 2
 
+
+
+def test_cli_import_loads_no_dataclass_machinery():
+    # dataclasses pulls in inspect, ast, dis and tokenize, and each trusslab
+    # process pays for every module it imports.
+    probe = "import sys, trusslab.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    child = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                           check=True, env={**os.environ, "PYTHONPATH": path})
+    assert child.stdout == "[]\n"
+    assert [f.name for f in (SRC / "trusslab").glob("*.py")
+            if "dataclass" in f.read_text(encoding="utf-8")] == []
 
 def test_module_entry_point_round_trip(tmp_path):
     argv = [sys.executable, "-m", "trusslab.cli", "enumerate", "--group", "Z2"]

@@ -1,7 +1,7 @@
 """Exact linear algebra: oracles, frozen bases, and algebraic properties."""
 
 import copy
-import dataclasses
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -20,7 +20,7 @@ from trusslab.errors import (
     NotIdempotentError,
     NotInvertibleError,
 )
-from trusslab.fields import RATIONALS, FieldSpec, prime_field
+from trusslab.fields import PRIME_BOUND, RATIONALS, FieldSpec, _is_prime, prime_field
 from trusslab.linmap import (
     LinMap,
     compose_tensor,
@@ -587,8 +587,8 @@ def test_rational_sums_that_are_integral_or_cancel_store_an_int_or_nothing():
         assert all(type(v) is int for _, v in out.items()), name
 
 
-def test_reduce_is_bound_per_field_and_not_a_dataclass_field():
-    assert [f.name for f in dataclasses.fields(FieldSpec)] == ["kind", "p"]
+def test_reduce_is_bound_per_field_and_not_a_record_field():
+    assert FieldSpec.FIELDS == ("kind", "p")
     f5 = prime_field(5)
     assert repr(f5) == "FieldSpec(kind='Fp', p=5)"
     for twin in (copy.copy(f5), copy.deepcopy(f5), pickle.loads(pickle.dumps(f5))):
@@ -598,6 +598,25 @@ def test_reduce_is_bound_per_field_and_not_a_dataclass_field():
     q = pickle.loads(pickle.dumps(RATIONALS))
     assert q == RATIONALS and type(q.reduce(Fraction(6, 3))) is int
 
+
+
+def test_primality_agrees_with_trial_division():
+    def trial(n):
+        return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+    assert [n for n in range(20_000) if _is_prime(n)] == [n for n in range(20_000) if trial(n)]
+
+
+def test_primality_is_exact_on_pseudoprimes_and_bounded():
+    # Carmichael numbers, and the least strong pseudoprime to every prime
+    # base up to 37, which a test with those bases alone calls prime.
+    for n in (561, 1105, 41041, 399165290221 * 798330580441):
+        assert not _is_prime(n)
+        with pytest.raises(ValueError, match="not prime"):
+            prime_field(n)
+    assert prime_field(2**61 - 1).mul(2**60, 2) == 1
+    for n in (PRIME_BOUND, 2**89 - 1):
+        with pytest.raises(ValueError, match="primality bound"):
+            prime_field(n)
 
 @EXAMPLES
 @given(same_shape(), st.booleans())
