@@ -11,6 +11,7 @@ from .coalgebra import (
     verify_comonoid,
     verify_hopf_monoid,
     verify_monoid,
+    verify_morphism,
     verify_nonunital_bimonoid,
 )
 from .cocycle import (
@@ -43,7 +44,6 @@ from .hopftruss import (
     twisted_action,
     twisted_product,
     verify_hopf_truss,
-    verify_truss_morphism,
 )
 from .linmap import (
     LinMap,

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import os
+from operator import attrgetter
 from typing import Callable, Dict, Tuple
 
 from .coalgebra import (
@@ -80,14 +81,12 @@ class Kind(Record):
     """Everything the toolkit knows about one document kind: its tag, the
     structure class it parses to, and that class's verifier.
 
-    The rest is read off the class's PARTS and MAPS declarations.  The
-    components' maps come first in the document; a component renamed to
-    a dim has its "dim" set to that dim and its maps prefixed
-    "renamed.".  The dims are the components' dims followed by the names
-    the class's own MAPS add.  Each dim is capped by TRUSSLAB_MAX_DIM,
-    except that a dim a structure adds on top of its components is a
-    module carrier, which may be a product of two capped dims (free
-    modules), and gets the square of the cap.
+    The rest is read off the class's ALL_MAPS (see coalgebra.Structure):
+    the document's maps are those, and its dims the names their shapes
+    use, in order.  Each dim is capped by TRUSSLAB_MAX_DIM, except that a
+    dim other than "dim" or a renamed component's (the prefix of its
+    maps' names) is a module carrier, which may be a product of two
+    capped dims (free modules), and gets the square of the cap.
     """
 
     name: str
@@ -97,44 +96,31 @@ class Kind(Record):
     @property
     def dims(self) -> Tuple[Tuple[str, int], ...]:
         """(name, cap power) of every dim, in document order."""
+        entries = self.type.ALL_MAPS
+        base = {"dim"} | {name.partition(".")[0] for name, _, _, _ in entries if "." in name}
         dims = {}
-        for _, cls, renamed in self.type.PARTS:
-            for key, power in _BY_TYPE[cls].dims:
-                dims[renamed or key] = power
-        power = 2 if self.type.PARTS else 1
-        for _, cod, dom in self.type.MAPS:
+        for _, _, cod, dom in entries:
             for key in f"{cod}*{dom}".split("*"):
                 if key != "1":
-                    dims.setdefault(key, power)
+                    dims.setdefault(key, 1 if key in base else 2)
         return tuple(dims.items())
 
-    def _parts(self, dims, prefix):
-        for attr, cls, renamed in self.type.PARTS:
-            if renamed is None:
-                yield attr, _BY_TYPE[cls], dims, prefix
-            else:
-                yield attr, _BY_TYPE[cls], {"dim": dims[renamed]}, f"{prefix}{renamed}."
-
-    def slots(self, dims: Dict[str, int], prefix: str = ""):
+    def slots(self, dims: Dict[str, int]):
         """(document name, rows, columns) of every map, components first."""
-        for _, part, part_dims, part_prefix in self._parts(dims, prefix):
-            yield from part.slots(part_dims, part_prefix)
-        for name, cod, dom in self.type.MAPS:
-            yield prefix + name, dim_product(cod, dims), dim_product(dom, dims)
+        for name, _, cod, dom in self.type.ALL_MAPS:
+            yield name, dim_product(cod, dims), dim_product(dom, dims)
 
-    def maps_of(self, obj, prefix: str = "") -> Dict[str, LinMap]:
+    def maps_of(self, obj) -> Dict[str, LinMap]:
         """Every map of obj by document name, in slot order."""
-        maps = {}
-        for attr, part, _, part_prefix in self._parts(obj.dims, prefix):
-            maps.update(part.maps_of(getattr(obj, attr), part_prefix))
-        for name, _, _ in self.type.MAPS:
-            maps[prefix + name] = getattr(obj, name)
-        return maps
+        return {name: attrgetter(path)(obj) for name, path, _, _ in self.type.ALL_MAPS}
 
     def build(self, dims: Dict[str, int], maps: Dict[str, LinMap], prefix: str = ""):
         """The structure with these dims and these maps by document name."""
-        values = {attr: part.build(part_dims, maps, part_prefix)
-                  for attr, part, part_dims, part_prefix in self._parts(dims, prefix)}
+        values = {}
+        for attr, cls, renamed in self.type.PARTS:
+            part_dims, part_prefix = ((dims, prefix) if renamed is None
+                                      else ({"dim": dims[renamed]}, f"{prefix}{renamed}."))
+            values[attr] = _BY_TYPE[cls].build(part_dims, maps, part_prefix)
         values.update((name, maps[prefix + name]) for name, _, _ in self.type.MAPS)
         # the one field that is neither a component nor a map is "dim"
         return self.type(*(values[f] if f in values else dims[f] for f in self.type.FIELDS))

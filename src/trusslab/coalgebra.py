@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from operator import attrgetter
 from typing import List
 
 from .errors import (
@@ -47,12 +48,28 @@ class Structure(Record):
     MAPS, as (name, cod, dom) over named dims.  When `renamed` names a
     dim, the component's "dim" becomes that dim.  The record fields (the
     components, or "dim" when there are none, then the maps), the field,
-    the dims and the constructor check follow from these declarations,
-    and the document parser reads the same ones.
+    the dims and the constructor check follow from these declarations.
+    ALL_MAPS lists every map once, the components' first, as (document
+    name, attribute path, cod, dom); a renamed component's maps are
+    named "renamed." + name and have their "dim" replaced by that dim.
+    The document format and verify_morphism read this list.
     """
 
     PARTS = ()
     MAPS = ()
+    ALL_MAPS = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        entries = []
+        for attr, part, renamed in cls.PARTS:
+            for name, path, cod, dom in part.ALL_MAPS:
+                if renamed is not None:
+                    name = f"{renamed}.{name}"
+                    cod, dom = ("*".join(renamed if d == "dim" else d for d in expr.split("*"))
+                                for expr in (cod, dom))
+                entries.append((name, f"{attr}.{path}", cod, dom))
+        cls.ALL_MAPS = tuple(entries) + tuple((name, name, cod, dom) for name, cod, dom in cls.MAPS)
 
     @classmethod
     def _fields(cls) -> tuple:
@@ -251,6 +268,45 @@ def verify_hopf_monoid(h: HopfMonoidData, subject: str = "hopf") -> Verification
                  h.mu @ tensor_compose(idn, h.antipode, h.delta), unit_target),
     )
     return rep
+
+
+def verify_morphism(f: dict, src: Structure, dst: Structure,
+                    subject: str = "morphism") -> VerificationReport:
+    """The laws of a morphism src -> dst of one kind.
+
+    f maps each named dim d of the kind to a LinMap src.dims[d] ->
+    dst.dims[d].  Every map m in ALL_MAPS must commute with it,
+    f_cod∘m = m'∘f_dom, where a tensor of dims takes the tensor of their
+    maps and the dim 1 the identity; each check is named by m's document
+    name.  Another kind raises TypeError, another field
+    FieldMismatchError, and a missing or extra dim or a wrong shape
+    DimensionMismatchError, all before any law is checked.
+    """
+    if type(src) is not type(dst):
+        raise TypeError(f"morphism from {type(src).__name__} to {type(dst).__name__}")
+    for h in (dst, *f.values()):
+        src.field.require_same(h.field)
+    dst_dims = dst.dims
+    expected = {d: (dst_dims[d], n) for d, n in src.dims.items()}
+    shapes = {d: h.shape for d, h in f.items()}
+    if shapes != expected:
+        raise DimensionMismatchError(f"morphism has shapes {shapes}, expected {expected}")
+    checks = []
+    for name, path, cod, dom in type(src).ALL_MAPS:
+        m, m_dst = attrgetter(path)(src), attrgetter(path)(dst)
+        (left, left_text), (right, right_text) = _factors(f, cod), _factors(f, dom)
+        lhs = tensor_compose(*left, m) if len(left) > 1 else left[0] @ m if left else m
+        rhs = compose_tensor(m_dst, *right) if len(right) > 1 else m_dst @ right[0] if right else m_dst
+        anchor = f"{left_text and left_text + '∘'}{name} = {name}'{right_text and '∘' + right_text}"
+        checks.append(equation(name, anchor, lhs, rhs))
+    return VerificationReport(subject, tuple(checks))
+
+
+def _factors(f: dict, expr: str) -> tuple:
+    """The maps of f on the dims of a shape expression, and their text."""
+    dims = [d for d in expr.split("*") if d != "1"]
+    text = "(x)".join(f"f_{d}" for d in dims)
+    return [f[d] for d in dims], f"({text})" if len(dims) > 1 else text
 
 
 # -- convolution -------------------------------------------------------------

@@ -23,10 +23,10 @@ from .coalgebra import (
     find_unit,
     solve_antipode,
     verify_hopf_monoid,
+    verify_morphism,
     verify_nonunital_bimonoid,
 )
 from .errors import (
-    DimensionMismatchError,
     InvalidStructureError,
     NoAntipodeError,
     NotInvertibleError,
@@ -145,40 +145,8 @@ def truss_of_cocycle(c: InvertibleCocycle) -> HopfTruss:
 def verify_cocycle_morphism(m: CocycleMorphism,
                             src: InvertibleCocycle,
                             dst: InvertibleCocycle) -> VerificationReport:
-    src.field.require_same(dst.field)
-    f, g = m.source_map, m.target_map
-    if f.shape != (dst.bimonoid.dim, src.bimonoid.dim):
-        raise DimensionMismatchError(
-            f"source map has shape {f.shape}, expected "
-            f"{(dst.bimonoid.dim, src.bimonoid.dim)}")
-    if g.shape != (dst.hopf.dim, src.hopf.dim):
-        raise DimensionMismatchError(
-            f"target map has shape {g.shape}, expected "
-            f"{(dst.hopf.dim, src.hopf.dim)}")
-    checks = (
-        equation("f.comonoid.coproduct", "delta'∘f = (f(x)f)∘delta",
-                 dst.bimonoid.delta @ f, tensor_compose(f, f, src.bimonoid.delta)),
-        equation("f.comonoid.counit", "epsilon'∘f = epsilon",
-                 dst.bimonoid.epsilon @ f, src.bimonoid.epsilon),
-        equation("f.product", "f∘mu_B = mu_B'∘(f(x)f)",
-                 f @ src.bimonoid.mu, compose_tensor(dst.bimonoid.mu, f, f)),
-        equation("g.comonoid.coproduct", "delta'∘g = (g(x)g)∘delta",
-                 dst.hopf.delta @ g, tensor_compose(g, g, src.hopf.delta)),
-        equation("g.comonoid.counit", "epsilon'∘g = epsilon",
-                 dst.hopf.epsilon @ g, src.hopf.epsilon),
-        equation("g.unit", "g∘eta = eta'", g @ src.hopf.eta, dst.hopf.eta),
-        equation("g.product", "g∘mu_H = mu_H'∘(g(x)g)",
-                 g @ src.hopf.mu, compose_tensor(dst.hopf.mu, g, g)),
-        equation("g.implied.antipode", "g∘antipode = antipode'∘g",
-                 g @ src.hopf.antipode, dst.hopf.antipode @ g),
-        equation("compat.twist", "f∘twist = twist'∘f",
-                 f @ src.twist, dst.twist @ f),
-        equation("compat.cocycle", "g∘pi = pi'∘f",
-                 g @ src.cocycle, dst.cocycle @ f),
-        equation("compat.action", "g∘phi = phi'∘(f(x)g)",
-                 g @ src.action, compose_tensor(dst.action, f, g)),
-    )
-    return VerificationReport("cocycle-morphism", checks)
+    """verify_morphism with source_map on "source" and target_map on "target"."""
+    return verify_morphism({"source": m.source_map, "target": m.target_map}, src, dst, "cocycle-morphism")
 
 
 def roundtrip_report(c: InvertibleCocycle) -> VerificationReport:

@@ -21,7 +21,7 @@ from .coalgebra import (
     verify_hopf_monoid,
     verify_nonunital_bimonoid,
 )
-from .errors import DimensionMismatchError, NoAntipodeError
+from .errors import NoAntipodeError
 from .linmap import LinMap, compose_tensor, identity, tensor_compose
 from .report import VerificationReport, equation
 
@@ -101,28 +101,6 @@ def _verify_hopf_truss(h: HopfTruss, hopf_report: VerificationReport | None = No
                  compose_tensor(gamma, idn, gamma), compose_tensor(gamma, h.mu2, idn)),
     )
     return rep, gamma
-
-
-def verify_truss_morphism(f: LinMap, src: HopfTruss, dst: HopfTruss) -> VerificationReport:
-    """Morphism laws for f: src -> dst, plus the implied intertwines."""
-    src.field.require_same(dst.field)
-    if f.shape != (dst.dim, src.dim):
-        raise DimensionMismatchError(
-            f"morphism has shape {f.shape}, expected {(dst.dim, src.dim)}")
-    checks = (
-        equation("comonoid.coproduct", "delta'∘f = (f(x)f)∘delta",
-                 dst.comonoid.delta @ f, tensor_compose(f, f, src.comonoid.delta)),
-        equation("comonoid.counit", "epsilon'∘f = epsilon",
-                 dst.comonoid.epsilon @ f, src.comonoid.epsilon),
-        equation("h1.unit", "f∘eta = eta'", f @ src.eta, dst.eta),
-        equation("h1.product", "f∘mu1 = mu1'∘(f(x)f)", f @ src.mu1, compose_tensor(dst.mu1, f, f)),
-        equation("h2.product", "f∘mu2 = mu2'∘(f(x)f)", f @ src.mu2, compose_tensor(dst.mu2, f, f)),
-        equation("implied.antipode", "f∘antipode = antipode'∘f",
-                 f @ src.antipode, dst.antipode @ f),
-        equation("implied.cocycle", "f∘cocycle = cocycle'∘f",
-                 f @ src.cocycle, dst.cocycle @ f),
-    )
-    return VerificationReport("truss-morphism", checks)
 
 
 def hopf_brace_antipode(h: HopfTruss) -> LinMap | None:

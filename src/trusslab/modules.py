@@ -23,9 +23,8 @@ from .cocycle import (
     cocycle_of_truss,
     truss_of_cocycle,
 )
-from .coalgebra import Structure, diagonal
+from .coalgebra import Structure, diagonal, verify_morphism
 from .errors import (
-    DimensionMismatchError,
     InvalidStructureError,
     NotInvertibleError,
 )
@@ -176,26 +175,12 @@ def verify_pi_module(m: PiModule) -> VerificationReport:
 
 def verify_pi_module_morphism(h: LinMap, l: LinMap, src: PiModule,
                               dst: PiModule) -> VerificationReport:
-    """h between main carriers, l between second carriers, compare-compatible."""
+    """verify_morphism with h on the carrier, l on the second carrier and
+    identities on the system, and l determined by h through compare."""
     c = src.system
-    b, hd = c.bimonoid.dim, c.hopf.dim
-    if dst.system.bimonoid.dim != b or dst.system.hopf.dim != hd:
-        raise DimensionMismatchError("modules live over differently sized systems")
-    if h.shape != (dst.mdim, src.mdim) or l.shape != (dst.ndim, src.ndim):
-        raise DimensionMismatchError(
-            f"morphism shapes {h.shape}, {l.shape} do not match the carriers")
-    field = c.field
-    idb, idh = identity(field, b), identity(field, hd)
-    rep = VerificationReport("pimodule-morphism").with_checks(
-        equation("main.mixed", "h∘mixed = mixed'∘(id (x) h)",
-                 h @ src.mixed_action, compose_tensor(dst.mixed_action, idb, h)),
-        equation("main.module", "h∘hopf_action = hopf_action'∘(id (x) h)",
-                 h @ src.hopf_action, compose_tensor(dst.hopf_action, idh, h)),
-        equation("second.module", "l∘base_action = base_action'∘(id (x) l)",
-                 l @ src.base_action, compose_tensor(dst.base_action, idb, l)),
-        equation("compat.compare", "h∘compare = compare'∘l",
-                 h @ src.compare, dst.compare @ l),
-    )
+    f = {"source": identity(c.field, c.bimonoid.dim), "target": identity(c.field, c.hopf.dim),
+         "carrier": h, "second": l}
+    rep = verify_morphism(f, src, dst, "pimodule-morphism")
     try:
         determined = invert(dst.compare) @ h @ src.compare
     except NotInvertibleError:

@@ -7,8 +7,9 @@ sample_objects, one structure of every document kind for the format and
 dispatch tests, uses the library's own constructions instead.
 """
 
-from trusslab.coalgebra import ComonoidData, MonoidData, NonUnitalBimonoidData
-from trusslab.cocycle import InvertibleCocycle, cocycle_of_truss
+from trusslab import algfile
+from trusslab.coalgebra import ComonoidData, MonoidData
+from trusslab.cocycle import cocycle_of_truss
 from trusslab.fields import RATIONALS, FieldSpec, prime_field
 from trusslab.hopfmodules import HopfModuleData, induction_functor
 from trusslab.hopftruss import HopfTruss
@@ -74,19 +75,30 @@ def perturbed(m: LinMap, i: int, j: int) -> LinMap:
     return LinMap(m.field, m.cod, m.dom, entries)
 
 
-def permute_cocycle_source(c: InvertibleCocycle, perm) -> InvertibleCocycle:
-    """Relabel the source of a cocycle along a permutation, target untouched."""
-    n = c.bimonoid.dim
-    q = LinMap(c.field, n, n, {(perm[a], a): 1 for a in range(n)})
-    qi = invert(q)
-    moved = NonUnitalBimonoidData(
-        ComonoidData(n, kron(q, q) @ c.bimonoid.delta @ qi,
-                     c.bimonoid.epsilon @ qi),
-        q @ c.bimonoid.mu @ kron(qi, qi))
-    return InvertibleCocycle(moved, c.hopf,
-                             c.cocycle @ qi,
-                             q @ c.twist @ qi,
-                             c.action @ kron(qi, identity(c.field, c.hopf.dim)))
+def transport(obj, p: dict):
+    """obj moved along invertible maps p[d] on its dims, the identity on a
+    dim p leaves out: each map m of its kind becomes
+    kron(p on cod)∘m∘kron(p on dom)⁻¹, and the kind's build reassembles them."""
+    kind = algfile.REGISTRY[algfile.kind_of(obj)]
+    dims = obj.dims
+    move = {d: (p[d], invert(p[d])) if d in p else (identity(obj.field, n),) * 2
+            for d, n in dims.items()}
+
+    def along(expr, which):
+        out = identity(obj.field, 1)
+        for d in expr.split("*"):
+            if d != "1":
+                out = kron(out, move[d][which])
+        return out
+
+    maps = kind.maps_of(obj)
+    return kind.build(dims, {name: along(cod, 0) @ maps[name] @ along(dom, 1)
+                             for name, _, cod, dom in type(obj).ALL_MAPS})
+
+
+def permutation(field: FieldSpec, perm) -> LinMap:
+    """The map e_a -> e_perm[a]."""
+    return LinMap(field, len(perm), len(perm), {(b, a): field.one for a, b in enumerate(perm)})
 
 
 def sample_objects():

@@ -8,7 +8,7 @@ F5; nothing here tolerates a nonzero residual.
 
 import json
 
-from conftest import flip, permute_cocycle_source, perturbed
+from conftest import flip, permutation, perturbed, transport
 from test_settruss import naive_enumerate
 
 from trusslab.cli import main
@@ -80,17 +80,17 @@ def moved_cocycles():
     comparison map is a genuine permutation rather than the identity."""
     return [
         ("trivial-Z2-Q-moved",
-         permute_cocycle_source(
+         transport(
              cocycle_of_truss(linearize(trivial_truss(cyclic_group(2)), RATIONALS)),
-             (1, 0))),
+             {"source": permutation(RATIONALS, (1, 0))})),
         ("trivial-Z3-Q-moved",
-         permute_cocycle_source(
+         transport(
              cocycle_of_truss(linearize(trivial_truss(cyclic_group(3)), RATIONALS)),
-             (1, 2, 0))),
+             {"source": permutation(RATIONALS, (1, 2, 0))})),
         ("right-projection-Z3-F5-moved",
-         permute_cocycle_source(
+         transport(
              cocycle_of_truss(linearize(right_projection_truss(cyclic_group(3)), F5)),
-             (2, 0, 1))),
+             {"source": permutation(F5, (2, 0, 1))})),
     ]
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import flip, sample_objects, truss_from_tables
+from conftest import flip, sample_objects, transport, truss_from_tables
 
 from trusslab import coalgebra, cocycle, hopftruss, verify_structure
 from trusslab.coalgebra import (
@@ -40,8 +40,8 @@ from trusslab.errors import (
 )
 from trusslab.fields import RATIONALS, prime_field
 from trusslab.hopfmodules import verify_hopf_module, verify_truss_hopf_module
-from trusslab.hopftruss import HopfTruss, verify_hopf_truss
-from trusslab.linmap import LinMap, identity, invert, kron, rank, solve_through
+from trusslab.hopftruss import verify_hopf_truss
+from trusslab.linmap import LinMap, identity, kron, rank, solve_through
 from trusslab.modules import verify_pi_module, verify_truss_module
 from trusslab.settruss import (
     cyclic_group,
@@ -262,14 +262,6 @@ def reference_convolution_inverse(f, source, target):
     return LinMap(field, na, nd, {divmod(k, nd): v for (k, _), v in x.items()})
 
 
-def moved_truss(t: HopfTruss, p: LinMap) -> HopfTruss:
-    """t moved along the isomorphism p."""
-    q = invert(p)
-    return HopfTruss(transported_comonoid(t.comonoid, p), p @ t.eta,
-                     p @ t.mu1 @ kron(q, q), p @ t.mu2 @ kron(q, q),
-                     p @ t.antipode @ q, p @ t.cocycle @ q)
-
-
 def unitriangular(field, n):
     # 1/2 above the diagonal: Δ moved along it is not basis-diagonal and,
     # over Q, has fractional entries.
@@ -291,7 +283,7 @@ def test_convolution_inverse_matches_the_basis_convolution_reference(field, grou
     rnd = random.Random(41)
     for make in (trivial_truss, right_projection_truss):
         plain = linearize(make(group), field)
-        for t in (plain, moved_truss(plain, unitriangular(field, plain.dim))):
+        for t in (plain, transport(plain, {"dim": unitriangular(field, plain.dim)})):
             n = t.dim
             some = LinMap(field, n, n, {(i, j): rnd.randint(-2, 2) for i in range(n)
                                         for j in range(n) if rnd.random() < 0.5})
@@ -348,16 +340,10 @@ def test_basis_scan_on_primitive_comonoid_is_incomplete():
         grouplikes(b.comonoid)
 
 
-def transported_comonoid(c: ComonoidData, p: LinMap) -> ComonoidData:
-    """c moved along the isomorphism p."""
-    q = invert(p)
-    return ComonoidData(c.dim, kron(p, p) @ c.delta @ q, c.epsilon @ q)
-
-
 def test_exhaustive_scan_over_f2():
     h = cyclic_group_algebra(2, F2)
     p = LinMap.from_rows(F2, [[1, 1], [0, 1]])
-    vectors = grouplikes(transported_comonoid(h.comonoid, p))
+    vectors = grouplikes(transport(h.comonoid, {"dim": p}))
     # Candidate vectors run in lexicographic coefficient order: p e1 = (1, 1)
     # comes after p e0 = (1, 0).
     assert vectors == [p @ LinMap.basis_vector(F2, 2, 0), p @ LinMap.basis_vector(F2, 2, 1)]
@@ -415,9 +401,9 @@ ORACLE_COMONOIDS = [
     pytest.param(lambda f=f: _z2_squared(f), True, id=f"Z2xZ2-F{f.p}") for f in (F2, F3, F5)
 ] + [
     pytest.param(lambda: primitive_element_bundle(F5)[0].comonoid, False, id="primitive-F5"),
-    pytest.param(lambda: transported_comonoid(
+    pytest.param(lambda: transport(
         cyclic_group_algebra(3, F5).comonoid,
-        LinMap.from_rows(F5, [[1, 4, 0], [0, 1, 3], [0, 0, 1]])), False, id="transported-Z3-F5"),
+        {"dim": LinMap.from_rows(F5, [[1, 4, 0], [0, 1, 3], [0, 0, 1]])}), False, id="transported-Z3-F5"),
 ]
 
 
@@ -471,7 +457,7 @@ def test_find_unit_matches_the_dense_reference():
         enumerate_skew_trusses(symmetric_group(3), max_size=6))[::50]]
     for field in (RATIONALS, F5):
         linear = [linearize(t, field) for t in trusses]
-        linear += [moved_truss(h, unitriangular(field, h.dim)) for h in linear[::8]]
+        linear += [transport(h, {"dim": unitriangular(field, h.dim)}) for h in linear[::8]]
         found = 0
         for h in linear:
             for mu in (h.mu1, h.mu2):

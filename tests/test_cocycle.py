@@ -7,18 +7,14 @@ import pytest
 from conftest import (
     cyclic_table,
     cyclic_truss,
-    permute_cocycle_source,
+    permutation,
     perturbed,
     sample_objects,
+    transport,
     truss_from_tables,
 )
 from trusslab import algfile, coalgebra, cocycle, hopftruss, modules
-from trusslab.coalgebra import (
-    ComonoidData,
-    HopfMonoidData,
-    NonUnitalBimonoidData,
-    verify_hopf_monoid,
-)
+from trusslab.coalgebra import HopfMonoidData, verify_hopf_monoid
 from trusslab.cocycle import (
     CocycleMorphism,
     InvertibleCocycle,
@@ -32,7 +28,7 @@ from trusslab.cocycle import (
 from trusslab.errors import DimensionMismatchError
 from trusslab.fields import RATIONALS, prime_field
 from trusslab.hopftruss import derive_cocycle, twisted_action
-from trusslab.linmap import LinMap, identity, invert, kron
+from trusslab.linmap import LinMap, identity, kron
 from trusslab.modules import verify_pi_module
 from trusslab.settruss import linearize, symmetric_group, trivial_truss
 
@@ -67,16 +63,7 @@ def shear_source(c: InvertibleCocycle) -> InvertibleCocycle:
     n = c.bimonoid.dim
     entries = {(a, a): 1 for a in range(n)}
     entries[(0, n - 1)] = 1
-    q = LinMap(c.field, n, n, entries)
-    qi = invert(q)
-    moved = NonUnitalBimonoidData(
-        ComonoidData(n, kron(q, q) @ c.bimonoid.delta @ qi,
-                     c.bimonoid.epsilon @ qi),
-        q @ c.bimonoid.mu @ kron(qi, qi))
-    return InvertibleCocycle(moved, c.hopf,
-                             c.cocycle @ qi,
-                             q @ c.twist @ qi,
-                             c.action @ kron(qi, identity(c.field, c.hopf.dim)))
+    return transport(c, {"source": LinMap(c.field, n, n, entries)})
 
 
 # -- reading a truss as a cocycle ---------------------------------------------
@@ -121,7 +108,7 @@ def test_transport_of_identity_cocycle_is_trivial():
 
 
 def test_constructed_cocycle_satisfies_derivation_law():
-    c = permute_cocycle_source(cocycle_of_truss(z4_circle_truss(F5)), (1, 2, 3, 0))
+    c = transport(cocycle_of_truss(z4_circle_truss(F5)), {"source": permutation(F5, (1, 2, 3, 0))})
     t = truss_of_cocycle(c)
     assert t.cocycle == derive_cocycle(t.mu2, t.eta)
 
@@ -130,7 +117,7 @@ def test_constructed_cocycle_satisfies_derivation_law():
 
 
 @pytest.mark.parametrize("move", [
-    lambda c: permute_cocycle_source(c, (1, 0)),
+    lambda c: transport(c, {"source": permutation(c.field, (1, 0))}),
     shear_source,
 ])
 def test_transported_source_still_verifies(move):
@@ -143,7 +130,7 @@ def test_transported_source_still_verifies(move):
 def test_source_relabeling_does_not_change_the_truss():
     h = linearize(trivial_truss(symmetric_group(3)), RATIONALS)
     c = cocycle_of_truss(h)
-    moved = permute_cocycle_source(c, (2, 0, 1, 4, 3, 5))
+    moved = transport(c, {"source": permutation(RATIONALS, (2, 0, 1, 4, 3, 5))})
     assert truss_of_cocycle(moved) == h
 
 
@@ -171,7 +158,7 @@ def test_truss_morphism_doubles_as_cocycle_morphism():
 
 
 def test_comparison_pair_is_an_isomorphism_onto_the_rebuilt_cocycle():
-    c = permute_cocycle_source(cocycle_of_truss(shifted_z2_truss(RATIONALS)), (1, 0))
+    c = transport(cocycle_of_truss(shifted_z2_truss(RATIONALS)), {"source": permutation(RATIONALS, (1, 0))})
     back = cocycle_of_truss(truss_of_cocycle(c))
     pair = CocycleMorphism(c.cocycle, identity(RATIONALS, 2))
     rep = verify_cocycle_morphism(pair, c, back)
@@ -198,7 +185,7 @@ def test_roundtrip_report_passes_on_truss_cocycles(make):
 
 def test_roundtrip_report_passes_on_transported_cocycles():
     base = cocycle_of_truss(right_projection_truss(F5, 3))
-    for c in (permute_cocycle_source(base, (2, 0, 1)), shear_source(base)):
+    for c in (transport(base, {"source": permutation(F5, (2, 0, 1))}), shear_source(base)):
         rep = roundtrip_report(c)
         assert rep.ok, str(rep)
         assert rep.named("roundtrip.action").passed
@@ -210,7 +197,7 @@ def test_transported_truss_carries_the_hopf_part_unchanged():
     samples = dict(sample_objects())
     base = cocycle_of_truss(right_projection_truss(F5, 3))
     for c in (samples["gic"], samples["pimodule"].system, base,
-              permute_cocycle_source(base, (2, 0, 1)), shear_source(base)):
+              transport(base, {"source": permutation(F5, (2, 0, 1))}), shear_source(base)):
         assert truss_of_cocycle(c).hopf_part() == c.hopf
 
 

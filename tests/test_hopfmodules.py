@@ -6,7 +6,7 @@ import pytest
 
 from conftest import cyclic_table, cyclic_truss, perturbed, truss_from_tables
 from trusslab import hopfmodules
-from trusslab.coalgebra import ComonoidData, HopfMonoidData
+from trusslab.coalgebra import ComonoidData, HopfMonoidData, verify_morphism
 from trusslab.errors import DimensionMismatchError, InvalidStructureError
 from trusslab.fields import RATIONALS, prime_field
 from trusslab.hopfmodules import (
@@ -295,13 +295,14 @@ def test_zero_dimensional_induction_is_vacuously_fine():
 
 
 def test_induction_transports_morphisms():
+    # induction sends a: X -> Y to (id, id (x) a), a morphism of truss Hopf modules
     t = z4_circle_truss(RATIONALS)
-    f = LinMap(RATIONALS, 3, 2, {(0, 0): 1, (2, 1): 1, (1, 1): 2})
+    a = LinMap(RATIONALS, 3, 2, {(0, 0): 1, (2, 1): 1, (1, 1): 2})
     src, dst = induction_functor(t, 2), induction_functor(t, 3)
-    lifted = kron(identity(RATIONALS, 4), f)
-    assert lifted @ src.act1 == dst.act1 @ kron(identity(RATIONALS, 4), lifted)
-    assert lifted @ src.act2 == dst.act2 @ kron(identity(RATIONALS, 4), lifted)
-    assert dst.coaction @ lifted == kron(identity(RATIONALS, 4), lifted) @ src.coaction
+    idt = identity(RATIONALS, 4)
+    rep = verify_morphism({"dim": idt, "carrier": kron(idt, a)}, src, dst)
+    assert rep.ok, str(rep)
+    assert [c.name for c in rep.checks][-3:] == ["act1", "act2", "coaction"]
 
 
 def test_negative_induction_dimension_rejected():

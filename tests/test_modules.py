@@ -6,8 +6,9 @@ from conftest import (
     cyclic_table,
     cyclic_truss,
     flip,
-    permute_cocycle_source,
+    permutation,
     perturbed,
+    transport,
     truss_from_tables,
 )
 from trusslab.cocycle import CocycleMorphism, cocycle_of_truss, truss_of_cocycle
@@ -58,12 +59,12 @@ FIXTURE_TRUSSES = [
 
 # permuted identity cocycles: cocycle map is a genuine change of basis
 MOVED_COCYCLES = [
-    lambda: permute_cocycle_source(
-        cocycle_of_truss(cyclic_truss(RATIONALS, 2)), (1, 0)),
-    lambda: permute_cocycle_source(
-        cocycle_of_truss(z4_circle_truss(RATIONALS)), (1, 2, 3, 0)),
-    lambda: permute_cocycle_source(
-        cocycle_of_truss(right_projection_truss(F5, 3)), (2, 0, 1)),
+    lambda: transport(
+        cocycle_of_truss(cyclic_truss(RATIONALS, 2)), {"source": permutation(RATIONALS, (1, 0))}),
+    lambda: transport(
+        cocycle_of_truss(z4_circle_truss(RATIONALS)), {"source": permutation(RATIONALS, (1, 2, 3, 0))}),
+    lambda: transport(
+        cocycle_of_truss(right_projection_truss(F5, 3)), {"source": permutation(F5, (2, 0, 1))}),
 ]
 
 
@@ -197,7 +198,7 @@ def test_wrong_second_component_fails_compare_compatibility():
     # compare is the swap here, so l must equal compare⁻¹∘id∘compare = id
     wrong = LinMap(c.field, 2, 2, {(0, 1): 1, (1, 0): 1})
     rep = verify_pi_module_morphism(idn, wrong, m, m)
-    assert not rep.named("compat.compare").passed
+    assert not rep.named("compare").passed
     assert not rep.named("compat.determined").passed
 
 
@@ -220,10 +221,9 @@ def test_restrict_along_identity_is_identity():
 
 def test_restrict_along_inverse_pair_roundtrips():
     base = cocycle_of_truss(z4_circle_truss(RATIONALS))
-    perm = (1, 2, 3, 0)
-    moved = permute_cocycle_source(base, perm)
-    q = LinMap(RATIONALS, 4, 4, {(perm[a], a): 1 for a in range(4)})
-    q_inv = LinMap(RATIONALS, 4, 4, {(a, perm[a]): 1 for a in range(4)})
+    q = permutation(RATIONALS, (1, 2, 3, 0))
+    q_inv = permutation(RATIONALS, (3, 0, 1, 2))
+    moved = transport(base, {"source": q})
     idh = identity(RATIONALS, 4)
     m = regular_pi_module(moved)
     pulled = restrict_along(CocycleMorphism(q, idh), base, m)

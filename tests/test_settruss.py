@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from conftest import transport
 from trusslab import settruss
 from trusslab.errors import (
     BoundExceededError,
@@ -15,7 +16,7 @@ from trusslab.errors import (
 )
 from trusslab.fields import RATIONALS, prime_field
 from trusslab.hopftruss import HopfTruss, verify_hopf_truss
-from trusslab.linmap import LinMap, identity, invert, kron
+from trusslab.linmap import LinMap, identity, kron
 from trusslab.settruss import (
     FiniteGroup,
     FiniteSemigroup,
@@ -549,25 +550,10 @@ def test_grouplikes_of_group_algebra_brace():
     assert t == trivial_truss(cyclic_group(2))
 
 
-def _transport(h: HopfTruss, p: LinMap) -> HopfTruss:
-    """Conjugate every structure map by the isomorphism p."""
-    from trusslab.coalgebra import ComonoidData
-
-    q = invert(p)
-    c = ComonoidData(h.dim,
-                     kron(p, p) @ h.comonoid.delta @ q,
-                     h.comonoid.epsilon @ q)
-    return HopfTruss(c, p @ h.eta,
-                     p @ h.mu1 @ kron(q, q),
-                     p @ h.mu2 @ kron(q, q),
-                     p @ h.antipode @ q,
-                     p @ h.cocycle @ q)
-
-
 def test_permutation_transport_recovers_relabeled_truss():
     h = linearize(trivial_truss(cyclic_group(2)), RATIONALS)
     flip = LinMap(RATIONALS, 2, 2, {(1, 0): 1, (0, 1): 1})
-    recovered = truss_of_grouplikes(_transport(h, flip))
+    recovered = truss_of_grouplikes(transport(h, {"dim": flip}))
     assert recovered == trivial_truss(FiniteGroup.from_table([[1, 0], [0, 1]]))
 
 
@@ -575,14 +561,14 @@ def test_non_diagonal_coproduct_over_q_is_refused():
     h = linearize(trivial_truss(cyclic_group(2)), RATIONALS)
     p = LinMap.from_rows(RATIONALS, [[1, 1], [0, 1]])
     with pytest.raises(IncompleteGrouplikesError):
-        truss_of_grouplikes(_transport(h, p))
+        truss_of_grouplikes(transport(h, {"dim": p}))
 
 
 def test_transported_truss_over_f5_recovered_up_to_relabeling():
     t = right_projection_truss(cyclic_group(2))
     h = linearize(t, F5)
     p = LinMap.from_rows(F5, [[1, 1], [0, 1]])
-    moved = _transport(h, p)
+    moved = transport(h, {"dim": p})
     assert verify_hopf_truss(moved).ok
     recovered = truss_of_grouplikes(moved)
     assert verify_skew_truss(recovered).ok
