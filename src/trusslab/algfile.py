@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import os
+from json.encoder import encode_basestring_ascii as _encode_str
 from operator import attrgetter
 from typing import Callable, Dict, Tuple
 
@@ -154,7 +155,7 @@ class Kind(Record):
         return {
             "kind": self.name,
             "field": _field_doc(obj.field),
-            "dims": obj.dims,
+            "dims": dict(obj.dims),
             "maps": {name: _matrix_doc(m) for name, m in self.maps_of(obj).items()},
         }
 
@@ -350,8 +351,57 @@ def document_of(obj) -> dict:
 
 def json_text(value) -> str:
     """Canonical JSON text: sorted keys, two-space indent, one trailing
-    newline.  Equal values give byte-identical text."""
-    return json.dumps(value, sort_keys=True, indent=2) + "\n"
+    newline.  Equal values give byte-identical text.
+
+    The text is that of json.dumps(value, sort_keys=True, indent=2) plus
+    the newline.  json.dumps runs its pure-Python encoder whenever an
+    indent is set, so this writes the text itself: a list of plain ints
+    or of strings in one join, and strings through json's C encoder.
+    """
+    out = []
+    _write_json(value, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(value, newline: str, out: list) -> None:
+    """Append the text of value to out; newline starts a line at its depth."""
+    kind = type(value)
+    if kind is str:
+        out.append(_encode_str(value))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif kind is dict and all(type(key) is str for key in value):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            out.append(f"{sep}{_encode_str(key)}: ")
+            _write_json(value[key], inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif kind is list or kind is tuple:
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        kinds = set(map(type, value))
+        if kinds == {int} or kinds == {str}:
+            items = map(int.__repr__ if kinds == {int} else _encode_str, value)
+            out.append(f"[{inner}{(',' + inner).join(items)}{newline}]")
+            return
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    else:
+        # None, bools, floats, subclasses and dicts with other keys: json's
+        # own text, indented to this depth (JSON strings hold no raw newline).
+        out.append(json.dumps(value, sort_keys=True, indent=2).replace("\n", newline))
 
 
 def serialize(obj) -> str:

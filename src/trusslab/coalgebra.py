@@ -26,8 +26,8 @@ from .errors import (
 )
 from .fields import PRIME_KIND, FieldSpec
 from .linmap import LinMap, compose_tensor, identity, kron, solve_through, tensor_apply, tensor_compose
-from .record import Record
-from .report import VerificationReport, equation
+from .record import Record, memoized
+from .report import VerificationReport, equation, memoized_report
 
 # grouplikes scans every vector of a comonoid that is not basis-diagonal
 # over a prime field only up to this many candidates.
@@ -38,6 +38,21 @@ def dim_product(expr: str, dims) -> int:
     """The size a shape expression names over `dims`: "1", a dim name,
     or dim names joined by "*" for a tensor product."""
     return math.prod(dims[name] for name in expr.split("*") if name != "1")
+
+
+def _morphism_law(name: str, path: str, cod: str, dom: str) -> tuple:
+    """What verify_morphism needs for the map at path: (name, getter, cod
+    dims, dom dims, anchor), the dims without "1" and the anchor the
+    law's text, such as "(f_dim(x)f_dim)∘delta = delta'∘f_dim"."""
+    cod, dom = (tuple(d for d in expr.split("*") if d != "1") for expr in (cod, dom))
+    left, right = _factor_text(cod), _factor_text(dom)
+    anchor = f"{left and left + '∘'}{name} = {name}'{right and '∘' + right}"
+    return name, attrgetter(path), cod, dom, anchor
+
+
+def _factor_text(dims: tuple) -> str:
+    text = "(x)".join(f"f_{d}" for d in dims)
+    return f"({text})" if len(dims) > 1 else text
 
 
 class Structure(Record):
@@ -52,12 +67,14 @@ class Structure(Record):
     ALL_MAPS lists every map once, the components' first, as (document
     name, attribute path, cod, dom); a renamed component's maps are
     named "renamed." + name and have their "dim" replaced by that dim.
-    The document format and verify_morphism read this list.
+    The document format reads this list.  MORPHISM_LAWS holds, for each
+    of its maps, what verify_morphism needs, derived once per class.
     """
 
     PARTS = ()
     MAPS = ()
     ALL_MAPS = ()
+    MORPHISM_LAWS = ()
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
@@ -70,6 +87,7 @@ class Structure(Record):
                                 for expr in (cod, dom))
                 entries.append((name, f"{attr}.{path}", cod, dom))
         cls.ALL_MAPS = tuple(entries) + tuple((name, name, cod, dom) for name, cod, dom in cls.MAPS)
+        cls.MORPHISM_LAWS = tuple(_morphism_law(*entry) for entry in cls.ALL_MAPS)
 
     @classmethod
     def _fields(cls) -> tuple:
@@ -82,11 +100,13 @@ class Structure(Record):
         return getattr(self, (self.PARTS or self.MAPS)[0][0]).field
 
     @property
+    @memoized
     def dims(self) -> dict:
         """Every named dim: a structure with no components has its "dim";
         otherwise the components' dims come first, renamed where declared,
         and each dim the own maps add is the size of the first of them
-        that has that dim alone as codomain or domain."""
+        that has that dim alone as codomain or domain.  Made once per
+        instance; callers must not change the dict."""
         if not self.PARTS:
             return {"dim": self.dim}
         dims = {}
@@ -165,9 +185,11 @@ class HopfMonoidData(Structure):
     def epsilon(self) -> LinMap:
         return self.comonoid.epsilon
 
+    @memoized
     def monoid(self) -> MonoidData:
         return MonoidData(self.dim, self.eta, self.mu)
 
+    @memoized
     def nonunital(self) -> NonUnitalBimonoidData:
         return NonUnitalBimonoidData(self.comonoid, self.mu)
 
@@ -208,6 +230,7 @@ def diagonal(delta: LinMap, f: LinMap, g: LinMap, m: LinMap | None = None) -> Li
 # -- verifiers ---------------------------------------------------------------
 
 
+@memoized_report
 def verify_comonoid(c: ComonoidData, subject: str = "comonoid") -> VerificationReport:
     n = c.dim
     idn = identity(c.field, n)
@@ -223,6 +246,7 @@ def verify_comonoid(c: ComonoidData, subject: str = "comonoid") -> VerificationR
     return VerificationReport(subject, checks)
 
 
+@memoized_report
 def verify_monoid(m: MonoidData, subject: str = "monoid") -> VerificationReport:
     n = m.dim
     idn = identity(m.field, n)
@@ -235,6 +259,7 @@ def verify_monoid(m: MonoidData, subject: str = "monoid") -> VerificationReport:
     return VerificationReport(subject, checks)
 
 
+@memoized_report
 def verify_nonunital_bimonoid(b: NonUnitalBimonoidData, subject: str = "bimonoid") -> VerificationReport:
     idn = identity(b.field, b.dim)
     rep = verify_comonoid(b.comonoid, subject)
@@ -249,6 +274,7 @@ def verify_nonunital_bimonoid(b: NonUnitalBimonoidData, subject: str = "bimonoid
     return rep
 
 
+@memoized_report
 def verify_hopf_monoid(h: HopfMonoidData, subject: str = "hopf") -> VerificationReport:
     idn = identity(h.field, h.dim)
     one = identity(h.field, 1)
@@ -292,21 +318,13 @@ def verify_morphism(f: dict, src: Structure, dst: Structure,
     if shapes != expected:
         raise DimensionMismatchError(f"morphism has shapes {shapes}, expected {expected}")
     checks = []
-    for name, path, cod, dom in type(src).ALL_MAPS:
-        m, m_dst = attrgetter(path)(src), attrgetter(path)(dst)
-        (left, left_text), (right, right_text) = _factors(f, cod), _factors(f, dom)
+    for name, get, cod, dom, anchor in type(src).MORPHISM_LAWS:
+        m, m_dst = get(src), get(dst)
+        left, right = [f[d] for d in cod], [f[d] for d in dom]
         lhs = tensor_compose(*left, m) if len(left) > 1 else left[0] @ m if left else m
         rhs = compose_tensor(m_dst, *right) if len(right) > 1 else m_dst @ right[0] if right else m_dst
-        anchor = f"{left_text and left_text + '∘'}{name} = {name}'{right_text and '∘' + right_text}"
         checks.append(equation(name, anchor, lhs, rhs))
     return VerificationReport(subject, tuple(checks))
-
-
-def _factors(f: dict, expr: str) -> tuple:
-    """The maps of f on the dims of a shape expression, and their text."""
-    dims = [d for d in expr.split("*") if d != "1"]
-    text = "(x)".join(f"f_{d}" for d in dims)
-    return [f[d] for d in dims], f"({text})" if len(dims) > 1 else text
 
 
 # -- convolution -------------------------------------------------------------

@@ -31,9 +31,9 @@ from .errors import (
     NoAntipodeError,
     NotInvertibleError,
 )
-from .hopftruss import HopfTruss, _verify_hopf_truss, twisted_action
+from .hopftruss import HopfTruss, twisted_action, verify_hopf_truss
 from .linmap import LinMap, compose_tensor, identity, invert, tensor_compose
-from .record import Record
+from .record import Record, memoized
 from .report import VerificationReport, condition, equation
 
 
@@ -60,20 +60,15 @@ def _is_invertible(m: LinMap) -> bool:
         return False
 
 
+@memoized
 def verify_cocycle(c: InvertibleCocycle) -> VerificationReport:
-    return _verify_cocycle(c)[0]
-
-
-def _verify_cocycle(c: InvertibleCocycle) -> tuple[VerificationReport, VerificationReport]:
-    """verify_cocycle and the report of its Hopf monoid c.hopf."""
     idb, idh = identity(c.field, c.bimonoid.dim), identity(c.field, c.hopf.dim)
     delta_b, eps_b = c.bimonoid.delta, c.bimonoid.epsilon
     delta_h, eps_h = c.hopf.delta, c.hopf.epsilon
 
     rep = VerificationReport("cocycle")
     rep = rep.merged(verify_nonunital_bimonoid(c.bimonoid), prefix="b.")
-    hopf_rep = verify_hopf_monoid(c.hopf)
-    rep = rep.merged(hopf_rep, prefix="h.")
+    rep = rep.merged(verify_hopf_monoid(c.hopf), prefix="h.")
 
     rep = rep.with_checks(
         equation("cocycle.comonoid.coproduct", "delta_H∘pi = (pi(x)pi)∘delta_B",
@@ -99,7 +94,7 @@ def _verify_cocycle(c: InvertibleCocycle) -> tuple[VerificationReport, Verificat
                  c.cocycle @ c.bimonoid.mu,
                  c.hopf.mu @ diagonal(delta_b, c.cocycle @ c.twist, c.action, c.cocycle)),
     )
-    return rep, hopf_rep
+    return rep
 
 
 def is_brace_case(c: InvertibleCocycle) -> bool:
@@ -120,14 +115,10 @@ def is_brace_case(c: InvertibleCocycle) -> bool:
 
 def cocycle_of_truss(h: HopfTruss) -> InvertibleCocycle:
     """Read a Hopf truss as the identity cocycle from its second product
-    onto its Hopf part, twisted by the truss cocycle."""
-    return _cocycle_of_truss(h, twisted_action(h))
-
-
-def _cocycle_of_truss(h: HopfTruss, gamma: LinMap) -> InvertibleCocycle:
-    """cocycle_of_truss, given the twisted action Gamma of h."""
+    onto its Hopf part, twisted by the truss cocycle.  Its parts are h's
+    own part views, so what is memoized on them is shared."""
     return InvertibleCocycle(
-        h.second_part(), h.hopf_part(), identity(h.field, h.dim), h.cocycle, gamma)
+        h.second_part(), h.hopf_part(), identity(h.field, h.dim), h.cocycle, twisted_action(h))
 
 
 def truss_of_cocycle(c: InvertibleCocycle) -> HopfTruss:
@@ -138,8 +129,10 @@ def truss_of_cocycle(c: InvertibleCocycle) -> HopfTruss:
         raise InvalidStructureError("cocycle map is singular") from exc
     mu_pi = compose_tensor(c.cocycle @ c.bimonoid.mu, inv_pi, inv_pi)
     sigma = c.cocycle @ c.twist @ inv_pi
-    return HopfTruss(c.hopf.comonoid, c.hopf.eta, c.hopf.mu,
-                     mu_pi, c.hopf.antipode, sigma)
+    t = HopfTruss(c.hopf.comonoid, c.hopf.eta, c.hopf.mu, mu_pi, c.hopf.antipode, sigma)
+    # t's Hopf part has c.hopf's maps, so c.hopf is that view and its report is shared.
+    HopfTruss.hopf_part.preset(t, c.hopf)
+    return t
 
 
 def verify_cocycle_morphism(m: CocycleMorphism,
@@ -154,18 +147,15 @@ def roundtrip_report(c: InvertibleCocycle) -> VerificationReport:
     valid, reading it back gives an isomorphic cocycle, and the
     comparison pair (pi, id) is that isomorphism."""
     rep = VerificationReport("cocycle-roundtrip")
-    src_rep, hopf_rep = _verify_cocycle(c)
-    rep = rep.merged(src_rep, prefix="src.")
+    rep = rep.merged(verify_cocycle(c), prefix="src.")
     try:
         t = truss_of_cocycle(c)
     except InvalidStructureError:
         return rep.with_checks(condition(
             "roundtrip.transport", "pi is invertible", False,
             "cocycle map is singular, cannot transport"))
-    # t carries c.hopf's maps unchanged, so its Hopf part is verified already.
-    truss_rep, gamma = _verify_hopf_truss(t, hopf_rep)
-    rep = rep.merged(truss_rep, prefix="truss.")
-    back = _cocycle_of_truss(t, gamma)
+    rep = rep.merged(verify_hopf_truss(t), prefix="truss.")
+    back = cocycle_of_truss(t)
     idh = identity(c.field, c.hopf.dim)
     pair = CocycleMorphism(c.cocycle, idh)
     rep = rep.merged(verify_cocycle_morphism(pair, c, back), prefix="unit-map.")

@@ -19,7 +19,7 @@ from .errors import DimensionMismatchError, InvalidStructureError, TrussLabError
 from .hopftruss import HopfTruss
 from .linmap import LinMap, compose_tensor, identity, kron, nullspace, solve_through, tensor_compose
 from .modules import TrussModule, verify_truss_module
-from .record import Record
+from .record import Record, memoized
 from .report import VerificationReport, condition, equation
 
 
@@ -44,6 +44,7 @@ class HopfModuleData(Structure):
     def mdim(self) -> int:
         return self.action.cod
 
+    @memoized
     def comodule(self) -> ComoduleData:
         return ComoduleData(self.hopf.comonoid, self.coaction)
 
@@ -58,6 +59,7 @@ class TrussHopfModule(Structure):
     def mdim(self) -> int:
         return self.act1.cod
 
+    @memoized
     def hopf_module(self) -> HopfModuleData:
         return HopfModuleData(self.truss.hopf_part(), self.act1, self.coaction)
 
@@ -81,6 +83,7 @@ class CoinvariantData(Record):
         return self.inclusion.dom
 
 
+@memoized
 def verify_comodule(c: ComoduleData) -> VerificationReport:
     n, m = c.comonoid.dim, c.mdim
     field = c.comonoid.field
@@ -94,6 +97,7 @@ def verify_comodule(c: ComoduleData) -> VerificationReport:
     )
 
 
+@memoized
 def verify_hopf_module(m: HopfModuleData) -> VerificationReport:
     """Action laws, coaction laws, and their compatibility, all exact."""
     h = m.hopf
@@ -118,16 +122,13 @@ def _demand(ok: bool, label: str) -> None:
         raise InvalidStructureError(f"coinvariant identity failed: {label}")
 
 
+@memoized
 def coinvariants(m: HopfModuleData) -> CoinvariantData:
     """Split off the subspace on which the coaction is the unit.
 
     Every identity listed on CoinvariantData is verified on the way out.
     """
-    return _split_coinvariants(m, verify_hopf_module(m))
-
-
-def _split_coinvariants(m: HopfModuleData, rep: VerificationReport) -> CoinvariantData:
-    """coinvariants, given the report of verify_hopf_module(m)."""
+    rep = verify_hopf_module(m)
     if not rep.ok:
         raise InvalidStructureError("not a Hopf module", report=rep)
     h = m.hopf
@@ -148,22 +149,16 @@ def _split_coinvariants(m: HopfModuleData, rep: VerificationReport) -> Coinvaria
     return CoinvariantData(j, t, q)
 
 
+@memoized
 def verify_truss_hopf_module(m: TrussHopfModule) -> VerificationReport:
     """Truss-module laws, Hopf-module laws over mu1, the mu2 compatibility,
     and the cocycle condition on coinvariants."""
-    return _verify_truss_hopf_module(m)[0]
-
-
-def _verify_truss_hopf_module(m: TrussHopfModule) -> tuple[VerificationReport, CoinvariantData | None]:
-    """verify_truss_hopf_module and the coinvariants it split, or None."""
     t = m.truss
     idn = identity(t.field, t.dim)
     rep = VerificationReport("trusshopfmodule")
     rep = rep.merged(verify_truss_module(TrussModule(t, m.act1, m.act2)),
                      prefix="module.")
-    hopf_part = m.hopf_module()
-    h1 = verify_hopf_module(hopf_part)
-    rep = rep.merged(h1, prefix="h1.")
+    rep = rep.merged(verify_hopf_module(m.hopf_module()), prefix="h1.")
     rep = rep.with_checks(
         equation("h2.compat.coaction",
                  "coaction∘act2 = (mu2 (x) act2)∘(id (x) swap (x) id)∘(delta (x) coaction)",
@@ -171,17 +166,17 @@ def _verify_truss_hopf_module(m: TrussHopfModule) -> tuple[VerificationReport, C
                  diagonal(t.comonoid.delta, t.mu2, m.act2, m.coaction)),
     )
     try:
-        w = _split_coinvariants(hopf_part, h1)
+        w = coinvariants(m.hopf_module())
     except TrussLabError as err:
         return rep.with_checks(condition(
             "coinvariants.compat",
             "act1∘(cocycle (x) inclusion) = act2∘(id (x) inclusion)",
-            False, f"coinvariants unavailable: {err}")), None
+            False, f"coinvariants unavailable: {err}"))
     return rep.with_checks(
         equation("coinvariants.compat",
                  "act1∘(cocycle (x) inclusion) = act2∘(id (x) inclusion)",
                  compose_tensor(m.act1, t.cocycle, w.inclusion), compose_tensor(m.act2, idn, w.inclusion)),
-    ), w
+    )
 
 
 def fundamental_iso(m: TrussHopfModule) -> tuple[LinMap, LinMap, VerificationReport]:
@@ -191,10 +186,11 @@ def fundamental_iso(m: TrussHopfModule) -> tuple[LinMap, LinMap, VerificationRep
     module, and the report certifies two-sided invertibility plus the
     three intertwine identities.
     """
-    rep0, w = _verify_truss_hopf_module(m)
+    rep0 = verify_truss_hopf_module(m)
     if not rep0.ok:
         raise InvalidStructureError("not a Hopf module over the truss",
                                     report=rep0)
+    w = coinvariants(m.hopf_module())
     t = m.truss
     n = t.dim
     field = t.field

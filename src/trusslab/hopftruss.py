@@ -23,6 +23,7 @@ from .coalgebra import (
 )
 from .errors import NoAntipodeError
 from .linmap import LinMap, compose_tensor, identity, tensor_compose
+from .record import memoized
 from .report import VerificationReport, equation
 
 
@@ -37,9 +38,11 @@ class HopfTruss(Structure):
     def dim(self) -> int:
         return self.comonoid.dim
 
+    @memoized
     def hopf_part(self) -> HopfMonoidData:
         return HopfMonoidData(self.comonoid, self.eta, self.mu1, self.antipode)
 
+    @memoized
     def second_part(self) -> NonUnitalBimonoidData:
         return NonUnitalBimonoidData(self.comonoid, self.mu2)
 
@@ -50,6 +53,7 @@ def derive_cocycle(mu2: LinMap, eta: LinMap) -> LinMap:
     return compose_tensor(mu2, identity(mu2.field, n), eta)
 
 
+@memoized
 def twisted_action(h: HopfTruss) -> LinMap:
     """Gamma: H (x) H -> H, mu1∘((antipode∘cocycle) (x) mu2)∘(delta (x) id)."""
     return h.mu1 @ diagonal(h.comonoid.delta, h.antipode @ h.cocycle, h.mu2)
@@ -60,23 +64,15 @@ def twisted_product(h: HopfTruss) -> LinMap:
     return h.mu1 @ diagonal(h.comonoid.delta, h.mu2, h.antipode @ h.cocycle)
 
 
+@memoized
 def verify_hopf_truss(h: HopfTruss) -> VerificationReport:
     """All defining laws of a Hopf truss as exact identities."""
-    return _verify_hopf_truss(h)[0]
-
-
-def _verify_hopf_truss(h: HopfTruss, hopf_report: VerificationReport | None = None
-                       ) -> tuple[VerificationReport, LinMap]:
-    """verify_hopf_truss and the twisted action Gamma it built; a given
-    hopf_report, of a Hopf monoid equal to h.hopf_part(), is merged as is."""
     idn = identity(h.field, h.dim)
     delta, epsilon = h.comonoid.delta, h.comonoid.epsilon
     gamma = twisted_action(h)
 
     rep = VerificationReport("hopftruss")
-    if hopf_report is None:
-        hopf_report = verify_hopf_monoid(h.hopf_part())
-    rep = rep.merged(hopf_report, prefix="h1.")
+    rep = rep.merged(verify_hopf_monoid(h.hopf_part()), prefix="h1.")
     rep = rep.merged(verify_nonunital_bimonoid(h.second_part()), prefix="h2.")
 
     unit_absorb = h.eta @ epsilon
@@ -100,7 +96,7 @@ def _verify_hopf_truss(h: HopfTruss, hopf_report: VerificationReport | None = No
         equation("action.assoc", "Gamma∘(id(x)Gamma) = Gamma∘(mu2(x)id)",
                  compose_tensor(gamma, idn, gamma), compose_tensor(gamma, h.mu2, idn)),
     )
-    return rep, gamma
+    return rep
 
 
 def hopf_brace_antipode(h: HopfTruss) -> LinMap | None:

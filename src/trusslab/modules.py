@@ -30,6 +30,7 @@ from .errors import (
 )
 from .hopftruss import HopfTruss, twisted_action, twisted_product
 from .linmap import LinMap, compose_tensor, identity, invert, kron
+from .record import memoized
 from .report import VerificationReport, condition, equation
 
 
@@ -68,6 +69,7 @@ class PiModule(Structure):
         return self.compare.dom
 
 
+@memoized
 def module_twisted_action(m: TrussModule) -> LinMap:
     """Gamma on the module: act1∘((antipode∘cocycle) (x) act2)∘(delta (x) id)."""
     t = m.truss
@@ -91,6 +93,7 @@ def induction_truss_module(h: HopfTruss, xdim: int) -> TrussModule:
     return TrussModule(h, kron(h.mu1, idx), kron(h.mu2, idx))
 
 
+@memoized
 def verify_truss_module(m: TrussModule) -> VerificationReport:
     """Both action laws, twisted distributivity, and its two derived forms."""
     t = m.truss
@@ -124,6 +127,7 @@ def regular_pi_module(c: InvertibleCocycle) -> PiModule:
     return PiModule(c, c.action, c.hopf.mu, c.bimonoid.mu, c.cocycle)
 
 
+@memoized
 def verify_pi_module(m: PiModule) -> VerificationReport:
     """All defining laws of a cocycle module plus the two derived identities."""
     c = m.system

@@ -5,13 +5,21 @@ attributes named after the last fields are their defaults.  Records
 compare and hash by their field tuple, print as `Name(field=value, ...)`
 and refuse assignment.  `__post_init__` may check or normalise fields,
 writing through `object.__setattr__`.  No code is generated per class.
+
+`memoized` keeps a function's result on the record it was computed
+from, so a pure function of an immutable record runs once per instance
+(Michie, "Memo functions and machine learning", Nature 1968).
 """
 
 from __future__ import annotations
 
+from functools import update_wrapper
+
 
 class Record:
     FIELDS = ()
+    # Results of memoized functions of this instance, by function; not a field.
+    _memo = None
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
@@ -72,7 +80,43 @@ class Record:
         pairs = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.FIELDS)
         return f"{type(self).__qualname__}({pairs})"
 
+    def __getstate__(self) -> dict:
+        """The fields, without the memo: copies and pickles start with none."""
+        return {name: value for name, value in vars(self).items() if name != "_memo"}
+
     def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
 
     __delattr__ = __setattr__
+
+
+def _memo_of(rec: Record) -> dict:
+    memo = rec._memo
+    if memo is None:
+        memo = {}
+        object.__setattr__(rec, "_memo", memo)
+    return memo
+
+
+def memoized(fn):
+    """fn(record), computed once per record instance and kept on it.
+
+    fn must be a pure function of the record's fields.  The result lives
+    and dies with the instance, as no global cache holds it, and is not a
+    field, so equality, hash, repr, copy and pickle leave it out.  An
+    equal record built apart computes its own.  An exception is not
+    kept.  `preset(record, value)` stores value as fn(record) where it is
+    known to be that, so that what is memoized on value is shared.
+    """
+    def once(rec):
+        memo = _memo_of(rec)
+        if fn in memo:
+            return memo[fn]
+        out = memo[fn] = fn(rec)
+        return out
+
+    def preset(rec, value) -> None:
+        _memo_of(rec)[fn] = value
+
+    once.preset = preset
+    return update_wrapper(once, fn)

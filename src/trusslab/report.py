@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+from functools import update_wrapper
 from typing import Optional, Tuple
 
 from .linmap import LinMap
-from .record import Record
+from .record import Record, memoized
 
 
 class CheckResult(Record):
@@ -90,3 +91,20 @@ def equation(name: str, anchor: str, lhs: LinMap, rhs: LinMap) -> CheckResult:
 
 def condition(name: str, anchor: str, ok: bool, detail: str = "") -> CheckResult:
     return CheckResult(name, anchor, ok, None, "" if ok else detail)
+
+
+def memoized_report(verify):
+    """memoized for a verifier verify(structure, subject=default).
+
+    The subject only names the report, so the checks are made once per
+    structure, under the default subject, and a call that passes another
+    subject gets the same checks under that one.
+    """
+    default = verify.__defaults__[-1]
+    report_of = memoized(verify)
+
+    def named(s, subject: str = default) -> VerificationReport:
+        rep = report_of(s)
+        return rep if subject == default else VerificationReport(subject, rep.checks)
+
+    return update_wrapper(named, verify)

@@ -27,7 +27,7 @@ from .errors import (
 from .fields import FieldSpec
 from .hopftruss import HopfTruss
 from .linmap import LinMap, compose_tensor
-from .record import Record
+from .record import Record, memoized
 from .report import CheckResult, VerificationReport, condition
 
 Table = tuple[tuple[int, ...], ...]
@@ -470,6 +470,12 @@ def _group_form(table: Table) -> tuple[tuple[int, ...], list]:
     return best, coset
 
 
+@memoized
+def _swept_group_form(group: FiniteGroup) -> tuple[tuple[int, ...], list]:
+    """_group_form of the group's table, swept once per group instance."""
+    return _group_form(group.table)
+
+
 def _form_over(group_form, t2: Table) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Both minimal tables, flat: for equal-width rows the flat order is
     the order on tuples of rows."""
@@ -488,7 +494,7 @@ def canonical_form(t: SkewTruss) -> tuple[Table, Table]:
     """
     n = t.size
     return tuple(tuple(flat[i:i + n] for i in range(0, n * n, n))
-                 for flat in _form_over(_group_form(t.group.table), t.semigroup.table))
+                 for flat in _form_over(_swept_group_form(t.group), t.semigroup.table))
 
 
 def isomorphism_classes(trusses: list[SkewTruss]) -> list[list[SkewTruss]]:

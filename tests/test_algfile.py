@@ -1,5 +1,6 @@
 """Document format: round-trips, canonical text, and malformed input."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -301,3 +302,28 @@ def test_loads_rejects_invalid_json():
         algfile.loads("{nope")
     with pytest.raises(ParseError, match="not valid JSON"):
         algfile.loads('{"dims": {"dim": ' + "9" * 5000 + "}}")
+
+
+JSON_SCALARS = (st.none() | st.booleans() | st.integers(-10**20, 10**20)
+                | st.text(max_size=6) | st.floats(allow_nan=False))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(st.integers(), max_size=4)
+                   | st.lists(st.text(max_size=4), max_size=4)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=30)
+
+
+@settings(deadline=None, max_examples=300)
+@given(value=JSON_VALUES)
+def test_json_text_is_the_indented_sorted_dump(value):
+    # lists of plain ints or of strings take the joined path, the rest
+    # recurses; keys and strings include non-ASCII text and escapes
+    assert algfile.json_text(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+def test_json_text_edge_values():
+    values = [{}, [], [[]], {"é": [], "a\n": {}}, [1, True], [True, False], ["x", 1],
+              {"b": [1, 2], "a": ["☃", "\x00"]}, (1, 2), {1: "int key"}, 1.5, None]
+    for value in values:
+        assert algfile.json_text(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"

@@ -1,5 +1,6 @@
 """Hopf modules, coinvariants, the fundamental isomorphism, induction."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -21,8 +22,8 @@ from trusslab.hopfmodules import (
     verify_hopf_module,
     verify_truss_hopf_module,
 )
-from trusslab.linmap import LinMap, identity, kron, rank
-from trusslab.report import VerificationReport
+from trusslab.linmap import LinMap, identity, kron, nullspace, rank
+from trusslab.report import VerificationReport, equation
 
 F2 = prime_field(2)
 F5 = prime_field(5)
@@ -257,28 +258,30 @@ def test_fundamental_iso_rejects_broken_input():
         fundamental_iso(m)
 
 
-def count_calls(monkeypatch, *names):
-    """Wrap each named hopfmodules function to count its calls."""
-    calls = dict.fromkeys(names, 0)
+def count_work(monkeypatch):
+    """Count what hopfmodules really computes: "split" for each coinvariant
+    split (one nullspace each) and each law it evaluates, by check name.
+    A memoized result that is reused makes neither."""
+    counts = Counter()
 
-    def counting(name):
-        original = getattr(hopfmodules, name)
+    def splitting(m):
+        counts["split"] += 1
+        return nullspace(m)
 
-        def wrapper(*args):
-            calls[name] += 1
-            return original(*args)
-        monkeypatch.setattr(hopfmodules, name, wrapper)
-
-    for name in names:
-        counting(name)
-    return calls
+    def evaluating(name, *args):
+        counts[name] += 1
+        return equation(name, *args)
+    monkeypatch.setattr(hopfmodules, "nullspace", splitting)
+    monkeypatch.setattr(hopfmodules, "equation", evaluating)
+    return counts
 
 
 def test_fundamental_iso_verifies_and_splits_the_module_once(monkeypatch):
-    calls = count_calls(monkeypatch, "verify_hopf_module", "_split_coinvariants")
+    counts = count_work(monkeypatch)
     theta, theta_inv, rep = fundamental_iso(induction_functor(cyclic_truss(RATIONALS, 3), 2))
     assert rep.ok
-    assert calls == {"verify_hopf_module": 1, "_split_coinvariants": 1}
+    # compat.coaction is verify_hopf_module's own law
+    assert (counts["compat.coaction"], counts["split"]) == (1, 1)
 
 
 def test_zero_dimensional_induction_is_vacuously_fine():
@@ -328,20 +331,20 @@ def test_adjunction_on_regular_module():
 
 def test_adjunction_mixed_dimensions(monkeypatch):
     t = right_projection_truss(F5, 3)
-    calls = count_calls(monkeypatch, "coinvariants")
+    counts = count_work(monkeypatch)
     rep = adjunction_check(t, 3, induction_functor(t, 2))
     assert rep.ok, str(rep)
     # free modules on 3 and on 2 dimensions, and m
-    assert calls == {"coinvariants": 3}
+    assert (counts["compat.coaction"], counts["split"]) == (3, 3)
 
 
 def test_adjunction_splits_the_free_module_once(monkeypatch):
     t = cyclic_truss(F5, 4)
-    calls = count_calls(monkeypatch, "coinvariants")
+    counts = count_work(monkeypatch)
     assert adjunction_check(t, 2, induction_functor(t, 2)).ok
     # the free module on 2 dimensions is both the inducing module and the
     # module rebuilt from m's coinvariants; only m is split besides it
-    assert calls == {"coinvariants": 2}
+    assert (counts["compat.coaction"], counts["split"]) == (2, 2)
 
 
 def test_adjunction_flags_corrupted_coaction():

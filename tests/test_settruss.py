@@ -480,6 +480,23 @@ def test_canonical_form_on_the_non_abelian_coset():
     assert any(len({t.group for t in c}) == 2 for c in buckets.values())
 
 
+def test_canonical_form_sweeps_each_group_once(monkeypatch):
+    # two trusses over one Z7: the n! relabeling sweep runs for the first only
+    g = cyclic_group(7)
+    trusses = [right_projection_truss(g), left_projection_truss(g)]
+    sweeps = []
+    sweep = settruss._group_form
+
+    def counting(table):
+        sweeps.append(table)
+        return sweep(table)
+    monkeypatch.setattr(settruss, "_group_form", counting)
+    forms = [canonical_form(t) for t in trusses]
+    assert sweeps == [g.table]
+    monkeypatch.undo()
+    assert forms == [naive_canonical_form(t) for t in trusses]
+
+
 def test_canonical_form_identifies_relabeled_trusses():
     g = cyclic_group(2)
     relabeled = FiniteGroup.from_table([[1, 0], [0, 1]])
