@@ -4,7 +4,9 @@ Every bundle is a frozen record of LinMaps over one field; verifiers
 return a VerificationReport whose checks are exact matrix identities.
 All composite maps follow the left-major tensor convention of linmap.
 
-The braiding enters the laws here only: diagonal builds every composite
+Every structure verifier is a table of laws written as terms, and Laws
+here is their one evaluator, the only code that picks a kernel.  The
+braiding enters the laws here only: diagonal builds every composite
 that moves a coproduct leg past another factor, in every module, and no
 other code forms a braid.
 """
@@ -13,7 +15,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from operator import attrgetter
+from functools import reduce, update_wrapper
+from operator import attrgetter, itemgetter, matmul, mul
+from types import SimpleNamespace
 from typing import List
 
 from .errors import (
@@ -23,11 +27,12 @@ from .errors import (
     IncompleteGrouplikesError,
     InconsistentSystemError,
     NoAntipodeError,
+    TrussLabError,
 )
 from .fields import PRIME_KIND, FieldSpec
-from .linmap import LinMap, compose_tensor, identity, kron, solve_through, tensor_apply, tensor_compose
+from .linmap import LinMap, compose_tensor, identity, invert, kron, solve_through, tensor_apply, tensor_compose
 from .record import Record, memoized
-from .report import VerificationReport, equation, memoized_report
+from .report import VerificationReport, condition, equation
 
 # grouplikes scans every vector of a comonoid that is not basis-diagonal
 # over a prime field only up to this many candidates.
@@ -41,18 +46,167 @@ def dim_product(expr: str, dims) -> int:
 
 
 def _morphism_law(name: str, path: str, cod: str, dom: str) -> tuple:
-    """What verify_morphism needs for the map at path: (name, getter, cod
-    dims, dom dims, anchor), the dims without "1" and the anchor the
-    law's text, such as "(f_dim(x)f_dim)∘delta = delta'∘f_dim"."""
+    """verify_morphism's law f_cod∘m = m'∘f_dom for the map at path, over
+    the ends "src", "dst" and "f_<d>", the map on dim d; its anchor is its
+    text, such as "(f_dim(x)f_dim)∘delta = delta'∘f_dim"."""
     cod, dom = (tuple(d for d in expr.split("*") if d != "1") for expr in (cod, dom))
-    left, right = _factor_text(cod), _factor_text(dom)
+    left, right = ("(x)".join(f"f_{d}" for d in dims) for dims in (cod, dom))
+    left, right = (f"({text})" if "(x)" in text else text for text in (left, right))
     anchor = f"{left and left + '∘'}{name} = {name}'{right and '∘' + right}"
-    return name, attrgetter(path), cod, dom, anchor
+    m, m_dst = terms(f"src.{path} dst.{path}")
+    f_cod, f_dom = (reduce(mul, terms(" ".join(f"f_{d}" for d in dims))) if dims else None
+                    for dims in (cod, dom))
+    return name, anchor, m if f_cod is None else f_cod @ m, m_dst if f_dom is None else m_dst @ f_dom
 
 
-def _factor_text(dims: tuple) -> str:
-    text = "(x)".join(f"f_{d}" for d in dims)
-    return f"({text})" if len(dims) > 1 else text
+# -- laws as declared terms ----------------------------------------------------
+
+
+class Term(tuple):
+    """One side of a law as data.  A leaf ("get", path) reads an attribute
+    path off the structure, and ("id", dims) is the identity on that shape.
+    The nodes are a @ b, associated to the right, f * g, the inverse ~f,
+    Diag, Call and Guard.  Terms compare as tuples, so a subterm met twice
+    in a table is one slot.
+    """
+
+    __slots__ = ()
+
+    def __matmul__(self, other: "Term") -> "Term":
+        return self[1] @ (self[2] @ other) if self[0] == "∘" else Term(("∘", self, other))
+
+    def __mul__(self, other: "Term") -> "Term":
+        return Term(("⊗", self, other))
+
+    def __invert__(self) -> "Term":
+        return Term(("inv", self))
+
+
+def terms(paths: str) -> tuple:
+    """The leaves of the space-separated paths; "id:<dims>" is an identity, "id" on "dim"."""
+    return tuple(Term(("id", path[3:] or "dim") if path.partition(":")[0] == "id" else ("get", path))
+                 for path in paths.split())
+
+
+def Diag(*maps: Term) -> Term:
+    """diagonal(delta, f, g[, m]), the one braid site of the laws."""
+    return Term(("diag",) + maps)
+
+
+def Call(fn, *args: Term) -> Term:
+    """fn of the arguments' values, or of the structure when there are none."""
+    return Term(("call", fn) + args)
+
+
+def Guard(term: Term, detail: str) -> Term:
+    """term; its TrussLabError fails the first law needing it, with detail.format(s, error),
+    and drops the later ones."""
+    return Term(("guard", term, detail))
+
+
+# Each node's kernel, looked up as it runs; "⊗∘" is (f (x) g)∘x, "∘⊗" x∘(f (x) g).
+_KERNELS = {"∘": matmul, "⊗": lambda f, g: kron(f, g), "inv": lambda f: invert(f),
+            "⊗∘": lambda f, g, x: tensor_compose(f, g, x),
+            "∘⊗": lambda x, f, g: compose_tensor(x, f, g), "diag": lambda *maps: diagonal(*maps)}
+
+
+class Laws:
+    """A table of laws, compiled on first use to straight-line code over slots.
+
+    An entry is a law (name, anchor, lhs, rhs), a condition that lhs can be
+    evaluated when rhs is None, or a part (verify, path, prefix): the checks
+    of a component (or of what a method of that name makes) under prefix,
+    as the same objects when it is empty.  Each distinct subterm owns one
+    slot, filled once per report and emptied after the last law needing it.
+    Compiling is the one place that picks a kernel: (f (x) g)∘x is
+    tensor_compose, x∘(f (x) g) compose_tensor, another composite compose,
+    a bare f (x) g kron and Diag diagonal.
+    """
+
+    def __init__(self, entries) -> None:
+        self.entries, self.steps = entries, None
+
+    def _compile(self) -> None:
+        slots, code, needs, leaves, details, steps = {}, {}, {}, [], {}, []
+
+        def slot_of(t: Term) -> int:
+            kind, *args = t
+            if kind == "guard":
+                details[slot_of(args[0])] = args[1]
+                return slots[args[0]]
+            if t not in slots:
+                if kind == "get":  # read as the evaluation starts, not run as code
+                    slot = slots[t] = len(slots) + 1
+                    leaves.append((slot, attrgetter(args[0])))
+                    return slot
+                if kind == "id":
+                    names = [d for d in args[0].split("*") if d != "1"]
+                    op, args = (lambda s: identity(s.field, math.prod(map(s.dims.__getitem__, names)))), ()
+                elif kind == "call":
+                    op, args = args[0], args[1:]
+                else:
+                    if kind == "∘" and args[0][0] == "⊗":
+                        kind, args = "⊗∘", [*args[0][1:], args[1]]
+                    elif kind == "∘" and args[1][0] == "⊗":
+                        kind, args = "∘⊗", [args[0], *args[1][1:]]
+                    op = _KERNELS[kind]
+                args = tuple(map(slot_of, args)) or (0,)
+                slot = slots[t] = len(slots) + 1
+                # the operands' values as one tuple, or a list of one from a slice
+                fetch = itemgetter(*args) if len(args) > 1 else itemgetter(slice(args[0], args[0] + 1))
+                code[slot] = (slot, op, fetch)
+                needs[slot] = {slot}.union(*(needs.get(a, ()) for a in args))
+            return slots[t]
+
+        for entry in self.entries:
+            if len(entry) == 3:
+                steps.append((entry[0], attrgetter(entry[1]), entry[2]))
+                continue
+            sides = [slot_of(t) for t in entry[2:] if t is not None]
+            program = [code[slot] for slot in sorted(set().union(*(needs.get(slot, ()) for slot in sides)))]
+            steps.append((*entry[:2], program, sides[0], sides[1] if len(sides) > 1 else None, []))
+        for slot, step in {ins[0]: step for step in steps if len(step) > 3 for ins in step[2]}.items():
+            step[-1].append(slot)
+        self.size, self.leaves, self.details, self.steps, self.entries = len(slots), leaves, details, steps, None
+
+    def checks(self, s) -> tuple:
+        """The checks of every entry on the structure s, in table order."""
+        if self.steps is None:
+            self._compile()
+        vals, out, failed = [s] + [None] * self.size, [], set()
+        for slot, get in self.leaves:
+            vals[slot] = get(s)
+        for step in self.steps:
+            if len(step) == 3:
+                part = step[1](s)  # a component, or the method that makes it
+                out += step[0](part() if callable(part) else part).prefixed(step[2])
+                continue
+            name, anchor, program, lhs, rhs, done = step
+            if failed and not failed.isdisjoint(slot for slot, _, _ in program):
+                continue
+            try:
+                for slot, op, fetch in program:
+                    if vals[slot] is None:
+                        vals[slot] = op(*fetch(vals))
+            except TrussLabError as err:
+                if slot not in self.details:
+                    raise
+                failed.add(slot)
+                out.append(condition(name, anchor, False, self.details[slot].format(s, err)))
+                continue
+            out.append(equation(name, anchor, vals[lhs], vals[rhs]) if rhs else condition(name, anchor, True))
+            for slot in done:
+                vals[slot] = None
+        return tuple(out)
+
+
+def law_table(subject: str):
+    """Make a function that declares a table of laws into the memoized
+    verifier of that table, of the same name, whose reports have subject."""
+    def verifier(declare):
+        laws = Laws(declare())
+        return memoized(update_wrapper(lambda s: VerificationReport(subject, laws.checks(s)), declare))
+    return verifier
 
 
 class Structure(Record):
@@ -67,14 +221,13 @@ class Structure(Record):
     ALL_MAPS lists every map once, the components' first, as (document
     name, attribute path, cod, dom); a renamed component's maps are
     named "renamed." + name and have their "dim" replaced by that dim.
-    The document format reads this list.  MORPHISM_LAWS holds, for each
-    of its maps, what verify_morphism needs, derived once per class.
+    The document format reads this list.  MORPHISM_LAWS is the table of
+    verify_morphism's laws, one per map, compiled once per class on use.
     """
 
     PARTS = ()
     MAPS = ()
     ALL_MAPS = ()
-    MORPHISM_LAWS = ()
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
@@ -87,12 +240,17 @@ class Structure(Record):
                                 for expr in (cod, dom))
                 entries.append((name, f"{attr}.{path}", cod, dom))
         cls.ALL_MAPS = tuple(entries) + tuple((name, name, cod, dom) for name, cod, dom in cls.MAPS)
-        cls.MORPHISM_LAWS = tuple(_morphism_law(*entry) for entry in cls.ALL_MAPS)
+        cls.MORPHISM_LAWS = Laws(_morphism_law(*entry) for entry in cls.ALL_MAPS)
 
     @classmethod
     def _fields(cls) -> tuple:
         parts = tuple(attr for attr, _, _ in cls.PARTS)
         return (parts or ("dim",)) + tuple(name for name, _, _ in cls.MAPS)
+
+    @property
+    def mdim(self) -> int:
+        """The dim of the carrier, for a module or comodule."""
+        return self.dims["carrier"]
 
     @property
     def field(self) -> FieldSpec:
@@ -148,42 +306,34 @@ class MonoidData(Structure):
     MAPS = (("eta", "dim", "1"), ("mu", "dim", "dim*dim"))
 
 
-class NonUnitalBimonoidData(Structure):
+class OverComonoid:
+    """The dim, coproduct and counit of a structure built on a comonoid."""
+
+    @property
+    def dim(self) -> int:
+        return self.comonoid.dim
+
+    @property
+    def delta(self) -> LinMap:
+        return self.comonoid.delta
+
+    @property
+    def epsilon(self) -> LinMap:
+        return self.comonoid.epsilon
+
+
+class NonUnitalBimonoidData(OverComonoid, Structure):
     """A comonoid with an associative product that is a comonoid morphism."""
 
     PARTS = (("comonoid", ComonoidData, None),)
     MAPS = (("mu", "dim", "dim*dim"),)
 
-    @property
-    def dim(self) -> int:
-        return self.comonoid.dim
 
-    @property
-    def delta(self) -> LinMap:
-        return self.comonoid.delta
-
-    @property
-    def epsilon(self) -> LinMap:
-        return self.comonoid.epsilon
-
-
-class HopfMonoidData(Structure):
+class HopfMonoidData(OverComonoid, Structure):
     """Unital bimonoid with antipode."""
 
     PARTS = (("comonoid", ComonoidData, None),)
     MAPS = (("eta", "dim", "1"), ("mu", "dim", "dim*dim"), ("antipode", "dim", "dim"))
-
-    @property
-    def dim(self) -> int:
-        return self.comonoid.dim
-
-    @property
-    def delta(self) -> LinMap:
-        return self.comonoid.delta
-
-    @property
-    def epsilon(self) -> LinMap:
-        return self.comonoid.epsilon
 
     @memoized
     def monoid(self) -> MonoidData:
@@ -230,70 +380,44 @@ def diagonal(delta: LinMap, f: LinMap, g: LinMap, m: LinMap | None = None) -> Li
 # -- verifiers ---------------------------------------------------------------
 
 
-@memoized_report
-def verify_comonoid(c: ComonoidData, subject: str = "comonoid") -> VerificationReport:
-    n = c.dim
-    idn = identity(c.field, n)
-    checks = (
-        equation("counit.left", "(epsilon(x)id)∘delta = id",
-                 tensor_compose(c.epsilon, idn, c.delta), idn),
-        equation("counit.right", "(id(x)epsilon)∘delta = id",
-                 tensor_compose(idn, c.epsilon, c.delta), idn),
-        equation("coassoc", "(delta(x)id)∘delta = (id(x)delta)∘delta",
-                 tensor_compose(c.delta, idn, c.delta),
-                 tensor_compose(idn, c.delta, c.delta)),
-    )
-    return VerificationReport(subject, checks)
+@law_table("comonoid")
+def verify_comonoid():
+    delta, epsilon, idn = terms("delta epsilon id")
+    return (("counit.left", "(epsilon(x)id)∘delta = id", (epsilon * idn) @ delta, idn),
+            ("counit.right", "(id(x)epsilon)∘delta = id", (idn * epsilon) @ delta, idn),
+            ("coassoc", "(delta(x)id)∘delta = (id(x)delta)∘delta",
+             (delta * idn) @ delta, (idn * delta) @ delta))
 
 
-@memoized_report
-def verify_monoid(m: MonoidData, subject: str = "monoid") -> VerificationReport:
-    n = m.dim
-    idn = identity(m.field, n)
-    checks = (
-        equation("unit.left", "mu∘(eta(x)id) = id", compose_tensor(m.mu, m.eta, idn), idn),
-        equation("unit.right", "mu∘(id(x)eta) = id", compose_tensor(m.mu, idn, m.eta), idn),
-        equation("assoc", "mu∘(mu(x)id) = mu∘(id(x)mu)",
-                 compose_tensor(m.mu, m.mu, idn), compose_tensor(m.mu, idn, m.mu)),
-    )
-    return VerificationReport(subject, checks)
+@law_table("monoid")
+def verify_monoid():
+    eta, mu, idn = terms("eta mu id")
+    return (("unit.left", "mu∘(eta(x)id) = id", mu @ (eta * idn), idn),
+            ("unit.right", "mu∘(id(x)eta) = id", mu @ (idn * eta), idn),
+            ("assoc", "mu∘(mu(x)id) = mu∘(id(x)mu)", mu @ (mu * idn), mu @ (idn * mu)))
 
 
-@memoized_report
-def verify_nonunital_bimonoid(b: NonUnitalBimonoidData, subject: str = "bimonoid") -> VerificationReport:
-    idn = identity(b.field, b.dim)
-    rep = verify_comonoid(b.comonoid, subject)
-    rep = rep.with_checks(
-        equation("product.assoc", "mu∘(mu(x)id) = mu∘(id(x)mu)",
-                 compose_tensor(b.mu, b.mu, idn), compose_tensor(b.mu, idn, b.mu)),
-        equation("product.counit", "epsilon∘mu = epsilon(x)epsilon",
-                 b.epsilon @ b.mu, kron(b.epsilon, b.epsilon)),
-        equation("product.coproduct", "delta∘mu = (mu(x)mu)∘delta2",
-                 b.delta @ b.mu, diagonal(b.delta, b.mu, b.mu, b.delta)),
-    )
-    return rep
+@law_table("bimonoid")
+def verify_nonunital_bimonoid():
+    delta, epsilon, mu, idn = terms("delta epsilon mu id")
+    return ((verify_comonoid, "comonoid", ""),
+            ("product.assoc", "mu∘(mu(x)id) = mu∘(id(x)mu)", mu @ (mu * idn), mu @ (idn * mu)),
+            ("product.counit", "epsilon∘mu = epsilon(x)epsilon", epsilon @ mu, epsilon * epsilon),
+            ("product.coproduct", "delta∘mu = (mu(x)mu)∘delta2", delta @ mu, Diag(delta, mu, mu, delta)))
 
 
-@memoized_report
-def verify_hopf_monoid(h: HopfMonoidData, subject: str = "hopf") -> VerificationReport:
-    idn = identity(h.field, h.dim)
-    one = identity(h.field, 1)
-    rep = verify_nonunital_bimonoid(h.nonunital(), subject)
-    unit_target = h.eta @ h.epsilon
-    rep = rep.with_checks(
-        equation("unit.left", "mu∘(eta(x)id) = id",
-                 compose_tensor(h.mu, h.eta, idn), idn),
-        equation("unit.right", "mu∘(id(x)eta) = id",
-                 compose_tensor(h.mu, idn, h.eta), idn),
-        equation("unit.counit", "epsilon∘eta = id_K", h.epsilon @ h.eta, one),
-        equation("unit.coproduct", "delta∘eta = eta(x)eta",
-                 h.delta @ h.eta, kron(h.eta, h.eta)),
-        equation("antipode.left", "mu∘(antipode(x)id)∘delta = eta∘epsilon",
-                 h.mu @ tensor_compose(h.antipode, idn, h.delta), unit_target),
-        equation("antipode.right", "mu∘(id(x)antipode)∘delta = eta∘epsilon",
-                 h.mu @ tensor_compose(idn, h.antipode, h.delta), unit_target),
-    )
-    return rep
+@law_table("hopf")
+def verify_hopf_monoid():
+    delta, epsilon, eta, mu, antipode, idn, one = terms("delta epsilon eta mu antipode id id:1")
+    return ((verify_nonunital_bimonoid, "nonunital", ""),
+            ("unit.left", "mu∘(eta(x)id) = id", mu @ (eta * idn), idn),
+            ("unit.right", "mu∘(id(x)eta) = id", mu @ (idn * eta), idn),
+            ("unit.counit", "epsilon∘eta = id_K", epsilon @ eta, one),
+            ("unit.coproduct", "delta∘eta = eta(x)eta", delta @ eta, eta * eta),
+            ("antipode.left", "mu∘(antipode(x)id)∘delta = eta∘epsilon",
+             mu @ (antipode * idn) @ delta, eta @ epsilon),
+            ("antipode.right", "mu∘(id(x)antipode)∘delta = eta∘epsilon",
+             mu @ (idn * antipode) @ delta, eta @ epsilon))
 
 
 def verify_morphism(f: dict, src: Structure, dst: Structure,
@@ -317,14 +441,8 @@ def verify_morphism(f: dict, src: Structure, dst: Structure,
     shapes = {d: h.shape for d, h in f.items()}
     if shapes != expected:
         raise DimensionMismatchError(f"morphism has shapes {shapes}, expected {expected}")
-    checks = []
-    for name, get, cod, dom, anchor in type(src).MORPHISM_LAWS:
-        m, m_dst = get(src), get(dst)
-        left, right = [f[d] for d in cod], [f[d] for d in dom]
-        lhs = tensor_compose(*left, m) if len(left) > 1 else left[0] @ m if left else m
-        rhs = compose_tensor(m_dst, *right) if len(right) > 1 else m_dst @ right[0] if right else m_dst
-        checks.append(equation(name, anchor, lhs, rhs))
-    return VerificationReport(subject, tuple(checks))
+    ends = SimpleNamespace(src=src, dst=dst, **{f"f_{d}": h for d, h in f.items()})
+    return VerificationReport(subject, type(src).MORPHISM_LAWS.checks(ends))
 
 
 # -- convolution -------------------------------------------------------------

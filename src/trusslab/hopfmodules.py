@@ -14,7 +14,7 @@ is the content of the two triangle checks.
 
 from __future__ import annotations
 
-from .coalgebra import ComonoidData, HopfMonoidData, Structure, diagonal
+from .coalgebra import Call, ComonoidData, Diag, Guard, HopfMonoidData, Structure, law_table, terms
 from .errors import DimensionMismatchError, InvalidStructureError, TrussLabError
 from .hopftruss import HopfTruss
 from .linmap import LinMap, compose_tensor, identity, kron, nullspace, solve_through, tensor_compose
@@ -29,20 +29,12 @@ class ComoduleData(Structure):
     PARTS = (("comonoid", ComonoidData, None),)
     MAPS = (("coaction", "dim*carrier", "carrier"),)
 
-    @property
-    def mdim(self) -> int:
-        return self.coaction.dom
-
 
 class HopfModuleData(Structure):
     """Module and comodule over one Hopf monoid, compatibly."""
 
     PARTS = (("hopf", HopfMonoidData, None),)
     MAPS = (("action", "carrier", "dim*carrier"),) + ComoduleData.MAPS
-
-    @property
-    def mdim(self) -> int:
-        return self.action.cod
 
     @memoized
     def comodule(self) -> ComoduleData:
@@ -55,9 +47,9 @@ class TrussHopfModule(Structure):
     PARTS = TrussModule.PARTS
     MAPS = TrussModule.MAPS + ComoduleData.MAPS
 
-    @property
-    def mdim(self) -> int:
-        return self.act1.cod
+    @memoized
+    def truss_module(self) -> TrussModule:
+        return TrussModule(self.truss, self.act1, self.act2)
 
     @memoized
     def hopf_module(self) -> HopfModuleData:
@@ -83,38 +75,25 @@ class CoinvariantData(Record):
         return self.inclusion.dom
 
 
-@memoized
-def verify_comodule(c: ComoduleData) -> VerificationReport:
-    n, m = c.comonoid.dim, c.mdim
-    field = c.comonoid.field
-    idm = identity(field, m)
-    return VerificationReport("comodule").with_checks(
-        equation("counit", "(epsilon (x) id)∘coaction = id",
-                 tensor_compose(c.comonoid.epsilon, idm, c.coaction), idm),
-        equation("coassoc", "(delta (x) id)∘coaction = (id (x) coaction)∘coaction",
-                 tensor_compose(c.comonoid.delta, idm, c.coaction),
-                 tensor_compose(identity(field, n), c.coaction, c.coaction)),
-    )
+@law_table("comodule")
+def verify_comodule():
+    epsilon, delta, coaction, idn, idm = terms("comonoid.epsilon comonoid.delta coaction id id:carrier")
+    return (("counit", "(epsilon (x) id)∘coaction = id", (epsilon * idm) @ coaction, idm),
+            ("coassoc", "(delta (x) id)∘coaction = (id (x) coaction)∘coaction",
+             (delta * idm) @ coaction, (idn * coaction) @ coaction))
 
 
-@memoized
-def verify_hopf_module(m: HopfModuleData) -> VerificationReport:
+@law_table("hopfmodule")
+def verify_hopf_module():
     """Action laws, coaction laws, and their compatibility, all exact."""
-    h = m.hopf
-    idn, idm = identity(h.field, h.dim), identity(h.field, m.mdim)
-    rep = VerificationReport("hopfmodule").with_checks(
-        equation("action.unit", "action∘(eta (x) id) = id",
-                 compose_tensor(m.action, h.eta, idm), idm),
-        equation("action.product", "action∘(id (x) action) = action∘(mu (x) id)",
-                 compose_tensor(m.action, idn, m.action), compose_tensor(m.action, h.mu, idm)),
-    )
-    rep = rep.merged(verify_comodule(m.comodule()), prefix="comodule.")
-    return rep.with_checks(
-        equation("compat.coaction",
-                 "coaction∘action = (mu (x) action)∘(id (x) swap (x) id)∘(delta (x) coaction)",
-                 m.coaction @ m.action,
-                 diagonal(h.comonoid.delta, h.mu, m.action, m.coaction)),
-    )
+    eta, mu, delta, action, coaction, idn, idm = terms(
+        "hopf.eta hopf.mu hopf.comonoid.delta action coaction id id:carrier")
+    return (("action.unit", "action∘(eta (x) id) = id", action @ (eta * idm), idm),
+            ("action.product", "action∘(id (x) action) = action∘(mu (x) id)",
+             action @ (idn * action), action @ (mu * idm)),
+            (verify_comodule, "comodule", "comodule."),
+            ("compat.coaction", "coaction∘action = (mu (x) action)∘(id (x) swap (x) id)∘(delta (x) coaction)",
+             coaction @ action, Diag(delta, mu, action, coaction)))
 
 
 def _demand(ok: bool, label: str) -> None:
@@ -149,34 +128,19 @@ def coinvariants(m: HopfModuleData) -> CoinvariantData:
     return CoinvariantData(j, t, q)
 
 
-@memoized
-def verify_truss_hopf_module(m: TrussHopfModule) -> VerificationReport:
+@law_table("trusshopfmodule")
+def verify_truss_hopf_module():
     """Truss-module laws, Hopf-module laws over mu1, the mu2 compatibility,
     and the cocycle condition on coinvariants."""
-    t = m.truss
-    idn = identity(t.field, t.dim)
-    rep = VerificationReport("trusshopfmodule")
-    rep = rep.merged(verify_truss_module(TrussModule(t, m.act1, m.act2)),
-                     prefix="module.")
-    rep = rep.merged(verify_hopf_module(m.hopf_module()), prefix="h1.")
-    rep = rep.with_checks(
-        equation("h2.compat.coaction",
-                 "coaction∘act2 = (mu2 (x) act2)∘(id (x) swap (x) id)∘(delta (x) coaction)",
-                 m.coaction @ m.act2,
-                 diagonal(t.comonoid.delta, t.mu2, m.act2, m.coaction)),
-    )
-    try:
-        w = coinvariants(m.hopf_module())
-    except TrussLabError as err:
-        return rep.with_checks(condition(
-            "coinvariants.compat",
-            "act1∘(cocycle (x) inclusion) = act2∘(id (x) inclusion)",
-            False, f"coinvariants unavailable: {err}"))
-    return rep.with_checks(
-        equation("coinvariants.compat",
-                 "act1∘(cocycle (x) inclusion) = act2∘(id (x) inclusion)",
-                 compose_tensor(m.act1, t.cocycle, w.inclusion), compose_tensor(m.act2, idn, w.inclusion)),
-    )
+    act1, act2, coaction, cocycle, mu2, delta, idn = terms(
+        "act1 act2 coaction truss.cocycle truss.mu2 truss.comonoid.delta id")
+    inclusion = Guard(Call(lambda m: coinvariants(m.hopf_module()).inclusion), "coinvariants unavailable: {1}")
+    return ((verify_truss_module, "truss_module", "module."),
+            (verify_hopf_module, "hopf_module", "h1."),
+            ("h2.compat.coaction", "coaction∘act2 = (mu2 (x) act2)∘(id (x) swap (x) id)∘(delta (x) coaction)",
+             coaction @ act2, Diag(delta, mu2, act2, coaction)),
+            ("coinvariants.compat", "act1∘(cocycle (x) inclusion) = act2∘(id (x) inclusion)",
+             act1 @ (cocycle * inclusion), act2 @ (idn * inclusion)))
 
 
 def fundamental_iso(m: TrussHopfModule) -> tuple[LinMap, LinMap, VerificationReport]:
@@ -236,6 +200,7 @@ def adjunction_check(h: HopfTruss, xdim: int,
     field = h.field
     idn = identity(field, n)
     free = induction_functor(h, xdim)
+    free = m if m == free else free  # m is often that module: share its memos
     w_free = coinvariants(free.hopf_module())
     rep = VerificationReport("adjunction").with_checks(
         condition("induction.dimension",

@@ -11,32 +11,32 @@ second product, which is the shape of the distributivity law.
 from __future__ import annotations
 
 from .coalgebra import (
+    Call,
     ComonoidData,
+    Diag,
     HopfMonoidData,
     NonUnitalBimonoidData,
+    OverComonoid,
     Structure,
     diagonal,
     find_unit,
+    law_table,
     solve_antipode,
+    terms,
     verify_hopf_monoid,
     verify_nonunital_bimonoid,
 )
 from .errors import NoAntipodeError
-from .linmap import LinMap, compose_tensor, identity, tensor_compose
+from .linmap import LinMap, compose_tensor, identity
 from .record import memoized
-from .report import VerificationReport, equation
 
 
-class HopfTruss(Structure):
+class HopfTruss(OverComonoid, Structure):
     """Shared comonoid, Hopf product mu1, second product mu2, cocycle."""
 
     PARTS = (("comonoid", ComonoidData, None),)
     MAPS = (("eta", "dim", "1"), ("mu1", "dim", "dim*dim"), ("mu2", "dim", "dim*dim"),
             ("antipode", "dim", "dim"), ("cocycle", "dim", "dim"))
-
-    @property
-    def dim(self) -> int:
-        return self.comonoid.dim
 
     @memoized
     def hopf_part(self) -> HopfMonoidData:
@@ -64,39 +64,25 @@ def twisted_product(h: HopfTruss) -> LinMap:
     return h.mu1 @ diagonal(h.comonoid.delta, h.mu2, h.antipode @ h.cocycle)
 
 
-@memoized
-def verify_hopf_truss(h: HopfTruss) -> VerificationReport:
+@law_table("hopftruss")
+def verify_hopf_truss():
     """All defining laws of a Hopf truss as exact identities."""
-    idn = identity(h.field, h.dim)
-    delta, epsilon = h.comonoid.delta, h.comonoid.epsilon
-    gamma = twisted_action(h)
-
-    rep = VerificationReport("hopftruss")
-    rep = rep.merged(verify_hopf_monoid(h.hopf_part()), prefix="h1.")
-    rep = rep.merged(verify_nonunital_bimonoid(h.second_part()), prefix="h2.")
-
-    unit_absorb = h.eta @ epsilon
-    rep = rep.with_checks(
-        equation("cocycle.comonoid.coproduct", "delta∘cocycle = (cocycle(x)cocycle)∘delta",
-                 delta @ h.cocycle, tensor_compose(h.cocycle, h.cocycle, delta)),
-        equation("cocycle.comonoid.counit", "epsilon∘cocycle = epsilon",
-                 epsilon @ h.cocycle, epsilon),
-        equation("compat.distributivity",
-                 "mu2∘(id(x)mu1) = mu1∘(mu2(x)Gamma)∘(id(x)swap(x)id)∘(delta(x)id(x)id)",
-                 compose_tensor(h.mu2, idn, h.mu1), h.mu1 @ diagonal(delta, h.mu2, gamma)),
-        equation("cocycle.derived", "cocycle = mu2∘(id(x)eta)",
-                 h.cocycle, derive_cocycle(h.mu2, h.eta)),
-        equation("cocycle.product", "cocycle∘mu2 = mu2∘(id(x)cocycle)",
-                 h.cocycle @ h.mu2, compose_tensor(h.mu2, idn, h.cocycle)),
-        equation("action.unit", "Gamma∘(id(x)eta) = eta∘epsilon",
-                 compose_tensor(gamma, idn, h.eta), unit_absorb),
-        equation("action.product",
-                 "Gamma∘(id(x)mu1) = mu1∘(Gamma(x)Gamma)∘(id(x)swap(x)id)∘(delta(x)id(x)id)",
-                 compose_tensor(gamma, idn, h.mu1), h.mu1 @ diagonal(delta, gamma, gamma)),
-        equation("action.assoc", "Gamma∘(id(x)Gamma) = Gamma∘(mu2(x)id)",
-                 compose_tensor(gamma, idn, gamma), compose_tensor(gamma, h.mu2, idn)),
-    )
-    return rep
+    delta, epsilon, eta, mu1, mu2, cocycle, idn = terms("delta epsilon eta mu1 mu2 cocycle id")
+    gamma = Call(twisted_action)
+    return ((verify_hopf_monoid, "hopf_part", "h1."),
+            (verify_nonunital_bimonoid, "second_part", "h2."),
+            ("cocycle.comonoid.coproduct", "delta∘cocycle = (cocycle(x)cocycle)∘delta",
+             delta @ cocycle, (cocycle * cocycle) @ delta),
+            ("cocycle.comonoid.counit", "epsilon∘cocycle = epsilon", epsilon @ cocycle, epsilon),
+            ("compat.distributivity", "mu2∘(id(x)mu1) = mu1∘(mu2(x)Gamma)∘(id(x)swap(x)id)∘(delta(x)id(x)id)",
+             mu2 @ (idn * mu1), mu1 @ Diag(delta, mu2, gamma)),
+            ("cocycle.derived", "cocycle = mu2∘(id(x)eta)", cocycle, mu2 @ (idn * eta)),
+            ("cocycle.product", "cocycle∘mu2 = mu2∘(id(x)cocycle)", cocycle @ mu2, mu2 @ (idn * cocycle)),
+            ("action.unit", "Gamma∘(id(x)eta) = eta∘epsilon", gamma @ (idn * eta), eta @ epsilon),
+            ("action.product", "Gamma∘(id(x)mu1) = mu1∘(Gamma(x)Gamma)∘(id(x)swap(x)id)∘(delta(x)id(x)id)",
+             gamma @ (idn * mu1), mu1 @ Diag(delta, gamma, gamma)),
+            ("action.assoc", "Gamma∘(id(x)Gamma) = Gamma∘(mu2(x)id)",
+             gamma @ (idn * gamma), gamma @ (mu2 * idn)))
 
 
 def hopf_brace_antipode(h: HopfTruss) -> LinMap | None:

@@ -23,7 +23,7 @@ from .cocycle import (
     cocycle_of_truss,
     truss_of_cocycle,
 )
-from .coalgebra import Structure, diagonal, verify_morphism
+from .coalgebra import Call, Diag, Guard, Structure, diagonal, law_table, terms, verify_morphism
 from .errors import (
     InvalidStructureError,
     NotInvertibleError,
@@ -40,10 +40,6 @@ class TrussModule(Structure):
     PARTS = (("truss", HopfTruss, None),)
     MAPS = (("act1", "carrier", "dim*carrier"), ("act2", "carrier", "dim*carrier"))
 
-    @property
-    def mdim(self) -> int:
-        return self.act1.cod
-
 
 class PiModule(Structure):
     """Module over an invertible cocycle: two carriers, three actions.
@@ -59,10 +55,6 @@ class PiModule(Structure):
             ("hopf_action", "carrier", "target*carrier"),
             ("base_action", "second", "source*second"),
             ("compare", "carrier", "second"))
-
-    @property
-    def mdim(self) -> int:
-        return self.compare.cod
 
     @property
     def ndim(self) -> int:
@@ -93,33 +85,26 @@ def induction_truss_module(h: HopfTruss, xdim: int) -> TrussModule:
     return TrussModule(h, kron(h.mu1, idx), kron(h.mu2, idx))
 
 
-@memoized
-def verify_truss_module(m: TrussModule) -> VerificationReport:
+@law_table("trussmodule")
+def verify_truss_module():
     """Both action laws, twisted distributivity, and its two derived forms."""
-    t = m.truss
-    idn, idm = identity(t.field, t.dim), identity(t.field, m.mdim)
-    delta = t.comonoid.delta
-    gamma_m = module_twisted_action(m)
-    return VerificationReport("trussmodule").with_checks(
-        equation("act1.unit", "act1∘(eta (x) id) = id",
-                 compose_tensor(m.act1, t.eta, idm), idm),
-        equation("act1.product", "act1∘(id (x) act1) = act1∘(mu1 (x) id)",
-                 compose_tensor(m.act1, idn, m.act1), compose_tensor(m.act1, t.mu1, idm)),
-        equation("act2.product", "act2∘(id (x) act2) = act2∘(mu2 (x) id)",
-                 compose_tensor(m.act2, idn, m.act2), compose_tensor(m.act2, t.mu2, idm)),
-        equation("compat.distributivity",
-                 "act2∘(id (x) act1) = act1∘(mu2 (x) GammaM)∘(id (x) swap (x) id)∘(delta (x) id (x) id)",
-                 compose_tensor(m.act2, idn, m.act1),
-                 m.act1 @ diagonal(delta, t.mu2, gamma_m)),
-        equation("compat.distributivity.alt",
-                 "act2∘(id (x) act1) = act1∘(Lambda (x) act2)∘(id (x) swap (x) id)∘(delta (x) id (x) id)",
-                 compose_tensor(m.act2, idn, m.act1),
-                 m.act1 @ diagonal(delta, twisted_product(t), m.act2)),
-        equation("compat.derived",
-                 "GammaM∘(id (x) act1) = act1∘(Gamma (x) GammaM)∘(id (x) swap (x) id)∘(delta (x) id (x) id)",
-                 compose_tensor(gamma_m, idn, m.act1),
-                 m.act1 @ diagonal(delta, twisted_action(t), gamma_m)),
-    )
+    truss, eta, mu1, mu2, delta, act1, act2, idn, idm = terms(
+        "truss truss.eta truss.mu1 truss.mu2 truss.comonoid.delta act1 act2 id id:carrier")
+    gamma_m = Call(module_twisted_action)
+    return (("act1.unit", "act1∘(eta (x) id) = id", act1 @ (eta * idm), idm),
+            ("act1.product", "act1∘(id (x) act1) = act1∘(mu1 (x) id)",
+             act1 @ (idn * act1), act1 @ (mu1 * idm)),
+            ("act2.product", "act2∘(id (x) act2) = act2∘(mu2 (x) id)",
+             act2 @ (idn * act2), act2 @ (mu2 * idm)),
+            ("compat.distributivity",
+             "act2∘(id (x) act1) = act1∘(mu2 (x) GammaM)∘(id (x) swap (x) id)∘(delta (x) id (x) id)",
+             act2 @ (idn * act1), act1 @ Diag(delta, mu2, gamma_m)),
+            ("compat.distributivity.alt",
+             "act2∘(id (x) act1) = act1∘(Lambda (x) act2)∘(id (x) swap (x) id)∘(delta (x) id (x) id)",
+             act2 @ (idn * act1), act1 @ Diag(delta, Call(twisted_product, truss), act2)),
+            ("compat.derived",
+             "GammaM∘(id (x) act1) = act1∘(Gamma (x) GammaM)∘(id (x) swap (x) id)∘(delta (x) id (x) id)",
+             gamma_m @ (idn * act1), act1 @ Diag(delta, Call(twisted_action, truss), gamma_m)))
 
 
 def regular_pi_module(c: InvertibleCocycle) -> PiModule:
@@ -127,54 +112,35 @@ def regular_pi_module(c: InvertibleCocycle) -> PiModule:
     return PiModule(c, c.action, c.hopf.mu, c.bimonoid.mu, c.cocycle)
 
 
-@memoized
-def verify_pi_module(m: PiModule) -> VerificationReport:
+@law_table("pimodule")
+def verify_pi_module():
     """All defining laws of a cocycle module plus the two derived identities."""
-    c = m.system
-    field = c.field
-    idb, idh = identity(field, c.bimonoid.dim), identity(field, c.hopf.dim)
-    idm, idn = identity(field, m.mdim), identity(field, m.ndim)
-    delta_b = c.bimonoid.comonoid.delta
-    through = c.cocycle @ c.twist
-    intertwined = m.hopf_action @ diagonal(delta_b, through, m.mixed_action, m.compare)
-
-    rep = VerificationReport("pimodule").with_checks(
-        equation("hopf-action.unit", "hopf_action∘(eta (x) id) = id",
-                 compose_tensor(m.hopf_action, c.hopf.eta, idm), idm),
-        equation("hopf-action.product",
-                 "hopf_action∘(id (x) hopf_action) = hopf_action∘(mu (x) id)",
-                 compose_tensor(m.hopf_action, idh, m.hopf_action),
-                 compose_tensor(m.hopf_action, c.hopf.mu, idm)),
-        equation("base-action.product",
-                 "base_action∘(id (x) base_action) = base_action∘(mu (x) id)",
-                 compose_tensor(m.base_action, idb, m.base_action),
-                 compose_tensor(m.base_action, c.bimonoid.mu, idn)),
-        equation("compat.mixed",
-                 "mixed∘(id (x) hopf_action) = hopf_action∘(action (x) mixed)∘(id (x) swap (x) id)∘(delta (x) id (x) id)",
-                 compose_tensor(m.mixed_action, idb, m.hopf_action),
-                 m.hopf_action @ diagonal(delta_b, c.action, m.mixed_action)),
-        equation("compare.intertwine",
-                 "compare∘base_action = hopf_action∘((cocycle∘twist) (x) mixed)∘(delta (x) compare)",
-                 m.compare @ m.base_action, intertwined),
-    )
-    try:
-        compare_inv = invert(m.compare)
-    except NotInvertibleError:
-        return rep.with_checks(condition(
-            "compare.invertible", "compare map is an isomorphism",
-            False, f"compare has shape {m.compare.shape} and is singular"))
-    rep = rep.with_checks(condition(
-        "compare.invertible", "compare map is an isomorphism", True))
-    lam_through = c.hopf.antipode @ through
-    return rep.with_checks(
-        equation("derived.base",
-                 "base_action = compare⁻¹∘hopf_action∘((cocycle∘twist) (x) mixed)∘(delta (x) compare)",
-                 m.base_action, compare_inv @ intertwined),
-        equation("derived.mixed",
-                 "mixed = hopf_action∘((antipode∘cocycle∘twist) (x) (compare∘base_action))∘(delta (x) compare⁻¹)",
-                 m.mixed_action,
-                 m.hopf_action @ diagonal(delta_b, lam_through, m.compare @ m.base_action, compare_inv)),
-    )
+    eta, mu_h, antipode, mu_b, delta_b, pi, twist, phi, hopf_action, mixed, base, compare = terms(
+        "system.hopf.eta system.hopf.mu system.hopf.antipode system.bimonoid.mu "
+        "system.bimonoid.comonoid.delta system.cocycle system.twist system.action "
+        "hopf_action mixed_action base_action compare")
+    idb, idh, idm, idn = terms("id:source id:target id:carrier id:second")
+    through = pi @ twist
+    intertwined = hopf_action @ Diag(delta_b, through, mixed, compare)
+    compare_inv = Guard(~compare, "compare has shape {0.compare.shape} and is singular")
+    return (("hopf-action.unit", "hopf_action∘(eta (x) id) = id", hopf_action @ (eta * idm), idm),
+            ("hopf-action.product", "hopf_action∘(id (x) hopf_action) = hopf_action∘(mu (x) id)",
+             hopf_action @ (idh * hopf_action), hopf_action @ (mu_h * idm)),
+            ("base-action.product", "base_action∘(id (x) base_action) = base_action∘(mu (x) id)",
+             base @ (idb * base), base @ (mu_b * idn)),
+            ("compat.mixed",
+             "mixed∘(id (x) hopf_action) = hopf_action∘(action (x) mixed)∘(id (x) swap (x) id)∘(delta (x) id (x) id)",
+             mixed @ (idb * hopf_action), hopf_action @ Diag(delta_b, phi, mixed)),
+            ("compare.intertwine",
+             "compare∘base_action = hopf_action∘((cocycle∘twist) (x) mixed)∘(delta (x) compare)",
+             compare @ base, intertwined),
+            ("compare.invertible", "compare map is an isomorphism", compare_inv, None),
+            ("derived.base",
+             "base_action = compare⁻¹∘hopf_action∘((cocycle∘twist) (x) mixed)∘(delta (x) compare)",
+             base, compare_inv @ intertwined),
+            ("derived.mixed",
+             "mixed = hopf_action∘((antipode∘cocycle∘twist) (x) (compare∘base_action))∘(delta (x) compare⁻¹)",
+             mixed, hopf_action @ Diag(delta_b, antipode @ through, compare @ base, compare_inv)))
 
 
 def verify_pi_module_morphism(h: LinMap, l: LinMap, src: PiModule,

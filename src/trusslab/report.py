@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from functools import update_wrapper
 from typing import Optional, Tuple
 
 from .linmap import LinMap
-from .record import Record, memoized
+from .record import Record
 
 
 class CheckResult(Record):
@@ -49,11 +48,14 @@ class VerificationReport(Record):
                 return c
         raise KeyError(name)
 
+    def prefixed(self, prefix: str) -> Tuple[CheckResult, ...]:
+        """The checks named under prefix, the same objects when it is empty."""
+        if not prefix:
+            return self.checks
+        return tuple(CheckResult(prefix + c.name, c.anchor, c.passed, c.residual, c.detail) for c in self.checks)
+
     def merged(self, other: "VerificationReport", prefix: str = "") -> "VerificationReport":
-        extra = tuple(
-            CheckResult(prefix + c.name, c.anchor, c.passed, c.residual, c.detail)
-            for c in other.checks)
-        return VerificationReport(self.subject, self.checks + extra)
+        return VerificationReport(self.subject, self.checks + other.prefixed(prefix))
 
     def with_checks(self, *results: CheckResult) -> "VerificationReport":
         return VerificationReport(self.subject, self.checks + tuple(results))
@@ -91,20 +93,3 @@ def equation(name: str, anchor: str, lhs: LinMap, rhs: LinMap) -> CheckResult:
 
 def condition(name: str, anchor: str, ok: bool, detail: str = "") -> CheckResult:
     return CheckResult(name, anchor, ok, None, "" if ok else detail)
-
-
-def memoized_report(verify):
-    """memoized for a verifier verify(structure, subject=default).
-
-    The subject only names the report, so the checks are made once per
-    structure, under the default subject, and a call that passes another
-    subject gets the same checks under that one.
-    """
-    default = verify.__defaults__[-1]
-    report_of = memoized(verify)
-
-    def named(s, subject: str = default) -> VerificationReport:
-        rep = report_of(s)
-        return rep if subject == default else VerificationReport(subject, rep.checks)
-
-    return update_wrapper(named, verify)

@@ -4,8 +4,13 @@ The builders assemble matrices entry by entry from multiplication
 tables, deliberately bypassing settruss.linearize, so the set-level and
 linear-level routes stay independent when tests compare them.
 sample_objects, one structure of every document kind for the format and
-dispatch tests, uses the library's own constructions instead.
+dispatch tests, uses the library's own constructions instead.  hook and
+count_calls watch or replace a library function where it is looked up,
+the law evaluator among those places.
 """
+
+import sys
+from collections import Counter
 
 from trusslab import algfile
 from trusslab.coalgebra import ComonoidData, MonoidData
@@ -119,3 +124,39 @@ def sample_objects():
         ("hopfmodule", HopfModuleData(hq.hopf_part(), hq.mu1, hq.comonoid.delta)),
         ("trusshopfmodule", induction_functor(h, 2)),
     ]
+
+
+def hook(monkeypatch, name: str, wrap) -> None:
+    """Put wrap(f) in place of f, the trusslab function `name`, in every
+    trusslab module that binds it: the law evaluator in coalgebra, which
+    makes every kernel call and equation of the structure verifiers, and
+    the certificate reports.  "LinMap.<method>" names a method of LinMap,
+    which is replaced on the class."""
+    if name.startswith("LinMap."):
+        method = name.split(".")[1]
+        monkeypatch.setattr(LinMap, method, wrap(vars(LinMap)[method]))
+        return
+    modules = [m for n, m in sorted(sys.modules.items()) if n.startswith("trusslab.")]
+    original = next(vars(m)[name] for m in modules
+                    if getattr(vars(m).get(name), "__module__", None) == m.__name__)
+    wrapped = wrap(original)
+    for m in modules:
+        if vars(m).get(name) is original:
+            monkeypatch.setattr(m, name, wrapped)
+
+
+def count_calls(monkeypatch, *names) -> Counter:
+    """Count the calls of each named function through hook.  A call of
+    equation counts under the name of the law it checks."""
+    counts = Counter()
+
+    def counter(name):
+        def wrap(fn):
+            def counted(*args, **kwargs):
+                counts[args[0] if name == "equation" else name] += 1
+                return fn(*args, **kwargs)
+            return counted
+        return wrap
+    for name in names:
+        hook(monkeypatch, name, counter(name))
+    return counts

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import flip, sample_objects, transport, truss_from_tables
+from conftest import flip, hook, sample_objects, transport, truss_from_tables
 
-from trusslab import coalgebra, cocycle, hopftruss, verify_structure
+from trusslab import coalgebra, verify_structure
 from trusslab.coalgebra import (
     ComonoidData,
     HopfMonoidData,
@@ -602,28 +602,30 @@ def test_diagonal_forms_no_kron_compose_or_flip(monkeypatch):
     # a group algebra no Kronecker product, composite or flip map is formed
     # inside it.
     c = cocycle_of_truss(linearize(trivial_truss(symmetric_group(3)), RATIONALS))
-    original = coalgebra.diagonal
     spreads, inside, depth = [], [], [0]
 
-    def tracked(delta, f, g, m=None):
-        spreads.append(delta.dom)
-        depth[0] += 1
-        try:
-            return original(delta, f, g, m)
-        finally:
-            depth[0] -= 1
+    def tracked(original):
+        def spread(delta, f, g, m=None):
+            spreads.append(delta.dom)
+            depth[0] += 1
+            try:
+                return original(delta, f, g, m)
+            finally:
+                depth[0] -= 1
+        return spread
 
-    def watched(name, fn):
-        def wrapper(*args, **kwargs):
-            if depth[0]:
-                inside.append(name)
-            return fn(*args, **kwargs)
-        return wrapper
+    def watched(name):
+        def wrap(fn):
+            def wrapper(*args, **kwargs):
+                if depth[0]:
+                    inside.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+        return wrap
 
-    for module in (coalgebra, hopftruss, cocycle):
-        monkeypatch.setattr(module, "diagonal", tracked)
-    monkeypatch.setattr(LinMap, "kron", watched("kron", LinMap.kron))
-    monkeypatch.setattr(LinMap, "compose", watched("compose", LinMap.compose))
+    hook(monkeypatch, "diagonal", tracked)
+    for name in ("LinMap.kron", "LinMap.compose"):
+        hook(monkeypatch, name, watched(name))
     assert roundtrip_report(c).ok
     assert spreads and set(spreads) == {6}
     assert inside == []

@@ -6,15 +6,17 @@ import random
 import pytest
 
 from conftest import (
+    count_calls,
     cyclic_table,
     cyclic_truss,
+    hook,
     permutation,
     perturbed,
     sample_objects,
     transport,
     truss_from_tables,
 )
-from trusslab import algfile, coalgebra, cocycle, hopftruss, modules
+from trusslab import algfile
 from trusslab.coalgebra import HopfMonoidData, verify_hopf_monoid
 from trusslab.cocycle import (
     CocycleMorphism,
@@ -204,18 +206,15 @@ def test_transported_truss_carries_the_hopf_part_unchanged():
 
 def test_roundtrip_reuses_the_rebuilt_action(monkeypatch):
     c = cocycle_of_truss(linearize(trivial_truss(symmetric_group(3)), RATIONALS))
-    calls = []
-    diagonal = hopftruss.diagonal
-
-    def counting(*args):
-        calls.append(args)
-        return diagonal(*args)
-    monkeypatch.setattr(hopftruss, "diagonal", counting)
+    calls = count_calls(monkeypatch, "diagonal")
     assert roundtrip_report(c).ok
-    # hopftruss builds Gamma of the transported truss and its two laws that
-    # use it, and nothing more: reading the truss back as a cocycle and the
-    # roundtrip.action check reuse that Gamma
-    assert len(calls) == 3
+    # four spreads verify c (the product.coproduct of its two bimonoids,
+    # action.product and compat.cocycle) and four the transported truss:
+    # one builds its Gamma, and its second part's product.coproduct,
+    # compat.distributivity and action.product make the others.  Reading
+    # the truss back as a cocycle and the roundtrip.action check reuse
+    # that Gamma.
+    assert calls["diagonal"] == 8
 
 
 @pytest.mark.parametrize("broken", [False, True], ids=["lawful", "bad-antipode"])
@@ -225,18 +224,12 @@ def test_roundtrip_verifies_the_hopf_part_once(monkeypatch, broken):
         h = c.hopf
         h = HopfMonoidData(h.comonoid, h.eta, h.mu, perturbed(h.antipode, 0, 1))
         c = InvertibleCocycle(c.bimonoid, h, c.cocycle, c.twist, c.action)
-    laws = []
-    equation = coalgebra.equation
-
-    def counting(name, *args):
-        laws.append(name)
-        return equation(name, *args)
-    monkeypatch.setattr(coalgebra, "equation", counting)
+    laws = count_calls(monkeypatch, "equation")
     rep = roundtrip_report(c)
     assert rep.ok is not broken
     # once, for c.hopf: the transported truss carries c.hopf's maps
     # unchanged, so its h1.* checks are that report's checks
-    assert laws.count("antipode.left") == 1
+    assert laws["antipode.left"] == 1
     monkeypatch.undo()
     fresh = [(ch.name, ch.passed, ch.residual) for ch in verify_hopf_monoid(copy.copy(c.hopf)).checks]
     for prefix in ("src.h.", "truss.h1."):
@@ -276,14 +269,13 @@ def test_wrong_shape_action_rejected():
                           identity(RATIONALS, 4))
 
 
-_fused_diagonal = coalgebra.diagonal
-
-
-def _diagonal_through_formed_right_factor(delta, f, g, m=None):
+def _through_formed_right_factor(fused):
     # id_A (x) m formed and composed after the spread, the construction
     # that the fused right factor of diagonal replaces.
-    out = _fused_diagonal(delta, f, g)
-    return out if m is None else out @ kron(identity(delta.field, delta.dom), m)
+    def spread(delta, f, g, m=None):
+        out = fused(delta, f, g)
+        return out if m is None else out @ kron(identity(delta.field, delta.dom), m)
+    return spread
 
 
 @pytest.mark.parametrize("field", [RATIONALS, F5], ids=str)
@@ -304,6 +296,5 @@ def test_zero_source_reports_match_the_formed_right_factor(monkeypatch, field, k
     obj = row.build(dims, maps)
     verify = verify_cocycle if kind == "gic" else verify_pi_module
     fused = verify(obj)
-    for module in (coalgebra, cocycle, modules):
-        monkeypatch.setattr(module, "diagonal", _diagonal_through_formed_right_factor)
-    assert fused.to_dict() == verify(obj).to_dict()
+    hook(monkeypatch, "diagonal", _through_formed_right_factor)
+    assert fused.to_dict() == verify(row.build(dims, maps)).to_dict()

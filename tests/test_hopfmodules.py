@@ -1,11 +1,10 @@
 """Hopf modules, coinvariants, the fundamental isomorphism, induction."""
 
-from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from conftest import cyclic_table, cyclic_truss, perturbed, truss_from_tables
+from conftest import count_calls, cyclic_table, cyclic_truss, perturbed, truss_from_tables
 from trusslab import hopfmodules
 from trusslab.coalgebra import ComonoidData, HopfMonoidData, verify_morphism
 from trusslab.errors import DimensionMismatchError, InvalidStructureError
@@ -22,8 +21,8 @@ from trusslab.hopfmodules import (
     verify_hopf_module,
     verify_truss_hopf_module,
 )
-from trusslab.linmap import LinMap, identity, kron, nullspace, rank
-from trusslab.report import VerificationReport, equation
+from trusslab.linmap import LinMap, identity, kron, rank
+from trusslab.report import VerificationReport
 
 F2 = prime_field(2)
 F5 = prime_field(5)
@@ -259,21 +258,10 @@ def test_fundamental_iso_rejects_broken_input():
 
 
 def count_work(monkeypatch):
-    """Count what hopfmodules really computes: "split" for each coinvariant
-    split (one nullspace each) and each law it evaluates, by check name.
-    A memoized result that is reused makes neither."""
-    counts = Counter()
-
-    def splitting(m):
-        counts["split"] += 1
-        return nullspace(m)
-
-    def evaluating(name, *args):
-        counts[name] += 1
-        return equation(name, *args)
-    monkeypatch.setattr(hopfmodules, "nullspace", splitting)
-    monkeypatch.setattr(hopfmodules, "equation", evaluating)
-    return counts
+    """Count what really gets computed: "nullspace" for each coinvariant
+    split and each law evaluated, by check name.  A memoized result that
+    is reused makes neither."""
+    return count_calls(monkeypatch, "nullspace", "equation")
 
 
 def test_fundamental_iso_verifies_and_splits_the_module_once(monkeypatch):
@@ -281,7 +269,7 @@ def test_fundamental_iso_verifies_and_splits_the_module_once(monkeypatch):
     theta, theta_inv, rep = fundamental_iso(induction_functor(cyclic_truss(RATIONALS, 3), 2))
     assert rep.ok
     # compat.coaction is verify_hopf_module's own law
-    assert (counts["compat.coaction"], counts["split"]) == (1, 1)
+    assert (counts["compat.coaction"], counts["nullspace"]) == (1, 1)
 
 
 def test_zero_dimensional_induction_is_vacuously_fine():
@@ -335,16 +323,16 @@ def test_adjunction_mixed_dimensions(monkeypatch):
     rep = adjunction_check(t, 3, induction_functor(t, 2))
     assert rep.ok, str(rep)
     # free modules on 3 and on 2 dimensions, and m
-    assert (counts["compat.coaction"], counts["split"]) == (3, 3)
+    assert (counts["compat.coaction"], counts["nullspace"]) == (3, 3)
 
 
 def test_adjunction_splits_the_free_module_once(monkeypatch):
     t = cyclic_truss(F5, 4)
     counts = count_work(monkeypatch)
     assert adjunction_check(t, 2, induction_functor(t, 2)).ok
-    # the free module on 2 dimensions is both the inducing module and the
-    # module rebuilt from m's coinvariants; only m is split besides it
-    assert (counts["compat.coaction"], counts["split"]) == (2, 2)
+    # m is the free module on 2 dimensions, which is both the inducing
+    # module and the module rebuilt from its coinvariants: one split
+    assert (counts["compat.coaction"], counts["nullspace"]) == (1, 1)
 
 
 def test_adjunction_flags_corrupted_coaction():

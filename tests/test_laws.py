@@ -1,0 +1,149 @@
+"""Laws as declared terms: the one evaluator of the structure verifiers.
+
+Every structure verifier is a table of laws, and coalgebra.Laws compiles
+each table once and evaluates it: it alone picks a kernel for each
+composite, evaluates each distinct subterm once per report, and keeps no
+value past the report.
+"""
+
+import gc
+import pickle
+import sys
+import weakref
+from types import SimpleNamespace
+
+import pytest
+
+from conftest import count_calls, cyclic_truss
+from trusslab import algfile
+from trusslab.coalgebra import Call, Diag, Guard, Laws, terms, verify_comonoid, verify_hopf_monoid
+from trusslab.cocycle import cocycle_of_truss, roundtrip_report, verify_cocycle
+from trusslab.errors import DimensionMismatchError, NotInvertibleError
+from trusslab.fields import RATIONALS, prime_field
+from trusslab.hopfmodules import coinvariants, induction_functor, verify_truss_hopf_module
+from trusslab.hopftruss import verify_hopf_truss
+from trusslab.linmap import LinMap, identity
+from trusslab.settruss import cyclic_group, linearize, trivial_truss
+
+KERNELS = ("LinMap.compose", "compose_tensor", "tensor_compose", "diagonal", "invert",
+           "solve_through")
+
+
+def test_the_transport_chain_calls_no_kernel_more_often_than_before(monkeypatch):
+    # transport_q's chain on Z4 over Q.  The bounds are the calls counted
+    # on the hand-written verifiers that the law tables replaced.
+    h = linearize(trivial_truss(cyclic_group(4)), RATIONALS)
+    laws = count_calls(monkeypatch, "equation")
+    kernels = count_calls(monkeypatch, *KERNELS)
+    c = cocycle_of_truss(h)
+    assert verify_hopf_truss(h).ok and verify_cocycle(c).ok and roundtrip_report(c).ok
+    assert sum(laws.values()) == 54
+    before = {"LinMap.compose": 53, "compose_tensor": 31, "tensor_compose": 12, "diagonal": 11,
+              "invert": 3, "solve_through": 3}
+    assert {k: n for k, n in kernels.items() if n > before[k]} == {}
+
+
+def test_unprefixed_parts_share_their_checks():
+    h = cyclic_truss(RATIONALS, 3).hopf_part()
+    comonoid = verify_comonoid(h.comonoid).checks
+    assert verify_hopf_monoid(h).checks[0] is comonoid[0]
+    assert all(a is b for a, b in zip(verify_hopf_monoid(h).checks, comonoid))
+
+
+@pytest.mark.parametrize("kind", list(algfile.REGISTRY))
+def test_each_verifier_is_its_module_attribute_and_pickles_by_reference(kind):
+    verify = algfile.REGISTRY[kind].verify
+    assert getattr(sys.modules[verify.__module__], verify.__qualname__) is verify
+    assert pickle.loads(pickle.dumps(verify)) is verify
+
+
+# -- the evaluator on tables of its own -------------------------------------------
+
+
+F5 = prime_field(5)
+
+
+def counted_checks(monkeypatch, table, ends):
+    kernels = count_calls(monkeypatch, *KERNELS, "kron")
+    checks = Laws(table).checks(ends)
+    return {c.name: (c.passed, c.detail) for c in checks}, kernels
+
+
+def test_the_kernel_follows_the_shape_of_the_composite(monkeypatch):
+    f, g, x, d = terms("f g x d")
+    ends = SimpleNamespace(f=identity(F5, 2), g=identity(F5, 2), x=identity(F5, 4),
+                           d=LinMap(F5, 4, 2, {(0, 0): 1, (3, 1): 1}))
+    table = [("tensor-after", "", (f * g) @ x, x),
+             ("tensor-before", "", x @ (f * g), x),
+             ("bare", "", f * g, x),
+             ("plain", "", f @ g, f),
+             ("spread", "", Diag(d, f, g), Diag(d, f, g))]
+    checks, kernels = counted_checks(monkeypatch, table, ends)
+    assert all(passed for passed, _ in checks.values())
+    assert kernels == {"tensor_compose": 1, "compose_tensor": 1, "kron": 1, "LinMap.compose": 1,
+                       "diagonal": 1}
+
+
+def test_a_subterm_met_twice_is_evaluated_once(monkeypatch):
+    f, g = terms("f g")
+    ends = SimpleNamespace(f=identity(F5, 2), g=LinMap(F5, 2, 2, {(0, 1): 1, (1, 0): 1}))
+    shared = g @ f @ g
+    checks, kernels = counted_checks(monkeypatch, [("once", "", shared, f), ("again", "", f, shared)], ends)
+    assert checks == {"once": (True, ""), "again": (True, "")}
+    # g∘(f∘g): two composites, and none for the second law
+    assert kernels == {"LinMap.compose": 2}
+
+
+def test_a_failed_guard_fails_its_first_law_and_leaves_out_the_ones_that_use_it(monkeypatch):
+    a, b = terms("a b")
+    ends = SimpleNamespace(a=LinMap(F5, 2, 2, {(0, 0): 1}), b=identity(F5, 2))
+    inverse = Guard(~a, "a of shape {0.a.shape} is singular: {1}")
+    table = [("a.invertible", "a has an inverse", inverse, None),
+             ("after", "", b @ b, b),
+             ("uses", "", inverse @ b, b),
+             ("last", "", b, b)]
+    checks, kernels = counted_checks(monkeypatch, table, ends)
+    assert list(checks) == ["a.invertible", "after", "last"]
+    passed, detail = checks["a.invertible"]
+    assert not passed and detail.startswith("a of shape (2, 2) is singular: map of rank 1")
+    assert kernels["invert"] == 1
+    # an invertible a passes the guard as a condition and the law that uses it
+    checks = Laws(table).checks(SimpleNamespace(a=identity(F5, 2), b=identity(F5, 2)))
+    assert [(c.name, c.passed) for c in checks] == [
+        ("a.invertible", True), ("after", True), ("uses", True), ("last", True)]
+
+
+def test_an_error_outside_a_guard_is_raised():
+    a, b = terms("a b")
+    ends = SimpleNamespace(a=identity(F5, 2), b=identity(F5, 3))
+    with pytest.raises(DimensionMismatchError):
+        Laws([("shapes", "", a @ b, b)]).checks(ends)
+    with pytest.raises(NotInvertibleError):
+        Laws([("inverse", "", ~Call(lambda s: s.b.scale(0)), b)]).checks(ends)
+
+
+def test_a_value_is_dropped_after_the_last_law_that_needs_it():
+    class Box:
+        pass
+    boxes = []
+
+    def make(s):
+        boxes.append(weakref.ref(box := Box()))
+        return box
+    one, zero = terms("one zero")
+    table = [("uses the box", "", Call(lambda box: 1, Call(make)), one),
+             ("the box is gone", "", Call(lambda s: int(boxes[0]() is not None)), zero)]
+    checks = Laws(table).checks(SimpleNamespace(one=1, zero=0))
+    assert [(c.name, c.passed) for c in checks] == [("uses the box", True), ("the box is gone", True)]
+
+
+def test_no_value_outlives_its_report():
+    h = linearize(trivial_truss(cyclic_group(3)), F5)
+    m = induction_functor(h, 2)
+    assert verify_truss_hopf_module(m).ok
+    # the coinvariants hold the inclusion that coinvariants.compat evaluates
+    split = coinvariants(m.hopf_module())
+    refs = [weakref.ref(x) for x in (m, m.hopf_module(), m.truss_module(), split)]
+    del m, split
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * len(refs)

@@ -14,29 +14,15 @@ from pathlib import Path
 
 import pytest
 
-from conftest import cyclic_truss, perturbed, sample_objects
-from trusslab import algfile, coalgebra, cocycle, hopfmodules, hopftruss, modules
-from trusslab.coalgebra import verify_comonoid, verify_hopf_monoid
+from conftest import count_calls, cyclic_truss, perturbed, sample_objects
+from trusslab import algfile, cocycle
+from trusslab.coalgebra import verify_hopf_monoid
 from trusslab.cocycle import InvertibleCocycle, cocycle_of_truss, roundtrip_report, verify_cocycle
 from trusslab.fields import RATIONALS
 from trusslab.hopftruss import twisted_action, verify_hopf_truss
-from trusslab.report import equation
 from trusslab.settruss import linearize, symmetric_group, trivial_truss
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
-
-
-def count_laws(monkeypatch) -> Counter:
-    """Count every law evaluated, by check name, in every module that
-    evaluates laws; a memoized report that is reused evaluates none."""
-    laws = Counter()
-
-    def evaluating(name, *args):
-        laws[name] += 1
-        return equation(name, *args)
-    for module in (coalgebra, hopftruss, cocycle, modules, hopfmodules):
-        monkeypatch.setattr(module, "equation", evaluating)
-    return laws
 
 
 def fresh(obj):
@@ -51,7 +37,7 @@ def checks(rep) -> list:
 
 def test_the_equivalence_chain_evaluates_each_law_once(monkeypatch):
     h = linearize(trivial_truss(symmetric_group(3)), RATIONALS)
-    laws = count_laws(monkeypatch)
+    laws = count_calls(monkeypatch, "equation")
     c = cocycle_of_truss(h)
     reports = [verify_hopf_truss(h), verify_cocycle(c), roundtrip_report(c)]
     assert all(rep.ok for rep in reports)
@@ -75,16 +61,6 @@ def test_the_equivalence_chain_evaluates_each_law_once(monkeypatch):
     expected.update(name for name, _, _, _ in InvertibleCocycle.ALL_MAPS)
     expected.update(["roundtrip.action"])
     assert laws == expected
-
-
-def test_a_subject_renames_the_memoized_checks(monkeypatch):
-    comonoid = cyclic_truss(RATIONALS, 3).comonoid
-    laws = count_laws(monkeypatch)
-    named = verify_comonoid(comonoid, "mine")
-    plain = verify_comonoid(comonoid)
-    assert (named.subject, plain.subject) == ("mine", "comonoid")
-    assert named.checks == plain.checks
-    assert laws == Counter({"counit.left": 1, "counit.right": 1, "coassoc": 1})
 
 
 def _corrupted():
