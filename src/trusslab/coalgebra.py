@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import reduce, update_wrapper
+from functools import cached_property, reduce, update_wrapper
 from operator import attrgetter, itemgetter, matmul, mul
 from types import SimpleNamespace
 from typing import List
@@ -257,14 +257,14 @@ class Structure(Record):
         """The field of the first component, or of the first map."""
         return getattr(self, (self.PARTS or self.MAPS)[0][0]).field
 
-    @property
-    @memoized
+    @cached_property
     def dims(self) -> dict:
         """Every named dim: a structure with no components has its "dim";
         otherwise the components' dims come first, renamed where declared,
         and each dim the own maps add is the size of the first of them
-        that has that dim alone as codomain or domain.  Made once per
-        instance; callers must not change the dict."""
+        that has that dim alone as codomain or domain.  Cached on the
+        instance, not memoized, so that a constructor takes no hash;
+        callers must not change the dict."""
         if not self.PARTS:
             return {"dim": self.dim}
         dims = {}

@@ -94,8 +94,7 @@ def is_brace_case(c: InvertibleCocycle) -> bool:
 
 def cocycle_of_truss(h: HopfTruss) -> InvertibleCocycle:
     """Read a Hopf truss as the identity cocycle from its second product
-    onto its Hopf part, twisted by the truss cocycle.  Its parts are h's
-    own part views, so what is memoized on them is shared."""
+    onto its Hopf part, twisted by the truss cocycle."""
     return InvertibleCocycle(
         h.second_part(), h.hopf_part(), identity(h.field, h.dim), h.cocycle, twisted_action(h))
 
@@ -108,10 +107,7 @@ def truss_of_cocycle(c: InvertibleCocycle) -> HopfTruss:
         raise InvalidStructureError("cocycle map is singular") from exc
     mu_pi = compose_tensor(c.cocycle @ c.bimonoid.mu, inv_pi, inv_pi)
     sigma = c.cocycle @ c.twist @ inv_pi
-    t = HopfTruss(c.hopf.comonoid, c.hopf.eta, c.hopf.mu, mu_pi, c.hopf.antipode, sigma)
-    # t's Hopf part has c.hopf's maps, so c.hopf is that view and its report is shared.
-    HopfTruss.hopf_part.preset(t, c.hopf)
-    return t
+    return HopfTruss(c.hopf.comonoid, c.hopf.eta, c.hopf.mu, mu_pi, c.hopf.antipode, sigma)
 
 
 def verify_cocycle_morphism(m: CocycleMorphism,

@@ -143,6 +143,19 @@ def verify_truss_hopf_module():
              act1 @ (cocycle * inclusion), act2 @ (idn * inclusion)))
 
 
+@memoized
+def _theta(m: TrussHopfModule) -> LinMap:
+    """theta = act1∘(id (x) inclusion), from the free module on m's coinvariants."""
+    return compose_tensor(m.act1, identity(m.field, m.truss.dim), coinvariants(m.hopf_module()).inclusion)
+
+
+@memoized
+def _theta_coaction(m: TrussHopfModule) -> tuple[LinMap, LinMap]:
+    """Both sides of theta's comodule law, coaction∘theta = (id (x) theta)∘(delta (x) id)."""
+    theta, t, idw = _theta(m), m.truss, identity(m.field, coinvariants(m.hopf_module()).codim)
+    return m.coaction @ theta, tensor_compose(identity(m.field, t.dim), theta, kron(t.comonoid.delta, idw))
+
+
 def fundamental_iso(m: TrussHopfModule) -> tuple[LinMap, LinMap, VerificationReport]:
     """The free module on the coinvariants, identified with m.
 
@@ -160,7 +173,7 @@ def fundamental_iso(m: TrussHopfModule) -> tuple[LinMap, LinMap, VerificationRep
     field = t.field
     idn = identity(field, n)
     idw = identity(field, w.codim)
-    theta = compose_tensor(m.act1, idn, w.inclusion)
+    theta = _theta(m)
     theta_inv = tensor_compose(idn, w.retraction, m.coaction)
     rep = VerificationReport("fundamental").with_checks(
         equation("inverse.left", "theta∘theta_inv = id",
@@ -171,10 +184,8 @@ def fundamental_iso(m: TrussHopfModule) -> tuple[LinMap, LinMap, VerificationRep
                  compose_tensor(m.act1, idn, theta), compose_tensor(theta, t.mu1, idw)),
         equation("intertwine.act2", "act2∘(id (x) theta) = theta∘(mu2 (x) id)",
                  compose_tensor(m.act2, idn, theta), compose_tensor(theta, t.mu2, idw)),
-        equation("intertwine.coaction",
-                 "coaction∘theta = (id (x) theta)∘(delta (x) id)",
-                 m.coaction @ theta,
-                 tensor_compose(idn, theta, kron(t.comonoid.delta, idw))),
+        equation("intertwine.coaction", "coaction∘theta = (id (x) theta)∘(delta (x) id)",
+                 *_theta_coaction(m)),
     )
     return theta, theta_inv, rep
 
@@ -194,13 +205,10 @@ def adjunction_check(h: HopfTruss, xdim: int,
 
     The unit of the adjunction is the identity, so the free module's
     coinvariants must literally be the given space, and the counit is
-    the fundamental map theta.
+    the fundamental map theta of m, a module over h.
     """
-    n = h.dim
     field = h.field
-    idn = identity(field, n)
     free = induction_functor(h, xdim)
-    free = m if m == free else free  # m is often that module: share its memos
     w_free = coinvariants(free.hopf_module())
     rep = VerificationReport("adjunction").with_checks(
         condition("induction.dimension",
@@ -210,8 +218,7 @@ def adjunction_check(h: HopfTruss, xdim: int,
         equation("induction.inclusion", "inclusion = eta (x) id",
                  w_free.inclusion, kron(h.eta, identity(field, xdim))),
         equation("triangle.free", "theta of the free module = id",
-                 compose_tensor(free.act1, idn, w_free.inclusion),
-                 identity(field, n * xdim)),
+                 _theta(free), identity(field, h.dim * xdim)),
     )
     try:
         w = coinvariants(m.hopf_module())
@@ -219,14 +226,8 @@ def adjunction_check(h: HopfTruss, xdim: int,
         return rep.with_checks(condition(
             "counit.comodule", "coaction∘theta = (id (x) theta)∘(delta (x) id)",
             False, f"coinvariants unavailable: {err}"))
-    theta = compose_tensor(m.act1, idn, w.inclusion)
-    rep = rep.with_checks(
-        equation("counit.comodule",
-                 "coaction∘theta = (id (x) theta)∘(delta (x) id)",
-                 m.coaction @ theta,
-                 tensor_compose(idn, theta, kron(h.comonoid.delta,
-                                                 identity(field, w.codim)))),
-    )
+    rep = rep.with_checks(equation("counit.comodule", "coaction∘theta = (id (x) theta)∘(delta (x) id)",
+                                   *_theta_coaction(m)))
     w_round = w_free if w.codim == xdim else coinvariants(
         induction_functor(h, w.codim).hopf_module())
     if w_round.codim != w.codim:
@@ -236,6 +237,6 @@ def adjunction_check(h: HopfTruss, xdim: int,
                    f"expected {w.codim}"))
     return rep.with_checks(
         equation("triangle.coinvariants", "retraction∘theta∘inclusion = id",
-                 w.retraction @ theta @ w_round.inclusion,
+                 w.retraction @ _theta(m) @ w_round.inclusion,
                  identity(field, w.codim)),
     )

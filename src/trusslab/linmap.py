@@ -225,9 +225,9 @@ class LinMap:
                 and self._entries == other._entries)
 
     def __hash__(self) -> int:
+        # equal maps have equal entry sets, hashed in one pass in any order
         if self._hash is None:
-            items = tuple(sorted(self._entries.items()))
-            self._hash = hash((self.field, self.cod, self.dom, items))
+            self._hash = hash((self.field, self.cod, self.dom, frozenset(self._entries.items())))
         return self._hash
 
     def __repr__(self) -> str:

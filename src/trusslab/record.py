@@ -6,19 +6,24 @@ compare and hash by their field tuple, print as `Name(field=value, ...)`
 and refuse assignment.  `__post_init__` may check or normalise fields,
 writing through `object.__setattr__`.  No code is generated per class.
 
-`memoized` keeps a function's result on the record it was computed
-from, so a pure function of an immutable record runs once per instance
-(Michie, "Memo functions and machine learning", Nature 1968).
+`memoized` runs a pure function of an immutable record once per value
+(Michie, "Memo functions and machine learning", Nature 1968): equal
+records find one memo through one weak index, as hash-consing shares
+equal values (Filliâtre and Conchon, "Type-safe modular hash-consing",
+ML 2006).  A record caches its hash for that lookup.
 """
 
 from __future__ import annotations
 
+import weakref
 from functools import update_wrapper
 
 
 class Record:
     FIELDS = ()
-    # Results of memoized functions of this instance, by function; not a field.
+    # Caches, not fields: the hash, and the results of memoized functions
+    # of this value by function, shared with the live records equal to it.
+    _hash = None
     _memo = None
 
     def __init_subclass__(cls, **kwargs) -> None:
@@ -74,15 +79,17 @@ class Record:
         return self._values() == other._values()
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash(self._values()))
+        return self._hash
 
     def __repr__(self) -> str:
         pairs = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.FIELDS)
         return f"{type(self).__qualname__}({pairs})"
 
     def __getstate__(self) -> dict:
-        """The fields, without the memo: copies and pickles start with none."""
-        return {name: value for name, value in vars(self).items() if name != "_memo"}
+        """The fields, without the caches: copies and pickles start with none."""
+        return {name: value for name, value in vars(self).items() if name in self.FIELDS}
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
@@ -90,33 +97,28 @@ class Record:
     __delattr__ = __setattr__
 
 
-def _memo_of(rec: Record) -> dict:
-    memo = rec._memo
-    if memo is None:
-        memo = {}
-        object.__setattr__(rec, "_memo", memo)
-    return memo
+# The memo of each value, by the first live record to hold it; no record is
+# kept alive, and one equal to a dead holder starts a memo of its own.
+_MEMOS = weakref.WeakKeyDictionary()
 
 
 def memoized(fn):
-    """fn(record), computed once per record instance and kept on it.
+    """fn(record), computed once per record value and kept with it.
 
-    fn must be a pure function of the record's fields.  The result lives
-    and dies with the instance, as no global cache holds it, and is not a
-    field, so equality, hash, repr, copy and pickle leave it out.  An
-    equal record built apart computes its own.  An exception is not
-    kept.  `preset(record, value)` stores value as fn(record) where it is
-    known to be that, so that what is memoized on value is shared.
+    fn must be a pure function of the record's fields.  A record's first
+    memoized call adopts the memo of a live record equal to it, so equal
+    records share results however they were built.  A memo dies with
+    the last record that holds it, and equality, hash, repr, copy and
+    pickle leave it out.  An exception is not kept.
     """
     def once(rec):
-        memo = _memo_of(rec)
+        memo = rec._memo
+        if memo is None:
+            memo = _MEMOS.setdefault(rec, {})
+            object.__setattr__(rec, "_memo", memo)
         if fn in memo:
             return memo[fn]
         out = memo[fn] = fn(rec)
         return out
 
-    def preset(rec, value) -> None:
-        _memo_of(rec)[fn] = value
-
-    once.preset = preset
     return update_wrapper(once, fn)

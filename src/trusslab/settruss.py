@@ -472,7 +472,7 @@ def _group_form(table: Table) -> tuple[tuple[int, ...], list]:
 
 @memoized
 def _swept_group_form(group: FiniteGroup) -> tuple[tuple[int, ...], list]:
-    """_group_form of the group's table, swept once per group instance."""
+    """_group_form of the group's table, swept once per group value."""
     return _group_form(group.table)
 
 

@@ -4,15 +4,19 @@ The builders assemble matrices entry by entry from multiplication
 tables, deliberately bypassing settruss.linearize, so the set-level and
 linear-level routes stay independent when tests compare them.
 sample_objects, one structure of every document kind for the format and
-dispatch tests, uses the library's own constructions instead.  hook and
+dispatch tests, uses the library's own constructions instead.  Every
+test runs with a memo index of its own (own_memo_index).  hook and
 count_calls watch or replace a library function where it is looked up,
 the law evaluator among those places.
 """
 
 import sys
+import weakref
 from collections import Counter
 
-from trusslab import algfile
+import pytest
+
+from trusslab import algfile, record
 from trusslab.coalgebra import ComonoidData, MonoidData
 from trusslab.cocycle import cocycle_of_truss
 from trusslab.fields import RATIONALS, FieldSpec, prime_field
@@ -124,6 +128,17 @@ def sample_objects():
         ("hopfmodule", HopfModuleData(hq.hopf_part(), hq.mu1, hq.comonoid.delta)),
         ("trusshopfmodule", induction_functor(h, 2)),
     ]
+
+
+@pytest.fixture(autouse=True)
+def own_memo_index():
+    """Each test runs with a memo index of its own: what it builds shares
+    memos only with structures built in the test and with those it reads
+    from module-level objects, so a count of the work done does not depend
+    on which structures other tests keep alive."""
+    saved, record._MEMOS = record._MEMOS, weakref.WeakKeyDictionary()
+    yield
+    record._MEMOS = saved
 
 
 def hook(monkeypatch, name: str, wrap) -> None:

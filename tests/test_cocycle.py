@@ -1,7 +1,8 @@
 """Invertible cocycles and the truss equivalence."""
 
-import copy
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -16,7 +17,7 @@ from conftest import (
     transport,
     truss_from_tables,
 )
-from trusslab import algfile
+from trusslab import algfile, coalgebra
 from trusslab.coalgebra import HopfMonoidData, verify_hopf_monoid
 from trusslab.cocycle import (
     CocycleMorphism,
@@ -208,13 +209,14 @@ def test_roundtrip_reuses_the_rebuilt_action(monkeypatch):
     c = cocycle_of_truss(linearize(trivial_truss(symmetric_group(3)), RATIONALS))
     calls = count_calls(monkeypatch, "diagonal")
     assert roundtrip_report(c).ok
-    # four spreads verify c (the product.coproduct of its two bimonoids,
-    # action.product and compat.cocycle) and four the transported truss:
-    # one builds its Gamma, and its second part's product.coproduct,
-    # compat.distributivity and action.product make the others.  Reading
-    # the truss back as a cocycle and the roundtrip.action check reuse
-    # that Gamma.
-    assert calls["diagonal"] == 8
+    # three spreads verify c: the product.coproduct of its bimonoid (both
+    # products of the trivial truss are the group product, so c.hopf's
+    # bimonoid is that value too), action.product and compat.cocycle.
+    # Three verify the transported truss: one builds its Gamma, and
+    # compat.distributivity and action.product make the others; its
+    # second part is c.bimonoid's value.  Reading the truss back as a
+    # cocycle and the roundtrip.action check reuse that Gamma.
+    assert calls["diagonal"] == 6
 
 
 @pytest.mark.parametrize("broken", [False, True], ids=["lawful", "bad-antipode"])
@@ -222,16 +224,22 @@ def test_roundtrip_verifies_the_hopf_part_once(monkeypatch, broken):
     c = cocycle_of_truss(linearize(trivial_truss(symmetric_group(3)), RATIONALS))
     if broken:
         h = c.hopf
-        h = HopfMonoidData(h.comonoid, h.eta, h.mu, perturbed(h.antipode, 0, 1))
-        c = InvertibleCocycle(c.bimonoid, h, c.cocycle, c.twist, c.action)
+        c = InvertibleCocycle(c.bimonoid, HopfMonoidData(h.comonoid, h.eta, h.mu, perturbed(h.antipode, 0, 1)),
+                              c.cocycle, c.twist, c.action)
     laws = count_calls(monkeypatch, "equation")
     rep = roundtrip_report(c)
     assert rep.ok is not broken
     # once, for c.hopf: the transported truss carries c.hopf's maps
     # unchanged, so its h1.* checks are that report's checks
     assert laws["antipode.left"] == 1
-    monkeypatch.undo()
-    fresh = [(ch.name, ch.passed, ch.residual) for ch in verify_hopf_monoid(copy.copy(c.hopf)).checks]
+    # against c.hopf's report evaluated afresh, once no structure holds its memo
+    text, refs = algfile.serialize(c.hopf), [weakref.ref(c.hopf)]
+    del c
+    gc.collect()
+    assert [ref() for ref in refs] == [None]
+    laws.clear()
+    fresh = [(ch.name, ch.passed, ch.residual) for ch in verify_hopf_monoid(algfile.loads(text)).checks]
+    assert laws["antipode.left"] == 1
     for prefix in ("src.h.", "truss.h1."):
         assert [(ch.name[len(prefix):], ch.passed, ch.residual)
                 for ch in rep.checks if ch.name.startswith(prefix)] == fresh
@@ -273,8 +281,10 @@ def _through_formed_right_factor(fused):
     # id_A (x) m formed and composed after the spread, the construction
     # that the fused right factor of diagonal replaces.
     def spread(delta, f, g, m=None):
+        spread.calls += 1
         out = fused(delta, f, g)
         return out if m is None else out @ kron(identity(delta.field, delta.dom), m)
+    spread.calls = 0
     return spread
 
 
@@ -295,6 +305,12 @@ def test_zero_source_reports_match_the_formed_right_factor(monkeypatch, field, k
             for name, rows, cols in row.slots(dims)}
     obj = row.build(dims, maps)
     verify = verify_cocycle if kind == "gic" else verify_pi_module
-    fused = verify(obj)
+    fused = verify(obj).to_dict()
+    # rebuilt once no structure holds obj's memo, so it is verified afresh
+    refs = [weakref.ref(obj)]
+    del obj
+    gc.collect()
+    assert [ref() for ref in refs] == [None]
     hook(monkeypatch, "diagonal", _through_formed_right_factor)
-    assert fused.to_dict() == verify(row.build(dims, maps)).to_dict()
+    assert fused == verify(row.build(dims, maps)).to_dict()
+    assert coalgebra.diagonal.calls > 0

@@ -322,17 +322,40 @@ def test_adjunction_mixed_dimensions(monkeypatch):
     counts = count_work(monkeypatch)
     rep = adjunction_check(t, 3, induction_functor(t, 2))
     assert rep.ok, str(rep)
-    # free modules on 3 and on 2 dimensions, and m
-    assert (counts["compat.coaction"], counts["nullspace"]) == (3, 3)
+    # the free module on 3 dimensions, and m, which is the free module on
+    # 2 that its coinvariants induce again
+    assert (counts["compat.coaction"], counts["nullspace"]) == (2, 2)
 
 
 def test_adjunction_splits_the_free_module_once(monkeypatch):
     t = cyclic_truss(F5, 4)
     counts = count_work(monkeypatch)
     assert adjunction_check(t, 2, induction_functor(t, 2)).ok
-    # m is the free module on 2 dimensions, which is both the inducing
+    # m equals the free module on 2 dimensions, which is both the inducing
     # module and the module rebuilt from its coinvariants: one split
     assert (counts["compat.coaction"], counts["nullspace"]) == (1, 1)
+
+
+def test_theta_and_its_comodule_law_are_built_once(monkeypatch):
+    # fundamental_iso and adjunction_check read theta = act1∘(id (x) inclusion)
+    # and (id (x) theta)∘(delta (x) id) of one module: triangle.free builds
+    # the free module's theta, which is m's, and counit.comodule checks
+    # intertwine.coaction's law again
+    t = cyclic_truss(F5, 4)
+    m = induction_functor(t, 2)
+    built = {"theta": 0, "spread": 0}
+
+    def watch(kernel, key, operand):
+        def wrapped(*args):
+            built[key] += operand(args)
+            return kernel(*args)
+        monkeypatch.setattr(hopfmodules, kernel.__name__, wrapped)
+    w = coinvariants(m.hopf_module())
+    theta = hopfmodules.compose_tensor(m.act1, identity(F5, 4), w.inclusion)
+    watch(hopfmodules.compose_tensor, "theta", lambda args: args[2] is w.inclusion)
+    watch(hopfmodules.tensor_compose, "spread", lambda args: args[1] == theta)
+    assert fundamental_iso(m)[2].ok and adjunction_check(t, 2, m).ok
+    assert built == {"theta": 1, "spread": 1}
 
 
 def test_adjunction_flags_corrupted_coaction():

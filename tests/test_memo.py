@@ -1,8 +1,9 @@
-"""Verifier reports and part views memoized on the structure instance.
+"""Verifier reports and part views memoized by value.
 
-A memo belongs to the instance it was computed from: equal structures
-built apart are verified apart, a memoized report equals a fresh one
-check by check, and nothing outside the instance keeps it alive.
+A memo belongs to a value: equal structures, however they were built,
+share their reports and part views, and unequal ones never do.  A
+memoized report equals one evaluated afresh check by check, and a memo
+dies with the last structure that holds it.
 """
 
 import copy
@@ -15,24 +16,30 @@ from pathlib import Path
 import pytest
 
 from conftest import count_calls, cyclic_truss, perturbed, sample_objects
-from trusslab import algfile, cocycle
-from trusslab.coalgebra import verify_hopf_monoid
-from trusslab.cocycle import InvertibleCocycle, cocycle_of_truss, roundtrip_report, verify_cocycle
-from trusslab.fields import RATIONALS
+from trusslab import algfile, record
+from trusslab.coalgebra import Structure, verify_hopf_monoid, verify_nonunital_bimonoid
+from trusslab.cocycle import InvertibleCocycle, cocycle_of_truss, roundtrip_report, truss_of_cocycle, verify_cocycle
+from trusslab.fields import RATIONALS, prime_field
+from trusslab.hopfmodules import coinvariants, fundamental_iso
 from trusslab.hopftruss import twisted_action, verify_hopf_truss
-from trusslab.settruss import linearize, symmetric_group, trivial_truss
+from trusslab.settruss import canonical_form, cyclic_group, linearize, right_projection_truss, symmetric_group, trivial_truss
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
+F5 = prime_field(5)
 
 
 def fresh(obj):
-    """obj built again from its document: equal to it, with nothing
-    memoized on it or on any of its parts."""
+    """obj built again from its document: equal to it, sharing no object with it."""
     return algfile.loads(algfile.serialize(obj))
 
 
 def checks(rep) -> list:
     return [(c.name, c.anchor, c.passed, c.residual, c.detail) for c in rep.checks]
+
+
+def dropped(refs) -> bool:
+    gc.collect()
+    return all(ref() is None for ref in refs)
 
 
 def test_the_equivalence_chain_evaluates_each_law_once(monkeypatch):
@@ -41,19 +48,20 @@ def test_the_equivalence_chain_evaluates_each_law_once(monkeypatch):
     c = cocycle_of_truss(h)
     reports = [verify_hopf_truss(h), verify_cocycle(c), roundtrip_report(c)]
     assert all(rep.ok for rep in reports)
-    # The chain meets one comonoid, one Hopf monoid (h's Hopf part, which
-    # is c.hopf and the Hopf part of the transported truss t), three
-    # bimonoids (the Hopf part's, h's second part and t's), two trusses
-    # (h and t) and one cocycle c, plus the unit map c -> cocycle_of_truss(t).
+    # The chain meets one value of each: the comonoid, the Hopf monoid
+    # (h's Hopf part, which is c.hopf), the bimonoid (the Hopf part's and
+    # h's second part, equal as both products of the trivial truss are the
+    # group product), the truss (h, and the transported truss, which
+    # equals it) and the cocycle c, plus the unit map c -> cocycle_of_truss(t).
     expected = Counter()
     expected.update(dict.fromkeys(["counit.left", "counit.right", "coassoc"], 1))
-    expected.update(dict.fromkeys(["product.assoc", "product.counit", "product.coproduct"], 3))
+    expected.update(dict.fromkeys(["product.assoc", "product.counit", "product.coproduct"], 1))
     expected.update(dict.fromkeys(["unit.left", "unit.right", "unit.counit", "unit.coproduct",
                                    "antipode.left", "antipode.right"], 1))
     truss_laws = ["cocycle.comonoid.coproduct", "cocycle.comonoid.counit",
                   "compat.distributivity", "cocycle.derived", "cocycle.product",
                   "action.unit", "action.product", "action.assoc"]
-    expected.update(dict.fromkeys(truss_laws, 2))
+    expected.update(dict.fromkeys(truss_laws, 1))
     cocycle_laws = ["cocycle.comonoid.coproduct", "cocycle.comonoid.counit",
                     "twist.comonoid.coproduct", "twist.comonoid.counit", "action.module",
                     "action.unit", "action.product", "compat.cocycle"]
@@ -63,47 +71,62 @@ def test_the_equivalence_chain_evaluates_each_law_once(monkeypatch):
     assert laws == expected
 
 
-def _corrupted():
-    """Structures that fail some law: the corrupt fixture, and every sample
-    object with one entry of its last map bumped."""
-    yield "fixture", algfile.load(FIXTURES / "hopftruss-z2-corrupt-cocycle.json")
-    for kind, obj in sample_objects():
-        if kind == "settruss":
-            continue
-        name = type(obj).ALL_MAPS[-1][0]
-        maps = algfile.REGISTRY[kind].maps_of(obj)
-        maps[name] = perturbed(maps[name], 0, 0)
-        yield kind, algfile.REGISTRY[kind].build(obj.dims, maps)
+# -- a memoized report against one evaluated afresh ----------------------------
 
 
-CORRUPTED = list(_corrupted())
+def corrupted(label: str):
+    """A structure that fails some law: the corrupt fixture, or the sample
+    object of that kind with one entry of its last map bumped."""
+    if label == "fixture":
+        return algfile.load(FIXTURES / "hopftruss-z2-corrupt-cocycle.json")
+    obj = dict(sample_objects())[label]
+    name = type(obj).ALL_MAPS[-1][0]
+    maps = algfile.REGISTRY[label].maps_of(obj)
+    maps[name] = perturbed(maps[name], 0, 0)
+    return algfile.REGISTRY[label].build(obj.dims, maps)
 
 
-@pytest.mark.parametrize("obj", [obj for _, obj in CORRUPTED], ids=[label for label, _ in CORRUPTED])
-def test_a_memoized_report_equals_a_fresh_one(obj):
+LABELS = ["fixture"] + [kind for kind, _ in sample_objects() if kind != "settruss"]
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_a_memoized_report_equals_a_fresh_one(label):
+    obj = corrupted(label)
     # verify the parts first, so that the whole's report is assembled from
     # memoized reports of its parts
     for attr, _, _ in type(obj).PARTS:
         algfile.verify_structure(getattr(obj, attr))
     first = algfile.verify_structure(obj)
-    again = algfile.verify_structure(obj)
-    rebuilt = algfile.verify_structure(fresh(obj))
-    assert not rebuilt.ok
-    assert checks(first) == checks(again) == checks(rebuilt)
+    assert algfile.verify_structure(obj) is first
+    text, refs = algfile.serialize(obj), [weakref.ref(obj)]
+    del obj
+    # with every structure of its value gone, the rebuilt one is verified afresh
+    assert dropped(refs)
+    rebuilt = algfile.verify_structure(algfile.loads(text))
+    assert rebuilt is not first and not rebuilt.ok
+    assert checks(first) == checks(rebuilt)
     assert first.subject == rebuilt.subject
 
 
-def test_a_perturbed_cocycle_reports_as_a_fresh_one():
+def test_a_perturbed_cocycle_reports_as_a_fresh_one(monkeypatch):
     h = linearize(trivial_truss(symmetric_group(3)), RATIONALS)
     assert verify_hopf_truss(h).ok
     c = cocycle_of_truss(h)
     bad = InvertibleCocycle(c.bimonoid, c.hopf, c.cocycle, c.twist, perturbed(c.action, 0, 1))
     assert verify_cocycle(c).ok
-    memoized = roundtrip_report(bad)
-    rebuilt = roundtrip_report(fresh(bad))
-    assert not memoized.ok
-    assert checks(memoized) == checks(rebuilt)
-    assert checks(verify_cocycle(bad)) == checks(verify_cocycle(fresh(bad)))
+    # bad's parts are c's, whose reports are memoized
+    memoized = [checks(roundtrip_report(bad)), checks(verify_cocycle(bad))]
+    text, refs = algfile.serialize(bad), [weakref.ref(x) for x in (h, c, bad)]
+    del h, c, bad
+    assert dropped(refs)
+    laws = count_calls(monkeypatch, "equation")
+    rebuilt = algfile.loads(text)
+    assert [checks(roundtrip_report(rebuilt)), checks(verify_cocycle(rebuilt))] == memoized
+    assert not all(passed for _, _, passed, _, _ in memoized[0])
+    assert laws["antipode.left"] == 1
+
+
+# -- what the memo is and is not -----------------------------------------------
 
 
 def test_the_memo_is_not_part_of_the_value():
@@ -114,24 +137,84 @@ def test_the_memo_is_not_part_of_the_value():
     cocycle_of_truss(h)
     assert h == twin and hash(h) == code == hash(twin) and repr(h) == text
     for copied in (copy.copy(h), copy.deepcopy(h), pickle.loads(pickle.dumps(h))):
-        assert copied == h and "_memo" not in vars(copied)
-    # a copy computes its own views and reports
-    assert copy.copy(h).hopf_part() is not h.hopf_part()
-    assert copy.copy(h).hopf_part() == h.hopf_part()
+        assert copied == h
+        assert not {"_memo", "_hash", "dims"} & set(vars(copied))
+        # a copy is the same value, so it reads h's views and reports
+        assert copied.hopf_part() is h.hopf_part()
+        assert verify_hopf_truss(copied) is verify_hopf_truss(h)
 
 
-def test_views_are_built_once_per_instance():
+def test_views_are_built_once_per_value():
     h = cyclic_truss(RATIONALS, 3)
     assert h.hopf_part() is h.hopf_part() and h.second_part() is h.second_part()
     assert h.hopf_part().nonunital() is h.hopf_part().nonunital()
     c = cocycle_of_truss(h)
     assert c.bimonoid is h.second_part() and c.hopf is h.hopf_part()
     assert c.action is twisted_action(h)
-    # the transported truss has c.hopf's maps, and c.hopf is its Hopf part
-    t = cocycle.truss_of_cocycle(c)
-    assert t.hopf_part() is c.hopf
-    # an equal truss built apart has views of its own
-    assert fresh(h).hopf_part() is not h.hopf_part()
+    # the transported truss equals h, so its views are h's
+    t = truss_of_cocycle(c)
+    assert t == h and t is not h
+    assert t.hopf_part() is c.hopf and t.second_part() is c.bimonoid
+    assert twisted_action(t) is c.action
+    # and so are those of an equal truss parsed apart
+    assert fresh(h).hopf_part() is h.hopf_part()
+
+
+def test_an_equal_structure_reads_the_reports_of_its_twin(monkeypatch):
+    h = linearize(trivial_truss(cyclic_group(4)), RATIONALS)
+    rep = verify_hopf_truss(h)
+    twin = fresh(h)
+    laws = count_calls(monkeypatch, "equation")
+    assert verify_hopf_truss(twin) is rep
+    assert twin.hopf_part() is h.hopf_part() and twin.second_part() is h.second_part()
+    assert verify_hopf_monoid(twin.hopf_part()) is verify_hopf_monoid(h.hopf_part())
+    assert twisted_action(twin) is twisted_action(h)
+    assert laws == {}
+
+
+def with_maps(obj, **maps):
+    """obj with the named maps replaced."""
+    return type(obj)(**{**{name: getattr(obj, name) for name in type(obj).FIELDS}, **maps})
+
+
+def test_unequal_structures_never_share(monkeypatch):
+    h = cyclic_truss(RATIONALS, 3)
+    rep = verify_hopf_truss(h)
+    laws = count_calls(monkeypatch, "equation")
+    # one entry bumped
+    bumped = with_maps(h, mu2=perturbed(h.mu2, 0, 0))
+    assert bumped != h and not verify_hopf_truss(bumped).ok and rep.ok
+    assert bumped.second_part() is not h.second_part()
+    assert laws["compat.distributivity"] == 1
+    # the same integer maps over Q and over F_5
+    over_f5 = cyclic_truss(F5, 3)
+    assert over_f5 != h and verify_hopf_truss(over_f5) is not rep
+    assert over_f5.hopf_part() is not h.hopf_part()
+    assert laws["compat.distributivity"] == 2
+    # two bimonoids on one comonoid, with products of one shape and one
+    # number of entries
+    r = linearize(right_projection_truss(cyclic_group(3)), F5)
+    first, second = r.hopf_part().nonunital(), r.second_part()
+    assert first.mu.shape == second.mu.shape and len(first.mu.items()) == len(second.mu.items())
+    assert first != second
+    rep = verify_nonunital_bimonoid(first)
+    laws.clear()
+    assert verify_nonunital_bimonoid(second) is not rep
+    assert laws["product.assoc"] == 1
+
+
+def test_a_memo_dies_with_the_last_equal_structure():
+    h = cyclic_truss(RATIONALS, 3)
+    twin = fresh(h)
+    rep = verify_hopf_truss(h)
+    assert verify_hopf_truss(twin) is rep
+    refs = [weakref.ref(x) for x in (rep, h.hopf_part(), h.second_part())]
+    del h, rep
+    # the twin still holds the memo
+    assert not dropped(refs)
+    assert verify_hopf_truss(twin) is refs[0]()
+    del twin
+    assert dropped(refs)
 
 
 def test_no_global_cache_keeps_a_verified_structure():
@@ -142,6 +225,34 @@ def test_no_global_cache_keeps_a_verified_structure():
     assert all(rep.ok for rep in reports)
     refs = [weakref.ref(x) for x in (h, c, h.hopf_part(), h.second_part(), h.comonoid)]
     del h, c
-    gc.collect()
-    assert [ref() for ref in refs] == [None] * len(refs)
+    assert dropped(refs)
     assert all(rep.ok for rep in reports)
+
+
+def _record_classes(base=record.Record):
+    for cls in base.__subclasses__():
+        if cls.__module__.startswith("trusslab."):
+            yield cls
+        yield from _record_classes(cls)
+
+
+def test_every_record_that_reaches_the_memo_hashes_by_value(monkeypatch):
+    reached = {}
+
+    class Index(weakref.WeakKeyDictionary):
+        def setdefault(self, rec, memo=None):
+            reached.setdefault(type(rec), rec)
+            return super().setdefault(rec, memo)
+    monkeypatch.setattr(record, "_MEMOS", Index())
+    samples = dict(sample_objects())
+    for obj in samples.values():
+        assert algfile.verify_structure(obj).ok
+    canonical_form(samples["settruss"])
+    coinvariants(samples["hopfmodule"])
+    fundamental_iso(samples["trusshopfmodule"])
+    structures = {cls for cls in _record_classes() if issubclass(cls, Structure) and cls is not Structure}
+    assert structures <= set(reached)
+    assert set(reached) <= set(_record_classes())
+    for rec in reached.values():
+        twin = pickle.loads(pickle.dumps(rec))
+        assert twin is not rec and twin == rec and hash(twin) == hash(rec)
