@@ -14,12 +14,15 @@ newline), so equal structures produce byte-identical files.  Parsing
 validates the schema for the kind before any constructor runs and caps
 every declared dimension by the TRUSSLAB_MAX_DIM environment variable
 (default 16; module carriers may be quadratically larger, they arise
-as products of two capped dimensions).
+as products of two capped dimensions).  A kind's maps, dims and carriers
+are read off its structure class's ALL_MAPS and ALL_DIMS, and a parsed
+document is made by that class's build.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from json.encoder import encode_basestring_ascii as _encode_str
 from operator import attrgetter
@@ -30,7 +33,6 @@ from .coalgebra import (
     HopfMonoidData,
     MonoidData,
     NonUnitalBimonoidData,
-    dim_product,
     verify_comonoid,
     verify_hopf_monoid,
     verify_monoid,
@@ -82,12 +84,11 @@ class Kind(Record):
     """Everything the toolkit knows about one document kind: its tag, the
     structure class it parses to, and that class's verifier.
 
-    The rest is read off the class's ALL_MAPS (see coalgebra.Structure):
-    the document's maps are those, and its dims the names their shapes
-    use, in order.  Each dim is capped by TRUSSLAB_MAX_DIM, except that a
-    dim other than "dim" or a renamed component's (the prefix of its
-    maps' names) is a module carrier, which may be a product of two
-    capped dims (free modules), and gets the square of the cap.
+    The rest is read off the class's ALL_MAPS and ALL_DIMS (see
+    coalgebra.Structure): the document's maps are those of ALL_MAPS, and
+    its dims those of ALL_DIMS.  Each dim is capped by TRUSSLAB_MAX_DIM,
+    except that a module carrier may be a product of two capped dims
+    (free modules), and gets the square of the cap.
     """
 
     name: str
@@ -97,34 +98,16 @@ class Kind(Record):
     @property
     def dims(self) -> Tuple[Tuple[str, int], ...]:
         """(name, cap power) of every dim, in document order."""
-        entries = self.type.ALL_MAPS
-        base = {"dim"} | {name.partition(".")[0] for name, _, _, _ in entries if "." in name}
-        dims = {}
-        for _, _, cod, dom in entries:
-            for key in f"{cod}*{dom}".split("*"):
-                if key != "1":
-                    dims.setdefault(key, 1 if key in base else 2)
-        return tuple(dims.items())
+        return tuple((name, 2 if carrier else 1) for name, carrier, _ in self.type.ALL_DIMS)
 
     def slots(self, dims: Dict[str, int]):
         """(document name, rows, columns) of every map, components first."""
         for name, _, cod, dom in self.type.ALL_MAPS:
-            yield name, dim_product(cod, dims), dim_product(dom, dims)
+            yield name, math.prod(map(dims.__getitem__, cod)), math.prod(map(dims.__getitem__, dom))
 
     def maps_of(self, obj) -> Dict[str, LinMap]:
         """Every map of obj by document name, in slot order."""
         return {name: attrgetter(path)(obj) for name, path, _, _ in self.type.ALL_MAPS}
-
-    def build(self, dims: Dict[str, int], maps: Dict[str, LinMap], prefix: str = ""):
-        """The structure with these dims and these maps by document name."""
-        values = {}
-        for attr, cls, renamed in self.type.PARTS:
-            part_dims, part_prefix = ((dims, prefix) if renamed is None
-                                      else ({"dim": dims[renamed]}, f"{prefix}{renamed}."))
-            values[attr] = _BY_TYPE[cls].build(part_dims, maps, part_prefix)
-        values.update((name, maps[prefix + name]) for name, _, _ in self.type.MAPS)
-        # the one field that is neither a component nor a map is "dim"
-        return self.type(*(values[f] if f in values else dims[f] for f in self.type.FIELDS))
 
     def parse(self, doc: dict, cap: int):
         if "tables" in doc:
@@ -149,7 +132,7 @@ class Kind(Record):
             raise ParseError(f"kind {self.name!r}: " + ", ".join(parts))
         maps = {name: _parse_matrix(field, name, raw_maps[name], cod, dom)
                 for name, cod, dom in slots}
-        return self.build(dims, maps)
+        return self.type.build(dims, maps)
 
     def document(self, obj) -> dict:
         return {

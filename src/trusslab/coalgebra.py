@@ -9,6 +9,10 @@ here is their one evaluator, the only code that picks a kernel.  The
 braiding enters the laws here only: diagonal builds every composite
 that moves a coproduct leg past another factor, in every module, and no
 other code forms a braid.
+
+Structure reads each class's declared parts and map shapes once, into
+the tables ALL_MAPS and ALL_DIMS that every other reader takes, and
+shape is the one reader of a shape string.
 """
 
 from __future__ import annotations
@@ -39,17 +43,16 @@ from .report import VerificationReport, condition, equation
 MAX_GROUPLIKE_CANDIDATES = 100_000
 
 
-def dim_product(expr: str, dims) -> int:
-    """The size a shape expression names over `dims`: "1", a dim name,
-    or dim names joined by "*" for a tensor product."""
-    return math.prod(dims[name] for name in expr.split("*") if name != "1")
+def shape(expr: str) -> tuple:
+    """The dims a shape expression names: "1" is (), and dim names joined
+    by "*" are a tensor product.  The one reader of shape strings."""
+    return tuple(name for name in expr.split("*") if name != "1")
 
 
-def _morphism_law(name: str, path: str, cod: str, dom: str) -> tuple:
+def _morphism_law(name: str, path: str, cod: tuple, dom: tuple) -> tuple:
     """verify_morphism's law f_cod∘m = m'∘f_dom for the map at path, over
     the ends "src", "dst" and "f_<d>", the map on dim d; its anchor is its
     text, such as "(f_dim(x)f_dim)∘delta = delta'∘f_dim"."""
-    cod, dom = (tuple(d for d in expr.split("*") if d != "1") for expr in (cod, dom))
     left, right = ("(x)".join(f"f_{d}" for d in dims) for dims in (cod, dom))
     left, right = (f"({text})" if "(x)" in text else text for text in (left, right))
     anchor = f"{left and left + '∘'}{name} = {name}'{right and '∘' + right}"
@@ -83,8 +86,8 @@ class Term(tuple):
 
 
 def terms(paths: str) -> tuple:
-    """The leaves of the space-separated paths; "id:<dims>" is an identity, "id" on "dim"."""
-    return tuple(Term(("id", path[3:] or "dim") if path.partition(":")[0] == "id" else ("get", path))
+    """The leaves of the space-separated paths; "id:<shape>" is an identity, "id" on "dim"."""
+    return tuple(Term(("id", shape(path[3:] or "dim")) if path.partition(":")[0] == "id" else ("get", path))
                  for path in paths.split())
 
 
@@ -140,7 +143,7 @@ class Laws:
                     leaves.append((slot, attrgetter(args[0])))
                     return slot
                 if kind == "id":
-                    names = [d for d in args[0].split("*") if d != "1"]
+                    names = args[0]
                     op, args = (lambda s: identity(s.field, math.prod(map(s.dims.__getitem__, names)))), ()
                 elif kind == "call":
                     op, args = args[0], args[1:]
@@ -214,38 +217,66 @@ class Structure(Record):
 
     A subclass declares the components it is built on once, in PARTS, as
     (attribute, class, renamed), and its own maps with their shapes in
-    MAPS, as (name, cod, dom) over named dims.  When `renamed` names a
-    dim, the component's "dim" becomes that dim.  The record fields (the
+    MAPS, as (name, cod, dom) over named dims.  The declarations are read
+    here only, once per class, into two tables.  ALL_MAPS lists every map
+    once, the components' first, as (document name, attribute path, cod,
+    dom) with cod and dom tuples of dims.  ALL_DIMS lists every dim once,
+    in the order ALL_MAPS first names it, as (name, carrier, path): the
+    attribute path holding its size, and whether it is a carrier, a dim
+    that a structure's own maps add on top of its components.  Such a
+    dim's size is the cod or dom of the first own map that has it alone
+    there, and it stays a carrier in a structure built on that one.  When
+    `renamed` names a dim, the component's "dim" becomes that dim and
+    its maps are named "renamed." + name.  The record fields (the
     components, or "dim" when there are none, then the maps), the field,
-    the dims and the constructor check follow from these declarations.
-    ALL_MAPS lists every map once, the components' first, as (document
-    name, attribute path, cod, dom); a renamed component's maps are
-    named "renamed." + name and have their "dim" replaced by that dim.
-    The document format reads this list.  MORPHISM_LAWS is the table of
-    verify_morphism's laws, one per map, compiled once per class on use.
+    the dims, the constructor check and build follow from these tables.
+    MORPHISM_LAWS is the table of verify_morphism's laws, one per map,
+    compiled once per class on use.
     """
 
     PARTS = ()
     MAPS = ()
     ALL_MAPS = ()
+    ALL_DIMS = ()
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        entries = []
+        maps, dims = [], {} if cls.PARTS else {"dim": (False, "dim")}
         for attr, part, renamed in cls.PARTS:
-            for name, path, cod, dom in part.ALL_MAPS:
-                if renamed is not None:
-                    name = f"{renamed}.{name}"
-                    cod, dom = ("*".join(renamed if d == "dim" else d for d in expr.split("*"))
-                                for expr in (cod, dom))
-                entries.append((name, f"{attr}.{path}", cod, dom))
-        cls.ALL_MAPS = tuple(entries) + tuple((name, name, cod, dom) for name, cod, dom in cls.MAPS)
+            # the one renaming: "renamed." before each map name, and "dim" read as renamed
+            rename = {"dim": renamed} if renamed else {}
+            maps += [(f"{renamed}.{name}" if renamed else name, f"{attr}.{path}",
+                      *(tuple(rename.get(d, d) for d in names) for names in (cod, dom)))
+                     for name, path, cod, dom in part.ALL_MAPS]
+            for d, carrier, path in part.ALL_DIMS:
+                dims.setdefault(rename.get(d, d), (carrier, f"{attr}.{path}"))
+        own = [(name, name, shape(cod), shape(dom)) for name, cod, dom in cls.MAPS]
+        # a dim the own maps add is a carrier, sized by the first end that is that dim alone
+        ends = [(names, f"{name}.{end}") for name, _, *pair in own for end, names in zip(("cod", "dom"), pair)]
+        for d in (d for names, _ in ends for d in names if d not in dims):
+            sized = [path for names, path in ends if names == (d,)]
+            if not sized:
+                raise TypeError(f"{cls.__name__}: no own map has {d!r} alone as cod or dom")
+            dims[d] = (True, sized[0])
+        cls.ALL_MAPS, cls.ALL_DIMS = tuple(maps + own), tuple((d, *entry) for d, entry in dims.items())
+        cls._dim_reads = tuple((d, attrgetter(path)) for d, _, path in cls.ALL_DIMS)
         cls.MORPHISM_LAWS = Laws(_morphism_law(*entry) for entry in cls.ALL_MAPS)
 
     @classmethod
     def _fields(cls) -> tuple:
         parts = tuple(attr for attr, _, _ in cls.PARTS)
         return (parts or ("dim",)) + tuple(name for name, _, _ in cls.MAPS)
+
+    @classmethod
+    def build(cls, dims: dict, maps: dict):
+        """The structure with these dims and these maps by document name."""
+        values = {path: maps[name] for name, path, _, _ in cls.ALL_MAPS}
+        values.update((path, dims[name]) for name, _, path in cls.ALL_DIMS)
+
+        def make(struct, prefix: str):
+            parts = [make(part, f"{prefix}{attr}.") for attr, part, _ in struct.PARTS]
+            return struct(*parts, *(values[prefix + name] for name in struct.FIELDS[len(parts):]))
+        return make(cls, "")
 
     @property
     def mdim(self) -> int:
@@ -259,24 +290,10 @@ class Structure(Record):
 
     @cached_property
     def dims(self) -> dict:
-        """Every named dim: a structure with no components has its "dim";
-        otherwise the components' dims come first, renamed where declared,
-        and each dim the own maps add is the size of the first of them
-        that has that dim alone as codomain or domain.  Cached on the
+        """Every named dim, read at its path in ALL_DIMS.  Cached on the
         instance, not memoized, so that a constructor takes no hash;
         callers must not change the dict."""
-        if not self.PARTS:
-            return {"dim": self.dim}
-        dims = {}
-        for attr, _, renamed in self.PARTS:
-            part = getattr(self, attr).dims
-            dims.update(part if renamed is None else {renamed: part["dim"]})
-        for name, cod, dom in self.MAPS:
-            m = getattr(self, name)
-            for expr, size in ((cod, m.cod), (dom, m.dom)):
-                if expr not in dims and expr != "1" and "*" not in expr:
-                    dims[expr] = size
-        return dims
+        return {name: read(self) for name, read in self._dim_reads}
 
     def __post_init__(self) -> None:
         """Every component and every declared map lives over the field, and
@@ -285,10 +302,10 @@ class Structure(Record):
         for attr, _, _ in self.PARTS:
             field.require_same(getattr(self, attr).field)
         dims = self.dims
-        for name, cod, dom in self.MAPS:
+        for name, _, cod, dom in self.ALL_MAPS[len(self.ALL_MAPS) - len(self.MAPS):]:
             m = getattr(self, name)
             field.require_same(m.field)
-            expected = (dim_product(cod, dims), dim_product(dom, dims))
+            expected = (math.prod(map(dims.__getitem__, cod)), math.prod(map(dims.__getitem__, dom)))
             if m.shape != expected:
                 raise DimensionMismatchError(
                     f"{name} has shape {m.shape}, expected {expected}")

@@ -10,7 +10,8 @@ writing through `object.__setattr__`.  No code is generated per class.
 (Michie, "Memo functions and machine learning", Nature 1968): equal
 records find one memo through one weak index, as hash-consing shares
 equal values (Filliâtre and Conchon, "Type-safe modular hash-consing",
-ML 2006).  A record caches its hash for that lookup.
+ML 2006).  The index holds each memo weakly, so a memo lives while any
+record of its value holds it.
 """
 
 from __future__ import annotations
@@ -97,24 +98,30 @@ class Record:
     __delattr__ = __setattr__
 
 
-# The memo of each value, by the first live record to hold it; no record is
-# kept alive, and one equal to a dead holder starts a memo of its own.
-_MEMOS = weakref.WeakKeyDictionary()
+class _Memo(dict):
+    """The results of memoized functions of one value, by function."""
+
+    __slots__ = ("__weakref__",)
+
+
+# The memo of each value by (type, field values), while a record holds it:
+# no record is kept alive, and the memo outlives the record that made it.
+_MEMOS = weakref.WeakValueDictionary()
 
 
 def memoized(fn):
     """fn(record), computed once per record value and kept with it.
 
     fn must be a pure function of the record's fields.  A record's first
-    memoized call adopts the memo of a live record equal to it, so equal
-    records share results however they were built.  A memo dies with
-    the last record that holds it, and equality, hash, repr, copy and
-    pickle leave it out.  An exception is not kept.
+    memoized call adopts the memo of its value, so equal records share
+    results however they were built.  A memo lives while any record
+    equal to it holds it, and equality, hash, repr, copy and pickle
+    leave it out.  An exception is not kept.
     """
     def once(rec):
         memo = rec._memo
         if memo is None:
-            memo = _MEMOS.setdefault(rec, {})
+            memo = _MEMOS.setdefault((type(rec), rec._values()), _Memo())
             object.__setattr__(rec, "_memo", memo)
         if fn in memo:
             return memo[fn]

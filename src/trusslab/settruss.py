@@ -447,14 +447,16 @@ def enumerate_skew_trusses(g: FiniteGroup, max_size: int = 4) -> list[SkewTruss]
     return found
 
 
-def _group_form(table: Table) -> tuple[tuple[int, ...], list]:
+@memoized
+def _group_form(group: FiniteGroup) -> tuple[tuple[int, ...], list]:
     """The minimal relabeled group table, flat, and every relabeling
     reaching it, as p (old label to new) with the flat index that each
-    position of a relabeled table is read from.
+    position of a relabeled table is read from; swept once per group value.
 
     Those relabelings form one coset of Aut(G): two of them differ by a
     relabeling that fixes the minimal table.
     """
+    table = group.table
     n = len(table)
     flat = [x for row in table for x in row]
     best = None
@@ -468,12 +470,6 @@ def _group_form(table: Table) -> tuple[tuple[int, ...], list]:
         elif r1 == best:
             coset.append((p, idx))
     return best, coset
-
-
-@memoized
-def _swept_group_form(group: FiniteGroup) -> tuple[tuple[int, ...], list]:
-    """_group_form of the group's table, swept once per group value."""
-    return _group_form(group.table)
 
 
 def _form_over(group_form, t2: Table) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -494,18 +490,14 @@ def canonical_form(t: SkewTruss) -> tuple[Table, Table]:
     """
     n = t.size
     return tuple(tuple(flat[i:i + n] for i in range(0, n * n, n))
-                 for flat in _form_over(_swept_group_form(t.group), t.semigroup.table))
+                 for flat in _form_over(_group_form(t.group), t.semigroup.table))
 
 
 def isomorphism_classes(trusses: list[SkewTruss]) -> list[list[SkewTruss]]:
     """Group trusses by canonical form, preserving first-seen order."""
-    group_forms: dict[Table, tuple] = {}
     buckets: dict[tuple, list[SkewTruss]] = {}
     for t in trusses:
-        t1 = t.group.table
-        if t1 not in group_forms:
-            group_forms[t1] = _group_form(t1)
-        buckets.setdefault(_form_over(group_forms[t1], t.semigroup.table), []).append(t)
+        buckets.setdefault(_form_over(_group_form(t.group), t.semigroup.table), []).append(t)
     return list(buckets.values())
 
 

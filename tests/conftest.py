@@ -87,22 +87,20 @@ def perturbed(m: LinMap, i: int, j: int) -> LinMap:
 def transport(obj, p: dict):
     """obj moved along invertible maps p[d] on its dims, the identity on a
     dim p leaves out: each map m of its kind becomes
-    kron(p on cod)∘m∘kron(p on dom)⁻¹, and the kind's build reassembles them."""
-    kind = algfile.REGISTRY[algfile.kind_of(obj)]
+    kron(p on cod)∘m∘kron(p on dom)⁻¹, and the class's build reassembles them."""
     dims = obj.dims
     move = {d: (p[d], invert(p[d])) if d in p else (identity(obj.field, n),) * 2
             for d, n in dims.items()}
 
-    def along(expr, which):
+    def along(names, which):
         out = identity(obj.field, 1)
-        for d in expr.split("*"):
-            if d != "1":
-                out = kron(out, move[d][which])
+        for d in names:
+            out = kron(out, move[d][which])
         return out
 
-    maps = kind.maps_of(obj)
-    return kind.build(dims, {name: along(cod, 0) @ maps[name] @ along(dom, 1)
-                             for name, _, cod, dom in type(obj).ALL_MAPS})
+    maps = algfile.REGISTRY[algfile.kind_of(obj)].maps_of(obj)
+    return type(obj).build(dims, {name: along(cod, 0) @ maps[name] @ along(dom, 1)
+                                  for name, _, cod, dom in type(obj).ALL_MAPS})
 
 
 def permutation(field: FieldSpec, perm) -> LinMap:
@@ -136,7 +134,7 @@ def own_memo_index():
     memos only with structures built in the test and with those it reads
     from module-level objects, so a count of the work done does not depend
     on which structures other tests keep alive."""
-    saved, record._MEMOS = record._MEMOS, weakref.WeakKeyDictionary()
+    saved, record._MEMOS = record._MEMOS, weakref.WeakValueDictionary()
     yield
     record._MEMOS = saved
 

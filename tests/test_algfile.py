@@ -42,11 +42,11 @@ def test_round_trip_every_kind(kind):
     row = algfile.REGISTRY[kind]
     maps = row.maps_of(obj)
     assert sorted(maps) == sorted(algfile.document_of(obj)["maps"])
-    assert row.build(obj.dims, maps) == obj
+    assert row.type.build(obj.dims, maps) == obj
     for name, m in maps.items():
         grown = LinMap(m.field, m.cod + 1, m.dom, dict(m.items()))
         with pytest.raises(DimensionMismatchError):
-            row.build(obj.dims, {**maps, name: grown})
+            row.type.build(obj.dims, {**maps, name: grown})
 
 
 def test_serialize_is_canonical():
@@ -262,7 +262,7 @@ def test_every_kind_round_trips_random_maps(kind, field, data):
                                             max_size=min(rows * cols, 8)), label=name)
         maps[name] = LinMap(field, rows, cols, {divmod(k, cols): v
                                                 for k, v in entries.items()})
-    obj = row.build(dims, maps)
+    obj = row.type.build(dims, maps)
     assert obj.dims == dims
     text = algfile.serialize(obj)
     back = algfile.loads(text)
@@ -270,7 +270,7 @@ def test_every_kind_round_trips_random_maps(kind, field, data):
     for name, m in maps.items():
         grown = LinMap(field, m.cod + 1, m.dom, dict(m.items()))
         with pytest.raises(DimensionMismatchError):
-            row.build(dims, {**maps, name: grown})
+            row.type.build(dims, {**maps, name: grown})
 
 
 def test_settruss_size_is_capped(monkeypatch):

@@ -39,7 +39,7 @@ from trusslab.errors import (
     NoAntipodeError,
 )
 from trusslab.fields import RATIONALS, prime_field
-from trusslab.hopfmodules import verify_hopf_module, verify_truss_hopf_module
+from trusslab.hopfmodules import ComoduleData, verify_hopf_module, verify_truss_hopf_module
 from trusslab.hopftruss import verify_hopf_truss
 from trusslab.linmap import LinMap, identity, kron, rank, solve_through
 from trusslab.modules import verify_pi_module, verify_truss_module
@@ -124,6 +124,16 @@ def test_verify_structure_dispatch():
         assert rep == expected[kind](obj)
     with pytest.raises(TypeError):
         verify_structure(42)
+
+
+def test_each_own_dim_is_sized_by_an_end_that_is_that_dim_alone():
+    # the comodule's carrier is first named in the product dim*carrier,
+    # and sized by the coaction's domain
+    assert ComoduleData.ALL_DIMS == (("dim", False, "comonoid.dim"), ("carrier", True, "coaction.dom"))
+    with pytest.raises(TypeError, match="no own map has 'extra' alone"):
+        class Unsized(coalgebra.Structure):
+            PARTS = (("comonoid", ComonoidData, None),)
+            MAPS = (("x", "dim*extra", "dim"),)
 
 
 def test_broken_coassociativity_is_caught():

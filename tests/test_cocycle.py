@@ -303,7 +303,7 @@ def test_zero_source_reports_match_the_formed_right_factor(monkeypatch, field, k
     maps = {name: LinMap(field, rows, cols, {(i, j): field.coerce(rng.randint(-2, 2))
                                              for i in range(rows) for j in range(cols)})
             for name, rows, cols in row.slots(dims)}
-    obj = row.build(dims, maps)
+    obj = row.type.build(dims, maps)
     verify = verify_cocycle if kind == "gic" else verify_pi_module
     fused = verify(obj).to_dict()
     # rebuilt once no structure holds obj's memo, so it is verified afresh
@@ -312,5 +312,5 @@ def test_zero_source_reports_match_the_formed_right_factor(monkeypatch, field, k
     gc.collect()
     assert [ref() for ref in refs] == [None]
     hook(monkeypatch, "diagonal", _through_formed_right_factor)
-    assert fused == verify(row.build(dims, maps)).to_dict()
+    assert fused == verify(row.type.build(dims, maps)).to_dict()
     assert coalgebra.diagonal.calls > 0

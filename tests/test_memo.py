@@ -3,7 +3,7 @@
 A memo belongs to a value: equal structures, however they were built,
 share their reports and part views, and unequal ones never do.  A
 memoized report equals one evaluated afresh check by check, and a memo
-dies with the last structure that holds it.
+lives while any equal structure holds it and dies with the last one.
 """
 
 import copy
@@ -83,7 +83,7 @@ def corrupted(label: str):
     name = type(obj).ALL_MAPS[-1][0]
     maps = algfile.REGISTRY[label].maps_of(obj)
     maps[name] = perturbed(maps[name], 0, 0)
-    return algfile.REGISTRY[label].build(obj.dims, maps)
+    return type(obj).build(obj.dims, maps)
 
 
 LABELS = ["fixture"] + [kind for kind, _ in sample_objects() if kind != "settruss"]
@@ -217,6 +217,21 @@ def test_a_memo_dies_with_the_last_equal_structure():
     assert dropped(refs)
 
 
+def test_a_memo_outlives_its_first_holder(monkeypatch):
+    h = linearize(trivial_truss(cyclic_group(3)), RATIONALS)
+    rep = verify_hopf_truss(h)
+    twin = fresh(h)
+    assert verify_hopf_truss(twin) is rep
+    text, refs = algfile.serialize(h), [weakref.ref(h)]
+    del h
+    assert dropped(refs)
+    # the twin still holds the memo, so a third equal truss finds it
+    laws = count_calls(monkeypatch, "equation")
+    third = verify_hopf_truss(algfile.loads(text))
+    assert laws == {}
+    assert third is rep
+
+
 def test_no_global_cache_keeps_a_verified_structure():
     h = linearize(trivial_truss(symmetric_group(3)), RATIONALS)
     c = cocycle_of_truss(h)
@@ -239,10 +254,11 @@ def _record_classes(base=record.Record):
 def test_every_record_that_reaches_the_memo_hashes_by_value(monkeypatch):
     reached = {}
 
-    class Index(weakref.WeakKeyDictionary):
-        def setdefault(self, rec, memo=None):
-            reached.setdefault(type(rec), rec)
-            return super().setdefault(rec, memo)
+    class Index(weakref.WeakValueDictionary):
+        def setdefault(self, key, memo=None):
+            cls, values = key
+            reached.setdefault(cls, cls(*values))
+            return super().setdefault(key, memo)
     monkeypatch.setattr(record, "_MEMOS", Index())
     samples = dict(sample_objects())
     for obj in samples.values():

@@ -34,7 +34,14 @@ from trusslab.fields import RATIONALS, prime_field
 from trusslab.hopfmodules import adjunction_check, fundamental_iso, induction_functor, verify_truss_hopf_module
 from trusslab.hopftruss import HopfTruss, verify_hopf_truss
 from trusslab.linmap import LinMap, identity
-from trusslab.modules import PiModule, functor_G_H, regular_truss_module, verify_pi_module, verify_truss_module
+from trusslab.modules import (
+    PiModule,
+    functor_G_H,
+    regular_truss_module,
+    verify_pi_module,
+    verify_pi_module_morphism,
+    verify_truss_module,
+)
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 SNAPSHOT = FIXTURES / "report-surface.json"
@@ -67,13 +74,26 @@ def _perturbed_samples():
         for name, _, _, _ in type(obj).ALL_MAPS:
             maps = row.maps_of(obj)
             maps[name] = perturbed(maps[name], 0, 0)
-            yield f"{kind}/{name}+1", row.build(obj.dims, maps)
+            yield f"{kind}/{name}+1", row.type.build(obj.dims, maps)
     samples = dict(sample_objects())
     c = samples["gic"]
     yield "gic/singular-pi", InvertibleCocycle(c.bimonoid, c.hopf, c.cocycle.scale(0), c.twist, c.action)
     m = samples["pimodule"]
     yield "pimodule/singular-compare", PiModule(m.system, m.mixed_action, m.hopf_action,
                                                 m.base_action, m.compare.scale(0))
+
+
+def _singular_witnesses():
+    """The failure branches a singular comparison map takes: the round trip
+    cannot transport, and a morphism into a module whose compare map is
+    singular cannot determine l."""
+    singular = dict(_perturbed_samples())
+    c = singular["gic/singular-pi"]
+    yield "gic/singular-pi/roundtrip", lambda: roundtrip_report(c)
+    m = dict(sample_objects())["pimodule"]
+    ids = [identity(m.field, n) for n in (m.mdim, m.ndim)]
+    yield "pimodule/singular-compare/morphism", \
+        lambda: verify_pi_module_morphism(*ids, m, singular["pimodule/singular-compare"])
 
 
 def _truss_defects():
@@ -131,6 +151,7 @@ def reports():
         yield from _truss_chain(f"fixture/{name}", algfile.load(FIXTURES / f"{name}.json"))
     for label, obj in list(_perturbed_samples()) + list(_truss_defects()):
         yield label, lambda obj=obj: algfile.verify_structure(obj)
+    yield from _singular_witnesses()
     yield from _coalgebra_defects()
     yield from _h4()
 

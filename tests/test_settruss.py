@@ -17,6 +17,7 @@ from trusslab.errors import (
 from trusslab.fields import RATIONALS, prime_field
 from trusslab.hopftruss import HopfTruss, verify_hopf_truss
 from trusslab.linmap import LinMap, identity, kron
+from trusslab.record import memoized
 from trusslab.settruss import (
     FiniteGroup,
     FiniteSemigroup,
@@ -481,20 +482,26 @@ def test_canonical_form_on_the_non_abelian_coset():
 
 
 def test_canonical_form_sweeps_each_group_once(monkeypatch):
-    # two trusses over one Z7: the n! relabeling sweep runs for the first only
+    # two trusses over one Z7 and one over an equal Z7 built apart: the n!
+    # relabeling sweep runs once, for classifying them, and their canonical
+    # forms after read the memo of that group value
     g = cyclic_group(7)
-    trusses = [right_projection_truss(g), left_projection_truss(g)]
+    twin = FiniteGroup(g.table, g.unit, g.inv)
+    trusses = [right_projection_truss(g), left_projection_truss(g), trivial_truss(twin)]
     sweeps = []
-    sweep = settruss._group_form
+    sweep = settruss._group_form.__wrapped__
 
-    def counting(table):
-        sweeps.append(table)
-        return sweep(table)
-    monkeypatch.setattr(settruss, "_group_form", counting)
+    def counting(group):
+        sweeps.append(group.table)
+        return sweep(group)
+    monkeypatch.setattr(settruss, "_group_form", memoized(counting))
+    classes = isomorphism_classes(trusses)
+    assert sweeps == [g.table] and len(classes) == 3
     forms = [canonical_form(t) for t in trusses]
     assert sweeps == [g.table]
     monkeypatch.undo()
     assert forms == [naive_canonical_form(t) for t in trusses]
+    assert classes == isomorphism_classes(trusses)
 
 
 def test_canonical_form_identifies_relabeled_trusses():
