@@ -15,7 +15,6 @@ from .coalgebra import (
     verify_nonunital_bimonoid,
 )
 from .cocycle import (
-    CocycleMorphism,
     InvertibleCocycle,
     cocycle_of_truss,
     is_brace_case,

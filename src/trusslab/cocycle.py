@@ -35,8 +35,7 @@ from .errors import (
     NotInvertibleError,
 )
 from .hopftruss import HopfTruss, twisted_action, verify_hopf_truss
-from .linmap import LinMap, compose_tensor, identity, invert
-from .record import Record
+from .linmap import compose_tensor, identity, invert
 from .report import VerificationReport, condition, equation
 
 
@@ -45,14 +44,6 @@ class InvertibleCocycle(Structure):
              ("hopf", HopfMonoidData, "target"))
     MAPS = (("cocycle", "target", "source"), ("twist", "source", "source"),
             ("action", "target", "source*target"))
-
-
-class CocycleMorphism(Record):
-    """Pair of maps: source_map between the bimonoids, target_map between
-    the Hopf monoids."""
-
-    source_map: LinMap
-    target_map: LinMap
 
 
 @law_table("cocycle")
@@ -110,34 +101,31 @@ def truss_of_cocycle(c: InvertibleCocycle) -> HopfTruss:
     return HopfTruss(c.hopf.comonoid, c.hopf.eta, c.hopf.mu, mu_pi, c.hopf.antipode, sigma)
 
 
-def verify_cocycle_morphism(m: CocycleMorphism,
-                            src: InvertibleCocycle,
+def verify_cocycle_morphism(f: dict, src: InvertibleCocycle,
                             dst: InvertibleCocycle) -> VerificationReport:
-    """verify_morphism with source_map on "source" and target_map on "target"."""
-    return verify_morphism({"source": m.source_map, "target": m.target_map}, src, dst, "cocycle-morphism")
+    """verify_morphism of f, a map on "source" between the bimonoids and
+    one on "target" between the Hopf monoids."""
+    return verify_morphism(f, src, dst, "cocycle-morphism")
 
 
 def roundtrip_report(c: InvertibleCocycle) -> VerificationReport:
     """Certify the equivalence on one object: the transported truss is
     valid, reading it back gives an isomorphic cocycle, and the
     comparison pair (pi, id) is that isomorphism."""
-    rep = VerificationReport("cocycle-roundtrip")
-    rep = rep.merged(verify_cocycle(c), prefix="src.")
+    checks = verify_cocycle(c).prefixed("src.")
     try:
         t = truss_of_cocycle(c)
     except InvalidStructureError:
-        return rep.with_checks(condition(
+        return VerificationReport("cocycle-roundtrip", checks + (condition(
             "roundtrip.transport", "pi is invertible", False,
-            "cocycle map is singular, cannot transport"))
-    rep = rep.merged(verify_hopf_truss(t), prefix="truss.")
+            "cocycle map is singular, cannot transport"),))
+    checks += verify_hopf_truss(t).prefixed("truss.")
     back = cocycle_of_truss(t)
     idh = identity(c.field, c.hopf.dim)
-    pair = CocycleMorphism(c.cocycle, idh)
-    rep = rep.merged(verify_cocycle_morphism(pair, c, back), prefix="unit-map.")
-    rep = rep.with_checks(
+    checks += verify_cocycle_morphism({"source": c.cocycle, "target": idh}, c, back).prefixed("unit-map.")
+    return VerificationReport("cocycle-roundtrip", checks + (
         # the transport above inverted pi, and id is its own inverse
         condition("unit-map.invertible", "both components are isomorphisms", True),
         equation("roundtrip.action", "Gamma^(sigma_pi)∘(pi(x)id) = phi",
                  compose_tensor(back.action, c.cocycle, idh), c.action),
-    )
-    return rep
+    ))

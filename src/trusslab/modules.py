@@ -17,12 +17,7 @@ other lands on an isomorphic cocycle module with comparison map id.
 
 from __future__ import annotations
 
-from .cocycle import (
-    CocycleMorphism,
-    InvertibleCocycle,
-    cocycle_of_truss,
-    truss_of_cocycle,
-)
+from .cocycle import InvertibleCocycle, cocycle_of_truss, truss_of_cocycle
 from .coalgebra import Call, Diag, Guard, Structure, diagonal, law_table, terms, verify_morphism
 from .errors import (
     InvalidStructureError,
@@ -150,22 +145,20 @@ def verify_pi_module_morphism(h: LinMap, l: LinMap, src: PiModule,
     c = src.system
     f = {"source": identity(c.field, c.bimonoid.dim), "target": identity(c.field, c.hopf.dim),
          "carrier": h, "second": l}
-    rep = verify_morphism(f, src, dst, "pimodule-morphism")
+    checks = verify_morphism(f, src, dst).checks
     try:
-        determined = invert(dst.compare) @ h @ src.compare
+        determined = equation("compat.determined", "l = compare'⁻¹∘h∘compare",
+                              l, invert(dst.compare) @ h @ src.compare)
     except NotInvertibleError:
-        return rep.with_checks(condition(
-            "compat.determined", "l = compare'⁻¹∘h∘compare",
-            False, "target compare map is singular"))
-    return rep.with_checks(
-        equation("compat.determined", "l = compare'⁻¹∘h∘compare",
-                 l, determined))
+        determined = condition("compat.determined", "l = compare'⁻¹∘h∘compare",
+                               False, "target compare map is singular")
+    return VerificationReport("pimodule-morphism", checks + (determined,))
 
 
-def restrict_along(fg: CocycleMorphism, source: InvertibleCocycle,
-                   m: PiModule) -> PiModule:
-    """Pull a module over the target of fg back to one over its source."""
-    f, g = fg.source_map, fg.target_map
+def restrict_along(fg: dict, source: InvertibleCocycle, m: PiModule) -> PiModule:
+    """Pull a module over the target of the cocycle morphism fg, a map on
+    "source" and one on "target", back to one over its source."""
+    f, g = fg["source"], fg["target"]
     field = source.field
     idm = identity(field, m.mdim)
     return PiModule(source,

@@ -22,6 +22,10 @@ class CheckResult(Record):
     residual: Optional[LinMap] = None
     detail: str = ""
 
+    def renamed(self, name: str) -> "CheckResult":
+        """The same check under another name."""
+        return CheckResult(name, self.anchor, self.passed, self.residual, self.detail)
+
     def to_dict(self) -> dict:
         return {
             "name": self.name,
@@ -52,13 +56,7 @@ class VerificationReport(Record):
         """The checks named under prefix, the same objects when it is empty."""
         if not prefix:
             return self.checks
-        return tuple(CheckResult(prefix + c.name, c.anchor, c.passed, c.residual, c.detail) for c in self.checks)
-
-    def merged(self, other: "VerificationReport", prefix: str = "") -> "VerificationReport":
-        return VerificationReport(self.subject, self.checks + other.prefixed(prefix))
-
-    def with_checks(self, *results: CheckResult) -> "VerificationReport":
-        return VerificationReport(self.subject, self.checks + tuple(results))
+        return tuple(c.renamed(prefix + c.name) for c in self.checks)
 
     def to_dict(self) -> dict:
         return {

@@ -14,7 +14,6 @@ from test_settruss import naive_enumerate
 from trusslab.cli import main
 from trusslab.coalgebra import ComonoidData
 from trusslab.cocycle import (
-    CocycleMorphism,
     cocycle_of_truss,
     roundtrip_report,
     truss_of_cocycle,
@@ -187,7 +186,7 @@ def test_criterion_4_enumeration_matches_brute_force_oracle():
 def test_criterion_5_module_functors_compose_to_the_identity():
     composites = 0
     for name, c in fixture_cocycles():
-        comparison = CocycleMorphism(c.cocycle, identity(c.field, c.hopf.dim))
+        comparison = {"source": c.cocycle, "target": identity(c.field, c.hopf.dim)}
         t = truss_of_cocycle(c)
         for build in (regular_truss_module, trivial_truss_module,
                       lambda h: induction_truss_module(h, 2)):

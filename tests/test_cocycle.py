@@ -20,7 +20,6 @@ from conftest import (
 from trusslab import algfile, coalgebra
 from trusslab.coalgebra import HopfMonoidData, verify_hopf_monoid
 from trusslab.cocycle import (
-    CocycleMorphism,
     InvertibleCocycle,
     cocycle_of_truss,
     is_brace_case,
@@ -149,7 +148,7 @@ def test_shear_transport_keeps_brace_flag():
 
 def test_identity_pair_is_a_morphism():
     c = cocycle_of_truss(z4_circle_truss(RATIONALS))
-    m = CocycleMorphism(identity(RATIONALS, 4), identity(RATIONALS, 4))
+    m = {"source": identity(RATIONALS, 4), "target": identity(RATIONALS, 4)}
     assert verify_cocycle_morphism(m, c, c).ok
 
 
@@ -157,14 +156,14 @@ def test_truss_morphism_doubles_as_cocycle_morphism():
     # x -> 2x on the circle truss, used on both components
     f = LinMap(RATIONALS, 4, 4, {((2 * a) % 4, a): 1 for a in range(4)})
     c = cocycle_of_truss(z4_circle_truss(RATIONALS))
-    rep = verify_cocycle_morphism(CocycleMorphism(f, f), c, c)
+    rep = verify_cocycle_morphism({"source": f, "target": f}, c, c)
     assert rep.ok, str(rep)
 
 
 def test_comparison_pair_is_an_isomorphism_onto_the_rebuilt_cocycle():
     c = transport(cocycle_of_truss(shifted_z2_truss(RATIONALS)), {"source": permutation(RATIONALS, (1, 0))})
     back = cocycle_of_truss(truss_of_cocycle(c))
-    pair = CocycleMorphism(c.cocycle, identity(RATIONALS, 2))
+    pair = {"source": c.cocycle, "target": identity(RATIONALS, 2)}
     rep = verify_cocycle_morphism(pair, c, back)
     assert rep.ok, str(rep)
 
@@ -174,7 +173,7 @@ def test_morphism_shape_mismatch_raises():
     c3 = cocycle_of_truss(cyclic_truss(RATIONALS, 3))
     with pytest.raises(DimensionMismatchError):
         verify_cocycle_morphism(
-            CocycleMorphism(identity(RATIONALS, 2), identity(RATIONALS, 2)),
+            {"source": identity(RATIONALS, 2), "target": identity(RATIONALS, 2)},
             c2, c3)
 
 

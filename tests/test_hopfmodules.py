@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import count_calls, cyclic_table, cyclic_truss, perturbed, truss_from_tables
+from conftest import count_calls, cyclic_table, cyclic_truss, hook, perturbed, truss_from_tables
 from trusslab import hopfmodules
 from trusslab.coalgebra import ComonoidData, HopfMonoidData, verify_morphism
 from trusslab.errors import DimensionMismatchError, InvalidStructureError
@@ -21,7 +21,8 @@ from trusslab.hopfmodules import (
     verify_hopf_module,
     verify_truss_hopf_module,
 )
-from trusslab.linmap import LinMap, identity, kron, rank
+from trusslab.hopftruss import HopfTruss
+from trusslab.linmap import LinMap, compose_tensor, identity, kron, rank
 from trusslab.report import VerificationReport
 
 F2 = prime_field(2)
@@ -339,21 +340,27 @@ def test_adjunction_splits_the_free_module_once(monkeypatch):
 def test_theta_and_its_comodule_law_are_built_once(monkeypatch):
     # fundamental_iso and adjunction_check read theta = act1∘(id (x) inclusion)
     # and (id (x) theta)∘(delta (x) id) of one module: triangle.free builds
-    # the free module's theta, which is m's, and counit.comodule checks
-    # intertwine.coaction's law again
+    # the free module's theta, which is m's, and counit.comodule is
+    # intertwine.coaction's check renamed.  Every call of the two kernels
+    # is watched, and counted when its operands are theta's: the sides of
+    # coinvariants.compat, act1∘(cocycle (x) inclusion) and
+    # act2∘(id (x) inclusion), are not theta.
     t = cyclic_truss(F5, 4)
     m = induction_functor(t, 2)
     built = {"theta": 0, "spread": 0}
 
-    def watch(kernel, key, operand):
-        def wrapped(*args):
-            built[key] += operand(args)
-            return kernel(*args)
-        monkeypatch.setattr(hopfmodules, kernel.__name__, wrapped)
+    def watch(key, operand):
+        def wrap(kernel):
+            def watched(*args):
+                built[key] += operand(args)
+                return kernel(*args)
+            return watched
+        return wrap
     w = coinvariants(m.hopf_module())
-    theta = hopfmodules.compose_tensor(m.act1, identity(F5, 4), w.inclusion)
-    watch(hopfmodules.compose_tensor, "theta", lambda args: args[2] is w.inclusion)
-    watch(hopfmodules.tensor_compose, "spread", lambda args: args[1] == theta)
+    theta = compose_tensor(m.act1, identity(F5, 4), w.inclusion)
+    hook(monkeypatch, "compose_tensor", watch("theta", lambda args: args[0] is m.act1 and args[1] is not t.cocycle
+                                              and args[2] is w.inclusion))
+    hook(monkeypatch, "tensor_compose", watch("spread", lambda args: args[1] == theta))
     assert fundamental_iso(m)[2].ok and adjunction_check(t, 2, m).ok
     assert built == {"theta": 1, "spread": 1}
 
@@ -364,6 +371,24 @@ def test_adjunction_flags_corrupted_coaction():
     rep = adjunction_check(t, 1, m)
     assert not rep.ok
     assert not rep.named("counit.comodule").passed
+
+
+def test_adjunction_reports_free_coinvariants_of_another_dimension():
+    # Q^2 on e1, e2 with delta(e_i) = e_i (x) e_i, e_i e_j = delta_ij e_i and
+    # 1 = e1 + e2: the free module on one dimension is a Hopf module with no
+    # coinvariants, so the checks comparing them with Q are left out
+    delta = LinMap(RATIONALS, 4, 2, {(0, 0): 1, (3, 1): 1})
+    eps = LinMap(RATIONALS, 1, 2, {(0, 0): 1, (0, 1): 1})
+    eta = LinMap(RATIONALS, 2, 1, {(0, 0): 1, (1, 0): 1})
+    mu = LinMap(RATIONALS, 2, 4, {(0, 0): 1, (1, 3): 1})
+    h = HopfTruss(ComonoidData(2, delta, eps), eta, mu, mu, LinMap.zero(RATIONALS, 2, 2),
+                  identity(RATIONALS, 2))
+    m = induction_functor(h, 1)
+    assert verify_hopf_module(m.hopf_module()).ok
+    rep = adjunction_check(h, 1, m)
+    assert [(c.name, c.passed) for c in rep.checks] == [
+        ("induction.dimension", False), ("counit.comodule", True), ("triangle.coinvariants", True)]
+    assert rep.named("induction.dimension").detail == "got 0, expected 1"
 
 
 def test_adjunction_zero_dimension():

@@ -11,7 +11,7 @@ from conftest import (
     transport,
     truss_from_tables,
 )
-from trusslab.cocycle import CocycleMorphism, cocycle_of_truss, truss_of_cocycle
+from trusslab.cocycle import cocycle_of_truss, truss_of_cocycle
 from trusslab.errors import DimensionMismatchError, InvalidStructureError
 from trusslab.fields import RATIONALS, prime_field
 from trusslab.hopftruss import twisted_action, twisted_product
@@ -215,7 +215,7 @@ def test_morphism_shape_mismatch_raises():
 def test_restrict_along_identity_is_identity():
     c = cocycle_of_truss(shifted_z2_truss(RATIONALS))
     m = regular_pi_module(c)
-    fg = CocycleMorphism(identity(RATIONALS, 2), identity(RATIONALS, 2))
+    fg = {"source": identity(RATIONALS, 2), "target": identity(RATIONALS, 2)}
     assert restrict_along(fg, c, m) == m
 
 
@@ -226,9 +226,9 @@ def test_restrict_along_inverse_pair_roundtrips():
     moved = transport(base, {"source": q})
     idh = identity(RATIONALS, 4)
     m = regular_pi_module(moved)
-    pulled = restrict_along(CocycleMorphism(q, idh), base, m)
+    pulled = restrict_along({"source": q, "target": idh}, base, m)
     assert verify_pi_module(pulled).ok
-    assert restrict_along(CocycleMorphism(q_inv, idh), moved, pulled) == m
+    assert restrict_along({"source": q_inv, "target": idh}, moved, pulled) == m
 
 
 # -- the functors and the equivalence -----------------------------------------
@@ -275,7 +275,7 @@ def test_functor_rejects_corrupted_mixed_action():
 def comparison_morphism(c):
     """The cocycle-map-and-identity pair from a system to its rebuilt form."""
     hdim = c.hopf.dim
-    return CocycleMorphism(c.cocycle, identity(c.field, hdim))
+    return {"source": c.cocycle, "target": identity(c.field, hdim)}
 
 
 @pytest.mark.parametrize("make", MOVED_COCYCLES)

@@ -15,7 +15,6 @@ from conftest import cyclic_table, cyclic_truss, permutation, sample_objects, tr
 from trusslab import algfile
 from trusslab.coalgebra import verify_morphism
 from trusslab.cocycle import (
-    CocycleMorphism,
     cocycle_of_truss,
     truss_of_cocycle,
     verify_cocycle_morphism,
@@ -86,7 +85,7 @@ def reference_truss_morphism(f, src, dst):
 
 
 def reference_cocycle_morphism(m, src, dst):
-    f, g = m.source_map, m.target_map
+    f, g = m["source"], m["target"]
     checks = (
         equation("f.comonoid.coproduct", "delta'∘f = (f(x)f)∘delta",
                  dst.bimonoid.delta @ f, tensor_compose(f, f, src.bimonoid.delta)),
@@ -123,7 +122,7 @@ def reference_pi_module_morphism(h, l, src, dst):
     if h.shape != (dst.mdim, src.mdim) or l.shape != (dst.ndim, src.ndim):
         raise DimensionMismatchError("morphism shapes do not match the carriers")
     idb, idh = identity(c.field, b), identity(c.field, hd)
-    return VerificationReport("pimodule-morphism").with_checks(
+    return VerificationReport("pimodule-morphism", (
         equation("main.mixed", "h∘mixed = mixed'∘(id (x) h)",
                  h @ src.mixed_action, compose_tensor(dst.mixed_action, idb, h)),
         equation("main.module", "h∘hopf_action = hopf_action'∘(id (x) h)",
@@ -132,7 +131,7 @@ def reference_pi_module_morphism(h, l, src, dst):
                  l @ src.base_action, compose_tensor(dst.base_action, idb, l)),
         equation("compat.compare", "h∘compare = compare'∘l",
                  h @ src.compare, dst.compare @ l),
-    )
+    ))
 
 
 TRUSS_NAMES = {
@@ -197,16 +196,16 @@ def truss_cases():
 def cocycle_cases():
     cases = []
     for f, src, dst in truss_cases():
-        cases.append((CocycleMorphism(f, f), cocycle_of_truss(src), cocycle_of_truss(dst)))
+        cases.append(({"source": f, "target": f}, cocycle_of_truss(src), cocycle_of_truss(dst)))
     for perm in ((1, 0, 3, 2), (1, 2, 3, 0)):
         c = transport(cocycle_of_truss(z4_circle_truss(RATIONALS)),
                       {"source": permutation(RATIONALS, perm)})
         back = cocycle_of_truss(truss_of_cocycle(c))
-        cases.append((CocycleMorphism(c.cocycle, identity(RATIONALS, 4)), c, back))
+        cases.append(({"source": c.cocycle, "target": identity(RATIONALS, 4)}, c, back))
     rnd = random.Random(16)
     for field in (RATIONALS, F5):
         c = cocycle_of_truss(z4_circle_truss(field))
-        cases += [(CocycleMorphism(random_map(rnd, field, 4, 4), random_map(rnd, field, 4, 4)), c, c)
+        cases += [({"source": random_map(rnd, field, 4, 4), "target": random_map(rnd, field, 4, 4)}, c, c)
                   for _ in range(12)]
     return cases
 
@@ -222,7 +221,7 @@ def pi_module_cases():
         c = transport(cocycle_of_truss(z4_circle_truss(RATIONALS)),
                       {"source": permutation(RATIONALS, perm)})
         m = regular_pi_module(c)
-        comparison = CocycleMorphism(c.cocycle, identity(RATIONALS, 4))
+        comparison = {"source": c.cocycle, "target": identity(RATIONALS, 4)}
         back = restrict_along(comparison, c, functor_G_H(functor_H_tr_pi(m)))
         cases.append((identity(RATIONALS, 4), m.compare, m, back))
     rnd = random.Random(17)
@@ -269,7 +268,7 @@ def test_checks_are_named_and_anchored_by_the_declared_maps():
     assert rep.named("eta").anchor == "f_dim∘eta = eta'"
     assert rep.named("mu1").anchor == "f_dim∘mu1 = mu1'∘(f_dim(x)f_dim)"
     c = cocycle_of_truss(h)
-    rep = verify_cocycle_morphism(CocycleMorphism(identity(RATIONALS, 4), identity(RATIONALS, 4)), c, c)
+    rep = verify_cocycle_morphism({"source": identity(RATIONALS, 4), "target": identity(RATIONALS, 4)}, c, c)
     assert rep.named("action").anchor == "f_target∘action = action'∘(f_source(x)f_target)"
     assert rep.named("source.delta").anchor == \
         "(f_source(x)f_source)∘source.delta = source.delta'∘f_source"
@@ -358,11 +357,11 @@ def test_Q_sends_a_cocycle_morphism_to_its_target_map():
     d = doubling(RATIONALS)
     p, r = permutation(RATIONALS, (1, 2, 3, 0)), permutation(RATIONALS, (3, 2, 0, 1))
     c1, c2 = transport(c, {"source": p}), transport(c, {"source": r})
-    assert verify_cocycle_morphism(CocycleMorphism(r @ d @ invert(p), d), c1, c2).ok
+    assert verify_cocycle_morphism({"source": r @ d @ invert(p), "target": d}, c1, c2).ok
     assert verify_morphism({"dim": d}, truss_of_cocycle(c1), truss_of_cocycle(c2)).ok
     # the comparison pair (pi, id) onto the rebuilt cocycle goes to id
     back = cocycle_of_truss(truss_of_cocycle(c1))
-    assert verify_cocycle_morphism(CocycleMorphism(c1.cocycle, identity(RATIONALS, 4)), c1, back).ok
+    assert verify_cocycle_morphism({"source": c1.cocycle, "target": identity(RATIONALS, 4)}, c1, back).ok
     assert verify_morphism({"dim": identity(RATIONALS, 4)},
                            truss_of_cocycle(c1), truss_of_cocycle(back)).ok
 

@@ -1,6 +1,7 @@
 """The report surface, pinned: every verifier's report on every sample
-kind, on both fixtures and their parts, and on each planted defect of the
-verifier tests, against a snapshot in tests/fixtures.
+kind, on both fixtures and their parts, on each planted defect of the
+verifier tests and on the failure branches of the certificates, against
+a snapshot in tests/fixtures.
 
 A report is pinned by its subject and, per check in order, its name,
 anchor, pass flag, witness detail and the nnz of a failing residual; the
@@ -31,7 +32,13 @@ from trusslab.coalgebra import (
 )
 from trusslab.cocycle import InvertibleCocycle, cocycle_of_truss, roundtrip_report, verify_cocycle
 from trusslab.fields import RATIONALS, prime_field
-from trusslab.hopfmodules import adjunction_check, fundamental_iso, induction_functor, verify_truss_hopf_module
+from trusslab.hopfmodules import (
+    TrussHopfModule,
+    adjunction_check,
+    fundamental_iso,
+    induction_functor,
+    verify_truss_hopf_module,
+)
 from trusslab.hopftruss import HopfTruss, verify_hopf_truss
 from trusslab.linmap import LinMap, identity
 from trusslab.modules import (
@@ -96,6 +103,22 @@ def _singular_witnesses():
         lambda: verify_pi_module_morphism(*ids, m, singular["pimodule/singular-compare"])
 
 
+def _failure_branches():
+    """The certificates' failing rows: the round trip on every cocycle with
+    one entry bumped, the adjunction on a module whose coinvariants cannot
+    be split, and a cocycle-module morphism with a wrong l and a wrong h."""
+    for label, c in _perturbed_samples():
+        if label.startswith("gic/") and label.endswith("+1"):
+            yield f"{label}/roundtrip", lambda c=c: roundtrip_report(c)
+    t = cyclic_truss(RATIONALS, 2)
+    corrupt = TrussHopfModule(t, t.mu1, t.mu2, perturbed(t.comonoid.delta, 0, 1))
+    yield "trusshopfmodule/corrupt-coaction/adjunction", lambda: adjunction_check(t, 1, corrupt)
+    m = dict(sample_objects())["pimodule"]
+    h, l = identity(m.field, m.mdim), identity(m.field, m.ndim)
+    yield "pimodule/wrong-l/morphism", lambda: verify_pi_module_morphism(h, perturbed(l, 0, 0), m, m)
+    yield "pimodule/wrong-h/morphism", lambda: verify_pi_module_morphism(perturbed(h, 0, 1), l, m, m)
+
+
 def _truss_defects():
     """The planted defects of the Hopf truss tests."""
     base = cyclic_truss(F5, 3)
@@ -152,6 +175,7 @@ def reports():
     for label, obj in list(_perturbed_samples()) + list(_truss_defects()):
         yield label, lambda obj=obj: algfile.verify_structure(obj)
     yield from _singular_witnesses()
+    yield from _failure_branches()
     yield from _coalgebra_defects()
     yield from _h4()
 
