@@ -229,9 +229,9 @@ class Structure(Record):
     `renamed` names a dim, the component's "dim" becomes that dim and
     its maps are named "renamed." + name.  The record fields (the
     components, or "dim" when there are none, then the maps), the field,
-    the dims, the constructor check and build follow from these tables.
-    MORPHISM_LAWS is the table of verify_morphism's laws, one per map,
-    compiled once per class on use.
+    the dims, the constructor check, build and moved follow from these
+    tables.  MORPHISM_LAWS is the table of verify_morphism's laws, one
+    per map, compiled once per class on use.
     """
 
     PARTS = ()
@@ -277,6 +277,30 @@ class Structure(Record):
             parts = [make(part, f"{prefix}{attr}.") for attr, part, _ in struct.PARTS]
             return struct(*parts, *(values[prefix + name] for name in struct.FIELDS[len(parts):]))
         return make(cls, "")
+
+    def moved(self, p: dict):
+        """This structure moved along the isomorphisms p[d] on its dims: each
+        map m becomes (p on its cod)∘m∘(p⁻¹ on its dom), with no Kronecker
+        product formed.  A dim p leaves out stays fixed, and a map on fixed
+        dims alone is kept as the same object.  Every p[d] is inverted
+        before any map is built, so a singular one raises NotInvertibleError."""
+        dims = self.dims
+        moves = {d: (p[d], invert(p[d])) for d in dims if d in p}
+
+        def legs(names: tuple, which: int) -> list:
+            return [moves[d][which] if d in moves else identity(self.field, dims[d]) for d in names]
+
+        maps = {}
+        for name, path, cod, dom in self.ALL_MAPS:
+            m = attrgetter(path)(self)
+            if not moves.keys().isdisjoint(cod):
+                out = legs(cod, 0)
+                m = out[0] @ m if len(out) == 1 else tensor_compose(*out, m)
+            if not moves.keys().isdisjoint(dom):
+                back = legs(dom, 1)
+                m = m @ back[0] if len(back) == 1 else compose_tensor(m, *back)
+            maps[name] = m
+        return type(self).build(dims, maps)
 
     @property
     def mdim(self) -> int:

@@ -7,10 +7,10 @@ endomorphism of B (the twist) and an action of B on H, tied by
 
 Such a cocycle is the same thing as a Hopf truss carried by H:
 cocycle_of_truss reads a truss as the identity cocycle from its second
-product onto its Hopf part, truss_of_cocycle transports the source
-product and twist along pi. The two directions compose to the identity
-on trusses exactly; on cocycles they compose to an isomorphic cocycle,
-which roundtrip_report certifies.
+product onto its Hopf part, truss_of_cocycle reads the truss off the
+cocycle moved along pi, an identity cocycle. The two directions compose
+to the identity on trusses exactly; on cocycles they compose to an
+isomorphic cocycle, which roundtrip_report certifies.
 """
 
 from __future__ import annotations
@@ -35,7 +35,8 @@ from .errors import (
     NotInvertibleError,
 )
 from .hopftruss import HopfTruss, twisted_action, verify_hopf_truss
-from .linmap import compose_tensor, identity, invert
+from .linmap import compose_tensor, identity
+from .record import memoized
 from .report import VerificationReport, condition, equation
 
 
@@ -90,15 +91,21 @@ def cocycle_of_truss(h: HopfTruss) -> InvertibleCocycle:
         h.second_part(), h.hopf_part(), identity(h.field, h.dim), h.cocycle, twisted_action(h))
 
 
+def truss_of_identity_cocycle(c: InvertibleCocycle) -> HopfTruss:
+    """The truss of a cocycle whose cocycle map is the identity: its Hopf
+    part, with the source product and the twist as mu2 and cocycle."""
+    hopf = c.hopf
+    return HopfTruss(hopf.comonoid, hopf.eta, hopf.mu, c.bimonoid.mu, hopf.antipode, c.twist)
+
+
+@memoized
 def truss_of_cocycle(c: InvertibleCocycle) -> HopfTruss:
-    """Transport the source product and twist along pi onto the target."""
+    """The truss of c moved along pi onto the target."""
     try:
-        inv_pi = invert(c.cocycle)
+        moved = c.moved({"source": c.cocycle})
     except NotInvertibleError as exc:
         raise InvalidStructureError("cocycle map is singular") from exc
-    mu_pi = compose_tensor(c.cocycle @ c.bimonoid.mu, inv_pi, inv_pi)
-    sigma = c.cocycle @ c.twist @ inv_pi
-    return HopfTruss(c.hopf.comonoid, c.hopf.eta, c.hopf.mu, mu_pi, c.hopf.antipode, sigma)
+    return truss_of_identity_cocycle(moved)
 
 
 def verify_cocycle_morphism(f: dict, src: InvertibleCocycle,

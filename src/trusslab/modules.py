@@ -17,7 +17,7 @@ other lands on an isomorphic cocycle module with comparison map id.
 
 from __future__ import annotations
 
-from .cocycle import InvertibleCocycle, cocycle_of_truss, truss_of_cocycle
+from .cocycle import InvertibleCocycle, cocycle_of_truss, truss_of_identity_cocycle
 from .coalgebra import Call, Diag, Guard, Structure, diagonal, law_table, terms, verify_morphism
 from .errors import (
     InvalidStructureError,
@@ -178,20 +178,17 @@ def functor_G_H(m: TrussModule) -> PiModule:
 def functor_H_tr_pi(m: PiModule) -> TrussModule:
     """Collapse a cocycle module onto the transported truss.
 
-    The second action is the base action conjugated through compare and
-    the comparison map of the system; the mixed action must agree with
-    the resulting twisted action transported back, which pins the
-    construction and is checked here.
+    The module moved along the cocycle map on "source" and compare on
+    "second" is one over an identity cocycle, whose truss acts by its
+    Hopf and base actions.  Its mixed action must agree with the twisted
+    action of the result, which pins the construction and is checked here.
     """
-    c = m.system
-    t = truss_of_cocycle(c)
-    pi_inv = invert(c.cocycle)
-    compare_inv = invert(m.compare)
-    out = TrussModule(t, m.hopf_action,
-                      compose_tensor(m.compare @ m.base_action, pi_inv, compare_inv))
-    transported = module_twisted_action(out)
-    expected = compose_tensor(m.mixed_action, pi_inv, identity(c.field, m.mdim))
-    if transported != expected:
+    try:
+        flat = m.moved({"source": m.system.cocycle, "second": m.compare})
+    except NotInvertibleError as exc:
+        raise InvalidStructureError("cocycle map or compare map is singular") from exc
+    out = TrussModule(truss_of_identity_cocycle(flat.system), flat.hopf_action, flat.base_action)
+    if module_twisted_action(out) != flat.mixed_action:
         raise InvalidStructureError(
             "twisted action of the output disagrees with the mixed action; "
             "the input does not satisfy the cocycle-module laws")

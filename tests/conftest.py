@@ -16,15 +16,22 @@ from collections import Counter
 
 import pytest
 
-from trusslab import algfile, record
+from trusslab import record
 from trusslab.coalgebra import ComonoidData, MonoidData
 from trusslab.cocycle import cocycle_of_truss
 from trusslab.fields import RATIONALS, FieldSpec, prime_field
 from trusslab.hopfmodules import HopfModuleData, induction_functor
 from trusslab.hopftruss import HopfTruss
-from trusslab.linmap import LinMap, identity, invert, kron
+from trusslab.linmap import LinMap, rank
 from trusslab.modules import regular_pi_module, regular_truss_module
-from trusslab.settruss import cyclic_group, linearize, right_projection_truss
+from trusslab.settruss import (
+    cyclic_group,
+    left_projection_truss,
+    linearize,
+    right_projection_truss,
+    symmetric_group,
+    trivial_truss,
+)
 
 
 def table_unit(table) -> int:
@@ -84,28 +91,27 @@ def perturbed(m: LinMap, i: int, j: int) -> LinMap:
     return LinMap(m.field, m.cod, m.dom, entries)
 
 
-def transport(obj, p: dict):
-    """obj moved along invertible maps p[d] on its dims, the identity on a
-    dim p leaves out: each map m of its kind becomes
-    kron(p on cod)∘m∘kron(p on dom)⁻¹, and the class's build reassembles them."""
-    dims = obj.dims
-    move = {d: (p[d], invert(p[d])) if d in p else (identity(obj.field, n),) * 2
-            for d, n in dims.items()}
-
-    def along(names, which):
-        out = identity(obj.field, 1)
-        for d in names:
-            out = kron(out, move[d][which])
-        return out
-
-    maps = algfile.REGISTRY[algfile.kind_of(obj)].maps_of(obj)
-    return type(obj).build(dims, {name: along(cod, 0) @ maps[name] @ along(dom, 1)
-                                  for name, _, cod, dom in type(obj).ALL_MAPS})
+def random_invertible(rnd, field: FieldSpec, n: int) -> LinMap:
+    """An invertible n x n map with entries drawn from -2..2 by rnd."""
+    while True:
+        p = LinMap(field, n, n, {(i, j): rnd.randint(-2, 2) for i in range(n) for j in range(n)})
+        if rank(p) == n:
+            return p
 
 
 def permutation(field: FieldSpec, perm) -> LinMap:
     """The map e_a -> e_perm[a]."""
     return LinMap(field, len(perm), len(perm), {(b, a): field.one for a, b in enumerate(perm)})
+
+
+def naturality_cases():
+    """trivial_truss(Z4), right_projection_truss(Z3) and left_projection_truss(S3)
+    over Q, F_5 and F_3, as params (field, skew truss)."""
+    trusses = {"Z4-trivial": trivial_truss(cyclic_group(4)),
+               "Z3-right": right_projection_truss(cyclic_group(3)),
+               "S3-left": left_projection_truss(symmetric_group(3))}
+    return [pytest.param(field, t, id=f"{name}-{field}")
+            for field in (RATIONALS, prime_field(5), prime_field(3)) for name, t in trusses.items()]
 
 
 def sample_objects():

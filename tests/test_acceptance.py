@@ -8,7 +8,7 @@ F5; nothing here tolerates a nonzero residual.
 
 import json
 
-from conftest import flip, permutation, perturbed, transport
+from conftest import flip, permutation, perturbed
 from test_settruss import naive_enumerate
 
 from trusslab.cli import main
@@ -79,16 +79,13 @@ def moved_cocycles():
     comparison map is a genuine permutation rather than the identity."""
     return [
         ("trivial-Z2-Q-moved",
-         transport(
-             cocycle_of_truss(linearize(trivial_truss(cyclic_group(2)), RATIONALS)),
+         cocycle_of_truss(linearize(trivial_truss(cyclic_group(2)), RATIONALS)).moved(
              {"source": permutation(RATIONALS, (1, 0))})),
         ("trivial-Z3-Q-moved",
-         transport(
-             cocycle_of_truss(linearize(trivial_truss(cyclic_group(3)), RATIONALS)),
+         cocycle_of_truss(linearize(trivial_truss(cyclic_group(3)), RATIONALS)).moved(
              {"source": permutation(RATIONALS, (1, 2, 0))})),
         ("right-projection-Z3-F5-moved",
-         transport(
-             cocycle_of_truss(linearize(right_projection_truss(cyclic_group(3)), F5)),
+         cocycle_of_truss(linearize(right_projection_truss(cyclic_group(3)), F5)).moved(
              {"source": permutation(F5, (2, 0, 1))})),
     ]
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import flip, hook, sample_objects, transport, truss_from_tables
+from conftest import flip, hook, sample_objects, truss_from_tables
 
 from trusslab import coalgebra, verify_structure
 from trusslab.coalgebra import (
@@ -293,7 +293,7 @@ def test_convolution_inverse_matches_the_basis_convolution_reference(field, grou
     rnd = random.Random(41)
     for make in (trivial_truss, right_projection_truss):
         plain = linearize(make(group), field)
-        for t in (plain, transport(plain, {"dim": unitriangular(field, plain.dim)})):
+        for t in (plain, plain.moved({"dim": unitriangular(field, plain.dim)})):
             n = t.dim
             some = LinMap(field, n, n, {(i, j): rnd.randint(-2, 2) for i in range(n)
                                         for j in range(n) if rnd.random() < 0.5})
@@ -353,7 +353,7 @@ def test_basis_scan_on_primitive_comonoid_is_incomplete():
 def test_exhaustive_scan_over_f2():
     h = cyclic_group_algebra(2, F2)
     p = LinMap.from_rows(F2, [[1, 1], [0, 1]])
-    vectors = grouplikes(transport(h.comonoid, {"dim": p}))
+    vectors = grouplikes(h.comonoid.moved({"dim": p}))
     # Candidate vectors run in lexicographic coefficient order: p e1 = (1, 1)
     # comes after p e0 = (1, 0).
     assert vectors == [p @ LinMap.basis_vector(F2, 2, 0), p @ LinMap.basis_vector(F2, 2, 1)]
@@ -411,8 +411,7 @@ ORACLE_COMONOIDS = [
     pytest.param(lambda f=f: _z2_squared(f), True, id=f"Z2xZ2-F{f.p}") for f in (F2, F3, F5)
 ] + [
     pytest.param(lambda: primitive_element_bundle(F5)[0].comonoid, False, id="primitive-F5"),
-    pytest.param(lambda: transport(
-        cyclic_group_algebra(3, F5).comonoid,
+    pytest.param(lambda: cyclic_group_algebra(3, F5).comonoid.moved(
         {"dim": LinMap.from_rows(F5, [[1, 4, 0], [0, 1, 3], [0, 0, 1]])}), False, id="transported-Z3-F5"),
 ]
 
@@ -467,7 +466,7 @@ def test_find_unit_matches_the_dense_reference():
         enumerate_skew_trusses(symmetric_group(3), max_size=6))[::50]]
     for field in (RATIONALS, F5):
         linear = [linearize(t, field) for t in trusses]
-        linear += [transport(h, {"dim": unitriangular(field, h.dim)}) for h in linear[::8]]
+        linear += [h.moved({"dim": unitriangular(field, h.dim)}) for h in linear[::8]]
         found = 0
         for h in linear:
             for mu in (h.mu1, h.mu2):

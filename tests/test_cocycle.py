@@ -11,10 +11,11 @@ from conftest import (
     cyclic_table,
     cyclic_truss,
     hook,
+    naturality_cases,
     permutation,
     perturbed,
+    random_invertible,
     sample_objects,
-    transport,
     truss_from_tables,
 )
 from trusslab import algfile, coalgebra
@@ -30,9 +31,9 @@ from trusslab.cocycle import (
 )
 from trusslab.errors import DimensionMismatchError
 from trusslab.fields import RATIONALS, prime_field
-from trusslab.hopftruss import derive_cocycle, twisted_action
+from trusslab.hopftruss import derive_cocycle, twisted_action, verify_hopf_truss
 from trusslab.linmap import LinMap, identity, kron
-from trusslab.modules import verify_pi_module
+from trusslab.modules import functor_H_tr_pi, regular_pi_module, verify_pi_module, verify_truss_module
 from trusslab.settruss import linearize, symmetric_group, trivial_truss
 
 F5 = prime_field(5)
@@ -66,7 +67,7 @@ def shear_source(c: InvertibleCocycle) -> InvertibleCocycle:
     n = c.bimonoid.dim
     entries = {(a, a): 1 for a in range(n)}
     entries[(0, n - 1)] = 1
-    return transport(c, {"source": LinMap(c.field, n, n, entries)})
+    return c.moved({"source": LinMap(c.field, n, n, entries)})
 
 
 # -- reading a truss as a cocycle ---------------------------------------------
@@ -111,7 +112,7 @@ def test_transport_of_identity_cocycle_is_trivial():
 
 
 def test_constructed_cocycle_satisfies_derivation_law():
-    c = transport(cocycle_of_truss(z4_circle_truss(F5)), {"source": permutation(F5, (1, 2, 3, 0))})
+    c = cocycle_of_truss(z4_circle_truss(F5)).moved({"source": permutation(F5, (1, 2, 3, 0))})
     t = truss_of_cocycle(c)
     assert t.cocycle == derive_cocycle(t.mu2, t.eta)
 
@@ -120,7 +121,7 @@ def test_constructed_cocycle_satisfies_derivation_law():
 
 
 @pytest.mark.parametrize("move", [
-    lambda c: transport(c, {"source": permutation(c.field, (1, 0))}),
+    lambda c: c.moved({"source": permutation(c.field, (1, 0))}),
     shear_source,
 ])
 def test_transported_source_still_verifies(move):
@@ -133,7 +134,7 @@ def test_transported_source_still_verifies(move):
 def test_source_relabeling_does_not_change_the_truss():
     h = linearize(trivial_truss(symmetric_group(3)), RATIONALS)
     c = cocycle_of_truss(h)
-    moved = transport(c, {"source": permutation(RATIONALS, (2, 0, 1, 4, 3, 5))})
+    moved = c.moved({"source": permutation(RATIONALS, (2, 0, 1, 4, 3, 5))})
     assert truss_of_cocycle(moved) == h
 
 
@@ -141,6 +142,71 @@ def test_shear_transport_keeps_brace_flag():
     c = shear_source(cocycle_of_truss(z4_circle_truss(RATIONALS)))
     assert is_brace_case(c)
     assert truss_of_cocycle(c) == z4_circle_truss(RATIONALS)
+
+
+@pytest.mark.parametrize("field,t", naturality_cases())
+def test_moving_a_truss_moves_its_cocycle_and_back(field, t):
+    h = linearize(t, field)
+    rnd = random.Random(repr(t) + str(field))
+    p, q = (random_invertible(rnd, field, h.dim) for _ in range(2))
+    c = cocycle_of_truss(h)
+    both = c.moved({"source": p, "target": p})
+    assert cocycle_of_truss(h.moved({"dim": p})) == both
+    assert truss_of_cocycle(both) == h.moved({"dim": p})
+    # moving the source alone changes c but not its truss
+    source = c.moved({"source": q})
+    assert source != c and truss_of_cocycle(source) == h
+
+
+# -- a genuine cocycle: Z4 onto Z2², from a regular subgroup of the holomorph --
+
+
+def xor_action(alpha, a):
+    """The automorphism of Z2² = ({0, 1, 2, 3}, xor) sending 1, 2 to alpha."""
+    return (alpha[0] if a & 1 else 0) ^ (alpha[1] if a & 2 else 0)
+
+
+def holomorph_z4():
+    """A cyclic regular subgroup of Hol(Z2²) = Z2² ⋊ Aut(Z2²), found by brute
+    force over its 24 elements (a, alpha): its elements g^0, ..., g^3."""
+    def mul(g, h):
+        return g[0] ^ xor_action(g[1], h[0]), tuple(xor_action(g[1], b) for b in h[1])
+    one = (0, (1, 2))
+    for g in ((a, (x, y)) for a in range(4) for x in range(1, 4) for y in range(1, 4) if x != y):
+        powers = [one, g, mul(g, g), mul(g, mul(g, g))]
+        if powers[2] != one and mul(g, powers[3]) == one and len({a for a, _ in powers}) == 4:
+            return powers
+    raise AssertionError("Hol(Z2²) has a regular subgroup isomorphic to Z4")
+
+
+def holomorph_cocycle(field, phi=None):
+    """kZ4 onto kZ2² by pi(g^k) = the translation part of g^k, with
+    phi(g (x) a) = alpha_g(a) unless phi is given; and pi as a list."""
+    powers = holomorph_z4()
+    pi = [a for a, _ in powers]
+    xor = [[a ^ b for b in range(4)] for a in range(4)]
+    if phi is None:
+        phi = LinMap(field, 4, 16, {(xor_action(alpha, a), k * 4 + a): 1
+                                    for k, (_, alpha) in enumerate(powers) for a in range(4)})
+    z4, z2z2 = cyclic_truss(field, 4), truss_from_tables(field, xor, xor)
+    c = InvertibleCocycle(z4.second_part(), z2z2.hopf_part(), permutation(field, pi), identity(field, 4), phi)
+    return c, pi
+
+
+def test_a_regular_subgroup_of_the_holomorph_is_a_genuine_cocycle():
+    c, pi = holomorph_cocycle(RATIONALS)
+    assert pi != list(range(4))
+    assert verify_cocycle(c).ok and roundtrip_report(c).ok
+    t = truss_of_cocycle(c)
+    assert verify_hopf_truss(t).ok
+    assert verify_truss_module(functor_H_tr_pi(regular_pi_module(c))).ok
+    # Z4's Cayley table moved along pi onto the basis of Z2²
+    assert t.mu2 == LinMap(RATIONALS, 4, 16, {(pi[(i + j) % 4], pi[i] * 4 + pi[j]): 1
+                                              for i in range(4) for j in range(4)})
+    assert cocycle_of_truss(t) != c
+    trivial = LinMap(RATIONALS, 4, 16, {(a, k * 4 + a): 1 for k in range(4) for a in range(4)})
+    assert [check.name for check in verify_cocycle(holomorph_cocycle(RATIONALS, trivial)[0]).failures()] == [
+        "compat.cocycle"]
 
 
 # -- morphisms ----------------------------------------------------------------
@@ -161,7 +227,7 @@ def test_truss_morphism_doubles_as_cocycle_morphism():
 
 
 def test_comparison_pair_is_an_isomorphism_onto_the_rebuilt_cocycle():
-    c = transport(cocycle_of_truss(shifted_z2_truss(RATIONALS)), {"source": permutation(RATIONALS, (1, 0))})
+    c = cocycle_of_truss(shifted_z2_truss(RATIONALS)).moved({"source": permutation(RATIONALS, (1, 0))})
     back = cocycle_of_truss(truss_of_cocycle(c))
     pair = {"source": c.cocycle, "target": identity(RATIONALS, 2)}
     rep = verify_cocycle_morphism(pair, c, back)
@@ -188,7 +254,7 @@ def test_roundtrip_report_passes_on_truss_cocycles(make):
 
 def test_roundtrip_report_passes_on_transported_cocycles():
     base = cocycle_of_truss(right_projection_truss(F5, 3))
-    for c in (transport(base, {"source": permutation(F5, (2, 0, 1))}), shear_source(base)):
+    for c in (base.moved({"source": permutation(F5, (2, 0, 1))}), shear_source(base)):
         rep = roundtrip_report(c)
         assert rep.ok, str(rep)
         assert rep.named("roundtrip.action").passed
@@ -200,7 +266,7 @@ def test_transported_truss_carries_the_hopf_part_unchanged():
     samples = dict(sample_objects())
     base = cocycle_of_truss(right_projection_truss(F5, 3))
     for c in (samples["gic"], samples["pimodule"].system, base,
-              transport(base, {"source": permutation(F5, (2, 0, 1))}), shear_source(base)):
+              base.moved({"source": permutation(F5, (2, 0, 1))}), shear_source(base)):
         assert truss_of_cocycle(c).hopf_part() == c.hopf
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import cyclic_table, cyclic_truss, flip, perturbed, transport, truss_from_tables
+from conftest import cyclic_table, cyclic_truss, flip, perturbed, truss_from_tables
 from test_coalgebra import unitriangular
 from trusslab.coalgebra import verify_morphism
 from trusslab.cocycle import cocycle_of_truss, roundtrip_report, verify_cocycle
@@ -214,7 +214,7 @@ def failing(rep):
 @pytest.mark.parametrize("field", [RATIONALS, F5], ids=str)
 def test_moved_z4_truss_passes_every_law(field):
     h = cyclic_truss(field, 4)
-    moved = transport(h, {"dim": unitriangular(field, 4)})
+    moved = h.moved({"dim": unitriangular(field, 4)})
     assert len(moved.mu1.items()) > 2 * len(h.mu1.items())
     assert verify_hopf_truss(moved).ok
     c = cocycle_of_truss(moved)
@@ -235,7 +235,7 @@ def test_moved_defects_fail_exactly_the_checks_they_fail_unmoved(field, defect, 
         bad = HopfTruss(base.comonoid, base.eta, base.mu1, base.mu2, base.antipode, shift)
     unmoved = failing(verify_hopf_truss(bad))
     assert caught in unmoved
-    assert failing(verify_hopf_truss(transport(bad, {"dim": unitriangular(field, 4)}))) == unmoved
+    assert failing(verify_hopf_truss(bad.moved({"dim": unitriangular(field, 4)}))) == unmoved
 
 
 def test_incompatible_products_pinned_to_distributivity():

@@ -10,6 +10,7 @@ import gc
 import pickle
 import sys
 import weakref
+from operator import attrgetter
 from types import SimpleNamespace
 
 import pytest
@@ -17,7 +18,7 @@ import pytest
 from conftest import count_calls, cyclic_truss
 from trusslab import algfile
 from trusslab.coalgebra import Call, Diag, Guard, Laws, terms, verify_comonoid, verify_hopf_monoid
-from trusslab.cocycle import cocycle_of_truss, roundtrip_report, verify_cocycle
+from trusslab.cocycle import cocycle_of_truss, roundtrip_report, truss_of_cocycle, verify_cocycle
 from trusslab.errors import DimensionMismatchError, NotInvertibleError
 from trusslab.fields import RATIONALS, prime_field
 from trusslab.hopfmodules import (
@@ -29,6 +30,7 @@ from trusslab.hopfmodules import (
 )
 from trusslab.hopftruss import verify_hopf_truss
 from trusslab.linmap import LinMap, identity
+from trusslab.modules import regular_pi_module
 from trusslab.settruss import cyclic_group, linearize, trivial_truss
 
 KERNELS = ("LinMap.compose", "compose_tensor", "tensor_compose", "diagonal", "invert",
@@ -39,14 +41,17 @@ def test_the_transport_chain_calls_no_kernel_more_often_than_before(monkeypatch)
     # transport_q's chain on Z4 over Q.  The bounds are the calls counted
     # on the hand-written verifiers that the law tables replaced.  The
     # transported truss equals h, so its laws are read from h's memo.
+    # verify_cocycle inverts pi once and truss_of_cocycle once: the round
+    # trip reads the truss from its memo.
     h = linearize(trivial_truss(cyclic_group(4)), RATIONALS)
     laws = count_calls(monkeypatch, "equation")
     kernels = count_calls(monkeypatch, *KERNELS)
     c = cocycle_of_truss(h)
-    assert verify_hopf_truss(h).ok and verify_cocycle(c).ok and roundtrip_report(c).ok
+    assert verify_hopf_truss(h).ok and verify_cocycle(c).ok
+    assert truss_of_cocycle(c) == h and roundtrip_report(c).ok
     assert sum(laws.values()) == 40
     before = {"LinMap.compose": 53, "compose_tensor": 31, "tensor_compose": 12, "diagonal": 11,
-              "invert": 3, "solve_through": 3}
+              "invert": 2, "solve_through": 3}
     assert {k: n for k, n in kernels.items() if n > before[k]} == {}
 
 
@@ -65,6 +70,19 @@ def test_the_module_chain_calls_no_kernel_more_often_than_before(monkeypatch):
     before = {"LinMap.compose": 21, "compose_tensor": 17, "tensor_compose": 6, "diagonal": 8,
               "invert": 0, "solve_through": 1, "kron": 11, "nullspace": 1}
     assert {k: n for k, n in kernels.items() if n > before[k]} == {}
+
+
+def test_moved_keeps_fixed_maps_and_inverts_before_any_kernel(monkeypatch):
+    m = regular_pi_module(cocycle_of_truss(cyclic_truss(RATIONALS, 3)))
+    p = LinMap.from_rows(RATIONALS, [[1, 2, 0], [0, 1, 0], [0, 3, 1]])
+    moved = m.moved({"source": p})
+    fixed = [path for _, path, cod, dom in m.ALL_MAPS if "source" not in cod + dom]
+    assert len(fixed) == 7 and all(attrgetter(path)(moved) is attrgetter(path)(m) for path in fixed)
+    assert moved == m.moved({d: p if d == "source" else identity(RATIONALS, n) for d, n in m.dims.items()})
+    kernels = count_calls(monkeypatch, "LinMap.compose", "compose_tensor", "tensor_compose")
+    with pytest.raises(NotInvertibleError):
+        m.moved({"source": p, "second": LinMap(RATIONALS, 3, 3, {(0, 0): 1})})
+    assert kernels == {}
 
 
 def test_unprefixed_parts_share_their_checks():

@@ -1,18 +1,21 @@
 """Modules over trusses and cocycles, and the equivalence between them."""
 
+import random
+
 import pytest
 
 from conftest import (
     cyclic_table,
     cyclic_truss,
     flip,
+    naturality_cases,
     permutation,
     perturbed,
-    transport,
+    random_invertible,
     truss_from_tables,
 )
-from trusslab.cocycle import cocycle_of_truss, truss_of_cocycle
-from trusslab.errors import DimensionMismatchError, InvalidStructureError
+from trusslab.cocycle import InvertibleCocycle, cocycle_of_truss, truss_of_cocycle
+from trusslab.errors import DimensionMismatchError, InvalidStructureError, NotInvertibleError
 from trusslab.fields import RATIONALS, prime_field
 from trusslab.hopftruss import twisted_action, twisted_product
 from trusslab.linmap import LinMap, identity, kron
@@ -59,12 +62,10 @@ FIXTURE_TRUSSES = [
 
 # permuted identity cocycles: cocycle map is a genuine change of basis
 MOVED_COCYCLES = [
-    lambda: transport(
-        cocycle_of_truss(cyclic_truss(RATIONALS, 2)), {"source": permutation(RATIONALS, (1, 0))}),
-    lambda: transport(
-        cocycle_of_truss(z4_circle_truss(RATIONALS)), {"source": permutation(RATIONALS, (1, 2, 3, 0))}),
-    lambda: transport(
-        cocycle_of_truss(right_projection_truss(F5, 3)), {"source": permutation(F5, (2, 0, 1))}),
+    lambda: cocycle_of_truss(cyclic_truss(RATIONALS, 2)).moved({"source": permutation(RATIONALS, (1, 0))}),
+    lambda: cocycle_of_truss(z4_circle_truss(RATIONALS)).moved(
+        {"source": permutation(RATIONALS, (1, 2, 3, 0))}),
+    lambda: cocycle_of_truss(right_projection_truss(F5, 3)).moved({"source": permutation(F5, (2, 0, 1))}),
 ]
 
 
@@ -223,7 +224,7 @@ def test_restrict_along_inverse_pair_roundtrips():
     base = cocycle_of_truss(z4_circle_truss(RATIONALS))
     q = permutation(RATIONALS, (1, 2, 3, 0))
     q_inv = permutation(RATIONALS, (3, 0, 1, 2))
-    moved = transport(base, {"source": q})
+    moved = base.moved({"source": q})
     idh = identity(RATIONALS, 4)
     m = regular_pi_module(moved)
     pulled = restrict_along({"source": q, "target": idh}, base, m)
@@ -261,6 +262,28 @@ def test_one_dimensional_system_collapses_to_trivial_module():
     c = cocycle_of_truss(cyclic_truss(RATIONALS, 1))
     out = functor_H_tr_pi(regular_pi_module(c))
     assert out == trivial_truss_module(truss_of_cocycle(c))
+
+
+@pytest.mark.parametrize("singular", ["cocycle", "compare"])
+def test_functor_refuses_a_singular_cocycle_or_compare_map(singular):
+    c = cocycle_of_truss(cyclic_truss(RATIONALS, 2))
+    m = regular_pi_module(c)
+    squash = LinMap(RATIONALS, 2, 2, {(0, 0): 1, (0, 1): 1})
+    if singular == "cocycle":
+        c = InvertibleCocycle(c.bimonoid, c.hopf, squash, c.twist, c.action)
+    compare = squash if singular == "compare" else m.compare
+    bad = PiModule(c, m.mixed_action, m.hopf_action, m.base_action, compare)
+    with pytest.raises(InvalidStructureError) as info:
+        functor_H_tr_pi(bad)
+    assert isinstance(info.value.__cause__, NotInvertibleError)
+
+
+@pytest.mark.parametrize("field,t", naturality_cases())
+def test_functor_to_truss_modules_undoes_any_move(field, t):
+    rnd = random.Random(repr(t) + str(field))
+    m = regular_truss_module(linearize(t, field))
+    p, q = (random_invertible(rnd, field, m.mdim) for _ in range(2))
+    assert functor_H_tr_pi(functor_G_H(m).moved({"source": q, "second": p})) == m
 
 
 def test_functor_rejects_corrupted_mixed_action():

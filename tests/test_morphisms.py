@@ -11,7 +11,14 @@ import random
 
 import pytest
 
-from conftest import cyclic_table, cyclic_truss, permutation, sample_objects, transport, truss_from_tables
+from conftest import (
+    cyclic_table,
+    cyclic_truss,
+    permutation,
+    random_invertible,
+    sample_objects,
+    truss_from_tables,
+)
 from trusslab import algfile
 from trusslab.coalgebra import verify_morphism
 from trusslab.cocycle import (
@@ -21,7 +28,7 @@ from trusslab.cocycle import (
 )
 from trusslab.errors import DimensionMismatchError, FieldMismatchError
 from trusslab.fields import RATIONALS, prime_field
-from trusslab.linmap import LinMap, compose_tensor, identity, invert, rank, tensor_compose
+from trusslab.linmap import LinMap, compose_tensor, identity, invert, tensor_compose
 from trusslab.modules import (
     PiModule,
     functor_G_H,
@@ -181,7 +188,7 @@ def random_map(rnd, field, cod, dom):
 
 def truss_cases():
     z4, z3, z1 = z4_circle_truss(RATIONALS), cyclic_truss(RATIONALS, 3), cyclic_truss(RATIONALS, 1)
-    moved = transport(cocycle_of_truss(z4), {"source": permutation(RATIONALS, (1, 2, 3, 0))})
+    moved = cocycle_of_truss(z4).moved({"source": permutation(RATIONALS, (1, 2, 3, 0))})
     back = cocycle_of_truss(truss_of_cocycle(moved))
     cases = [(identity(RATIONALS, 4), z4, z4), (doubling(RATIONALS), z4, z4),
              (fold(RATIONALS, 3), z3, z1),
@@ -198,8 +205,7 @@ def cocycle_cases():
     for f, src, dst in truss_cases():
         cases.append(({"source": f, "target": f}, cocycle_of_truss(src), cocycle_of_truss(dst)))
     for perm in ((1, 0, 3, 2), (1, 2, 3, 0)):
-        c = transport(cocycle_of_truss(z4_circle_truss(RATIONALS)),
-                      {"source": permutation(RATIONALS, perm)})
+        c = cocycle_of_truss(z4_circle_truss(RATIONALS)).moved({"source": permutation(RATIONALS, perm)})
         back = cocycle_of_truss(truss_of_cocycle(c))
         cases.append(({"source": c.cocycle, "target": identity(RATIONALS, 4)}, c, back))
     rnd = random.Random(16)
@@ -218,8 +224,7 @@ def pi_module_cases():
              (doubling(RATIONALS), doubling(RATIONALS), z4, z4),
              (fold(RATIONALS, 3), fold(RATIONALS, 3), z3, z1)]
     for perm in ((1, 0, 3, 2), (1, 2, 3, 0)):
-        c = transport(cocycle_of_truss(z4_circle_truss(RATIONALS)),
-                      {"source": permutation(RATIONALS, perm)})
+        c = cocycle_of_truss(z4_circle_truss(RATIONALS)).moved({"source": permutation(RATIONALS, perm)})
         m = regular_pi_module(c)
         comparison = {"source": c.cocycle, "target": identity(RATIONALS, 4)}
         back = restrict_along(comparison, c, functor_G_H(functor_H_tr_pi(m)))
@@ -356,7 +361,7 @@ def test_Q_sends_a_cocycle_morphism_to_its_target_map():
     c = cocycle_of_truss(z4_circle_truss(RATIONALS))
     d = doubling(RATIONALS)
     p, r = permutation(RATIONALS, (1, 2, 3, 0)), permutation(RATIONALS, (3, 2, 0, 1))
-    c1, c2 = transport(c, {"source": p}), transport(c, {"source": r})
+    c1, c2 = c.moved({"source": p}), c.moved({"source": r})
     assert verify_cocycle_morphism({"source": r @ d @ invert(p), "target": d}, c1, c2).ok
     assert verify_morphism({"dim": d}, truss_of_cocycle(c1), truss_of_cocycle(c2)).ok
     # the comparison pair (pi, id) onto the rebuilt cocycle goes to id
@@ -369,13 +374,6 @@ def test_Q_sends_a_cocycle_morphism_to_its_target_map():
 # -- one generic transport ----------------------------------------------------------
 
 
-def random_invertible(rnd, field, n):
-    while True:
-        p = LinMap(field, n, n, {(i, j): rnd.randint(-2, 2) for i in range(n) for j in range(n)})
-        if rank(p) == n:
-            return p
-
-
 TRANSPORTED = [(kind, obj) for kind, obj in sample_objects() if kind != "settruss"] + [
     (path.stem, algfile.load(path)) for path in sorted(FIXTURES.glob("hopftruss-*.json"))]
 
@@ -385,9 +383,9 @@ def test_transport_is_a_morphism_that_keeps_every_verdict(kind, obj):
     rnd = random.Random(kind)
     p = {d: random_invertible(rnd, obj.field, n) for d, n in obj.dims.items()}
     assert max(obj.dims.values()) <= 6
-    moved = transport(obj, p)
+    moved = obj.moved(p)
     assert verify_morphism(p, obj, moved).ok
     before = failing(algfile.verify_structure(obj))
     assert failing(algfile.verify_structure(moved)) == before
     assert len(before) == (5 if kind.endswith("corrupt-cocycle") else 0)
-    assert transport(moved, {d: invert(m) for d, m in p.items()}) == obj
+    assert moved.moved({d: invert(m) for d, m in p.items()}) == obj

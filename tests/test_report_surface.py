@@ -13,7 +13,7 @@ script to write the snapshot again.
 import json
 from pathlib import Path
 
-from conftest import cyclic_table, cyclic_truss, flip, perturbed, sample_objects, transport, truss_from_tables
+from conftest import cyclic_table, cyclic_truss, flip, perturbed, sample_objects, truss_from_tables
 from test_coalgebra import (
     cyclic_group_algebra,
     idempotent_monoid_algebra,
@@ -136,7 +136,7 @@ def _truss_defects():
         for defect, bad in [("antipode", HopfTruss(b.comonoid, b.eta, b.mu1, b.mu2, identity(field, 4), b.cocycle)),
                             ("cocycle", HopfTruss(b.comonoid, b.eta, b.mu1, b.mu2, b.antipode, shift))]:
             yield f"hopftruss/{field}/{defect}", bad
-            yield f"hopftruss/{field}/{defect}/moved", transport(bad, {"dim": unitriangular(field, 4)})
+            yield f"hopftruss/{field}/{defect}/moved", bad.moved({"dim": unitriangular(field, 4)})
     yield "hopftruss/incompatible", truss_from_tables(RATIONALS, cyclic_table(3), [[0, 1, 0]] * 3)
 
 

@@ -5,7 +5,6 @@ import random
 
 import pytest
 
-from conftest import transport
 from trusslab import settruss
 from trusslab.errors import (
     BoundExceededError,
@@ -577,7 +576,7 @@ def test_grouplikes_of_group_algebra_brace():
 def test_permutation_transport_recovers_relabeled_truss():
     h = linearize(trivial_truss(cyclic_group(2)), RATIONALS)
     flip = LinMap(RATIONALS, 2, 2, {(1, 0): 1, (0, 1): 1})
-    recovered = truss_of_grouplikes(transport(h, {"dim": flip}))
+    recovered = truss_of_grouplikes(h.moved({"dim": flip}))
     assert recovered == trivial_truss(FiniteGroup.from_table([[1, 0], [0, 1]]))
 
 
@@ -585,14 +584,14 @@ def test_non_diagonal_coproduct_over_q_is_refused():
     h = linearize(trivial_truss(cyclic_group(2)), RATIONALS)
     p = LinMap.from_rows(RATIONALS, [[1, 1], [0, 1]])
     with pytest.raises(IncompleteGrouplikesError):
-        truss_of_grouplikes(transport(h, {"dim": p}))
+        truss_of_grouplikes(h.moved({"dim": p}))
 
 
 def test_transported_truss_over_f5_recovered_up_to_relabeling():
     t = right_projection_truss(cyclic_group(2))
     h = linearize(t, F5)
     p = LinMap.from_rows(F5, [[1, 1], [0, 1]])
-    moved = transport(h, {"dim": p})
+    moved = h.moved({"dim": p})
     assert verify_hopf_truss(moved).ok
     recovered = truss_of_grouplikes(moved)
     assert verify_skew_truss(recovered).ok
