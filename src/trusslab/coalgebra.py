@@ -123,7 +123,10 @@ class Laws:
     slot, filled once per report and emptied after the last law needing it.
     Compiling is the one place that picks a kernel: (f (x) g)∘x is
     tensor_compose, x∘(f (x) g) compose_tensor, another composite compose,
-    a bare f (x) g kron and Diag diagonal.
+    a bare f (x) g kron and Diag diagonal.  Every kernel but kron is
+    record.memoized, so a composite lives on in the memo of its first
+    operand, and another table that needs an equal composite, on this
+    structure or on one built from equal maps, reads it there.
     """
 
     def __init__(self, entries) -> None:
@@ -268,31 +271,34 @@ class Structure(Record):
         return (parts or ("dim",)) + tuple(name for name, _, _ in cls.MAPS)
 
     @classmethod
-    def build(cls, dims: dict, maps: dict):
-        """The structure with these dims and these maps by document name."""
+    def build(cls, dims: dict, maps: dict, kept=()):
+        """The structure with these dims and these maps by document name.
+        A component whose attribute path is a key of kept is kept[path]."""
         values = {path: maps[name] for name, path, _, _ in cls.ALL_MAPS}
         values.update((path, dims[name]) for name, _, path in cls.ALL_DIMS)
 
         def make(struct, prefix: str):
-            parts = [make(part, f"{prefix}{attr}.") for attr, part, _ in struct.PARTS]
+            parts = [kept[prefix + attr] if prefix + attr in kept else make(part, f"{prefix}{attr}.")
+                     for attr, part, _ in struct.PARTS]
             return struct(*parts, *(values[prefix + name] for name in struct.FIELDS[len(parts):]))
         return make(cls, "")
 
     def moved(self, p: dict):
         """This structure moved along the isomorphisms p[d] on its dims: each
         map m becomes (p on its cod)∘m∘(p⁻¹ on its dom), with no Kronecker
-        product formed.  A dim p leaves out stays fixed, and a map on fixed
-        dims alone is kept as the same object.  Every p[d] is inverted
-        before any map is built, so a singular one raises NotInvertibleError."""
+        product formed.  A dim p leaves out stays fixed, a map on fixed
+        dims alone is kept as the same object, and so is a component none
+        of whose maps moves.  Every p[d] is inverted before any map is
+        built, so a singular one raises NotInvertibleError."""
         dims = self.dims
         moves = {d: (p[d], invert(p[d])) for d in dims if d in p}
 
         def legs(names: tuple, which: int) -> list:
             return [moves[d][which] if d in moves else identity(self.field, dims[d]) for d in names]
 
-        maps = {}
+        maps, moving = {}, {}
         for name, path, cod, dom in self.ALL_MAPS:
-            m = attrgetter(path)(self)
+            m = old = attrgetter(path)(self)
             if not moves.keys().isdisjoint(cod):
                 out = legs(cod, 0)
                 m = out[0] @ m if len(out) == 1 else tensor_compose(*out, m)
@@ -300,7 +306,11 @@ class Structure(Record):
                 back = legs(dom, 1)
                 m = m @ back[0] if len(back) == 1 else compose_tensor(m, *back)
             maps[name] = m
-        return type(self).build(dims, maps)
+            # the components holding the map, at each proper prefix of its path
+            for part in itertools.accumulate(path.split(".")[:-1], "{}.{}".format):
+                moving[part] = moving.get(part, False) or m is not old
+        kept = {part: attrgetter(part)(self) for part, moved in moving.items() if not moved}
+        return type(self).build(dims, maps, kept)
 
     @property
     def mdim(self) -> int:
@@ -388,6 +398,7 @@ class HopfMonoidData(OverComonoid, Structure):
 # -- composite helpers -----------------------------------------------------
 
 
+@memoized
 def diagonal(delta: LinMap, f: LinMap, g: LinMap, m: LinMap | None = None) -> LinMap:
     """(f (x) g)∘(id_A (x) swap(A, X) (x) id_Y)∘(delta (x) id_X (x) id_Y)∘(id_A (x) m).
 
@@ -396,7 +407,8 @@ def diagonal(delta: LinMap, f: LinMap, g: LinMap, m: LinMap | None = None) -> Li
     Every law that moves a coproduct leg past another factor is built
     here, so this is where the braiding enters them.  No Kronecker
     product or flip map is formed: each pair of entries of delta and m
-    is relabelled into one leg of tensor_apply.
+    is relabelled into one leg of tensor_apply.  Memoized on delta, so
+    each value of the operands is spread once.
     """
     a = delta.dom
     x, y = (h.dom // a if a else 0 for h in (f, g))

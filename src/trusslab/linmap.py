@@ -10,6 +10,11 @@ semantics are dense (absent entries are exact zeros).
 Elimination (nullspace, invert, solve, split_idempotent) is
 deterministic: reduced row echelon form with leftmost pivot column and
 first nonzero row, so returned bases are canonical.
+
+The composite kernels (compose and so @, tensor_compose, compose_tensor)
+and invert are record.memoized: each runs once per value of its
+operands, and the result lives in the memo of its first operand, which
+equal maps share and which dies with the last of them.
 """
 
 from __future__ import annotations
@@ -24,12 +29,14 @@ from .errors import (
     NotInvertibleError,
 )
 from .fields import FieldSpec, Scalar
+from .record import memoized
 
 
 class LinMap:
     """Immutable exact matrix with dense semantics."""
 
-    __slots__ = ("field", "cod", "dom", "_entries", "_cols", "_hash")
+    # _cols, _hash and _memo are caches: copies and pickles carry none.
+    __slots__ = ("field", "cod", "dom", "_entries", "_cols", "_hash", "_memo", "__weakref__")
 
     def __init__(self, field: FieldSpec, cod: int, dom: int, entries) -> None:
         if cod < 0 or dom < 0:
@@ -154,6 +161,7 @@ class LinMap:
 
     # -- algebra ----------------------------------------------------------
 
+    @memoized
     def compose(self, other: "LinMap") -> "LinMap":
         """self ∘ other; requires dom(self) == cod(other)."""
         self.field.require_same(other.field)
@@ -218,6 +226,14 @@ class LinMap:
 
     # -- identity and hashing ---------------------------------------------
 
+    def _values(self) -> tuple:
+        """The value, as the arguments that build it: field, shape and entries."""
+        return self.field, self.cod, self.dom, self._entries
+
+    def __reduce__(self):
+        """Copies and pickles are built from the value alone, with no caches."""
+        return LinMap, self._values()
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, LinMap):
             return NotImplemented
@@ -246,6 +262,7 @@ def kron(f: LinMap, g: LinMap) -> LinMap:
     return f.kron(g)
 
 
+@memoized
 def tensor_compose(f: LinMap, g: LinMap, x: LinMap) -> LinMap:
     """(f (x) g) ∘ x, without forming f (x) g."""
     f.field.require_same(x.field)
@@ -282,6 +299,7 @@ def tensor_apply(f: LinMap, g: LinMap, legs, dom: int) -> LinMap:
     return LinMap._of(field, f.cod * gcod, dom, out)
 
 
+@memoized
 def compose_tensor(x: LinMap, f: LinMap, g: LinMap) -> LinMap:
     """x ∘ (f (x) g), without forming f (x) g.  The block of x's columns
     i1*g.cod + i2 is composed with g once, sharing a column that is one
@@ -389,6 +407,7 @@ def nullspace(f: LinMap) -> List[LinMap]:
     return basis
 
 
+@memoized
 def invert(f: LinMap) -> LinMap:
     """Exact two-sided inverse of a square map, else NotInvertibleError."""
     if f.cod != f.dom:

@@ -6,12 +6,16 @@ compare and hash by their field tuple, print as `Name(field=value, ...)`
 and refuse assignment.  `__post_init__` may check or normalise fields,
 writing through `object.__setattr__`.  No code is generated per class.
 
-`memoized` runs a pure function of an immutable record once per value
-(Michie, "Memo functions and machine learning", Nature 1968): equal
-records find one memo through one weak index, as hash-consing shares
-equal values (Filliâtre and Conchon, "Type-safe modular hash-consing",
-ML 2006).  The index holds each memo weakly, so a memo lives while any
-record of its value holds it.
+`memoized` runs a pure function of immutable values once per value
+of its arguments (Michie, "Memo functions and machine learning", Nature
+1968): the memo sits on the first argument, and equal first arguments
+find one memo through one weak index, as hash-consing shares equal
+values (Filliâtre and Conchon, "Type-safe modular hash-consing", ML
+2006).  A value reaches the index through `_values()`, the field values
+it is rebuilt from, and its cached hash; records do, and so do the
+linear maps of `linmap`, whose kernels are memoized here too.  The
+index holds each memo weakly, so a memo lives while any value equal to
+its first argument holds it.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from functools import update_wrapper
 class Record:
     FIELDS = ()
     # Caches, not fields: the hash, and the results of memoized functions
-    # of this value by function, shared with the live records equal to it.
+    # of this value, shared with the live records equal to it.
     _hash = None
     _memo = None
 
@@ -99,33 +103,49 @@ class Record:
 
 
 class _Memo(dict):
-    """The results of memoized functions of one value, by function."""
+    """The results of memoized functions of one value, by (function, other arguments)."""
 
     __slots__ = ("__weakref__",)
 
 
-# The memo of each value by (type, field values), while a record holds it:
-# no record is kept alive, and the memo outlives the record that made it.
+class _Key(tuple):
+    """A value's key in the index, (type, field values, hash): it compares
+    as a tuple, hashes by the value's own cached hash, and references the
+    field values, not the value, so field values that do not hash may
+    stand in it."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return self[2]
+
+
+# The memo of each value by _Key, while a value holds it: no value is
+# kept alive, and the memo outlives the value that made it.
 _MEMOS = weakref.WeakValueDictionary()
 
 
 def memoized(fn):
-    """fn(record), computed once per record value and kept with it.
+    """fn(first, *rest), computed once per value of first and of rest.
 
-    fn must be a pure function of the record's fields.  A record's first
-    memoized call adopts the memo of its value, so equal records share
-    results however they were built.  A memo lives while any record
-    equal to it holds it, and equality, hash, repr, copy and pickle
-    leave it out.  An exception is not kept.
+    fn must be a pure function of the values of its arguments.  The
+    result is kept in the memo of first under (the memoized function,
+    *rest).  The first memoized call on a value adopts the memo of its
+    value, so equal values share results however they were built.  A
+    memo lives while any value equal to it holds it, with the results
+    and the other arguments it keeps, and equality, hash, repr, copy
+    and pickle leave it out.  An exception is not kept.
     """
-    def once(rec):
-        memo = rec._memo
+    def once(first, *rest):
+        memo = getattr(first, "_memo", None)  # a slot is unset before the first call
         if memo is None:
-            memo = _MEMOS.setdefault((type(rec), rec._values()), _Memo())
-            object.__setattr__(rec, "_memo", memo)
-        if fn in memo:
-            return memo[fn]
-        out = memo[fn] = fn(rec)
+            key = _Key((type(first), first._values(), hash(first)))
+            memo = _MEMOS.setdefault(key, _Memo())
+            object.__setattr__(first, "_memo", memo)
+        key = (once, *rest)
+        if key in memo:
+            return memo[key]
+        out = memo[key] = fn(first, *rest)
         return out
 
     return update_wrapper(once, fn)

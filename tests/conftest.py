@@ -7,7 +7,8 @@ sample_objects, one structure of every document kind for the format and
 dispatch tests, uses the library's own constructions instead.  Every
 test runs with a memo index of its own (own_memo_index).  hook and
 count_calls watch or replace a library function where it is looked up,
-the law evaluator among those places.
+the law evaluator among those places; count_runs counts the runs of
+a memoized function's body, not the calls of its memo.
 """
 
 import sys
@@ -145,23 +146,48 @@ def own_memo_index():
     record._MEMOS = saved
 
 
+def _defined(name: str):
+    """The trusslab function `name` as its defining module binds it, or
+    the LinMap method for "LinMap.<method>"."""
+    if name.startswith("LinMap."):
+        return vars(LinMap)[name.split(".")[1]]
+    return next(vars(m)[name] for n, m in sorted(sys.modules.items()) if n.startswith("trusslab.")
+                and getattr(vars(m).get(name), "__module__", None) == m.__name__)
+
+
 def hook(monkeypatch, name: str, wrap) -> None:
     """Put wrap(f) in place of f, the trusslab function `name`, in every
     trusslab module that binds it: the law evaluator in coalgebra, which
     makes every kernel call and equation of the structure verifiers, and
     the certificate reports.  "LinMap.<method>" names a method of LinMap,
     which is replaced on the class."""
+    original = _defined(name)
     if name.startswith("LinMap."):
-        method = name.split(".")[1]
-        monkeypatch.setattr(LinMap, method, wrap(vars(LinMap)[method]))
+        monkeypatch.setattr(LinMap, name.split(".")[1], wrap(original))
         return
-    modules = [m for n, m in sorted(sys.modules.items()) if n.startswith("trusslab.")]
-    original = next(vars(m)[name] for m in modules
-                    if getattr(vars(m).get(name), "__module__", None) == m.__name__)
     wrapped = wrap(original)
-    for m in modules:
-        if vars(m).get(name) is original:
+    for n, m in sorted(sys.modules.items()):
+        if n.startswith("trusslab.") and vars(m).get(name) is original:
             monkeypatch.setattr(m, name, wrapped)
+
+
+def count_runs(monkeypatch, *names) -> Counter:
+    """Count the runs of each named function: for a record.memoized one
+    the runs of its body, that is its memo misses, by replacing the body
+    inside the one memo wrapper that every module binds; for another
+    its calls, as count_calls does."""
+    memos = {name: fn for name in names if hasattr(fn := _defined(name), "__wrapped__")}
+    counts = count_calls(monkeypatch, *(name for name in names if name not in memos))
+
+    def counted(name, body):
+        def run(*args):
+            counts[name] += 1
+            return body(*args)
+        return run
+    for name, once in memos.items():
+        cell = once.__closure__[once.__code__.co_freevars.index("fn")]
+        monkeypatch.setattr(cell, "cell_contents", counted(name, cell.cell_contents))
+    return counts
 
 
 def count_calls(monkeypatch, *names) -> Counter:

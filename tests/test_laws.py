@@ -3,7 +3,10 @@
 Every structure verifier is a table of laws, and coalgebra.Laws compiles
 each table once and evaluates it: it alone picks a kernel for each
 composite, evaluates each distinct subterm once per report, and keeps no
-value past the report.
+value past the report.  The kernels are memoized by operand value, so
+the guards on the chains count kernel runs, that is memo misses
+(conftest.count_runs), not calls: a composite that another report, or
+another structure of the chain, already built is read, not run again.
 """
 
 import gc
@@ -15,7 +18,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import count_calls, cyclic_truss
+from conftest import count_calls, count_runs, cyclic_truss
 from trusslab import algfile
 from trusslab.coalgebra import Call, Diag, Guard, Laws, terms, verify_comonoid, verify_hopf_monoid
 from trusslab.cocycle import cocycle_of_truss, roundtrip_report, truss_of_cocycle, verify_cocycle
@@ -28,9 +31,9 @@ from trusslab.hopfmodules import (
     induction_functor,
     verify_truss_hopf_module,
 )
-from trusslab.hopftruss import verify_hopf_truss
+from trusslab.hopftruss import twisted_action, verify_hopf_truss
 from trusslab.linmap import LinMap, identity
-from trusslab.modules import regular_pi_module
+from trusslab.modules import module_twisted_action, regular_pi_module, regular_truss_module
 from trusslab.settruss import cyclic_group, linearize, trivial_truss
 
 KERNELS = ("LinMap.compose", "compose_tensor", "tensor_compose", "diagonal", "invert",
@@ -38,38 +41,53 @@ KERNELS = ("LinMap.compose", "compose_tensor", "tensor_compose", "diagonal", "in
 
 
 def test_the_transport_chain_calls_no_kernel_more_often_than_before(monkeypatch):
-    # transport_q's chain on Z4 over Q.  The bounds are the calls counted
-    # on the hand-written verifiers that the law tables replaced.  The
-    # transported truss equals h, so its laws are read from h's memo.
-    # verify_cocycle inverts pi once and truss_of_cocycle once: the round
-    # trip reads the truss from its memo.
+    # transport_q's chain on Z4 over Q.  The bounds are the kernel runs
+    # counted when the kernels were memoized by operand value, against
+    # the chain's calls (compose 44, compose_tensor 21, tensor_compose 12,
+    # diagonal 6, invert 2).  The cocycle's laws re-read the truss's
+    # composites: its action is the truss's Gamma and its source product
+    # the truss's second product.  The transported truss equals h, so its
+    # laws are read from h's memo, and pi is inverted once.
     h = linearize(trivial_truss(cyclic_group(4)), RATIONALS)
     laws = count_calls(monkeypatch, "equation")
-    kernels = count_calls(monkeypatch, *KERNELS)
+    kernels = count_runs(monkeypatch, *KERNELS)
     c = cocycle_of_truss(h)
     assert verify_hopf_truss(h).ok and verify_cocycle(c).ok
     assert truss_of_cocycle(c) == h and roundtrip_report(c).ok
     assert sum(laws.values()) == 40
-    before = {"LinMap.compose": 53, "compose_tensor": 31, "tensor_compose": 12, "diagonal": 11,
-              "invert": 2, "solve_through": 3}
-    assert {k: n for k, n in kernels.items() if n > before[k]} == {}
+    bound = {"LinMap.compose": 19, "compose_tensor": 10, "tensor_compose": 7, "diagonal": 5,
+             "invert": 1, "solve_through": 1}
+    assert {k: n for k, n in kernels.items() if n > bound[k]} == {}
 
 
 def test_the_module_chain_calls_no_kernel_more_often_than_before(monkeypatch):
     # modules_fp's chain on Z4 over F_5: the fundamental theorem, then the
-    # adjunction on the same module.  The bounds are the calls counted on
-    # the hand-written certificates that the fundamental law table
-    # replaced, building m included.  counit.comodule is the fundamental
-    # report's intertwine.coaction renamed, so one law fewer is evaluated.
+    # adjunction on the same module, building m included.  The bounds are
+    # the kernel runs counted when the kernels were memoized by operand
+    # value, against the chain's calls (compose 21, compose_tensor 17,
+    # diagonal 8).  The Hopf-module action laws re-read the truss-module
+    # act1 laws' composites.  counit.comodule is the fundamental report's
+    # intertwine.coaction renamed, so one law fewer is evaluated.
     h = cyclic_truss(prime_field(5), 4)
     laws = count_calls(monkeypatch, "equation")
-    kernels = count_calls(monkeypatch, *KERNELS, "kron", "nullspace")
+    kernels = count_runs(monkeypatch, *KERNELS, "kron", "nullspace")
     m = induction_functor(h, 2)
     assert fundamental_iso(m)[2].ok and adjunction_check(h, 2, m).ok
     assert sum(laws.values()) == 21
-    before = {"LinMap.compose": 21, "compose_tensor": 17, "tensor_compose": 6, "diagonal": 8,
-              "invert": 0, "solve_through": 1, "kron": 11, "nullspace": 1}
-    assert {k: n for k, n in kernels.items() if n > before[k]} == {}
+    bound = {"LinMap.compose": 16, "compose_tensor": 7, "tensor_compose": 6, "diagonal": 7,
+             "invert": 0, "solve_through": 1, "kron": 11, "nullspace": 1}
+    assert {k: n for k, n in kernels.items() if n > bound[k]} == {}
+
+
+def test_gamma_of_the_regular_module_is_the_truss_gamma_built_once(monkeypatch):
+    # modules_fp builds Gamma on h and then on h's regular module, whose
+    # actions are h's products: two calls of diagonal on equal operands,
+    # and one spread.
+    h = cyclic_truss(prime_field(5), 4)
+    kernels = count_runs(monkeypatch, "diagonal")
+    gamma, gamma_m = twisted_action(h), module_twisted_action(regular_truss_module(h))
+    assert kernels == {"diagonal": 1}
+    assert gamma_m is gamma
 
 
 def test_moved_keeps_fixed_maps_and_inverts_before_any_kernel(monkeypatch):
@@ -83,6 +101,18 @@ def test_moved_keeps_fixed_maps_and_inverts_before_any_kernel(monkeypatch):
     with pytest.raises(NotInvertibleError):
         m.moved({"source": p, "second": LinMap(RATIONALS, 3, 3, {(0, 0): 1})})
     assert kernels == {}
+
+
+def test_moved_keeps_the_components_whose_maps_stay():
+    m = regular_pi_module(cocycle_of_truss(cyclic_truss(RATIONALS, 3)))
+    p = LinMap.from_rows(RATIONALS, [[1, 2, 0], [0, 1, 0], [0, 3, 1]])
+    q = LinMap.from_rows(RATIONALS, [[1, 0, 0], [1, 1, 0], [0, 0, 2]])
+    moved = m.moved({"source": p, "second": q})
+    # the Hopf monoid lives on the target alone; the cocycle and the bimonoid move
+    assert moved.system.hopf is m.system.hopf
+    assert moved.system is not m.system and moved.system.bimonoid is not m.system.bimonoid
+    rebuilt = type(m).build(moved.dims, {name: attrgetter(path)(moved) for name, path, _, _ in m.ALL_MAPS})
+    assert rebuilt == moved and rebuilt.system.hopf is not m.system.hopf
 
 
 def test_unprefixed_parts_share_their_checks():

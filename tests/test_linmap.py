@@ -1,17 +1,20 @@
 """Exact linear algebra: oracles, frozen bases, and algebraic properties."""
 
 import copy
+import gc
 import math
 import pickle
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import flip
+from conftest import count_runs, flip
 
+from trusslab.coalgebra import diagonal
 from trusslab.errors import (
     AmbiguousSystemError,
     DimensionMismatchError,
@@ -830,3 +833,95 @@ def test_reduce_entries_on_integral_fractions_negative_residues_and_cancelled_su
         (0, 0): 4, (0, 3): 2}
     twin = pickle.loads(pickle.dumps(f5))
     assert twin.reduce_entries({(1, 1): -6}) == {(1, 1): 4}
+
+
+# -- the kernels memoized by operand value ----------------------------------------
+
+
+def apart(m: LinMap) -> LinMap:
+    """m built again from its entries: equal to it, sharing no object with it."""
+    return LinMap(m.field, m.cod, m.dom, dict(m.items()))
+
+
+@st.composite
+def kernel_calls(draw, field):
+    """(kernel, operands) with operands of matching shapes over field."""
+    d = st.integers(0, 3)
+    kind = draw(st.sampled_from(["compose", "tensor_compose", "compose_tensor", "invert", "diagonal"]))
+    if kind == "compose":
+        b = draw(exact_maps(field=field))
+        return LinMap.compose, (draw(exact_maps(dom=b.cod, field=field)), b)
+    if kind == "invert":
+        n = draw(d)
+        return invert, (draw(exact_maps(n, n, field)),)
+    f, g = draw(exact_maps(field=field)), draw(exact_maps(field=field))
+    if kind == "tensor_compose":
+        return tensor_compose, (f, g, draw(exact_maps(f.dom * g.dom, field=field)))
+    if kind == "compose_tensor":
+        return compose_tensor, (draw(exact_maps(dom=f.cod * g.cod, field=field)), f, g)
+    a, x, y = draw(d), draw(d), draw(d)
+    legs = [draw(exact_maps(a * a, a, field)), draw(exact_maps(dom=a * x, field=field)),
+            draw(exact_maps(dom=a * y, field=field))]
+    if draw(st.booleans()):
+        legs.append(draw(exact_maps(x * y, field=field)))
+    return diagonal, tuple(legs)
+
+
+def run(kernel, operands):
+    try:
+        return kernel(*operands)
+    except NotInvertibleError as exc:
+        return type(exc)
+
+
+@EXAMPLES
+@given(over(ELIMINATION_FIELDS + [F5], kernel_calls))
+def test_a_memoized_kernel_equals_its_body(call):
+    kernel, operands = call
+    body = run(kernel.__wrapped__, operands)
+    first, again, twins = run(kernel, operands), run(kernel, operands), run(kernel, tuple(map(apart, operands)))
+    assert first == again == twins == body
+    # a repeat and equal operands built apart read the one result; an error is raised again
+    if body is not NotInvertibleError:
+        assert again is first and twins is first
+
+
+def test_unequal_maps_never_share(monkeypatch):
+    runs = count_runs(monkeypatch, "LinMap.compose", "invert")
+    entries = {(0, 0): 2, (0, 1): 1, (1, 1): 3}
+    over_q, over_f5 = LinMap(RATIONALS, 2, 2, entries), LinMap(F5, 2, 2, entries)
+    assert (over_q @ over_q).field == RATIONALS and (over_f5 @ over_f5).field == F5
+    assert invert(over_q) != invert(over_f5)
+    assert runs == {"LinMap.compose": 2, "invert": 2}
+    # the same entries at another shape, as first operand and as second
+    wide, tall = LinMap(RATIONALS, 2, 3, entries), LinMap(RATIONALS, 3, 2, entries)
+    assert (over_q @ wide).shape == (2, 3) and (tall @ over_q).shape == (3, 2)
+    assert (wide @ tall).shape == (2, 2) and (over_q @ apart(over_q)) == over_q @ over_q
+    assert runs == {"LinMap.compose": 5, "invert": 2}
+
+
+def test_a_composite_dies_with_the_last_equal_operand():
+    f = LinMap(RATIONALS, 2, 2, {(0, 1): 1, (1, 0): Fraction(1, 2)})
+    g, twin = identity(RATIONALS, 2), apart(f)
+    out = f @ g
+    assert twin @ g is out
+    refs = [weakref.ref(out), weakref.ref(invert(f))]
+    del out
+    del f
+    gc.collect()
+    # the twin holds the memo, and so the composite and the inverse
+    assert all(ref() is not None for ref in refs) and invert(twin) is refs[1]()
+    del twin
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
+
+
+def test_copies_and_pickles_carry_no_cache():
+    f, g = LinMap(F5, 2, 2, {(0, 1): 3, (1, 1): 1}), identity(F5, 2)
+    out = f @ g
+    assert f._hash is not None and f._cols is not None and f._memo is not None
+    for twin in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+        assert twin._hash is None and twin._cols is None and getattr(twin, "_memo", None) is None
+        assert twin == f and twin is not f and hash(twin) == hash(f)
+        # the copy is the same value, so it reads f's composites
+        assert twin @ g is out

@@ -15,13 +15,14 @@ from pathlib import Path
 
 import pytest
 
-from conftest import count_calls, cyclic_truss, perturbed, sample_objects
+from conftest import count_calls, count_runs, cyclic_truss, perturbed, sample_objects
 from trusslab import algfile, record
 from trusslab.coalgebra import Structure, verify_hopf_monoid, verify_nonunital_bimonoid
 from trusslab.cocycle import InvertibleCocycle, cocycle_of_truss, roundtrip_report, truss_of_cocycle, verify_cocycle
 from trusslab.fields import RATIONALS, prime_field
 from trusslab.hopfmodules import coinvariants, fundamental_iso
 from trusslab.hopftruss import twisted_action, verify_hopf_truss
+from trusslab.linmap import LinMap
 from trusslab.settruss import canonical_form, cyclic_group, linearize, right_projection_truss, symmetric_group, trivial_truss
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -69,6 +70,19 @@ def test_the_equivalence_chain_evaluates_each_law_once(monkeypatch):
     expected.update(name for name, _, _, _ in InvertibleCocycle.ALL_MAPS)
     expected.update(["roundtrip.action"])
     assert laws == expected
+
+
+def test_the_cocycle_reads_the_composites_of_its_truss(monkeypatch):
+    # The cocycle of h has h's Gamma as its action and h's second part as
+    # its source, so its action laws are h's, composite for composite: after
+    # h is verified, only the laws on pi run a kernel, and the one spread
+    # is compat.cocycle's (action.product's was h's).
+    h = linearize(right_projection_truss(cyclic_group(3)), RATIONALS)
+    assert verify_hopf_truss(h).ok
+    c = cocycle_of_truss(h)
+    runs = count_runs(monkeypatch, "LinMap.compose", "compose_tensor", "tensor_compose", "diagonal")
+    assert verify_cocycle(c).ok
+    assert runs["diagonal"] == 1 and runs["compose_tensor"] == 0
 
 
 # -- a memoized report against one evaluated afresh ----------------------------
@@ -256,8 +270,8 @@ def test_every_record_that_reaches_the_memo_hashes_by_value(monkeypatch):
 
     class Index(weakref.WeakValueDictionary):
         def setdefault(self, key, memo=None):
-            cls, values = key
-            reached.setdefault(cls, cls(*values))
+            cls, values, code = key
+            reached.setdefault(cls, (cls(*values), code))
             return super().setdefault(key, memo)
     monkeypatch.setattr(record, "_MEMOS", Index())
     samples = dict(sample_objects())
@@ -267,8 +281,11 @@ def test_every_record_that_reaches_the_memo_hashes_by_value(monkeypatch):
     coinvariants(samples["hopfmodule"])
     fundamental_iso(samples["trusshopfmodule"])
     structures = {cls for cls in _record_classes() if issubclass(cls, Structure) and cls is not Structure}
-    assert structures <= set(reached)
-    assert set(reached) <= set(_record_classes())
-    for rec in reached.values():
-        twin = pickle.loads(pickle.dumps(rec))
-        assert twin is not rec and twin == rec and hash(twin) == hash(rec)
+    assert structures | {LinMap} <= set(reached)
+    assert set(reached) <= set(_record_classes()) | {LinMap}
+    for value, code in reached.values():
+        assert hash(value) == code
+        # the rebuilt value has taken no memo, and neither has its copy
+        for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+            assert twin is not value and twin == value and hash(twin) == code
+            assert getattr(twin, "_memo", None) is None
