@@ -352,8 +352,9 @@ def _valid_rows(g: FiniteGroup) -> list[tuple[int, ...]]:
     # translate of an endomorphism.
     n = g.size
     t1 = g.table
+    endomorphisms = _group_endomorphisms(g)
     rows = {tuple(t1[w][f[x]] for x in range(n))
-            for w in range(n) for f in _group_endomorphisms(g)}
+            for w in range(n) for f in endomorphisms}
     return sorted(rows)
 
 
@@ -454,7 +455,9 @@ def _group_form(group: FiniteGroup) -> tuple[tuple[int, ...], list]:
     position of a relabeled table is read from; swept once per group value.
 
     Those relabelings form one coset of Aut(G): two of them differ by a
-    relabeling that fixes the minimal table.
+    relabeling that fixes the minimal table.  canonical_form minimises
+    over the coset; isomorphism_classes reads Aut(G) off it, and needs
+    canonical forms only to merge classes across group values.
     """
     table = group.table
     n = len(table)
@@ -470,6 +473,22 @@ def _group_form(group: FiniteGroup) -> tuple[tuple[int, ...], list]:
         elif r1 == best:
             coset.append((p, idx))
     return best, coset
+
+
+@memoized
+def _automorphisms(group: FiniteGroup) -> list[tuple[tuple[int, ...], list[int]]]:
+    """Aut(G) in the group's own labeling, read off the coset of
+    _group_form as s = p0^-1 after p for each p in it, each s with the
+    flat index that each position of a table moved along s is read from."""
+    _, coset = _group_form(group)
+    n = group.size
+    back = sorted(range(n), key=coset[0][0].__getitem__)
+    out = []
+    for p, _ in coset:
+        s = tuple(back[p[x]] for x in range(n))
+        sinv = sorted(range(n), key=s.__getitem__)
+        out.append((s, [a * n + b for a in sinv for b in sinv]))
+    return out
 
 
 def _form_over(group_form, t2: Table) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -494,10 +513,35 @@ def canonical_form(t: SkewTruss) -> tuple[Table, Table]:
 
 
 def isomorphism_classes(trusses: list[SkewTruss]) -> list[list[SkewTruss]]:
-    """Group trusses by canonical form, preserving first-seen order."""
-    buckets: dict[tuple, list[SkewTruss]] = {}
+    """The trusses in isomorphism classes, in first-seen order, each with
+    its members in input order.
+
+    Over one group value the classes are the orbits of Aut(G) on second
+    products (isomorph rejection by orbits, McKay, J. Algorithms 1998):
+    the first truss of an orbit enters all its images in its group's
+    dict, and every other truss costs one lookup.  Only a list over
+    several group values computes canonical forms, one per orbit, and
+    merges the orbits whose forms are equal.
+    """
+    orbits: dict[FiniteGroup, dict[tuple[int, ...], int]] = {}
+    firsts: list[SkewTruss] = []
+    labels: list = []
     for t in trusses:
-        buckets.setdefault(_form_over(_group_form(t.group), t.semigroup.table), []).append(t)
+        seen = orbits.setdefault(t.group, {})
+        flat = tuple(itertools.chain.from_iterable(t.semigroup.table))
+        k = seen.get(flat)
+        if k is None:
+            k = len(firsts)
+            firsts.append(t)
+            for s, idx in _automorphisms(t.group):
+                seen[tuple(map(s.__getitem__, map(flat.__getitem__, idx)))] = k
+        labels.append(k)
+    if len(orbits) > 1:
+        forms = [_form_over(_group_form(t.group), t.semigroup.table) for t in firsts]
+        labels = [forms[k] for k in labels]
+    buckets: dict = {}
+    for t, k in zip(trusses, labels):
+        buckets.setdefault(k, []).append(t)
     return list(buckets.values())
 
 

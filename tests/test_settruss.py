@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from conftest import count_calls, count_runs
 from trusslab import settruss
 from trusslab.errors import (
     BoundExceededError,
@@ -16,7 +17,6 @@ from trusslab.errors import (
 from trusslab.fields import RATIONALS, prime_field
 from trusslab.hopftruss import HopfTruss, verify_hopf_truss
 from trusslab.linmap import LinMap, identity, kron
-from trusslab.record import memoized
 from trusslab.settruss import (
     FiniteGroup,
     FiniteSemigroup,
@@ -41,22 +41,35 @@ F5 = prime_field(5)
 KLEIN = FiniteGroup.from_table([[a ^ b for b in range(4)] for a in range(4)])
 
 
+def moved_table(table, p):
+    """The Cayley table with element x renamed p[x]."""
+    n = len(table)
+    pinv = sorted(range(n), key=p.__getitem__)
+    return tuple(tuple(p[table[pinv[a]][pinv[b]]] for b in range(n)) for a in range(n))
+
+
 def relabel_group(g, p):
     """The group g with element x renamed p[x]."""
-    n = g.size
-    pinv = sorted(range(n), key=p.__getitem__)
-    return FiniteGroup.from_table(
-        [[p[g.table[pinv[a]][pinv[b]]] for b in range(n)] for a in range(n)])
+    return FiniteGroup.from_table(moved_table(g.table, p))
 
 
 def move_truss(t, group, p):
     """The truss t with element x renamed p[x], over group, which is
     relabel_group(t.group, p)."""
-    n = t.size
-    pinv = sorted(range(n), key=p.__getitem__)
-    t2 = t.semigroup.table
-    s = FiniteSemigroup([[p[t2[pinv[a]][pinv[b]]] for b in range(n)] for a in range(n)])
+    s = FiniteSemigroup(moved_table(t.semigroup.table, p))
     return SkewTruss(group, s, derive_omega(group, s))
+
+
+def brute_automorphisms(g):
+    """Oracle: every permutation of the carrier that respects the group product."""
+    n = g.size
+    t1 = g.table
+    return [p for p in itertools.permutations(range(n))
+            if all(p[t1[a][b]] == t1[p[a]][p[b]] for a in range(n) for b in range(n))]
+
+
+def identities(classes):
+    return [[id(t) for t in c] for c in classes]
 
 
 def naive_canonical_form(t):
@@ -81,7 +94,7 @@ def check_forms_against_the_sweep(trusses):
     buckets = {}
     for t, form in zip(trusses, forms):
         buckets.setdefault(form, []).append(t)
-    assert isomorphism_classes(trusses) == list(buckets.values())
+    assert identities(isomorphism_classes(trusses)) == identities(buckets.values())
     return buckets
 
 
@@ -93,13 +106,19 @@ def naive_endomorphisms(g):
             if all(f[t1[a][b]] == t1[f[a]][f[b]] for a in range(n) for b in range(n))]
 
 
+def naive_rows(g):
+    """Oracle: the left translates of every endomorphism, sorted."""
+    n = g.size
+    t1 = g.table
+    return sorted({tuple(t1[w][f[x]] for x in range(n))
+                   for w in range(n) for f in naive_endomorphisms(g)})
+
+
 def full_recheck_enumerate(g):
     """Oracle: backtrack over translates of endomorphisms, re-checking every
     triple of the partial table at each depth."""
     n = g.size
-    t1 = g.table
-    rows = sorted({tuple(t1[w][f[x]] for x in range(n))
-                   for w in range(n) for f in naive_endomorphisms(g)})
+    rows = naive_rows(g)
     found = []
     chosen = []
 
@@ -392,6 +411,15 @@ def test_endomorphisms_match_the_full_sweep(group):
     assert settruss._group_endomorphisms(group) == naive_endomorphisms(group)
 
 
+@pytest.mark.parametrize("group", [cyclic_group(n) for n in (2, 4, 5, 6)]
+                         + [KLEIN, symmetric_group(3)])
+def test_valid_rows_sweep_the_endomorphisms_once(monkeypatch, group):
+    calls = count_calls(monkeypatch, "_group_endomorphisms")
+    enumerate_skew_trusses(group, max_size=6)
+    assert calls == {"_group_endomorphisms": 1}
+    assert settruss._valid_rows(group) == naive_rows(group)
+
+
 @pytest.mark.parametrize("group", [KLEIN, cyclic_group(5)])
 def test_enumeration_matches_the_full_recheck_search(group):
     assert enumerate_skew_trusses(group, max_size=5) == full_recheck_enumerate(group)
@@ -481,26 +509,144 @@ def test_canonical_form_on_the_non_abelian_coset():
 
 
 def test_canonical_form_sweeps_each_group_once(monkeypatch):
-    # two trusses over one Z7 and one over an equal Z7 built apart: the n!
-    # relabeling sweep runs once, for classifying them, and their canonical
-    # forms after read the memo of that group value
+    # two trusses over one Z7 and one over an equal Z7 built apart are over
+    # one group value: classifying them computes no canonical form, and the
+    # n! relabeling sweep runs once, for Aut(Z7); their canonical forms
+    # after read the memo of that group value
     g = cyclic_group(7)
     twin = FiniteGroup(g.table, g.unit, g.inv)
     trusses = [right_projection_truss(g), left_projection_truss(g), trivial_truss(twin)]
-    sweeps = []
-    sweep = settruss._group_form.__wrapped__
-
-    def counting(group):
-        sweeps.append(group.table)
-        return sweep(group)
-    monkeypatch.setattr(settruss, "_group_form", memoized(counting))
+    runs = count_runs(monkeypatch, "_group_form", "_form_over")
     classes = isomorphism_classes(trusses)
-    assert sweeps == [g.table] and len(classes) == 3
+    assert runs == {"_group_form": 1} and len(classes) == 3
     forms = [canonical_form(t) for t in trusses]
-    assert sweeps == [g.table]
+    assert runs == {"_group_form": 1, "_form_over": 3}
+    # a relabeled Z7 is a second group value: its sweep runs once, and
+    # the merge computes one canonical form for each of the four orbits
+    moved = relabel_group(g, (3, 0, 6, 1, 5, 2, 4))
+    mixed = trusses + [trivial_truss(moved), trivial_truss(moved)]
+    runs.clear()
+    merged = isomorphism_classes(mixed)
+    assert runs == {"_group_form": 1, "_form_over": 4}
+    assert identities(merged) == identities([mixed[:1], mixed[1:2], mixed[2:]])
     monkeypatch.undo()
     assert forms == [naive_canonical_form(t) for t in trusses]
-    assert classes == isomorphism_classes(trusses)
+    assert identities(classes) == identities([[t] for t in trusses])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_classes_across_group_values_match_the_sweep(seed):
+    # Seeded samples with repeats, shuffled so that the group values
+    # interleave: Z4 and a relabeled Z4, KLEIN and an equal KLEIN built
+    # apart, S3 and a relabeled S3.  Orbits are merged across group values
+    # only; the classes must be the naive buckets, object for object.
+    rng = random.Random(seed)
+    z4, s3 = cyclic_group(4), symmetric_group(3)
+    groups = [(z4, 12), (relabel_group(z4, (2, 0, 3, 1)), 12),
+              (KLEIN, 10), (FiniteGroup(KLEIN.table, KLEIN.unit, KLEIN.inv), 10),
+              (s3, 8), (relabel_group(s3, (2, 4, 0, 5, 1, 3)), 8)]
+    sample = [t for g, k in groups
+              for t in rng.choices(enumerate_skew_trusses(g, max_size=6), k=k)]
+    sample += rng.choices(sample, k=10)
+    rng.shuffle(sample)
+    buckets = check_forms_against_the_sweep(sample)
+    assert any(len({t.group.table for t in c}) == 2 for c in buckets.values())
+
+
+@pytest.mark.parametrize("group, classes", [
+    (cyclic_group(4), 101),
+    (KLEIN, 126),
+    (cyclic_group(5), 164),
+    (cyclic_group(6), 2211),
+    (symmetric_group(3), 1150),
+])
+def test_class_counts_obey_burnside(group, classes):
+    # Aut(G), found by brute force, permutes the trusses over G, so their
+    # classes number |Aut(G)|^-1 sum_phi |Fix(phi)|: no canonical form
+    # enters the count
+    tables = {t.semigroup.table for t in enumerate_skew_trusses(group, max_size=6)}
+    auts = brute_automorphisms(group)
+    fixed = 0
+    for p in auts:
+        for table in tables:
+            image = moved_table(table, p)
+            assert image in tables
+            fixed += image == table
+    assert fixed == classes * len(auts)
+    assert len(isomorphism_classes(enumerate_skew_trusses(group, max_size=6))) == classes
+
+
+def lambda_maps(g):
+    """Oracle: every a -> lambda_a in Aut(g) with
+    lambda_{a*lambda_a(b)} = lambda_a lambda_b, by backtracking on a."""
+    n = g.size
+    t1 = g.table
+    auts = brute_automorphisms(g)
+    found = []
+    chosen = []
+
+    def partial_ok():
+        k = len(chosen)
+        for a in range(k):
+            for b in range(k):
+                c = t1[a][chosen[a][b]]
+                if c < k and chosen[c] != tuple(chosen[a][x] for x in chosen[b]):
+                    return False
+        return True
+
+    def extend():
+        if len(chosen) == n:
+            found.append(tuple(chosen))
+            return
+        for f in auts:
+            chosen.append(f)
+            if partial_ok():
+                extend()
+            chosen.pop()
+
+    extend()
+    return found, auts
+
+
+def conjugated(lam, phi):
+    """lambda moved along phi: a -> phi lambda_{phi^-1(a)} phi^-1."""
+    back = sorted(range(len(phi)), key=phi.__getitem__)
+    return tuple(tuple(phi[lam[back[a]][back[x]]] for x in range(len(phi)))
+                 for a in range(len(phi)))
+
+
+@pytest.mark.parametrize("group, braces", [
+    (cyclic_group(4), 2),
+    (KLEIN, 2),
+    (cyclic_group(6), 2),
+    (symmetric_group(3), 4),
+])
+def test_skew_brace_classes_match_the_lambda_map_count(group, braces):
+    # Skew braces with additive group A are the lambda-maps A -> Aut(A)
+    # up to conjugation by Aut(A); as trusses they are those whose second
+    # product a*lambda_a(b) is a group and whose omega is the identity
+    # (Guarnieri and Vendramin, Math. Comp. 2017: 4 skew braces of order
+    # 4 and 6 of order 6)
+    lams, auts = lambda_maps(group)
+    assert len({min(conjugated(lam, phi) for phi in auts) for lam in lams}) == braces
+    n = group.size
+    t1 = group.table
+
+    def is_brace(t):
+        if t.omega != tuple(range(n)):
+            return False
+        try:
+            FiniteGroup.from_table(t.semigroup.table)
+        except InvalidStructureError:
+            return False
+        return True
+    classes = isomorphism_classes(enumerate_skew_trusses(group, max_size=6))
+    kinds = [{is_brace(t) for t in c} for c in classes]
+    assert all(len(k) == 1 for k in kinds)
+    assert kinds.count({True}) == braces
+    assert ({t.semigroup.table for c in classes for t in c if is_brace(t)}
+            == {tuple(tuple(t1[a][lam[a][b]] for b in range(n)) for a in range(n))
+                for lam in lams})
 
 
 def test_canonical_form_identifies_relabeled_trusses():
