@@ -34,7 +34,9 @@ from .errors import (
     TrussLabError,
 )
 from .fields import PRIME_KIND, FieldSpec
-from .linmap import LinMap, compose_tensor, identity, invert, kron, solve_through, tensor_apply, tensor_compose
+from .linmap import (
+    LinMap, _tensor_rows, compose_tensor, identity, invert, kron, solve_through, tensor_apply,
+    tensor_compose)
 from .record import Record, memoized
 from .report import VerificationReport, condition, equation
 
@@ -407,7 +409,10 @@ def diagonal(delta: LinMap, f: LinMap, g: LinMap, m: LinMap | None = None) -> Li
     Every law that moves a coproduct leg past another factor is built
     here, so this is where the braiding enters them.  No Kronecker
     product or flip map is formed: each pair of entries of delta and m
-    is relabelled into one leg of tensor_apply.  Memoized on delta, so
+    is relabelled into one leg of tensor_apply, or, when delta and m are
+    basis maps, each pair of their table rows into the f and g columns of
+    one column of the spread, which linmap's _tensor_rows applies f (x) g
+    to by table when f and g are basis maps too.  Memoized on delta, so
     each value of the operands is spread once.
     """
     a = delta.dom
@@ -424,6 +429,15 @@ def diagonal(delta: LinMap, f: LinMap, g: LinMap, m: LinMap | None = None) -> Li
         return LinMap.zero(delta.field, f.cod * g.cod, 0)
     # delta(e_k) ∋ e_a1 (x) e_a2 and m(e_c) ∋ e_u (x) e_v, so e_k (x) e_c ↦
     # e_a1 (x) e_u (x) e_a2 (x) e_v: the braid is the move of u ahead of a2.
+    td, tm = delta._table(), m._table()
+    if td and tm:
+        # basis maps: column (k, c) of the spread goes to f's column
+        # a1*x + u and g's column a2*y + v, as in the legs below
+        left = [(row // a * x, row % a * y) for row in td]
+        right = [divmod(row, y) for row in tm]
+        out = _tensor_rows(f, g, left, right)
+        if out is not None:
+            return out
     tail = [(u * a * y + v, c, w) for (r, c), w in m.items() for u, v in (divmod(r, y),)]
     legs = ((((a1 * x * a + a2) * y + t, k * m.dom + c), d * w)
             for (row, k), d in delta.items() for a1, a2 in (divmod(row, a),) for t, c, w in tail)
@@ -593,17 +607,12 @@ def find_unit(mu: LinMap) -> LinMap | None:
 
 
 def _is_basis_diagonal(c: ComonoidData) -> bool:
-    # Every delta column must be exactly one tensor square e_k (x) e_k.
-    n = c.dim
-    one = c.field.one
-    for j in range(n):
-        col = [(i, v) for (i, jj), v in c.delta.items() if jj == j]
-        if len(col) != 1:
-            return False
-        i, v = col[0]
-        if v != one or i % (n + 1) != 0:
-            return False
-    return True
+    # Every delta column must be exactly one tensor square e_k (x) e_k,
+    # at row k*(n+1): a table whose rows are multiples of n+1.
+    table = c.delta._table()
+    if table is None:
+        return c.dim == 0
+    return all(i % (c.dim + 1) == 0 for i in table)
 
 
 def grouplikes(c: ComonoidData) -> List[LinMap]:

@@ -15,10 +15,26 @@ The composite kernels (compose and so @, tensor_compose, compose_tensor)
 and invert are record.memoized: each runs once per value of its
 operands, and the result lives in the memo of its first operand, which
 equal maps share and which dies with the last of them.
+
+Basis maps compose as functions.  A map each of whose columns holds
+exactly one entry, and that entry 1, is the linearisation of a function
+between bases, and `_table()` gives it as the row of each column's entry.
+Linearised group algebras are made of such maps: their coproduct,
+counit, unit, products, antipode and cocycle, and every composite of
+them.  When every operand has a table, compose (and so @), kron,
+tensor_compose, compose_tensor, invert (of a bijective table) and
+coalgebra.diagonal compute the result's table by index arithmetic and
+build its entries in one C pass; tensor_compose and diagonal share one
+such branch, _tensor_rows, to which diagonal hands the f and g columns
+of its braided spread.  A composite of basis maps is exactly that basis map, so
+the result equals the one the entry-by-entry path builds; shape and
+field checks run first on both paths, and any other operand, dense or
+with no columns, takes the entry-by-entry path.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .errors import (
@@ -35,8 +51,10 @@ from .record import memoized
 class LinMap:
     """Immutable exact matrix with dense semantics."""
 
-    # _cols, _hash and _memo are caches: copies and pickles carry none.
-    __slots__ = ("field", "cod", "dom", "_entries", "_cols", "_hash", "_memo", "__weakref__")
+    # _cols, _tab, _hash and _memo are caches: copies and pickles carry none.
+    # _tab and _memo stay unset until their first read.
+    __slots__ = ("field", "cod", "dom", "_entries", "_cols", "_tab", "_hash", "_memo",
+                 "__weakref__")
 
     def __init__(self, field: FieldSpec, cod: int, dom: int, entries) -> None:
         if cod < 0 or dom < 0:
@@ -71,12 +89,27 @@ class LinMap:
         """
         if cod < 0 or dom < 0:
             raise DimensionMismatchError(f"negative shape {cod}x{dom}")
+        return cls._built(field, cod, dom, field.reduce_entries(entries))
+
+    @classmethod
+    def _of_table(cls, field: FieldSpec, cod: int, table: tuple) -> "LinMap":
+        """The basis map e_j |-> e_table[j], from a nonempty table of rows
+        inside cod that its caller computed itself, not checked again."""
+        n = len(table)
+        self = cls._built(field, cod, n, dict(zip(zip(table, range(n)), repeat(1))))
+        object.__setattr__(self, "_tab", table)
+        return self
+
+    @classmethod
+    def _built(cls, field: FieldSpec, cod: int, dom: int,
+               entries: Dict[Tuple[int, int], Scalar]) -> "LinMap":
+        """The map with these fields and canonical entries, caches unset."""
         self = object.__new__(cls)
         init = object.__setattr__
         init(self, "field", field)
         init(self, "cod", cod)
         init(self, "dom", dom)
-        init(self, "_entries", field.reduce_entries(entries))
+        init(self, "_entries", entries)
         init(self, "_cols", None)
         init(self, "_hash", None)
         return self
@@ -116,8 +149,7 @@ class LinMap:
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "LinMap":
-        one = field.one
-        return cls._of(field, n, n, {(i, i): one for i in range(n)})
+        return cls._of_table(field, n, tuple(range(n))) if n > 0 else cls._of(field, n, n, {})
 
     @classmethod
     def zero(cls, field: FieldSpec, cod: int, dom: int) -> "LinMap":
@@ -159,6 +191,23 @@ class LinMap:
             self._cols = cols
         return self._cols
 
+    def _table(self):
+        """The row of each column's one entry, when every column holds
+        exactly one entry and that entry is 1; None otherwise, and for a
+        map with no columns."""
+        try:
+            return self._tab
+        except AttributeError:
+            pass
+        n, entries = self.dom, self._entries
+        table = None
+        if n and len(entries) == n:
+            rows = {j: i for (i, j), v in entries.items() if v == 1}
+            if len(rows) == n:
+                table = tuple(map(rows.__getitem__, range(n)))
+        object.__setattr__(self, "_tab", table)
+        return table
+
     # -- algebra ----------------------------------------------------------
 
     @memoized
@@ -168,6 +217,9 @@ class LinMap:
         if self.dom != other.cod:
             raise DimensionMismatchError(
                 f"compose: dom {self.dom} != cod {other.cod}")
+        a, b = self._table(), other._table()
+        if a and b:
+            return LinMap._of_table(self.field, self.cod, tuple(map(a.__getitem__, b)))
         out: Dict[Tuple[int, int], Scalar] = {}
         get = out.get
         cols = self._by_col()
@@ -184,6 +236,9 @@ class LinMap:
         """Tensor product; left-major flat indices (i1*cod2 + i2, j1*dom2 + j2)."""
         self.field.require_same(other.field)
         cod2, dom2 = other.cod, other.dom
+        a, b = self._table(), other._table()
+        if a and b:
+            return LinMap._of_table(self.field, self.cod * cod2, _kron_table(a, b, cod2))
         out = {}
         for (i1, j1), u in self._entries.items():
             for (i2, j2), v in other._entries.items():
@@ -250,7 +305,7 @@ class LinMap:
         return f"LinMap({self.field}, {self.cod}x{self.dom}, nnz={len(self._entries)})"
 
     def __setattr__(self, name, value):
-        # Cache slots stay writable; the matrix itself is frozen.
+        # _cols and _hash stay writable; the matrix and its table are frozen.
         if name in ("_cols", "_hash") or not hasattr(self, "_hash"):
             object.__setattr__(self, name, value)
         else:
@@ -262,13 +317,42 @@ def kron(f: LinMap, g: LinMap) -> LinMap:
     return f.kron(g)
 
 
+def _kron_table(a: tuple, b: tuple, cod2: int) -> tuple:
+    """The table of f (x) g from those of f and g, g with cod2 rows."""
+    return tuple([i1 * cod2 + i2 for i1 in a for i2 in b])
+
+
 @memoized
 def tensor_compose(f: LinMap, g: LinMap, x: LinMap) -> LinMap:
     """(f (x) g) ∘ x, without forming f (x) g."""
     f.field.require_same(x.field)
+    f.field.require_same(g.field)
     if x.cod != f.dom * g.dom:
         raise DimensionMismatchError(f"tensor_compose: dom {f.dom}*{g.dom} != cod {x.cod}")
-    return tensor_apply(f, g, x.items(), x.dom)
+    rows = x._table()
+    out = _tensor_rows(f, g, list(map(divmod, rows, repeat(g.dom))), ((0, 0),)) if rows else None
+    return tensor_apply(f, g, x.items(), x.dom) if out is None else out
+
+
+def _tensor_rows(f: LinMap, g: LinMap, left: Sequence[Tuple[int, int]],
+                 right: Sequence[Tuple[int, int]]) -> LinMap | None:
+    """(f (x) g) ∘ x for the basis map x that sends column k*len(right) + j
+    to row (c1 + u)*g.dom + c2 + v, for (c1, c2) = left[k] and (u, v) =
+    right[j], when f and g are basis maps too; None when either is not.
+    The composite's table is read off theirs, and no entry is multiplied.
+    left and right are nonempty and hold indices >= 0; a sum past f.dom
+    or g.dom raises DimensionMismatchError."""
+    a, b = f._table(), g._table()
+    if not (a and b):
+        return None
+    f.field.require_same(g.field)
+    gcod = g.cod
+    try:
+        table = tuple([a[c1 + u] * gcod + b[c2 + v] for c1, c2 in left for u, v in right])
+    except IndexError:
+        raise DimensionMismatchError(
+            f"tensor_apply: a row outside {f.dom}*{g.dom}") from None
+    return LinMap._of_table(f.field, f.cod * gcod, table)
 
 
 def tensor_apply(f: LinMap, g: LinMap, legs, dom: int) -> LinMap:
@@ -302,14 +386,17 @@ def tensor_apply(f: LinMap, g: LinMap, legs, dom: int) -> LinMap:
 @memoized
 def compose_tensor(x: LinMap, f: LinMap, g: LinMap) -> LinMap:
     """x ∘ (f (x) g), without forming f (x) g.  The block of x's columns
-    i1*g.cod + i2 is composed with g once, sharing a column that is one
-    column of x times 1, and then scaled by each entry f[i1, j1]."""
+    i1*g.cod + i2 is composed with g once and then scaled by each entry
+    f[i1, j1]."""
     field = x.field
     field.require_same(f.field)
     field.require_same(g.field)
     gcod, gdom = g.cod, g.dom
     if x.dom != f.cod * gcod:
         raise DimensionMismatchError(f"compose_tensor: dom {x.dom} != cod {f.cod}*{gcod}")
+    a, b, c = x._table(), f._table(), g._table()
+    if a and b and c:
+        return LinMap._of_table(field, x.cod, tuple(map(a.__getitem__, _kron_table(b, c, gcod))))
     xcols, gcols = x._by_col(), g._by_col()
     blocks: Dict[int, list] = {}
     out: Dict[Tuple[int, int], Scalar] = {}
@@ -321,14 +408,11 @@ def compose_tensor(x: LinMap, f: LinMap, g: LinMap) -> LinMap:
                 block = blocks[i1] = []
                 base = i1 * gcod
                 for j2, gcol in gcols.items():
-                    if len(gcol) == 1 and gcol[0][1] == 1:
-                        col = xcols.get(base + gcol[0][0])
-                    else:
-                        acc: Dict[int, Scalar] = {}
-                        for i2, w in gcol:
-                            for i, v in xcols.get(base + i2, ()):
-                                acc[i] = acc.get(i, 0) + w * v
-                        col = list(acc.items())
+                    acc: Dict[int, Scalar] = {}
+                    for i2, w in gcol:
+                        for i, v in xcols.get(base + i2, ()):
+                            acc[i] = acc.get(i, 0) + w * v
+                    col = list(acc.items())
                     if col:
                         block.append((j2, col))
             for j2, col in block:
@@ -412,6 +496,12 @@ def invert(f: LinMap) -> LinMap:
     """Exact two-sided inverse of a square map, else NotInvertibleError."""
     if f.cod != f.dom:
         raise NotInvertibleError(f"non-square shape {f.shape}")
+    table = f._table()
+    if table:
+        # a bijective table is a permutation, inverted by reading it backwards
+        columns = dict(zip(table, range(f.dom)))
+        if len(columns) == f.dom:
+            return LinMap._of_table(f.field, f.dom, tuple(map(columns.__getitem__, range(f.dom))))
     try:
         return solve_through(f, identity(f.field, f.cod))
     except (InconsistentSystemError, AmbiguousSystemError) as exc:

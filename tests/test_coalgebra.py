@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import flip, hook, sample_objects, truss_from_tables
+from test_linmap import apart, basis_maps
+from test_noncocommutative import h4_truss
 
 from trusslab import coalgebra, verify_structure
 from trusslab.coalgebra import (
@@ -514,12 +516,17 @@ def reference_diagonal(delta, f, g):
 
 @st.composite
 def diagonal_operands(draw):
+    """delta, f and g with drawn entries, or all basis maps and near misses
+    of them, so that every operand often has a table."""
     field = draw(st.sampled_from([RATIONALS, F5]))
     values = (st.one_of(st.just(0), st.integers(-3, 3),
                         st.fractions(min_value=-3, max_value=3, max_denominator=4))
               if field is RATIONALS else st.integers(0, 4))
+    basis = draw(st.booleans())
 
     def matrix(cod, dom):
+        if basis:
+            return draw(basis_maps(cod, dom, field))
         rows = draw(st.lists(st.lists(values, min_size=dom, max_size=dom),
                              min_size=cod, max_size=cod))
         empty = draw(st.sets(st.integers(0, dom - 1), max_size=dom)) if dom else set()
@@ -528,7 +535,8 @@ def diagonal_operands(draw):
             dom=dom)
 
     a = draw(st.integers(1, 3))
-    x, y = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    least = 1 if basis else 0
+    x, y = draw(st.integers(least, 3)), draw(st.integers(least, 3))
     return (matrix(a * a, a), matrix(draw(st.integers(1, 2)), a * x),
             matrix(draw(st.integers(1, 2)), a * y))
 
@@ -537,8 +545,9 @@ def diagonal_operands(draw):
 @given(diagonal_operands())
 def test_diagonal_matches_the_index_sum(operands):
     delta, f, g = operands
-    out = diagonal(delta, f, g)
-    assert out == reference_diagonal(delta, f, g)
+    out, expected = diagonal(delta, f, g), reference_diagonal(delta, f, g)
+    # equal entries, and the table a basis result was built with is theirs
+    assert out == expected and out._table() == expected._table()
     assert out.shape == (f.cod * g.cod, f.dom * g.dom // delta.dom)
 
 
@@ -550,8 +559,11 @@ def diagonal_operands_with_a_right_factor(draw):
                         st.fractions(min_value=-3, max_value=3, max_denominator=4))
               if delta.field is RATIONALS else st.integers(0, 4))
     dom = draw(st.integers(0, 3))
+    cod = f.dom * g.dom // (a * a)
+    if draw(st.booleans()):
+        return delta, f, g, draw(basis_maps(cod, dom, delta.field))
     rows = draw(st.lists(st.lists(values, min_size=dom, max_size=dom),
-                         min_size=f.dom * g.dom // (a * a), max_size=f.dom * g.dom // (a * a)))
+                         min_size=cod, max_size=cod))
     return delta, f, g, LinMap.from_rows(delta.field, rows, dom=dom)
 
 
@@ -560,7 +572,8 @@ def diagonal_operands_with_a_right_factor(draw):
 def test_diagonal_with_a_right_factor_is_the_composite_through_id_and_it(operands):
     delta, f, g, m = operands
     expected = reference_diagonal(delta, f, g) @ kron(identity(delta.field, delta.dom), m)
-    assert diagonal(delta, f, g, m) == expected
+    out = diagonal(delta, f, g, m)
+    assert out == expected and out._table() == apart(expected)._table()
     assert diagonal(delta, f, g, identity(delta.field, m.cod)) == diagonal(delta, f, g)
 
 
@@ -607,10 +620,11 @@ def test_diagonal_of_the_zero_comonoid():
 
 def test_diagonal_forms_no_kron_compose_or_flip(monkeypatch):
     # diagonal relabels pairs of entries of delta and m into the legs of
-    # the braided spread and applies f (x) g to them by tensor_apply, so on
-    # a group algebra no Kronecker product, composite or flip map is formed
-    # inside it.
-    c = cocycle_of_truss(linearize(trivial_truss(symmetric_group(3)), RATIONALS))
+    # the braided spread and applies f (x) g to them by tensor_apply, or on
+    # the basis maps of a group algebra pairs of table rows into the
+    # spread's table, which goes to linmap as a table.  On neither path,
+    # S3's tables or H4's entries, is a Kronecker product, composite or
+    # flip map formed inside it.
     spreads, inside, depth = [], [], [0]
 
     def tracked(original):
@@ -633,11 +647,16 @@ def test_diagonal_forms_no_kron_compose_or_flip(monkeypatch):
         return wrap
 
     hook(monkeypatch, "diagonal", tracked)
-    for name in ("LinMap.kron", "LinMap.compose"):
+    for name in ("LinMap.kron", "LinMap.compose", "tensor_apply"):
         hook(monkeypatch, name, watched(name))
-    assert roundtrip_report(c).ok
-    assert spreads and set(spreads) == {6}
-    assert inside == []
+    for h, path in [(linearize(trivial_truss(symmetric_group(3)), RATIONALS), set()),
+                    (h4_truss(lambda mu, eps, f: mu), {"tensor_apply"})]:
+        spreads.clear()
+        inside.clear()
+        assert roundtrip_report(cocycle_of_truss(h)).ok
+        assert spreads and set(spreads) == {h.dim}
+        # the entry-by-entry path runs only where the operands are no tables
+        assert set(inside) == path
 
 
 def test_diagonal_refuses_mixed_fields():

@@ -19,7 +19,8 @@ from types import SimpleNamespace
 import pytest
 
 from conftest import count_calls, count_runs, cyclic_truss
-from trusslab import algfile
+from test_noncocommutative import h4_truss
+from trusslab import algfile, record
 from trusslab.coalgebra import Call, Diag, Guard, Laws, terms, verify_comonoid, verify_hopf_monoid
 from trusslab.cocycle import cocycle_of_truss, roundtrip_report, truss_of_cocycle, verify_cocycle
 from trusslab.errors import DimensionMismatchError, NotInvertibleError
@@ -88,6 +89,38 @@ def test_gamma_of_the_regular_module_is_the_truss_gamma_built_once(monkeypatch):
     gamma, gamma_m = twisted_action(h), module_twisted_action(regular_truss_module(h))
     assert kernels == {"diagonal": 1}
     assert gamma_m is gamma
+
+
+# (a Hopf truss, whether all of its chain's maps are basis maps)
+TABLE_CHAINS = [
+    pytest.param(lambda: linearize(trivial_truss(cyclic_group(4)), RATIONALS), True, id="Z4-Q"),
+    pytest.param(lambda: linearize(trivial_truss(cyclic_group(4)), prime_field(5)), True,
+                 id="Z4-F5"),
+    pytest.param(lambda: h4_truss(lambda mu, eps, f: mu), False, id="H4-Q"),
+]
+
+
+def truss_and_module_reports(h):
+    return verify_hopf_truss(h), fundamental_iso(induction_functor(h, 2))
+
+
+@pytest.mark.parametrize("make,basis", TABLE_CHAINS)
+def test_basis_maps_take_the_table_path_and_report_as_entries_do(monkeypatch, make, basis):
+    # A linearised group algebra is made of basis maps, so every kernel of
+    # its chain takes its table path and tensor_apply, the entry-by-entry
+    # core of tensor_compose and diagonal, never runs.  H4's coproduct and
+    # product are no basis maps, so there it does.
+    calls = count_calls(monkeypatch, "tensor_apply")
+    reports = truss_and_module_reports(make())
+    assert all(rep.ok for rep in (reports[0], reports[1][2]))
+    assert (calls["tensor_apply"] == 0) == basis
+    # With no map read as a table, in a memo index of its own, the chain
+    # builds the same reports, theta and inverse from entries alone.
+    monkeypatch.setattr(record, "_MEMOS", weakref.WeakValueDictionary())
+    monkeypatch.setattr(LinMap, "_table", lambda self: None)
+    calls.clear()
+    assert truss_and_module_reports(make()) == reports
+    assert calls["tensor_apply"] > 0
 
 
 def test_moved_keeps_fixed_maps_and_inverts_before_any_kernel(monkeypatch):

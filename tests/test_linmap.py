@@ -26,6 +26,7 @@ from trusslab.errors import (
 from trusslab.fields import PRIME_BOUND, RATIONALS, FieldSpec, _is_prime, prime_field
 from trusslab.linmap import (
     LinMap,
+    _tensor_rows,
     compose_tensor,
     identity,
     image_basis,
@@ -239,6 +240,15 @@ def test_invert_over_prime_field():
     assert finv @ f == identity(F5, 2)
 
 
+def test_a_table_that_is_not_bijective_is_not_inverted():
+    # e_0, e_1 |-> e_0 and e_2 |-> e_2: a basis map of rank 2
+    for field in (RATIONALS, F5):
+        f = LinMap(field, 3, 3, {(0, 0): 1, (0, 1): 1, (2, 2): 1})
+        assert f._table() == (0, 0, 2)
+        with pytest.raises(NotInvertibleError, match="map of rank 2 < 3"):
+            invert(f)
+
+
 def test_invert_singular_raises():
     with pytest.raises(NotInvertibleError, match="map of rank 1 < 2"):
         invert(LinMap.from_rows(RATIONALS, [[1, 2], [2, 4]]))
@@ -329,6 +339,12 @@ def test_linmap_is_immutable_and_hashable():
         m.cod = 3
     assert hash(m) == hash(identity(RATIONALS, 2))
     assert len({m, identity(RATIONALS, 2)}) == 1
+    # the table is a cache that outside code cannot write, before or after it is read
+    f = LinMap(RATIONALS, 2, 2, {(1, 0): 1, (0, 1): 1})
+    for _ in range(2):
+        with pytest.raises(AttributeError):
+            f._tab = (0, 0)
+        assert f._table() == (1, 0)
 
 
 def test_bools_are_not_scalars():
@@ -375,6 +391,8 @@ def assert_canonical(m):
         else:
             assert type(value) is int
             assert m.field.p is None or 0 < value < m.field.p
+    # a table set when the map was built is the one its entries give
+    assert m._table() == LinMap(m.field, m.cod, m.dom, dict(m.items()))._table()
 
 
 def reduced(rows, field):
@@ -434,14 +452,53 @@ def exact_maps(draw, cod=None, dom=None, field=RATIONALS):
     return LinMap.from_rows(field, rows, dom=dom)
 
 
+@st.composite
+def basis_maps(draw, cod=None, dom=None, field=RATIONALS):
+    """A basis map e_j |-> e_t[j] for a function t, a permutation at times
+    when square, or now and then a near miss: one entry 2 or p - 1 (-1
+    over Q), an empty column, or a column with a second entry.  A shape
+    that is not given is drawn with no zero dimension."""
+    cod = draw(st.integers(1, 4)) if cod is None else cod
+    dom = draw(st.integers(1, 4)) if dom is None else dom
+    if not cod:
+        return LinMap.zero(field, 0, dom)
+    if cod == dom and draw(st.booleans()):
+        table = draw(st.permutations(range(dom)))
+    else:
+        table = draw(st.lists(st.integers(0, cod - 1), min_size=dom, max_size=dom))
+    entries = {(i, j): 1 for j, i in enumerate(table)}
+    miss = draw(st.sampled_from(["scaled", "empty", "second"])) if dom and draw(
+        st.integers(0, 3)) == 3 else ""
+    if miss:
+        j = draw(st.integers(0, dom - 1))
+        if miss == "scaled":
+            entries[(table[j], j)] = draw(st.sampled_from([2, field.p - 1 if field.p else -1]))
+        elif miss == "empty":
+            del entries[(table[j], j)]
+        elif cod > 1:
+            entries[((table[j] + draw(st.integers(1, cod - 1))) % cod, j)] = 1
+    return LinMap(field, cod, dom, entries)
+
+
+def maps(cod=None, dom=None, field=RATIONALS):
+    """A map with drawn entries, or a basis map or a near miss of one."""
+    return st.one_of(exact_maps(cod, dom, field), basis_maps(cod, dom, field))
+
+
+# How the operands of one example are drawn: all with drawn entries, each
+# either way, or all basis maps and near misses, so that every operand of
+# a kernel has a table often enough to take its table path.
+KINDS = st.sampled_from([exact_maps, maps, basis_maps])
+
+
 def over(fields, operands):
     """A field drawn from `fields`, then `operands(field)` over it."""
     return st.sampled_from(fields).flatmap(operands)
 
 
 def composable():
-    return over(FIELDS, lambda field: exact_maps(field=field).flatmap(
-        lambda b: st.tuples(exact_maps(dom=b.cod, field=field), st.just(b))))
+    return over(FIELDS, lambda field: KINDS.flatmap(lambda kind: kind(field=field).flatmap(
+        lambda b: st.tuples(kind(dom=b.cod, field=field), st.just(b)))))
 
 
 def same_shape():
@@ -463,8 +520,8 @@ def test_compose_matches_the_fraction_reference(pair):
 
 
 @EXAMPLES
-@given(over(FIELDS, lambda field: st.tuples(exact_maps(field=field),
-                                            exact_maps(field=field))))
+@given(over(FIELDS, lambda field: KINDS.flatmap(
+    lambda kind: st.tuples(kind(field=field), kind(field=field)))))
 def test_kron_matches_the_fraction_reference(pair):
     a, b = pair
     out = kron(a, b)
@@ -514,14 +571,14 @@ def test_rank_and_nullspace_match_the_fraction_reference(a):
 
 @EXAMPLES
 @given(over(ELIMINATION_FIELDS, lambda field: st.integers(0, 4).flatmap(
-    lambda n: exact_maps(n, n, field))))
+    lambda n: KINDS.flatmap(lambda kind: kind(n, n, field)))))
 def test_invert_matches_the_fraction_reference(a):
     n = a.cod
     aug = [row + [Fraction(int(i == j)) for j in range(n)]
            for i, row in enumerate(dense(a))]
     rows, pivots = ref_rref(aug, n, a.field)
     if pivots != list(range(n)):
-        with pytest.raises(NotInvertibleError):
+        with pytest.raises(NotInvertibleError, match=f"map of rank {len(pivots)} < {n}"):
             invert(a)
         return
     inv = invert(a)
@@ -643,8 +700,11 @@ def test_equation_agrees_with_the_residual(operands, equal):
 def tensor_operands(draw):
     field = draw(st.sampled_from(FIELDS))
     values = scalars_of(field)
+    kind = draw(KINDS)
 
     def matrix(cod, dom):
+        if kind is basis_maps or kind is maps and draw(st.booleans()):
+            return draw(basis_maps(cod, dom, field))
         rows = draw(st.lists(st.lists(values, min_size=dom, max_size=dom),
                              min_size=cod, max_size=cod))
         empty = draw(st.sets(st.integers(0, dom - 1), max_size=dom)) if dom else set()
@@ -652,7 +712,7 @@ def tensor_operands(draw):
             field, [[0 if j in empty else v for j, v in enumerate(row)] for row in rows],
             dom=dom)
 
-    legs = st.integers(0, 3)
+    legs = st.integers(1 if kind is basis_maps else 0, 3)
     f = matrix(draw(legs), draw(legs))
     g = matrix(draw(legs), draw(legs))
     return f, g, matrix(f.dom * g.dom, draw(legs))
@@ -707,10 +767,11 @@ def test_tensor_compose_guards():
 @st.composite
 def compose_tensor_operands(draw):
     field = draw(st.sampled_from(FIELDS))
-    legs = st.integers(0, 3)
-    f = draw(exact_maps(draw(legs), draw(legs), field))
-    g = draw(exact_maps(draw(legs), draw(legs), field))
-    return draw(exact_maps(draw(legs), f.cod * g.cod, field)), f, g
+    kind = draw(KINDS)
+    legs = st.integers(1 if kind is basis_maps else 0, 3)
+    f = draw(kind(draw(legs), draw(legs), field))
+    g = draw(kind(draw(legs), draw(legs), field))
+    return draw(kind(draw(legs), f.cod * g.cod, field)), f, g
 
 
 def ref_compose_tensor(x, f, g):
@@ -795,6 +856,17 @@ def test_tensor_apply_guards():
         with pytest.raises(DimensionMismatchError):
             tensor_apply(f, g, legs, 1)
     assert tensor_apply(f, g, [], 0).shape == (6, 0)
+    # the table path refuses a row past f.dom or g.dom as tensor_apply does
+    with pytest.raises(FieldMismatchError):
+        _tensor_rows(f, identity(F5, 3), [(0, 0)], [(0, 0)])
+    for left, right in ([(2, 0)], [(0, 0)]), ([(0, 0)], [(0, 3)]), ([(1, 2)], [(0, 0), (1, 0)]):
+        with pytest.raises(DimensionMismatchError):
+            _tensor_rows(f, g, left, right)
+    # columns (k, j) in order go to rows (1+0)*3 + 1+0, 1*3 + 1+1, 0*3 + 0+0, 0*3 + 0+1
+    assert _tensor_rows(f, g, [(1, 1), (0, 0)], [(0, 0), (0, 1)]) == LinMap(
+        RATIONALS, 6, 4, {(4, 0): 1, (5, 1): 1, (0, 2): 1, (1, 3): 1})
+    assert _tensor_rows(f, LinMap(RATIONALS, 3, 3, {(0, 0): 2, (1, 1): 1, (2, 2): 1}),
+                        [(0, 0)], [(0, 0)]) is None
 
 
 # -- the per-field dict canonicaliser -------------------------------------------
@@ -845,25 +917,27 @@ def apart(m: LinMap) -> LinMap:
 
 @st.composite
 def kernel_calls(draw, field):
-    """(kernel, operands) with operands of matching shapes over field."""
+    """(kernel, operands) with operands of matching shapes over field,
+    drawn as one of KINDS."""
+    build = draw(KINDS)
     d = st.integers(0, 3)
     kind = draw(st.sampled_from(["compose", "tensor_compose", "compose_tensor", "invert", "diagonal"]))
     if kind == "compose":
-        b = draw(exact_maps(field=field))
-        return LinMap.compose, (draw(exact_maps(dom=b.cod, field=field)), b)
+        b = draw(build(field=field))
+        return LinMap.compose, (draw(build(dom=b.cod, field=field)), b)
     if kind == "invert":
         n = draw(d)
-        return invert, (draw(exact_maps(n, n, field)),)
-    f, g = draw(exact_maps(field=field)), draw(exact_maps(field=field))
+        return invert, (draw(build(n, n, field)),)
+    f, g = draw(build(field=field)), draw(build(field=field))
     if kind == "tensor_compose":
-        return tensor_compose, (f, g, draw(exact_maps(f.dom * g.dom, field=field)))
+        return tensor_compose, (f, g, draw(build(f.dom * g.dom, field=field)))
     if kind == "compose_tensor":
-        return compose_tensor, (draw(exact_maps(dom=f.cod * g.cod, field=field)), f, g)
+        return compose_tensor, (draw(build(dom=f.cod * g.cod, field=field)), f, g)
     a, x, y = draw(d), draw(d), draw(d)
-    legs = [draw(exact_maps(a * a, a, field)), draw(exact_maps(dom=a * x, field=field)),
-            draw(exact_maps(dom=a * y, field=field))]
+    legs = [draw(build(a * a, a, field)), draw(build(dom=a * x, field=field)),
+            draw(build(dom=a * y, field=field))]
     if draw(st.booleans()):
-        legs.append(draw(exact_maps(x * y, field=field)))
+        legs.append(draw(build(x * y, field=field)))
     return diagonal, tuple(legs)
 
 
@@ -920,8 +994,13 @@ def test_copies_and_pickles_carry_no_cache():
     f, g = LinMap(F5, 2, 2, {(0, 1): 3, (1, 1): 1}), identity(F5, 2)
     out = f @ g
     assert f._hash is not None and f._cols is not None and f._memo is not None
+    assert f._table() is None and g._table() == (0, 1)
     for twin in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
         assert twin._hash is None and twin._cols is None and getattr(twin, "_memo", None) is None
+        assert not hasattr(twin, "_tab")
         assert twin == f and twin is not f and hash(twin) == hash(f)
         # the copy is the same value, so it reads f's composites
         assert twin @ g is out
+    # a basis map built with its table leaves it behind too, and finds it again
+    for twin in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert twin == g and not hasattr(twin, "_tab") and twin._table() == (0, 1)

@@ -1,19 +1,20 @@
-"""LinMap's trusted constructor and its caches stay inside linmap.
+"""LinMap's trusted constructors and its caches stay inside linmap.
 
-`LinMap._of` skips the index and scalar type checks of `LinMap(...)`,
-and `_by_col` exposes a map's cached column lists, so a module that
-named them could build an unchecked map or mutate a shared cache.  This
-test reads the source of every module and fails when any module other
-than linmap names them.  There are no exceptions: coalgebra.diagonal
-hands its braided legs to linmap.tensor_apply instead of building a map
-with `_of`.
+`LinMap._of` and `LinMap._of_table` skip the index and scalar type
+checks of `LinMap(...)`, and `_by_col` exposes a map's cached column
+lists, so a module that named them could build an unchecked map or
+mutate a shared cache.  This test reads the source of every module and
+fails when any module other than linmap names them.  There are no
+exceptions: coalgebra.diagonal hands its braided legs to
+linmap.tensor_apply, or the f and g columns of its braided spread to
+linmap's _tensor_rows, instead of building a map with `_of` or `_of_table`.
 """
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "trusslab"
-TRUSTED = {"_of", "_by_col"}
+TRUSTED = {"_of", "_of_table", "_by_col"}
 ALLOWED = set()
 
 

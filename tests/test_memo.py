@@ -11,6 +11,7 @@ import gc
 import pickle
 import weakref
 from collections import Counter
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
@@ -21,7 +22,7 @@ from trusslab.coalgebra import Structure, verify_hopf_monoid, verify_nonunital_b
 from trusslab.cocycle import InvertibleCocycle, cocycle_of_truss, roundtrip_report, truss_of_cocycle, verify_cocycle
 from trusslab.fields import RATIONALS, prime_field
 from trusslab.hopfmodules import coinvariants, fundamental_iso
-from trusslab.hopftruss import twisted_action, verify_hopf_truss
+from trusslab.hopftruss import HopfTruss, twisted_action, verify_hopf_truss
 from trusslab.linmap import LinMap
 from trusslab.settruss import canonical_form, cyclic_group, linearize, right_projection_truss, symmetric_group, trivial_truss
 
@@ -150,9 +151,14 @@ def test_the_memo_is_not_part_of_the_value():
     verify_hopf_truss(h)
     cocycle_of_truss(h)
     assert h == twin and hash(h) == code == hash(twin) and repr(h) == text
+    maps = [attrgetter(path) for _, path, _, _ in HopfTruss.ALL_MAPS]
+    # verifying h read each of its maps as a table; a deep copy or a
+    # pickle copies the maps, without their tables
+    assert all(hasattr(get(h), "_tab") for get in maps)
     for copied in (copy.copy(h), copy.deepcopy(h), pickle.loads(pickle.dumps(h))):
         assert copied == h
         assert not {"_memo", "_hash", "dims"} & set(vars(copied))
+        assert all(get(copied) is get(h) or not hasattr(get(copied), "_tab") for get in maps)
         # a copy is the same value, so it reads h's views and reports
         assert copied.hopf_part() is h.hopf_part()
         assert verify_hopf_truss(copied) is verify_hopf_truss(h)
