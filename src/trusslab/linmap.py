@@ -19,17 +19,22 @@ equal maps share and which dies with the last of them.
 Basis maps compose as functions.  A map each of whose columns holds
 exactly one entry, and that entry 1, is the linearisation of a function
 between bases, and `_table()` gives it as the row of each column's entry.
+Such a basis map is its table: its value, which equality, hashing, the
+memo key (`_values()`), copies and pickles read, is field, shape and
+table, and its entry dict is a cache built when first read.  Whether a
+map has a table depends on its value alone, so a map built from entries
+that are a table's equals the map built from that table.
 Linearised group algebras are made of such maps: their coproduct,
 counit, unit, products, antipode and cocycle, and every composite of
 them.  When every operand has a table, compose (and so @), kron,
 tensor_compose, compose_tensor, invert (of a bijective table) and
 coalgebra.diagonal compute the result's table by index arithmetic and
-build its entries in one C pass; tensor_compose and diagonal share one
-such branch, _tensor_rows, to which diagonal hands the f and g columns
-of its braided spread.  A composite of basis maps is exactly that basis map, so
-the result equals the one the entry-by-entry path builds; shape and
+build no entries; tensor_compose and diagonal share one such branch,
+_tensor_rows, to which diagonal hands the f and g columns of its
+braided spread.  A composite of basis maps is exactly that basis map,
+so the result equals the one the entry-by-entry path builds; shape and
 field checks run first on both paths, and any other operand, dense or
-with no columns, takes the entry-by-entry path.
+with no columns, keeps its entries and takes the entry-by-entry path.
 """
 
 from __future__ import annotations
@@ -51,17 +56,29 @@ from .record import memoized
 class LinMap:
     """Immutable exact matrix with dense semantics."""
 
-    # _cols, _tab, _hash and _memo are caches: copies and pickles carry none.
-    # _tab and _memo stay unset until their first read.
-    __slots__ = ("field", "cod", "dom", "_entries", "_cols", "_tab", "_hash", "_memo",
+    # A basis map is its table: one built from its table holds no entry
+    # dict (_entry_dict) until _entries is read.  That dict, _cols, _hash and
+    # _memo are caches, which copies and pickles do not carry; _tab and
+    # _memo stay unset until their first read.  _entries is a property: a
+    # __getattr__ that filled the slot would slow every attribute read.
+    __slots__ = ("field", "cod", "dom", "_entry_dict", "_cols", "_tab", "_hash", "_memo",
                  "__weakref__")
 
     def __init__(self, field: FieldSpec, cod: int, dom: int, entries) -> None:
+        """The map with these entries: a dict or an iterable of ((i, j), value)
+        pairs, or a nonempty tuple of dom rows, the table of a basis map."""
         if cod < 0 or dom < 0:
             raise DimensionMismatchError(f"negative shape {cod}x{dom}")
-        self.field = field
-        self.cod = cod
-        self.dom = dom
+        if type(entries) is tuple and entries:
+            if len(entries) != dom:
+                raise DimensionMismatchError(f"table of {len(entries)} rows for dom {dom}")
+            for i in entries:
+                if type(i) is not int:
+                    raise TypeError(f"table row {i!r} is not an int")
+                if not 0 <= i < cod:
+                    raise DimensionMismatchError(f"table row {i} outside cod {cod}")
+            self._init(field, cod, dom, entries, "_tab")
+            return
         data: Dict[Tuple[int, int], Scalar] = {}
         items = entries.items() if isinstance(entries, dict) else entries
         for key, value in items:
@@ -74,9 +91,18 @@ class LinMap:
             value = field.coerce(value)
             if not field.is_zero(value):
                 data[(i, j)] = value
-        self._entries = data
-        self._cols = None
-        self._hash = None
+        self._init(field, cod, dom, data)
+
+    def _init(self, field: FieldSpec, cod: int, dom: int, value, slot: str = "_entry_dict") -> "LinMap":
+        """Set the fields and the entries, or the table, of a new map, caches unset."""
+        init = object.__setattr__
+        init(self, "field", field)
+        init(self, "cod", cod)
+        init(self, "dom", dom)
+        init(self, slot, value)
+        init(self, "_cols", None)
+        init(self, "_hash", None)
+        return self
 
     @classmethod
     def _of(cls, field: FieldSpec, cod: int, dom: int,
@@ -89,30 +115,23 @@ class LinMap:
         """
         if cod < 0 or dom < 0:
             raise DimensionMismatchError(f"negative shape {cod}x{dom}")
-        return cls._built(field, cod, dom, field.reduce_entries(entries))
+        return object.__new__(cls)._init(field, cod, dom, field.reduce_entries(entries))
 
     @classmethod
     def _of_table(cls, field: FieldSpec, cod: int, table: tuple) -> "LinMap":
         """The basis map e_j |-> e_table[j], from a nonempty table of rows
         inside cod that its caller computed itself, not checked again."""
-        n = len(table)
-        self = cls._built(field, cod, n, dict(zip(zip(table, range(n)), repeat(1))))
-        object.__setattr__(self, "_tab", table)
-        return self
+        return object.__new__(cls)._init(field, cod, len(table), table, "_tab")
 
-    @classmethod
-    def _built(cls, field: FieldSpec, cod: int, dom: int,
-               entries: Dict[Tuple[int, int], Scalar]) -> "LinMap":
-        """The map with these fields and canonical entries, caches unset."""
-        self = object.__new__(cls)
-        init = object.__setattr__
-        init(self, "field", field)
-        init(self, "cod", cod)
-        init(self, "dom", dom)
-        init(self, "_entries", entries)
-        init(self, "_cols", None)
-        init(self, "_hash", None)
-        return self
+    @property
+    def _entries(self) -> Dict[Tuple[int, int], Scalar]:
+        """The entry dict, built on its first read for a map built from its table."""
+        try:
+            return self._entry_dict
+        except AttributeError:
+            entries = _table_entries(self._tab)
+            object.__setattr__(self, "_entry_dict", entries)
+            return entries
 
     # -- constructors ---------------------------------------------------
 
@@ -282,8 +301,12 @@ class LinMap:
     # -- identity and hashing ---------------------------------------------
 
     def _values(self) -> tuple:
-        """The value, as the arguments that build it: field, shape and entries."""
-        return self.field, self.cod, self.dom, self._entries
+        """The value, as the arguments that build it: field, shape, and the
+        table of a basis map or the entries of any other map.  Whether a map
+        has a table depends on its value alone, so equal maps give equal
+        values however they were built."""
+        table = self._table()
+        return self.field, self.cod, self.dom, self._entries if table is None else table
 
     def __reduce__(self):
         """Copies and pickles are built from the value alone, with no caches."""
@@ -292,24 +315,34 @@ class LinMap:
     def __eq__(self, other) -> bool:
         if not isinstance(other, LinMap):
             return NotImplemented
-        return (self.field == other.field and self.shape == other.shape
-                and self._entries == other._entries)
+        table = self._table()
+        return (self.field == other.field and self.cod == other.cod and self.dom == other.dom
+                and table == other._table()
+                and (table is not None or self._entries == other._entries))
 
     def __hash__(self) -> int:
-        # equal maps have equal entry sets, hashed in one pass in any order
+        # the table, or else the entry set, hashed in one pass in any order
         if self._hash is None:
-            self._hash = hash((self.field, self.cod, self.dom, frozenset(self._entries.items())))
+            table = self._table()
+            self._hash = hash((self.field, self.cod, self.dom,
+                               frozenset(self._entries.items()) if table is None else table))
         return self._hash
 
     def __repr__(self) -> str:
-        return f"LinMap({self.field}, {self.cod}x{self.dom}, nnz={len(self._entries)})"
+        nnz = self.dom if self._table() else len(self._entries)
+        return f"LinMap({self.field}, {self.cod}x{self.dom}, nnz={nnz})"
 
     def __setattr__(self, name, value):
         # _cols and _hash stay writable; the matrix and its table are frozen.
-        if name in ("_cols", "_hash") or not hasattr(self, "_hash"):
+        if name in ("_cols", "_hash"):
             object.__setattr__(self, name, value)
         else:
             raise AttributeError("LinMap is immutable")
+
+
+def _table_entries(table: tuple) -> Dict[Tuple[int, int], Scalar]:
+    """The entries of the basis map with this table: a 1 at (table[j], j)."""
+    return dict(zip(zip(table, range(len(table))), repeat(1)))
 
 
 def kron(f: LinMap, g: LinMap) -> LinMap:

@@ -549,23 +549,23 @@ def linearize(t: SkewTruss, field: FieldSpec) -> HopfTruss:
     """The Hopf truss on the free module with the truss elements as basis.
 
     Basis vectors are grouplike, products and maps extend the tables
-    linearly. Refuses a carrier that fails the set-level axioms.
+    linearly, so each map is a basis map, built from its table: delta
+    sends e_a to e_a (x) e_a, at a*n + a, and a product sends e_a (x) e_b,
+    at a*n + b, to its Cayley table's entry at row a, column b. Refuses a
+    carrier that fails the set-level axioms.
     """
     rep = verify_skew_truss(t)
     if not rep.ok:
         raise InvalidStructureError("not a skew truss", report=rep)
     n = t.size
-    delta = LinMap(field, n * n, n, {(a * n + a, a): field.one for a in range(n)})
-    epsilon = LinMap(field, 1, n, {(0, a): field.one for a in range(n)})
-    eta = LinMap(field, n, 1, {(t.group.unit, 0): field.one})
-    mu1 = LinMap(field, n, n * n,
-                 {(t.group.table[a][b], a * n + b): field.one
-                  for a in range(n) for b in range(n)})
-    mu2 = LinMap(field, n, n * n,
-                 {(t.semigroup.table[a][b], a * n + b): field.one
-                  for a in range(n) for b in range(n)})
-    antipode = LinMap(field, n, n, {(t.group.inv[a], a): field.one for a in range(n)})
-    sigma = LinMap(field, n, n, {(t.omega[a], a): field.one for a in range(n)})
+    chain = itertools.chain.from_iterable
+    delta = LinMap(field, n * n, n, tuple(range(0, n * n, n + 1)))
+    epsilon = LinMap(field, 1, n, (0,) * n)
+    eta = LinMap(field, n, 1, (t.group.unit,))
+    mu1 = LinMap(field, n, n * n, tuple(chain(t.group.table)))
+    mu2 = LinMap(field, n, n * n, tuple(chain(t.semigroup.table)))
+    antipode = LinMap(field, n, n, t.group.inv)
+    sigma = LinMap(field, n, n, t.omega)
     return HopfTruss(ComonoidData(n, delta, epsilon),
                      eta, mu1, mu2, antipode, sigma)
 

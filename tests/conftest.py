@@ -92,6 +92,18 @@ def perturbed(m: LinMap, i: int, j: int) -> LinMap:
     return LinMap(m.field, m.cod, m.dom, entries)
 
 
+def unset(m: LinMap, *slots) -> bool:
+    """Whether none of these slots of m is set, read without filling any
+    (a table map's entry dict, _entry_dict, is filled by reading _entries)."""
+    def held(slot):
+        try:
+            object.__getattribute__(m, slot)
+        except AttributeError:
+            return False
+        return True
+    return not any(map(held, slots))
+
+
 def random_invertible(rnd, field: FieldSpec, n: int) -> LinMap:
     """An invertible n x n map with entries drawn from -2..2 by rnd."""
     while True:

@@ -20,7 +20,7 @@ import pytest
 
 from conftest import count_calls, count_runs, cyclic_truss
 from test_noncocommutative import h4_truss
-from trusslab import algfile, record
+from trusslab import algfile, linmap, record
 from trusslab.coalgebra import Call, Diag, Guard, Laws, terms, verify_comonoid, verify_hopf_monoid
 from trusslab.cocycle import cocycle_of_truss, roundtrip_report, truss_of_cocycle, verify_cocycle
 from trusslab.errors import DimensionMismatchError, NotInvertibleError
@@ -121,6 +121,18 @@ def test_basis_maps_take_the_table_path_and_report_as_entries_do(monkeypatch, ma
     calls.clear()
     assert truss_and_module_reports(make()) == reports
     assert calls["tensor_apply"] > 0
+
+
+def test_the_table_chain_builds_few_entry_dicts(monkeypatch):
+    # A basis map is its table, and its entry dict is built only when
+    # read.  On linearised Z4 over F_5 the chain reads three: coinvariants
+    # subtracts two basis maps, and solve_through reads the rows of one.
+    # A new reader that builds the dicts of table maps raises this count.
+    build, built = linmap._table_entries, []
+    monkeypatch.setattr(linmap, "_table_entries", lambda table: built.append(table) or build(table))
+    reports = truss_and_module_reports(linearize(trivial_truss(cyclic_group(4)), prime_field(5)))
+    assert all(rep.ok for rep in (reports[0], reports[1][2]))
+    assert len(built) == 3
 
 
 def test_moved_keeps_fixed_maps_and_inverts_before_any_kernel(monkeypatch):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import count_runs, flip
+from conftest import count_runs, flip, unset
 
 from trusslab.coalgebra import diagonal
 from trusslab.errors import (
@@ -367,6 +367,20 @@ def test_entry_indices_must_be_ints(index):
             LinMap(field, 2, 2, {(0, index): 1})
         with pytest.raises(TypeError):
             LinMap.basis_vector(field, 3, index)
+        # a table's rows are indices too
+        with pytest.raises(TypeError):
+            LinMap(field, 2, 2, (0, index))
+
+
+@pytest.mark.parametrize("table", [(0, 2), (-1, 0), (0, 1, 0), (1,)])
+def test_a_table_must_give_a_row_inside_cod_for_each_column(table):
+    # a row outside cod is refused as its entry is; so is a table of another length than dom
+    for field in (RATIONALS, F5):
+        with pytest.raises(DimensionMismatchError):
+            LinMap(field, 2, 2, table)
+        if len(table) == 2:
+            with pytest.raises(DimensionMismatchError):
+                LinMap(field, 2, 2, {(i, j): 1 for j, i in enumerate(table)})
 
 
 # -- differential tests of the reduce-once kernels ------------------------------
@@ -453,31 +467,39 @@ def exact_maps(draw, cod=None, dom=None, field=RATIONALS):
 
 
 @st.composite
-def basis_maps(draw, cod=None, dom=None, field=RATIONALS):
-    """A basis map e_j |-> e_t[j] for a function t, a permutation at times
-    when square, or now and then a near miss: one entry 2 or p - 1 (-1
+def tables_and_maps(draw, cod=None, dom=None, field=RATIONALS):
+    """(t, m): a function t from dom to cod, a permutation at times when
+    square, and m the basis map e_j |-> e_t[j], built from its entries or
+    from t, or now and then a near miss of it: one entry 2 or p - 1 (-1
     over Q), an empty column, or a column with a second entry.  A shape
-    that is not given is drawn with no zero dimension."""
+    that is not given is drawn with no zero dimension; with cod 0, t is
+    None and m is the zero map."""
     cod = draw(st.integers(1, 4)) if cod is None else cod
     dom = draw(st.integers(1, 4)) if dom is None else dom
     if not cod:
-        return LinMap.zero(field, 0, dom)
+        return None, LinMap.zero(field, 0, dom)
     if cod == dom and draw(st.booleans()):
         table = draw(st.permutations(range(dom)))
     else:
         table = draw(st.lists(st.integers(0, cod - 1), min_size=dom, max_size=dom))
     entries = {(i, j): 1 for j, i in enumerate(table)}
-    miss = draw(st.sampled_from(["scaled", "empty", "second"])) if dom and draw(
+    miss = draw(st.sampled_from(["scaled", "empty"] + ["second"] * (cod > 1))) if dom and draw(
         st.integers(0, 3)) == 3 else ""
-    if miss:
-        j = draw(st.integers(0, dom - 1))
-        if miss == "scaled":
-            entries[(table[j], j)] = draw(st.sampled_from([2, field.p - 1 if field.p else -1]))
-        elif miss == "empty":
-            del entries[(table[j], j)]
-        elif cod > 1:
-            entries[((table[j] + draw(st.integers(1, cod - 1))) % cod, j)] = 1
-    return LinMap(field, cod, dom, entries)
+    if not miss:
+        return table, LinMap(field, cod, dom, tuple(table) if draw(st.booleans()) else entries)
+    j = draw(st.integers(0, dom - 1))
+    if miss == "scaled":
+        entries[(table[j], j)] = draw(st.sampled_from([2, field.p - 1 if field.p else -1]))
+    elif miss == "empty":
+        del entries[(table[j], j)]
+    else:
+        entries[((table[j] + draw(st.integers(1, cod - 1))) % cod, j)] = 1
+    return table, LinMap(field, cod, dom, entries)
+
+
+def basis_maps(cod=None, dom=None, field=RATIONALS):
+    """The map m of tables_and_maps."""
+    return tables_and_maps(cod, dom, field).map(lambda drawn: drawn[1])
 
 
 def maps(cod=None, dom=None, field=RATIONALS):
@@ -992,15 +1014,60 @@ def test_a_composite_dies_with_the_last_equal_operand():
 
 def test_copies_and_pickles_carry_no_cache():
     f, g = LinMap(F5, 2, 2, {(0, 1): 3, (1, 1): 1}), identity(F5, 2)
-    out = f @ g
+    # g is its table; composing it with f reads its entries, which fills them in as a cache
+    assert unset(g, "_entry_dict") and g._table() == (0, 1)
+    out, back = f @ g, g @ f
     assert f._hash is not None and f._cols is not None and f._memo is not None
-    assert f._table() is None and g._table() == (0, 1)
+    assert g._hash is not None and g._cols is not None and g._memo is not None
+    assert f._table() is None and not unset(g, "_entry_dict") and g.rows() == [[1, 0], [0, 1]]
+    # each copy's caches are checked before anything reads them
     for twin in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
-        assert twin._hash is None and twin._cols is None and getattr(twin, "_memo", None) is None
-        assert not hasattr(twin, "_tab")
+        assert twin._hash is None and twin._cols is None and unset(twin, "_memo", "_tab")
         assert twin == f and twin is not f and hash(twin) == hash(f)
         # the copy is the same value, so it reads f's composites
         assert twin @ g is out
-    # a basis map built with its table leaves it behind too, and finds it again
+    # a basis map is built again from its table, with no entries, hash, columns or memo
     for twin in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
-        assert twin == g and not hasattr(twin, "_tab") and twin._table() == (0, 1)
+        assert twin._hash is None and twin._cols is None and unset(twin, "_memo", "_entry_dict")
+        assert twin._table() == (0, 1) and twin == g and twin is not g and hash(twin) == hash(g)
+        assert twin @ f is back and unset(twin, "_entry_dict")
+
+
+# -- one value, built from entries or from a table ------------------------------
+
+
+def assert_one_value(a: LinMap, b: LinMap) -> None:
+    """a and b are one value: equal, hashing equally, sharing one memo,
+    with equal copies and pickles."""
+    x = identity(a.field, a.dom)
+    assert a == b and b == a and hash(a) == hash(b) and a @ x is b @ x
+    assert pickle.dumps(a) == pickle.dumps(b)
+    for twin in (copy.copy, copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))):
+        assert twin(a) == twin(b) == a
+
+
+@EXAMPLES
+@given(over(FIELDS, lambda field: KINDS.flatmap(lambda kind: kind(field=field))))
+def test_every_drawn_map_is_one_value_built_from_entries_or_from_its_table(m):
+    table = m._table()
+    assert_one_value(m, apart(m))
+    if table is not None:
+        by_table = LinMap(m.field, m.cod, m.dom, table)
+        assert_one_value(m, by_table)
+        assert_one_value(apart(m), by_table)
+        assert dict(by_table.items()) == dict(m.items())
+
+
+@EXAMPLES
+@given(over(FIELDS, lambda field: tables_and_maps(field=field)))
+def test_a_near_miss_is_not_the_basis_map_of_its_table(drawn):
+    table, m = drawn
+    by_table = LinMap(m.field, m.cod, m.dom, tuple(table))
+    if dict(m.items()) == {(i, j): 1 for j, i in enumerate(table)}:
+        assert_one_value(m, by_table)
+    else:
+        # one entry 2 or p - 1, an empty column or a second entry: no table,
+        # and so another value, with a memo of its own
+        assert m._table() is None and m != by_table and by_table != m
+        x = identity(m.field, m.dom)
+        assert by_table @ x == by_table and m @ x == m

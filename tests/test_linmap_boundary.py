@@ -1,9 +1,11 @@
 """LinMap's trusted constructors and its caches stay inside linmap.
 
 `LinMap._of` and `LinMap._of_table` skip the index and scalar type
-checks of `LinMap(...)`, and `_by_col` exposes a map's cached column
-lists, so a module that named them could build an unchecked map or
-mutate a shared cache.  This test reads the source of every module and
+checks of `LinMap(...)`, `_by_col` exposes a map's cached column lists,
+and `_entries` (with its slot `_entry_dict`) is a map's entry dict, which
+a basis map builds on its first read, so a module that named them could
+build an unchecked map, mutate a shared cache or build the entries that
+a table answers for.  This test reads the source of every module and
 fails when any module other than linmap names them.  There are no
 exceptions: coalgebra.diagonal hands its braided legs to
 linmap.tensor_apply, or the f and g columns of its braided spread to
@@ -14,7 +16,7 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "trusslab"
-TRUSTED = {"_of", "_of_table", "_by_col"}
+TRUSTED = {"_of", "_of_table", "_by_col", "_entries", "_entry_dict"}
 ALLOWED = set()
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import count_calls, count_runs, cyclic_truss, perturbed, sample_objects
+from conftest import count_calls, count_runs, cyclic_truss, perturbed, sample_objects, unset
 from trusslab import algfile, record
 from trusslab.coalgebra import Structure, verify_hopf_monoid, verify_nonunital_bimonoid
 from trusslab.cocycle import InvertibleCocycle, cocycle_of_truss, roundtrip_report, truss_of_cocycle, verify_cocycle
@@ -152,13 +152,16 @@ def test_the_memo_is_not_part_of_the_value():
     cocycle_of_truss(h)
     assert h == twin and hash(h) == code == hash(twin) and repr(h) == text
     maps = [attrgetter(path) for _, path, _, _ in HopfTruss.ALL_MAPS]
-    # verifying h read each of its maps as a table; a deep copy or a
-    # pickle copies the maps, without their tables
-    assert all(hasattr(get(h), "_tab") for get in maps)
+    # h's maps were built from entries, and verifying h read each as a
+    # table; a deep copy or a pickle builds each map again from its table,
+    # with no entry dict, hash, columns or memo, checked before anything
+    # reads them
+    assert all(hasattr(get(h), "_tab") and not unset(get(h), "_entry_dict") for get in maps)
     for copied in (copy.copy(h), copy.deepcopy(h), pickle.loads(pickle.dumps(h))):
-        assert copied == h
         assert not {"_memo", "_hash", "dims"} & set(vars(copied))
-        assert all(get(copied) is get(h) or not hasattr(get(copied), "_tab") for get in maps)
+        assert all(get(copied) is get(h) or get(copied)._hash is None and get(copied)._cols is None
+                   and unset(get(copied), "_entry_dict", "_memo") for get in maps)
+        assert copied == h
         # a copy is the same value, so it reads h's views and reports
         assert copied.hopf_part() is h.hopf_part()
         assert verify_hopf_truss(copied) is verify_hopf_truss(h)

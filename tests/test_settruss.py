@@ -2,10 +2,11 @@
 
 import itertools
 import random
+from operator import attrgetter
 
 import pytest
 
-from conftest import count_calls, count_runs
+from conftest import count_calls, count_runs, truss_from_tables
 from trusslab import settruss
 from trusslab.errors import (
     BoundExceededError,
@@ -666,6 +667,20 @@ def test_linearize_trivial_truss_on_z2(field):
     h = linearize(trivial_truss(cyclic_group(2)), field)
     assert h.cocycle == identity(field, 2)
     assert verify_hopf_truss(h).ok
+
+
+@pytest.mark.parametrize("field", [RATIONALS, F5, prime_field(2)])
+def test_linearize_builds_the_maps_that_the_tables_give_entry_by_entry(field):
+    # linearize builds each map from its table; truss_from_tables builds
+    # it from the Cayley tables one entry at a time
+    for t in (trivial_truss(symmetric_group(3)), left_projection_truss(KLEIN),
+              *enumerate_skew_trusses(cyclic_group(3))):
+        h = linearize(t, field)
+        by_entries = truss_from_tables(field, t.group.table, t.semigroup.table, t.omega)
+        for _, path, _, _ in HopfTruss.ALL_MAPS:
+            a, b = attrgetter(path)(h), attrgetter(path)(by_entries)
+            assert a == b and hash(a) == hash(b) and dict(a.items()) == dict(b.items())
+        assert h == by_entries
 
 
 def test_linearize_right_projection_collapses_cocycle():
