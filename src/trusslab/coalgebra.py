@@ -388,6 +388,7 @@ class HopfMonoidData(OverComonoid, Structure):
     PARTS = (("comonoid", ComonoidData, None),)
     MAPS = (("eta", "dim", "1"), ("mu", "dim", "dim*dim"), ("antipode", "dim", "dim"))
 
+    # memoized views: each is a new record, and its report memo would die with it
     @memoized
     def monoid(self) -> MonoidData:
         return MonoidData(self.dim, self.eta, self.mu)

@@ -7,8 +7,8 @@ endomorphism of B (the twist) and an action of B on H, tied by
 
 Such a cocycle is the same thing as a Hopf truss carried by H:
 cocycle_of_truss reads a truss as the identity cocycle from its second
-product onto its Hopf part, truss_of_cocycle reads the truss off the
-cocycle moved along pi, an identity cocycle. The two directions compose
+product onto its Hopf part, truss_of_cocycle moves the source product
+and the twist along pi onto the Hopf part. The two directions compose
 to the identity on trusses exactly; on cocycles they compose to an
 isomorphic cocycle, which roundtrip_report certifies.
 """
@@ -35,7 +35,7 @@ from .errors import (
     NotInvertibleError,
 )
 from .hopftruss import HopfTruss, twisted_action, verify_hopf_truss
-from .linmap import compose_tensor, identity
+from .linmap import compose_tensor, identity, invert
 from .record import memoized
 from .report import VerificationReport, condition, equation
 
@@ -91,21 +91,20 @@ def cocycle_of_truss(h: HopfTruss) -> InvertibleCocycle:
         h.second_part(), h.hopf_part(), identity(h.field, h.dim), h.cocycle, twisted_action(h))
 
 
-def truss_of_identity_cocycle(c: InvertibleCocycle) -> HopfTruss:
-    """The truss of a cocycle whose cocycle map is the identity: its Hopf
-    part, with the source product and the twist as mu2 and cocycle."""
-    hopf = c.hopf
-    return HopfTruss(hopf.comonoid, hopf.eta, hopf.mu, c.bimonoid.mu, hopf.antipode, c.twist)
-
-
+# the transport builds the truss as a new record
 @memoized
 def truss_of_cocycle(c: InvertibleCocycle) -> HopfTruss:
-    """The truss of c moved along pi onto the target."""
+    """The truss of c moved along pi onto the target: its Hopf part, with
+    the source product and the twist moved along pi as mu2 and cocycle,
+    as Structure.moved moves them; the rest of c is not read."""
+    pi = c.cocycle
     try:
-        moved = c.moved({"source": c.cocycle})
+        back = invert(pi)
     except NotInvertibleError as exc:
         raise InvalidStructureError("cocycle map is singular") from exc
-    return truss_of_identity_cocycle(moved)
+    hopf = c.hopf
+    return HopfTruss(hopf.comonoid, hopf.eta, hopf.mu, compose_tensor(pi @ c.bimonoid.mu, back, back),
+                     hopf.antipode, pi @ c.twist @ back)
 
 
 def verify_cocycle_morphism(f: dict, src: InvertibleCocycle,

@@ -36,6 +36,7 @@ class HopfModuleData(Structure):
     PARTS = (("hopf", HopfMonoidData, None),)
     MAPS = (("action", "carrier", "dim*carrier"),) + ComoduleData.MAPS
 
+    # memoized views: each is a new record, and its report memo would die with it
     @memoized
     def comodule(self) -> ComoduleData:
         return ComoduleData(self.hopf.comonoid, self.coaction)
@@ -47,6 +48,7 @@ class TrussHopfModule(Structure):
     PARTS = TrussModule.PARTS
     MAPS = TrussModule.MAPS + ComoduleData.MAPS
 
+    # memoized views: each is a new record, and its report memo would die with it
     @memoized
     def truss_module(self) -> TrussModule:
         return TrussModule(self.truss, self.act1, self.act2)
@@ -101,6 +103,7 @@ def _demand(ok: bool, label: str) -> None:
         raise InvalidStructureError(f"coinvariant identity failed: {label}")
 
 
+# the split does elimination, which no kernel memo holds
 @memoized
 def coinvariants(m: HopfModuleData) -> CoinvariantData:
     """Split off the subspace on which the coaction is the unit.
@@ -143,12 +146,12 @@ def verify_truss_hopf_module():
              act1 @ (cocycle * inclusion), act2 @ (idn * inclusion)))
 
 
-@memoized
 def _theta(m: TrussHopfModule) -> LinMap:
     """theta = act1∘(id (x) inclusion), from the free module on m's coinvariants."""
     return compose_tensor(m.act1, identity(m.field, m.truss.dim), coinvariants(m.hopf_module()).inclusion)
 
 
+# its first operand is built here, and the kernel memo would drop the result with it
 @memoized
 def _theta_inv(m: TrussHopfModule) -> LinMap:
     """theta_inv = (id (x) retraction)∘coaction, onto the free module."""

@@ -38,6 +38,7 @@ class HopfTruss(OverComonoid, Structure):
     MAPS = (("eta", "dim", "1"), ("mu1", "dim", "dim*dim"), ("mu2", "dim", "dim*dim"),
             ("antipode", "dim", "dim"), ("cocycle", "dim", "dim"))
 
+    # memoized views: each is a new record, and its report memo would die with it
     @memoized
     def hopf_part(self) -> HopfMonoidData:
         return HopfMonoidData(self.comonoid, self.eta, self.mu1, self.antipode)
@@ -53,7 +54,6 @@ def derive_cocycle(mu2: LinMap, eta: LinMap) -> LinMap:
     return compose_tensor(mu2, identity(mu2.field, n), eta)
 
 
-@memoized
 def twisted_action(h: HopfTruss) -> LinMap:
     """Gamma: H (x) H -> H, mu1∘((antipode∘cocycle) (x) mu2)∘(delta (x) id)."""
     return h.mu1 @ diagonal(h.comonoid.delta, h.antipode @ h.cocycle, h.mu2)

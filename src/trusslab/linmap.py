@@ -34,7 +34,11 @@ _tensor_rows, to which diagonal hands the f and g columns of its
 braided spread.  A composite of basis maps is exactly that basis map,
 so the result equals the one the entry-by-entry path builds; shape and
 field checks run first on both paths, and any other operand, dense or
-with no columns, keeps its entries and takes the entry-by-entry path.
+with no columns, keeps its entries and takes the entry-by-entry path,
+which is one product, tensor_apply: f (x) g applied to a map's columns
+(Van Loan's (A⊗B)vec(X) = vec(B X Aᵀ)).  compose is (self (x) id_1) ∘ other,
+kron is f (x) g applied to the identity, and compose_tensor is the
+transpose of (fᵀ (x) gᵀ) ∘ xᵀ.
 """
 
 from __future__ import annotations
@@ -239,14 +243,7 @@ class LinMap:
         a, b = self._table(), other._table()
         if a and b:
             return LinMap._of_table(self.field, self.cod, tuple(map(a.__getitem__, b)))
-        out: Dict[Tuple[int, int], Scalar] = {}
-        get = out.get
-        cols = self._by_col()
-        for (k, j), v in other._entries.items():
-            for i, u in cols.get(k, ()):
-                key = (i, j)
-                out[key] = get(key, 0) + u * v
-        return LinMap._of(self.field, self.cod, other.dom, out)
+        return tensor_apply(self, LinMap.identity(self.field, 1), other.items(), other.dom)
 
     def __matmul__(self, other: "LinMap") -> "LinMap":
         return self.compose(other)
@@ -254,15 +251,12 @@ class LinMap:
     def kron(self, other: "LinMap") -> "LinMap":
         """Tensor product; left-major flat indices (i1*cod2 + i2, j1*dom2 + j2)."""
         self.field.require_same(other.field)
-        cod2, dom2 = other.cod, other.dom
+        cod2 = other.cod
         a, b = self._table(), other._table()
         if a and b:
             return LinMap._of_table(self.field, self.cod * cod2, _kron_table(a, b, cod2))
-        out = {}
-        for (i1, j1), u in self._entries.items():
-            for (i2, j2), v in other._entries.items():
-                out[(i1 * cod2 + i2, j1 * dom2 + j2)] = u * v
-        return LinMap._of(self.field, self.cod * cod2, self.dom * dom2, out)
+        n = self.dom * other.dom
+        return tensor_apply(self, other, LinMap.identity(self.field, n).items(), n)
 
     def __add__(self, other: "LinMap") -> "LinMap":
         self._require_same_shape(other)
@@ -274,11 +268,7 @@ class LinMap:
 
     def __sub__(self, other: "LinMap") -> "LinMap":
         self._require_same_shape(other)
-        out = dict(self._entries)
-        get = out.get
-        for key, value in other._entries.items():
-            out[key] = get(key, 0) - value
-        return LinMap._of(self.field, self.cod, self.dom, out)
+        return self + -other
 
     def __neg__(self) -> "LinMap":
         return LinMap._of(self.field, self.cod, self.dom,
@@ -392,7 +382,7 @@ def tensor_apply(f: LinMap, g: LinMap, legs, dom: int) -> LinMap:
     """(f (x) g) ∘ x for the x with entries `legs`: a leg ((c1*g.dom + c2, j), v),
     whose key may repeat and whose v is an exact product of scalars of f's
     field, adds v·(f(e_c1) (x) g(e_c2)) to column j < dom.  Each such image
-    is multiplied out once (Van Loan's (A⊗B)vec(X) = vec(B X Aᵀ))."""
+    is multiplied out once.  The one entry-by-entry product of linmap."""
     field = f.field
     field.require_same(g.field)
     gdom, gcod = g.dom, g.cod
@@ -418,42 +408,19 @@ def tensor_apply(f: LinMap, g: LinMap, legs, dom: int) -> LinMap:
 
 @memoized
 def compose_tensor(x: LinMap, f: LinMap, g: LinMap) -> LinMap:
-    """x ∘ (f (x) g), without forming f (x) g.  The block of x's columns
-    i1*g.cod + i2 is composed with g once and then scaled by each entry
-    f[i1, j1]."""
+    """x ∘ (f (x) g), without forming f (x) g: the transpose of
+    (fᵀ (x) gᵀ) ∘ xᵀ."""
     field = x.field
     field.require_same(f.field)
     field.require_same(g.field)
-    gcod, gdom = g.cod, g.dom
+    gcod = g.cod
     if x.dom != f.cod * gcod:
         raise DimensionMismatchError(f"compose_tensor: dom {x.dom} != cod {f.cod}*{gcod}")
     a, b, c = x._table(), f._table(), g._table()
     if a and b and c:
         return LinMap._of_table(field, x.cod, tuple(map(a.__getitem__, _kron_table(b, c, gcod))))
-    xcols, gcols = x._by_col(), g._by_col()
-    blocks: Dict[int, list] = {}
-    out: Dict[Tuple[int, int], Scalar] = {}
-    get = out.get
-    for j1, fcol in f._by_col().items():
-        for i1, u in fcol:
-            block = blocks.get(i1)
-            if block is None:
-                block = blocks[i1] = []
-                base = i1 * gcod
-                for j2, gcol in gcols.items():
-                    acc: Dict[int, Scalar] = {}
-                    for i2, w in gcol:
-                        for i, v in xcols.get(base + i2, ()):
-                            acc[i] = acc.get(i, 0) + w * v
-                    col = list(acc.items())
-                    if col:
-                        block.append((j2, col))
-            for j2, col in block:
-                j = j1 * gdom + j2
-                for i, v in col:
-                    key = (i, j)
-                    out[key] = get(key, 0) + u * v
-    return LinMap._of(field, x.cod, f.dom * gdom, out)
+    legs = (((k, i), v) for (i, k), v in x.items())
+    return tensor_apply(f.transpose(), g.transpose(), legs, x.cod).transpose()
 
 
 def identity(field: FieldSpec, n: int) -> LinMap:

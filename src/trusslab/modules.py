@@ -17,7 +17,7 @@ other lands on an isomorphic cocycle module with comparison map id.
 
 from __future__ import annotations
 
-from .cocycle import InvertibleCocycle, cocycle_of_truss, truss_of_identity_cocycle
+from .cocycle import InvertibleCocycle, cocycle_of_truss, truss_of_cocycle
 from .coalgebra import Call, Diag, Guard, Structure, diagonal, law_table, terms, verify_morphism
 from .errors import (
     InvalidStructureError,
@@ -25,7 +25,6 @@ from .errors import (
 )
 from .hopftruss import HopfTruss, twisted_action, twisted_product
 from .linmap import LinMap, compose_tensor, identity, invert, kron
-from .record import memoized
 from .report import VerificationReport, condition, equation
 
 
@@ -56,7 +55,6 @@ class PiModule(Structure):
         return self.compare.dom
 
 
-@memoized
 def module_twisted_action(m: TrussModule) -> LinMap:
     """Gamma on the module: act1∘((antipode∘cocycle) (x) act2)∘(delta (x) id)."""
     t = m.truss
@@ -179,15 +177,16 @@ def functor_H_tr_pi(m: PiModule) -> TrussModule:
     """Collapse a cocycle module onto the transported truss.
 
     The module moved along the cocycle map on "source" and compare on
-    "second" is one over an identity cocycle, whose truss acts by its
-    Hopf and base actions.  Its mixed action must agree with the twisted
-    action of the result, which pins the construction and is checked here.
+    "second" is one over an identity cocycle, and truss_of_cocycle, the
+    same move of the system, acts on it by its Hopf and base actions.
+    Its mixed action must agree with the twisted action of the result,
+    which pins the construction and is checked here.
     """
     try:
         flat = m.moved({"source": m.system.cocycle, "second": m.compare})
     except NotInvertibleError as exc:
         raise InvalidStructureError("cocycle map or compare map is singular") from exc
-    out = TrussModule(truss_of_identity_cocycle(flat.system), flat.hopf_action, flat.base_action)
+    out = TrussModule(truss_of_cocycle(m.system), flat.hopf_action, flat.base_action)
     if module_twisted_action(out) != flat.mixed_action:
         raise InvalidStructureError(
             "twisted action of the output disagrees with the mixed action; "

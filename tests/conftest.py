@@ -7,8 +7,8 @@ sample_objects, one structure of every document kind for the format and
 dispatch tests, uses the library's own constructions instead.  Every
 test runs with a memo index of its own (own_memo_index).  hook and
 count_calls watch or replace a library function where it is looked up,
-the law evaluator among those places; count_runs counts the runs of
-a memoized function's body, not the calls of its memo.
+the law evaluator among those places; hook_runs and count_runs watch
+the runs of a memoized function's body, not the calls of its memo.
 """
 
 import sys
@@ -183,22 +183,31 @@ def hook(monkeypatch, name: str, wrap) -> None:
             monkeypatch.setattr(m, name, wrapped)
 
 
+def hook_runs(monkeypatch, name: str, wrap) -> None:
+    """Put wrap(body) in place of the body of `name`, a record.memoized
+    trusslab function, inside the one memo wrapper that every module
+    binds: wrap sees the runs of the body, that is the memo misses."""
+    once = _defined(name)
+    cell = once.__closure__[once.__code__.co_freevars.index("fn")]
+    monkeypatch.setattr(cell, "cell_contents", wrap(cell.cell_contents))
+
+
 def count_runs(monkeypatch, *names) -> Counter:
     """Count the runs of each named function: for a record.memoized one
-    the runs of its body, that is its memo misses, by replacing the body
-    inside the one memo wrapper that every module binds; for another
-    its calls, as count_calls does."""
-    memos = {name: fn for name in names if hasattr(fn := _defined(name), "__wrapped__")}
+    the runs of its body (hook_runs); for another its calls, as
+    count_calls does."""
+    memos = [name for name in names if hasattr(_defined(name), "__wrapped__")]
     counts = count_calls(monkeypatch, *(name for name in names if name not in memos))
 
-    def counted(name, body):
-        def run(*args):
-            counts[name] += 1
-            return body(*args)
-        return run
-    for name, once in memos.items():
-        cell = once.__closure__[once.__code__.co_freevars.index("fn")]
-        monkeypatch.setattr(cell, "cell_contents", counted(name, cell.cell_contents))
+    def counter(name):
+        def wrap(body):
+            def run(*args):
+                counts[name] += 1
+                return body(*args)
+            return run
+        return wrap
+    for name in memos:
+        hook_runs(monkeypatch, name, counter(name))
     return counts
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import count_calls, cyclic_table, cyclic_truss, hook, perturbed, truss_from_tables
+from conftest import count_calls, cyclic_table, cyclic_truss, hook_runs, perturbed, truss_from_tables
 from trusslab import hopfmodules
 from trusslab.coalgebra import ComonoidData, HopfMonoidData, verify_morphism
 from trusslab.errors import DimensionMismatchError, InvalidStructureError
@@ -22,7 +22,7 @@ from trusslab.hopfmodules import (
     verify_truss_hopf_module,
 )
 from trusslab.hopftruss import HopfTruss
-from trusslab.linmap import LinMap, compose_tensor, identity, kron, rank
+from trusslab.linmap import LinMap, identity, kron, rank
 from trusslab.report import VerificationReport
 
 F2 = prime_field(2)
@@ -341,10 +341,10 @@ def test_theta_and_its_comodule_law_are_built_once(monkeypatch):
     # fundamental_iso and adjunction_check read theta = act1∘(id (x) inclusion)
     # and (id (x) theta)∘(delta (x) id) of one module: triangle.free builds
     # the free module's theta, which is m's, and counit.comodule is
-    # intertwine.coaction's check renamed.  Every call of the two kernels
-    # is watched, and counted when its operands are theta's: the sides of
-    # coinvariants.compat, act1∘(cocycle (x) inclusion) and
-    # act2∘(id (x) inclusion), are not theta.
+    # intertwine.coaction's check renamed.  Every run of the two kernels
+    # is watched, and counted when its operands are theta's: the kernel
+    # memo answers every later call on the same values.  theta's value is
+    # built here through kron, so that its compose_tensor run is still to come.
     t = cyclic_truss(F5, 4)
     m = induction_functor(t, 2)
     built = {"theta": 0, "spread": 0}
@@ -357,10 +357,10 @@ def test_theta_and_its_comodule_law_are_built_once(monkeypatch):
             return watched
         return wrap
     w = coinvariants(m.hopf_module())
-    theta = compose_tensor(m.act1, identity(F5, 4), w.inclusion)
-    hook(monkeypatch, "compose_tensor", watch("theta", lambda args: args[0] is m.act1 and args[1] is not t.cocycle
-                                              and args[2] is w.inclusion))
-    hook(monkeypatch, "tensor_compose", watch("spread", lambda args: args[1] == theta))
+    idt = identity(F5, 4)
+    theta = m.act1 @ kron(idt, w.inclusion)
+    hook_runs(monkeypatch, "compose_tensor", watch("theta", lambda args: args == (m.act1, idt, w.inclusion)))
+    hook_runs(monkeypatch, "tensor_compose", watch("spread", lambda args: args[1] == theta))
     assert fundamental_iso(m)[2].ok and adjunction_check(t, 2, m).ok
     assert built == {"theta": 1, "spread": 1}
 

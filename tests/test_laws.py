@@ -13,12 +13,13 @@ import gc
 import pickle
 import sys
 import weakref
+from collections import Counter
 from operator import attrgetter
 from types import SimpleNamespace
 
 import pytest
 
-from conftest import count_calls, count_runs, cyclic_truss
+from conftest import count_calls, count_runs, cyclic_truss, hook, hook_runs
 from test_noncocommutative import h4_truss
 from trusslab import algfile, linmap, record
 from trusslab.coalgebra import Call, Diag, Guard, Laws, terms, verify_comonoid, verify_hopf_monoid
@@ -107,9 +108,10 @@ def truss_and_module_reports(h):
 @pytest.mark.parametrize("make,basis", TABLE_CHAINS)
 def test_basis_maps_take_the_table_path_and_report_as_entries_do(monkeypatch, make, basis):
     # A linearised group algebra is made of basis maps, so every kernel of
-    # its chain takes its table path and tensor_apply, the entry-by-entry
-    # core of tensor_compose and diagonal, never runs.  H4's coproduct and
-    # product are no basis maps, so there it does.
+    # its chain takes its table path, and tensor_apply never runs: it is
+    # the one entry-by-entry product, so no product is multiplied out
+    # entry by entry at all.  H4's coproduct and product are no basis
+    # maps, so there it runs.
     calls = count_calls(monkeypatch, "tensor_apply")
     reports = truss_and_module_reports(make())
     assert all(rep.ok for rep in (reports[0], reports[1][2]))
@@ -121,6 +123,31 @@ def test_basis_maps_take_the_table_path_and_report_as_entries_do(monkeypatch, ma
     calls.clear()
     assert truss_and_module_reports(make()) == reports
     assert calls["tensor_apply"] > 0
+
+
+def test_every_entry_path_product_runs_through_tensor_apply(monkeypatch):
+    # On H4 the chain runs compose, kron and compose_tensor on operands
+    # that are no basis maps.  Each such run makes one tensor_apply call,
+    # and a run on basis maps alone makes none.
+    applied = count_calls(monkeypatch, "tensor_apply")
+    entry_runs = Counter()
+
+    def watch(name):
+        def wrap(body):
+            def run(*args):
+                before, out = applied["tensor_apply"], body(*args)
+                entry = not all(m._table() for m in args)
+                entry_runs[name] += entry
+                assert applied["tensor_apply"] - before == entry, name
+                return out
+            return run
+        return wrap
+    hook_runs(monkeypatch, "LinMap.compose", watch("compose"))
+    hook_runs(monkeypatch, "compose_tensor", watch("compose_tensor"))
+    hook(monkeypatch, "LinMap.kron", watch("kron"))
+    reports = truss_and_module_reports(h4_truss(lambda mu, eps, f: mu))
+    assert all(rep.ok for rep in (reports[0], reports[1][2]))
+    assert set(entry_runs) == {"compose", "kron", "compose_tensor"} and all(entry_runs.values())
 
 
 def test_the_table_chain_builds_few_entry_dicts(monkeypatch):

@@ -9,7 +9,7 @@ import weakref
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import count_runs, flip, unset
@@ -532,8 +532,27 @@ def same_shape():
 EXAMPLES = settings(deadline=None, max_examples=60)
 
 
+def q(*rows):
+    return LinMap.from_rows(RATIONALS, rows)
+
+
+def f5(*rows):
+    return LinMap.from_rows(F5, rows)
+
+
+# Entry-path operands that the draws reach only now and then, as cases
+# of the differentials below: a map with an empty column, and maps with
+# no columns, whose products tensor_apply builds from no legs at all.
+EMPTY_COLUMN = q([1, 0], [Fraction(1, 2), 0])
+DENSE = q([1, 2], [3, Fraction(1, 3)], [0, -1])
+
+
 @EXAMPLES
 @given(composable())
+@example((EMPTY_COLUMN, q([1, 2], [3, Fraction(1, 3)])))
+@example((f5([1, 2], [3, 4]), f5([0, 1], [0, 4])))
+@example((DENSE, LinMap.zero(RATIONALS, 2, 0)))
+@example((LinMap.zero(RATIONALS, 3, 0), LinMap.zero(RATIONALS, 0, 2)))
 def test_compose_matches_the_fraction_reference(pair):
     a, b = pair
     out = a @ b
@@ -544,6 +563,10 @@ def test_compose_matches_the_fraction_reference(pair):
 @EXAMPLES
 @given(over(FIELDS, lambda field: KINDS.flatmap(
     lambda kind: st.tuples(kind(field=field), kind(field=field)))))
+@example((EMPTY_COLUMN, q([2, 1])))
+@example((f5([1], [4]), f5([0, 4, 2])))
+@example((LinMap.zero(RATIONALS, 2, 0), DENSE))
+@example((DENSE, LinMap.zero(RATIONALS, 2, 0)))
 def test_kron_matches_the_fraction_reference(pair):
     a, b = pair
     out = kron(a, b)
@@ -805,6 +828,10 @@ def ref_compose_tensor(x, f, g):
 
 @EXAMPLES
 @given(compose_tensor_operands())
+@example((q([1, 2], [0, Fraction(1, 3)]), EMPTY_COLUMN, q([2, 1])))
+@example((f5([0, 3], [0, 1]), f5([1, 2]), f5([1], [3])))
+@example((DENSE, LinMap.zero(RATIONALS, 2, 0), q([1, 1])))
+@example((LinMap.zero(RATIONALS, 0, 2), q([1, 2]), q([1], [-1])))
 def test_compose_tensor_matches_kron_and_the_fraction_reference(operands):
     x, f, g = operands
     out = compose_tensor(x, f, g)

@@ -10,6 +10,10 @@ fails when any module other than linmap names them.  There are no
 exceptions: coalgebra.diagonal hands its braided legs to
 linmap.tensor_apply, or the f and g columns of its braided spread to
 linmap's _tensor_rows, instead of building a map with `_of` or `_of_table`.
+
+Inside linmap, tensor_apply is the one entry-by-entry product, and only
+it reads `_by_col`: compose, kron and compose_tensor hand it their legs,
+so a packed or otherwise faster product is chosen in one place.
 """
 
 import ast
@@ -49,3 +53,9 @@ def test_only_linmap_names_the_trusted_constructor_and_caches():
 def test_the_scan_sees_the_trusted_members_where_they_are_used():
     assert {name for _, _, name in trusted_references(SRC / "linmap.py")} == TRUSTED
     assert trusted_references(SRC / "coalgebra.py") == []
+
+
+def test_only_tensor_apply_reads_the_column_lists():
+    readers = {(path.name, function) for path in sorted(SRC.glob("*.py"))
+               for _, function, name in trusted_references(path) if name == "_by_col"}
+    assert readers == {("linmap.py", "tensor_apply")}
