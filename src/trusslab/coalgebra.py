@@ -119,9 +119,9 @@ class Laws:
     """A table of laws, compiled on first use to straight-line code over slots.
 
     An entry is a law (name, anchor, lhs, rhs), a condition that lhs can be
-    evaluated when rhs is None, or a part (verify, path, prefix): the checks
-    of a component (or of what a method of that name makes) under prefix,
-    as the same objects when it is empty.  Each distinct subterm owns one
+    evaluated when rhs is None, or a part (verify, path, prefix): the report
+    of a component (or of what a method of that name makes), held under
+    prefix as (prefix, report).  Each distinct subterm owns one
     slot, filled once per report and emptied after the last law needing it.
     Compiling is the one place that picks a kernel: (f (x) g)∘x is
     tensor_compose, x∘(f (x) g) compose_tensor, another composite compose,
@@ -178,7 +178,7 @@ class Laws:
         self.size, self.leaves, self.details, self.steps, self.entries = len(slots), leaves, details, steps, None
 
     def checks(self, s) -> tuple:
-        """The checks of every entry on the structure s, in table order."""
+        """The checks and parts of every entry on the structure s, in table order."""
         if self.steps is None:
             self._compile()
         vals, out, failed = [s] + [None] * self.size, [], set()
@@ -187,7 +187,7 @@ class Laws:
         for step in self.steps:
             if len(step) == 3:
                 part = step[1](s)  # a component, or the method that makes it
-                out += step[0](part() if callable(part) else part).prefixed(step[2])
+                out.append((step[2], step[0](part() if callable(part) else part)))
                 continue
             name, anchor, program, lhs, rhs, done = step
             if failed and not failed.isdisjoint(slot for slot, _, _ in program):

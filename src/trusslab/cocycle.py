@@ -36,7 +36,6 @@ from .errors import (
 )
 from .hopftruss import HopfTruss, twisted_action, verify_hopf_truss
 from .linmap import compose_tensor, identity, invert
-from .record import memoized
 from .report import VerificationReport, condition, equation
 
 
@@ -91,8 +90,6 @@ def cocycle_of_truss(h: HopfTruss) -> InvertibleCocycle:
         h.second_part(), h.hopf_part(), identity(h.field, h.dim), h.cocycle, twisted_action(h))
 
 
-# the transport builds the truss as a new record
-@memoized
 def truss_of_cocycle(c: InvertibleCocycle) -> HopfTruss:
     """The truss of c moved along pi onto the target: its Hopf part, with
     the source product and the twist moved along pi as mu2 and cocycle,
@@ -118,18 +115,19 @@ def roundtrip_report(c: InvertibleCocycle) -> VerificationReport:
     """Certify the equivalence on one object: the transported truss is
     valid, reading it back gives an isomorphic cocycle, and the
     comparison pair (pi, id) is that isomorphism."""
-    checks = verify_cocycle(c).prefixed("src.")
+    src = ("src.", verify_cocycle(c))
     try:
         t = truss_of_cocycle(c)
     except InvalidStructureError:
-        return VerificationReport("cocycle-roundtrip", checks + (condition(
+        return VerificationReport("cocycle-roundtrip", (src, condition(
             "roundtrip.transport", "pi is invertible", False,
-            "cocycle map is singular, cannot transport"),))
-    checks += verify_hopf_truss(t).prefixed("truss.")
+            "cocycle map is singular, cannot transport")))
     back = cocycle_of_truss(t)
     idh = identity(c.field, c.hopf.dim)
-    checks += verify_cocycle_morphism({"source": c.cocycle, "target": idh}, c, back).prefixed("unit-map.")
-    return VerificationReport("cocycle-roundtrip", checks + (
+    return VerificationReport("cocycle-roundtrip", (
+        src,
+        ("truss.", verify_hopf_truss(t)),
+        ("unit-map.", verify_cocycle_morphism({"source": c.cocycle, "target": idh}, c, back)),
         # the transport above inverted pi, and id is its own inverse
         condition("unit-map.invertible", "both components are isomorphisms", True),
         equation("roundtrip.action", "Gamma^(sigma_pi)∘(pi(x)id) = phi",

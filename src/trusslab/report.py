@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Iterator, Optional, Tuple, Union
 
 from .linmap import LinMap
 from .record import Record
@@ -23,53 +23,54 @@ class CheckResult(Record):
     detail: str = ""
 
     def renamed(self, name: str) -> "CheckResult":
-        """The same check under another name."""
+        """The same check under another name, itself under its own."""
+        if name == self.name:
+            return self
         return CheckResult(name, self.anchor, self.passed, self.residual, self.detail)
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "anchor": self.anchor,
-            "pass": self.passed,
-            "residual_zero": self.passed,
-        }
 
 
 class VerificationReport(Record):
+    """A subject and its checks in table order, each a CheckResult or a
+    part (prefix, report) whose checks are named under prefix when read."""
+
     subject: str
-    checks: Tuple[CheckResult, ...] = ()
+    checks: Tuple[Union[CheckResult, Tuple[str, "VerificationReport"]], ...] = ()
+
+    def named_checks(self, prefix: str = "") -> Iterator[Tuple[str, CheckResult]]:
+        """(full name, check) for every check, in table order."""
+        for entry in self.checks:
+            if type(entry) is tuple:
+                yield from entry[1].named_checks(prefix + entry[0])
+            else:
+                yield prefix + entry.name, entry
 
     @property
     def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
+        return all(c.passed for _, c in self.named_checks())
 
     def failures(self) -> Tuple[CheckResult, ...]:
-        return tuple(c for c in self.checks if not c.passed)
+        """The failing checks, each under its full name."""
+        return tuple(c.renamed(name) for name, c in self.named_checks() if not c.passed)
 
     def named(self, name: str) -> CheckResult:
-        for c in self.checks:
-            if c.name == name:
-                return c
+        for full, c in self.named_checks():
+            if full == name:
+                return c.renamed(name)
         raise KeyError(name)
-
-    def prefixed(self, prefix: str) -> Tuple[CheckResult, ...]:
-        """The checks named under prefix, the same objects when it is empty."""
-        if not prefix:
-            return self.checks
-        return tuple(c.renamed(prefix + c.name) for c in self.checks)
 
     def to_dict(self) -> dict:
         return {
             "subject": self.subject,
             "pass": self.ok,
-            "checks": [c.to_dict() for c in self.checks],
+            "checks": [{"name": name, "anchor": c.anchor, "pass": c.passed, "residual_zero": c.passed}
+                       for name, c in self.named_checks()],
         }
 
     def text_lines(self, verbose: bool = False) -> list:
         lines = [f"{self.subject}: {'PASS' if self.ok else 'FAIL'}"]
-        for c in self.checks:
+        for name, c in self.named_checks():
             mark = "ok  " if c.passed else "FAIL"
-            lines.append(f"  [{mark}] {c.name}: {c.anchor}")
+            lines.append(f"  [{mark}] {name}: {c.anchor}")
             if not c.passed and c.detail:
                 lines.append(f"         witness: {c.detail}")
             if not c.passed and c.residual is not None and verbose:

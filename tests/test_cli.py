@@ -8,10 +8,13 @@ import sys
 
 import pytest
 
+from conftest import cyclic_truss
 from trusslab import algfile, cli
 from trusslab.cli import main
 from trusslab.fields import PRIME_BOUND, RATIONALS
 from trusslab.hopfmodules import induction_functor
+from trusslab.hopftruss import HopfTruss, verify_hopf_truss
+from trusslab.linmap import identity
 from trusslab.settruss import (
     FiniteGroup,
     cyclic_group,
@@ -359,6 +362,32 @@ def test_pipeline_json_runs_are_byte_identical(capsys):
     assert doc["pass"] is True
     assert [s["step"] for s in doc["steps"]] == [
         "input", "linearize", "cocycle", "truss", "roundtrip"]
+
+
+# -- rendered output ----------------------------------------------------------
+#
+# The rendered reports, pinned byte for byte in tests/fixtures/rendered: a
+# failing verify in text and JSON, a passing pipeline in JSON, and a
+# verbose report whose failures and residuals sit in a prefixed part.
+
+RENDERED = FIXTURES / "rendered"
+
+
+@pytest.mark.parametrize("name,code,argv", [
+    ("verify-corrupt.txt", 1, ("verify", CORRUPT)),
+    ("verify-corrupt.json", 1, ("verify", CORRUPT, "--format", "json")),
+    ("pipeline-z3-roundtrip.json", 0,
+     ("pipeline", Z3_TRIVIAL, "--steps", "linearize,E,Q,roundtrip", "--format", "json")),
+])
+def test_cli_output_matches_its_fixture(capsys, name, code, argv):
+    assert run(capsys, *argv) == (code, (RENDERED / name).read_text(encoding="utf-8"), "")
+
+
+def test_verbose_report_matches_its_fixture():
+    base = cyclic_truss(RATIONALS, 3)
+    bad = HopfTruss(base.comonoid, base.eta, base.mu1, base.mu2, identity(RATIONALS, 3), base.cocycle)
+    lines = verify_hopf_truss(bad).text_lines(verbose=True)
+    assert "\n".join(lines) + "\n" == (RENDERED / "wrong-antipode-verbose.txt").read_text(encoding="utf-8")
 
 
 # -- invocation ---------------------------------------------------------------

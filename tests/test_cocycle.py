@@ -305,11 +305,11 @@ def test_roundtrip_verifies_the_hopf_part_once(monkeypatch, broken):
     gc.collect()
     assert [ref() for ref in refs] == [None]
     laws.clear()
-    fresh = [(ch.name, ch.passed, ch.residual) for ch in verify_hopf_monoid(algfile.loads(text)).checks]
+    fresh = [(name, ch.passed, ch.residual) for name, ch in verify_hopf_monoid(algfile.loads(text)).named_checks()]
     assert laws["antipode.left"] == 1
     for prefix in ("src.h.", "truss.h1."):
-        assert [(ch.name[len(prefix):], ch.passed, ch.residual)
-                for ch in rep.checks if ch.name.startswith(prefix)] == fresh
+        assert [(name[len(prefix):], ch.passed, ch.residual)
+                for name, ch in rep.named_checks() if name.startswith(prefix)] == fresh
 
 
 # -- broken inputs ------------------------------------------------------------

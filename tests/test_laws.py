@@ -22,7 +22,16 @@ import pytest
 from conftest import count_calls, count_runs, cyclic_truss, hook, hook_runs
 from test_noncocommutative import h4_truss
 from trusslab import algfile, linmap, record
-from trusslab.coalgebra import Call, Diag, Guard, Laws, terms, verify_comonoid, verify_hopf_monoid
+from trusslab.coalgebra import (
+    Call,
+    Diag,
+    Guard,
+    Laws,
+    terms,
+    verify_comonoid,
+    verify_hopf_monoid,
+    verify_nonunital_bimonoid,
+)
 from trusslab.cocycle import cocycle_of_truss, roundtrip_report, truss_of_cocycle, verify_cocycle
 from trusslab.errors import DimensionMismatchError, NotInvertibleError
 from trusslab.fields import RATIONALS, prime_field
@@ -36,6 +45,7 @@ from trusslab.hopfmodules import (
 from trusslab.hopftruss import twisted_action, verify_hopf_truss
 from trusslab.linmap import LinMap, identity
 from trusslab.modules import module_twisted_action, regular_pi_module, regular_truss_module
+from trusslab.report import CheckResult
 from trusslab.settruss import cyclic_group, linearize, trivial_truss
 
 KERNELS = ("LinMap.compose", "compose_tensor", "tensor_compose", "diagonal", "invert",
@@ -187,11 +197,43 @@ def test_moved_keeps_the_components_whose_maps_stay():
     assert rebuilt == moved and rebuilt.system.hopf is not m.system.hopf
 
 
-def test_unprefixed_parts_share_their_checks():
-    h = cyclic_truss(RATIONALS, 3).hopf_part()
-    comonoid = verify_comonoid(h.comonoid).checks
-    assert verify_hopf_monoid(h).checks[0] is comonoid[0]
-    assert all(a is b for a, b in zip(verify_hopf_monoid(h).checks, comonoid))
+def test_parts_share_their_checks():
+    # A report reads a part's checks under the part's prefix: each is the
+    # object of the part's own report, with or without a prefix.
+    def under(rep, prefix):
+        return [c for name, c in rep.named_checks() if name.startswith(prefix)]
+
+    def same(got, part):
+        own = [c for _, c in part.named_checks()]
+        return len(got) == len(own) and all(a is b for a, b in zip(got, own))
+
+    h = cyclic_truss(RATIONALS, 3)
+    hopf = h.hopf_part()
+    comonoid = verify_comonoid(hopf.comonoid)
+    assert same(under(verify_hopf_monoid(hopf), "")[:len(comonoid.checks)], comonoid)
+    rep = verify_hopf_truss(h)
+    assert same(under(rep, "h1."), verify_hopf_monoid(hopf))
+    assert same(under(rep, "h2."), verify_nonunital_bimonoid(h.second_part()))
+    c = cocycle_of_truss(h)
+    rep = roundtrip_report(c)
+    assert same(under(rep, "src."), verify_cocycle(c))
+    assert same(under(rep, "truss."), verify_hopf_truss(truss_of_cocycle(c)))
+
+
+def test_the_transport_chain_builds_one_record_per_check(monkeypatch):
+    # transport_q's chain on Z4 over Q: every CheckResult is made by an
+    # equation or a condition, none to name a part's check under a prefix.
+    h = linearize(trivial_truss(cyclic_group(4)), RATIONALS)
+    made = count_calls(monkeypatch, "equation", "condition")
+    built, build = [], CheckResult.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        build(self, *args, **kwargs)
+    monkeypatch.setattr(CheckResult, "__init__", counted)
+    c = cocycle_of_truss(h)
+    assert verify_hopf_truss(h).ok and verify_cocycle(c).ok and roundtrip_report(c).ok
+    assert len(built) == sum(made.values()) > 0
 
 
 @pytest.mark.parametrize("kind", list(algfile.REGISTRY))

@@ -36,7 +36,7 @@ def fresh(obj):
 
 
 def checks(rep) -> list:
-    return [(c.name, c.anchor, c.passed, c.residual, c.detail) for c in rep.checks]
+    return [(name, c.anchor, c.passed, c.residual, c.detail) for name, c in rep.named_checks()]
 
 
 def dropped(refs) -> bool:

@@ -191,12 +191,12 @@ def surface() -> dict:
         except Exception as exc:  # the error's type is part of the surface
             out[label] = type(exc).__name__
             continue
-        for c in rep.checks:
-            seen = anchors.setdefault(rep.subject, {}).setdefault(c.name, [])
+        for name, c in rep.named_checks():
+            seen = anchors.setdefault(rep.subject, {}).setdefault(name, [])
             seen += [] if c.anchor in seen else [c.anchor]
-        out[label] = [rep.subject, [[c.name, c.passed, c.detail,
+        out[label] = [rep.subject, [[name, c.passed, c.detail,
                                      None if c.residual is None else len(c.residual.items())]
-                                    for c in rep.checks]]
+                                    for name, c in rep.named_checks()]]
     return {"anchors": anchors, "reports": out}
 
 
