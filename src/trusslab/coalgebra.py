@@ -234,9 +234,10 @@ class Structure(Record):
     `renamed` names a dim, the component's "dim" becomes that dim and
     its maps are named "renamed." + name.  The record fields (the
     components, or "dim" when there are none, then the maps), the field,
-    the dims, the constructor check, build and moved follow from these
-    tables.  MORPHISM_LAWS is the table of verify_morphism's laws, one
-    per map, compiled once per class on use.
+    the dims, the constructor check, build and moved_maps, the one
+    transport of structure, follow from these tables.  MORPHISM_LAWS is
+    the table of verify_morphism's laws, one per map, compiled once per
+    class on use.
     """
 
     PARTS = ()
@@ -265,6 +266,7 @@ class Structure(Record):
             dims[d] = (True, sized[0])
         cls.ALL_MAPS, cls.ALL_DIMS = tuple(maps + own), tuple((d, *entry) for d, entry in dims.items())
         cls._dim_reads = tuple((d, attrgetter(path)) for d, _, path in cls.ALL_DIMS)
+        cls._map_reads = {name: (attrgetter(path), cod, dom) for name, path, cod, dom in cls.ALL_MAPS}
         cls.MORPHISM_LAWS = Laws(_morphism_law(*entry) for entry in cls.ALL_MAPS)
 
     @classmethod
@@ -273,34 +275,34 @@ class Structure(Record):
         return (parts or ("dim",)) + tuple(name for name, _, _ in cls.MAPS)
 
     @classmethod
-    def build(cls, dims: dict, maps: dict, kept=()):
-        """The structure with these dims and these maps by document name.
-        A component whose attribute path is a key of kept is kept[path]."""
+    def build(cls, dims: dict, maps: dict):
+        """The structure with these dims and these maps by document name."""
         values = {path: maps[name] for name, path, _, _ in cls.ALL_MAPS}
         values.update((path, dims[name]) for name, _, path in cls.ALL_DIMS)
 
         def make(struct, prefix: str):
-            parts = [kept[prefix + attr] if prefix + attr in kept else make(part, f"{prefix}{attr}.")
-                     for attr, part, _ in struct.PARTS]
+            parts = [make(part, f"{prefix}{attr}.") for attr, part, _ in struct.PARTS]
             return struct(*parts, *(values[prefix + name] for name in struct.FIELDS[len(parts):]))
         return make(cls, "")
 
-    def moved(self, p: dict):
-        """This structure moved along the isomorphisms p[d] on its dims: each
-        map m becomes (p on its cod)∘m∘(p⁻¹ on its dom), with no Kronecker
-        product formed.  A dim p leaves out stays fixed, a map on fixed
-        dims alone is kept as the same object, and so is a component none
-        of whose maps moves.  Every p[d] is inverted before any map is
-        built, so a singular one raises NotInvertibleError."""
+    def moved_maps(self, p: dict, names) -> dict:
+        """The one transport of structure: the maps named in names, by
+        document name, moved along the isomorphisms p[d] on their dims.
+        Each map m becomes (p on its cod)∘m∘(p⁻¹ on its dom), with no
+        Kronecker product formed.  A dim p leaves out stays fixed, and a
+        map on fixed dims alone comes back as the same object.  Every p[d]
+        is inverted before any map is built, so a singular one raises
+        NotInvertibleError, whether or not a named map lies on its dim."""
         dims = self.dims
         moves = {d: (p[d], invert(p[d])) for d in dims if d in p}
 
-        def legs(names: tuple, which: int) -> list:
-            return [moves[d][which] if d in moves else identity(self.field, dims[d]) for d in names]
+        def legs(end: tuple, which: int) -> list:
+            return [moves[d][which] if d in moves else identity(self.field, dims[d]) for d in end]
 
-        maps, moving = {}, {}
-        for name, path, cod, dom in self.ALL_MAPS:
-            m = old = attrgetter(path)(self)
+        maps = {}
+        for name in names:
+            read, cod, dom = self._map_reads[name]
+            m = read(self)
             if not moves.keys().isdisjoint(cod):
                 out = legs(cod, 0)
                 m = out[0] @ m if len(out) == 1 else tensor_compose(*out, m)
@@ -308,11 +310,11 @@ class Structure(Record):
                 back = legs(dom, 1)
                 m = m @ back[0] if len(back) == 1 else compose_tensor(m, *back)
             maps[name] = m
-            # the components holding the map, at each proper prefix of its path
-            for part in itertools.accumulate(path.split(".")[:-1], "{}.{}".format):
-                moving[part] = moving.get(part, False) or m is not old
-        kept = {part: attrgetter(part)(self) for part, moved in moving.items() if not moved}
-        return type(self).build(dims, maps, kept)
+        return maps
+
+    def moved(self, p: dict):
+        """This structure rebuilt from all its maps moved along p by moved_maps."""
+        return type(self).build(self.dims, self.moved_maps(p, self._map_reads))
 
     @property
     def mdim(self) -> int:

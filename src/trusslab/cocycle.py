@@ -35,7 +35,7 @@ from .errors import (
     NotInvertibleError,
 )
 from .hopftruss import HopfTruss, twisted_action, verify_hopf_truss
-from .linmap import compose_tensor, identity, invert
+from .linmap import compose_tensor, identity
 from .report import VerificationReport, condition, equation
 
 
@@ -92,16 +92,14 @@ def cocycle_of_truss(h: HopfTruss) -> InvertibleCocycle:
 
 def truss_of_cocycle(c: InvertibleCocycle) -> HopfTruss:
     """The truss of c moved along pi onto the target: its Hopf part, with
-    the source product and the twist moved along pi as mu2 and cocycle,
-    as Structure.moved moves them; the rest of c is not read."""
-    pi = c.cocycle
+    the source product and the twist moved along pi by
+    Structure.moved_maps as mu2 and cocycle; the rest of c is not read."""
     try:
-        back = invert(pi)
+        moved = c.moved_maps({"source": c.cocycle}, ("source.mu", "twist"))
     except NotInvertibleError as exc:
         raise InvalidStructureError("cocycle map is singular") from exc
     hopf = c.hopf
-    return HopfTruss(hopf.comonoid, hopf.eta, hopf.mu, compose_tensor(pi @ c.bimonoid.mu, back, back),
-                     hopf.antipode, pi @ c.twist @ back)
+    return HopfTruss(hopf.comonoid, hopf.eta, hopf.mu, moved["source.mu"], hopf.antipode, moved["twist"])
 
 
 def verify_cocycle_morphism(f: dict, src: InvertibleCocycle,

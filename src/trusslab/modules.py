@@ -176,18 +176,18 @@ def functor_G_H(m: TrussModule) -> PiModule:
 def functor_H_tr_pi(m: PiModule) -> TrussModule:
     """Collapse a cocycle module onto the transported truss.
 
-    The module moved along the cocycle map on "source" and compare on
-    "second" is one over an identity cocycle, and truss_of_cocycle, the
-    same move of the system, acts on it by its Hopf and base actions.
-    Its mixed action must agree with the twisted action of the result,
-    which pins the construction and is checked here.
+    truss_of_cocycle(m.system) acts by the Hopf action, whose dims stay,
+    and by the base action moved by Structure.moved_maps along the
+    cocycle map on "source" and compare on "second".  The mixed action,
+    moved alike, must agree with the twisted action of the result, which
+    pins the construction and is checked here.
     """
     try:
-        flat = m.moved({"source": m.system.cocycle, "second": m.compare})
+        flat = m.moved_maps({"source": m.system.cocycle, "second": m.compare}, ("mixed_action", "base_action"))
     except NotInvertibleError as exc:
         raise InvalidStructureError("cocycle map or compare map is singular") from exc
-    out = TrussModule(truss_of_cocycle(m.system), flat.hopf_action, flat.base_action)
-    if module_twisted_action(out) != flat.mixed_action:
+    out = TrussModule(truss_of_cocycle(m.system), m.hopf_action, flat["base_action"])
+    if module_twisted_action(out) != flat["mixed_action"]:
         raise InvalidStructureError(
             "twisted action of the output disagrees with the mixed action; "
             "the input does not satisfy the cocycle-module laws")

@@ -179,22 +179,30 @@ def test_moved_keeps_fixed_maps_and_inverts_before_any_kernel(monkeypatch):
     fixed = [path for _, path, cod, dom in m.ALL_MAPS if "source" not in cod + dom]
     assert len(fixed) == 7 and all(attrgetter(path)(moved) is attrgetter(path)(m) for path in fixed)
     assert moved == m.moved({d: p if d == "source" else identity(RATIONALS, n) for d, n in m.dims.items()})
+    assert m.moved_maps({"source": p}, ["hopf_action", "source.mu"]) == {
+        "source.mu": moved.system.bimonoid.mu, "hopf_action": m.hopf_action}
+    assert m.moved_maps({"source": p}, ["hopf_action"])["hopf_action"] is m.hopf_action
     kernels = count_calls(monkeypatch, "LinMap.compose", "compose_tensor", "tensor_compose")
+    singular = LinMap(RATIONALS, 3, 3, {(0, 0): 1})
     with pytest.raises(NotInvertibleError):
-        m.moved({"source": p, "second": LinMap(RATIONALS, 3, 3, {(0, 0): 1})})
+        m.moved({"source": p, "second": singular})
+    # no named map lies on "second", and its p is still inverted first
+    for names in (["hopf_action"], ["source.mu"], []):
+        with pytest.raises(NotInvertibleError):
+            m.moved_maps({"source": p, "second": singular}, names)
     assert kernels == {}
 
 
-def test_moved_keeps_the_components_whose_maps_stay():
+def test_moved_rebuilds_through_build():
+    # every component is built anew from the moved maps; equal components
+    # share their report memos by value, so none is kept by identity
     m = regular_pi_module(cocycle_of_truss(cyclic_truss(RATIONALS, 3)))
     p = LinMap.from_rows(RATIONALS, [[1, 2, 0], [0, 1, 0], [0, 3, 1]])
     q = LinMap.from_rows(RATIONALS, [[1, 0, 0], [1, 1, 0], [0, 0, 2]])
     moved = m.moved({"source": p, "second": q})
-    # the Hopf monoid lives on the target alone; the cocycle and the bimonoid move
-    assert moved.system.hopf is m.system.hopf
-    assert moved.system is not m.system and moved.system.bimonoid is not m.system.bimonoid
+    assert moved.system.hopf == m.system.hopf and moved.system != m.system
     rebuilt = type(m).build(moved.dims, {name: attrgetter(path)(moved) for name, path, _, _ in m.ALL_MAPS})
-    assert rebuilt == moved and rebuilt.system.hopf is not m.system.hopf
+    assert rebuilt == moved
 
 
 def test_parts_share_their_checks():

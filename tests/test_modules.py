@@ -5,6 +5,7 @@ import random
 import pytest
 
 from conftest import (
+    count_calls,
     cyclic_table,
     cyclic_truss,
     flip,
@@ -14,6 +15,7 @@ from conftest import (
     random_invertible,
     truss_from_tables,
 )
+from trusslab.coalgebra import Structure
 from trusslab.cocycle import InvertibleCocycle, cocycle_of_truss, truss_of_cocycle
 from trusslab.errors import DimensionMismatchError, InvalidStructureError, NotInvertibleError
 from trusslab.fields import RATIONALS, prime_field
@@ -34,7 +36,7 @@ from trusslab.modules import (
     verify_pi_module_morphism,
     verify_truss_module,
 )
-from trusslab.settruss import linearize, symmetric_group, trivial_truss
+from trusslab.settruss import cyclic_group, linearize, symmetric_group, trivial_truss
 
 F5 = prime_field(5)
 
@@ -284,6 +286,23 @@ def test_functor_to_truss_modules_undoes_any_move(field, t):
     m = regular_truss_module(linearize(t, field))
     p, q = (random_invertible(rnd, field, m.mdim) for _ in range(2))
     assert functor_H_tr_pi(functor_G_H(m).moved({"source": q, "second": p})) == m
+
+
+def test_functor_to_truss_modules_moves_only_the_maps_it_reads(monkeypatch):
+    # One call builds the truss and the module and nothing else: the
+    # cocycle system is not moved and rebuilt, and no map with a tensor
+    # codomain (the system's coproduct) is moved.
+    m = functor_G_H(regular_truss_module(linearize(trivial_truss(cyclic_group(4)), prime_field(7))))
+    built, check = [], Structure.__post_init__
+
+    def counted(self):
+        built.append(type(self).__name__)
+        check(self)
+    monkeypatch.setattr(Structure, "__post_init__", counted)
+    kernels = count_calls(monkeypatch, "tensor_compose")
+    out = functor_H_tr_pi(m)
+    assert sorted(built) == ["HopfTruss", "TrussModule"] and kernels == {}
+    assert verify_truss_module(out).ok
 
 
 def test_functor_rejects_corrupted_mixed_action():

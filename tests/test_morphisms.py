@@ -8,6 +8,7 @@ check, under an old -> new name map.
 import itertools
 import pathlib
 import random
+from operator import attrgetter
 
 import pytest
 
@@ -385,6 +386,8 @@ def test_transport_is_a_morphism_that_keeps_every_verdict(kind, obj):
     assert max(obj.dims.values()) <= 6
     moved = obj.moved(p)
     assert verify_morphism(p, obj, moved).ok
+    # moved_maps moves one map at a time exactly as moved moves them all
+    assert all(obj.moved_maps(p, [name])[name] == attrgetter(path)(moved) for name, path, _, _ in obj.ALL_MAPS)
     before = failing(algfile.verify_structure(obj))
     assert failing(algfile.verify_structure(moved)) == before
     assert len(before) == (5 if kind.endswith("corrupt-cocycle") else 0)
