@@ -174,6 +174,8 @@ class _SetTrussKind(Kind):
         group = FiniteGroup(group_table, unit, inv)
         semigroup = FiniteSemigroup(_parse_table("semigroup", tables["semigroup"], size, size))
         omega = _parse_table("cocycle", tables["cocycle"], 1, size)[0]
+        if "field" in doc:  # optional: the field a linearize step works over
+            parse_field(doc["field"])
         return SkewTruss(group, semigroup, omega)
 
     def document(self, t: SkewTruss) -> dict:

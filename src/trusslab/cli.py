@@ -16,15 +16,13 @@ import re
 import sys
 
 from . import algfile
-from .cocycle import InvertibleCocycle, cocycle_of_truss, truss_of_cocycle
+from .cocycle import cocycle_of_truss, roundtrip_report, truss_of_cocycle
 from .errors import BoundExceededError, ParseError, TrussLabError
 from .fields import RATIONALS, ascii_int
-from .hopfmodules import TrussHopfModule, fundamental_iso
-from .hopftruss import HopfTruss
+from .hopfmodules import fundamental_iso
 from .report import VerificationReport, equation
 from .settruss import (
     FiniteGroup,
-    SkewTruss,
     check_enumeration_bound,
     cyclic_group,
     enumerate_skew_trusses,
@@ -33,7 +31,6 @@ from .settruss import (
 )
 
 _STEP_ALIASES = {"E": "cocycle", "Q": "truss"}
-_STEPS = ("verify", "linearize", "cocycle", "truss", "roundtrip", "fundamental")
 
 
 def _read_json(path):
@@ -77,15 +74,16 @@ def _group_by_name(name: str, max_size: int) -> FiniteGroup:
     except OSError:
         raise ParseError(f"unknown group {name!r}: not Zn, not S3, "
                          "and no such Cayley file") from None
-    table = doc.get("table") if isinstance(doc, dict) else doc
-    if not (isinstance(table, list) and table
-            and all(isinstance(row, list) for row in table)):
+    # json.loads makes exact dicts, lists and ints, and a bool is no int here
+    table = doc.get("table") if type(doc) is dict else doc
+    if not (type(table) is list and table
+            and all(type(row) is list for row in table)):
         raise ParseError(f"Cayley file {name!r} must hold a table of rows "
                          "(bare, or under a \"table\" key)")
     check_enumeration_bound(len(table), max_size)
     for r, row in enumerate(table):
         for c, x in enumerate(row):
-            if isinstance(x, bool) or not isinstance(x, int):
+            if type(x) is not int:
                 raise ParseError(f"Cayley file {name!r} entry [{r}][{c}] = "
                                  f"{json.dumps(x)} is not an integer")
     return FiniteGroup.from_table(table)
@@ -108,22 +106,51 @@ def cmd_enumerate(args) -> int:
 
 
 # -- pipeline -----------------------------------------------------------------
+#
+# A step takes the current object and `run` (the input document, and the truss
+# the last cocycle step consumed).  It gives the next object, its own report or
+# None to verify the next object, and keys to add to the step's entry.
 
 
-def _truss_equality_report(current: HopfTruss, base: HopfTruss) -> VerificationReport:
+def _linearize(obj, run):
+    doc = run["doc"]
+    field = algfile.parse_field(doc["field"]) if "field" in doc else RATIONALS
+    return linearize(obj, field), None, None
+
+
+def _cocycle(obj, run):
+    run["base"] = obj
+    return cocycle_of_truss(obj), None, None
+
+
+def _roundtrip(obj, run):
+    if algfile.kind_of(obj) == "gic":
+        return obj, roundtrip_report(obj), None
+    if run["base"] is None:
+        raise ParseError("step 'roundtrip' needs an earlier 'cocycle' step "
+                         "to compare against")
     hopftruss = algfile.REGISTRY["hopftruss"]
-    now, before = hopftruss.maps_of(current), hopftruss.maps_of(base)
-    checks = tuple(
+    now, before = hopftruss.maps_of(obj), hopftruss.maps_of(run["base"])
+    return obj, VerificationReport("roundtrip", tuple(
         equation(f"roundtrip.{name}", f"{name} returns unchanged from the transport",
                  now[name], before[name])
-        for name in now)
-    return VerificationReport("roundtrip", checks)
+        for name in now)), None
 
 
-def _require(step: str, obj, want_type, want_name: str):
-    if not isinstance(obj, want_type):
-        raise ParseError(
-            f"step {step!r} needs a {want_name}, have {algfile.kind_of(obj)!r}")
+def _fundamental(obj, run):
+    theta, _, rep = fundamental_iso(obj)
+    return obj, rep, {"theta_shape": [theta.cod, theta.dom]}
+
+
+# step: (the document kinds it takes, none for any; what it does)
+_STEPS = {
+    "verify": ((), lambda obj, run: (obj, None, None)),
+    "linearize": (("settruss",), _linearize),
+    "cocycle": (("hopftruss",), _cocycle),
+    "truss": (("gic",), lambda obj, run: (truss_of_cocycle(obj), None, None)),
+    "roundtrip": (("hopftruss", "gic"), _roundtrip),
+    "fundamental": (("trusshopfmodule",), _fundamental),
+}
 
 
 def cmd_pipeline(args) -> int:
@@ -138,48 +165,20 @@ def cmd_pipeline(args) -> int:
 
     doc = _read_json(args.path)
     obj = algfile.parse_document(doc, kind=args.kind)
-    entries = []
-
-    def record(label: str, rep: VerificationReport, extra: dict | None = None) -> bool:
-        entry = {"step": label, "kind": algfile.kind_of(obj), "pass": rep.ok,
-                 "report": rep.to_dict()}
-        entry.update(extra or {})
-        entries.append((entry, rep))
-        return rep.ok
-
-    ok = record("input", algfile.verify_structure(obj))
-    base_truss = None
-    for step in steps:
+    run = {"doc": doc, "base": None}
+    entries, ok = [], True
+    for step in ("input", *steps):  # the input entry is a verify step's
         if not ok:
             break
-        extra = None
-        if step == "verify":
-            rep = algfile.verify_structure(obj)
-        elif step == "linearize":
-            _require(step, obj, SkewTruss, "settruss")
-            field = algfile.parse_field(doc["field"]) if "field" in doc else RATIONALS
-            obj = linearize(obj, field)
-            rep = algfile.verify_structure(obj)
-        elif step == "cocycle":
-            _require(step, obj, HopfTruss, "hopftruss")
-            base_truss = obj
-            obj = cocycle_of_truss(obj)
-            rep = algfile.verify_structure(obj)
-        elif step == "truss":
-            _require(step, obj, InvertibleCocycle, "gic")
-            obj = truss_of_cocycle(obj)
-            rep = algfile.verify_structure(obj)
-        elif step == "roundtrip":
-            _require(step, obj, HopfTruss, "hopftruss")
-            if base_truss is None:
-                raise ParseError("step 'roundtrip' needs an earlier 'cocycle' step "
-                                 "to compare against")
-            rep = _truss_equality_report(obj, base_truss)
-        else:
-            _require(step, obj, TrussHopfModule, "trusshopfmodule")
-            theta, _, rep = fundamental_iso(obj)
-            extra = {"theta_shape": [theta.cod, theta.dom]}
-        ok = record(step, rep, extra)
+        kinds, make = _STEPS["verify" if step == "input" else step]
+        kind = algfile.kind_of(obj)
+        if kinds and kind not in kinds:
+            raise ParseError(f"step {step!r} needs a {' or '.join(kinds)}, have {kind!r}")
+        obj, rep, extra = make(obj, run)
+        rep = algfile.verify_structure(obj) if rep is None else rep
+        ok = rep.ok
+        entries.append(({"step": step, "kind": algfile.kind_of(obj), "pass": ok,
+                         "report": rep.to_dict(), **(extra or {})}, rep))
 
     if args.format == "json":
         sys.stdout.write(algfile.json_text({
@@ -243,10 +242,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        code = exc.code
-        if code is None:
-            return 0
-        return code if isinstance(code, int) else 2
+        return exc.code or 0  # argparse exits with None or 0 after help, 2 on misuse
     try:
         return args.func(args)
     except (TrussLabError, OSError) as exc:

@@ -190,6 +190,18 @@ def test_settruss_tolerates_field_key():
     assert algfile.parse_document(doc) == trivial_truss(cyclic_group(2))
 
 
+@pytest.mark.parametrize("field, message", [
+    (7, "field must be an object"),
+    ({"kind": "Fp", "p": 4}, "not prime"),
+], ids=["not-object", "composite-modulus"])
+def test_settruss_refuses_a_malformed_field(field, message):
+    # the field a linearize step would read is checked when the document parses
+    doc = algfile.document_of(trivial_truss(cyclic_group(2)))
+    with pytest.raises(ParseError, match=message):
+        algfile.parse_document({**doc, "field": field})
+    assert algfile.parse_document({**doc, "field": {"kind": "Fp", "p": 7}}) == trivial_truss(cyclic_group(2))
+
+
 def test_settruss_with_broken_group_parses_but_fails_verification():
     doc = algfile.document_of(trivial_truss(cyclic_group(2)))
     doc["tables"]["group"] = [[0, 0], [0, 0]]

@@ -9,12 +9,13 @@ import sys
 import pytest
 
 from conftest import cyclic_truss
+from test_cocycle import holomorph_cocycle
 from trusslab import algfile, cli
 from trusslab.cli import main
 from trusslab.fields import PRIME_BOUND, RATIONALS
 from trusslab.hopfmodules import induction_functor
 from trusslab.hopftruss import HopfTruss, verify_hopf_truss
-from trusslab.linmap import identity
+from trusslab.linmap import LinMap, identity
 from trusslab.settruss import (
     FiniteGroup,
     cyclic_group,
@@ -331,6 +332,62 @@ def test_pipeline_incompatible_kind(capsys):
     code, _, err = run(capsys, "pipeline", Z3_TRIVIAL, "--steps", "E")
     assert code == 2
     assert "needs a hopftruss" in err
+
+
+# every step that takes a kind, fed a document of another kind
+WRONG_KIND = {
+    "linearize": (BRACE, "settruss", "hopftruss"),
+    "cocycle": (Z3_TRIVIAL, "hopftruss", "settruss"),
+    "truss": (BRACE, "gic", "hopftruss"),
+    "roundtrip": (Z3_TRIVIAL, "hopftruss or gic", "settruss"),
+    "fundamental": (BRACE, "trusshopfmodule", "hopftruss"),
+}
+
+
+def test_every_step_that_takes_a_kind_is_fed_another():
+    assert set(WRONG_KIND) == {step for step, (kinds, _) in cli._STEPS.items() if kinds}
+
+
+@pytest.mark.parametrize("step", WRONG_KIND)
+def test_pipeline_step_refuses_another_kind(capsys, step):
+    path, wants, have = WRONG_KIND[step]
+    code, out, err = run(capsys, "pipeline", path, "--steps", step)
+    assert (code, out) == (2, "")
+    assert f"step '{step}' needs a {wants}, have '{have}'" in err
+
+
+def test_pipeline_help_names_every_step(capsys):
+    code, out, _ = run(capsys, "pipeline", "--help")
+    assert code == 0
+    assert all(step in out for step in cli._STEPS)
+
+
+@pytest.mark.parametrize("command", [("verify",), ("pipeline", "--steps", "linearize")])
+def test_a_malformed_settruss_field_is_refused(tmp_path, capsys, command):
+    doc = json.loads(pathlib.Path(Z3_TRIVIAL).read_text(encoding="utf-8"))
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({**doc, "field": 7}), encoding="utf-8")
+    code, out, err = run(capsys, command[0], str(path), *command[1:])
+    assert (code, out) == (2, "")
+    assert "field must be an object" in err
+
+
+def test_pipeline_roundtrip_of_a_genuine_cocycle(tmp_path, capsys):
+    # Z4 onto Z2² with pi != id: the roundtrip step runs roundtrip_report
+    c, pi = holomorph_cocycle(RATIONALS)
+    assert pi != list(range(4))
+    path = tmp_path / "gic.json"
+    algfile.save(path, c)
+    code, out, _ = run(capsys, "pipeline", str(path), "--steps", "roundtrip", "--format", "json")
+    assert code == 0
+    entry = json.loads(out)["steps"][-1]
+    assert (entry["step"], entry["kind"], entry["pass"]) == ("roundtrip", "gic", True)
+    assert entry["report"]["subject"] == "cocycle-roundtrip"
+    trivial = LinMap(RATIONALS, 4, 16, {(a, k * 4 + a): 1 for k in range(4) for a in range(4)})
+    algfile.save(path, holomorph_cocycle(RATIONALS, trivial)[0])
+    code, out, _ = run(capsys, "pipeline", str(path), "--steps", "roundtrip")
+    assert code == 1
+    assert out.startswith("input [gic]: FAIL") and "roundtrip [gic]" not in out
 
 
 def test_pipeline_roundtrip_needs_a_cocycle_step(capsys):
