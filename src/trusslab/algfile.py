@@ -150,15 +150,9 @@ class _SetTrussKind(Kind):
     dims = (("size", 1),)
 
     def parse(self, doc: dict, cap: int) -> SkewTruss:
-        raw_dims = doc.get("dims")
-        if not isinstance(raw_dims, dict) or sorted(raw_dims) != ["size"]:
-            raise ParseError("settruss dims must name exactly ['size']")
-        size = raw_dims["size"]
-        if not isinstance(size, int) or isinstance(size, bool) or size < 1:
+        size = _parse_dims(doc, self.dims, cap)["size"]
+        if size == 0:
             raise ParseError("settruss size must be a positive integer")
-        if size > cap:
-            raise DimensionLimitError(
-                f"dimension size={size} exceeds TRUSSLAB_MAX_DIM = {cap}")
         if "maps" in doc:
             raise ParseError("settruss documents carry tables, not maps")
         tables = doc.get("tables")
@@ -169,11 +163,11 @@ class _SetTrussKind(Kind):
             raise ParseError(f"tables must name exactly {expected}, got {sorted(tables)}")
         # a table that is no group still parses, so that verification can
         # report which group law it breaks
-        group_table = _parse_table("group", tables["group"], size, size)
+        group_table = parse_table("group", tables["group"], size, size)
         unit, inv, _ = _unit_and_inverses(group_table)
         group = FiniteGroup(group_table, unit, inv)
-        semigroup = FiniteSemigroup(_parse_table("semigroup", tables["semigroup"], size, size))
-        omega = _parse_table("cocycle", tables["cocycle"], 1, size)[0]
+        semigroup = FiniteSemigroup(parse_table("semigroup", tables["semigroup"], size, size))
+        omega = parse_table("cocycle", tables["cocycle"], 1, size)[0]
         if "field" in doc:  # optional: the field a linearize step works over
             parse_field(doc["field"])
         return SkewTruss(group, semigroup, omega)
@@ -294,7 +288,9 @@ def _matrix_doc(m: LinMap) -> list:
     return [[fmt(v) for v in row] for row in m.rows()]
 
 
-def _parse_table(name: str, raw, nrows: int, size: int) -> tuple:
+def parse_table(name: str, raw, nrows: int, size: int) -> tuple:
+    """The rows of a table of indices in range(size) read from JSON, as
+    tuples; ParseError names the first row or entry that is not."""
     if not isinstance(raw, list) or len(raw) != nrows:
         raise ParseError(f"table {name!r} must have {nrows} rows")
     out = []
@@ -303,7 +299,8 @@ def _parse_table(name: str, raw, nrows: int, size: int) -> tuple:
             raise ParseError(f"table {name!r} row {i} must have {size} entries")
         for j, cell in enumerate(row):
             if not isinstance(cell, int) or isinstance(cell, bool):
-                raise ParseError(f"table {name!r} entry [{i}][{j}] must be an integer")
+                raise ParseError(f"table {name!r} entry [{i}][{j}] = "
+                                 f"{json.dumps(cell)} is not an integer")
             if not 0 <= cell < size:
                 raise ParseError(
                     f"table {name!r} entry [{i}][{j}] = {cell} out of range")

@@ -11,7 +11,6 @@ identical inputs give byte-identical bytes on every run.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 
@@ -31,6 +30,7 @@ from .settruss import (
 )
 
 _STEP_ALIASES = {"E": "cocycle", "Q": "truss"}
+_ALIAS_TEXT = ", ".join(f"{alias}={step}" for alias, step in _STEP_ALIASES.items())
 
 
 def _read_json(path):
@@ -55,7 +55,8 @@ def cmd_verify(args) -> int:
 
 
 def _group_by_name(name: str, max_size: int) -> FiniteGroup:
-    """The named group, refused by the enumeration bound before it is built."""
+    """The named group, refused by the enumeration bound before it is built.
+    A Cayley file's table is read as a document's tables are."""
     match = re.fullmatch(r"Z([0-9]+)", name)
     if match:
         digits = match.group(1).lstrip("0") or "0"
@@ -74,19 +75,14 @@ def _group_by_name(name: str, max_size: int) -> FiniteGroup:
     except OSError:
         raise ParseError(f"unknown group {name!r}: not Zn, not S3, "
                          "and no such Cayley file") from None
-    # json.loads makes exact dicts, lists and ints, and a bool is no int here
+    # json.loads makes exact dicts and lists
     table = doc.get("table") if type(doc) is dict else doc
     if not (type(table) is list and table
             and all(type(row) is list for row in table)):
         raise ParseError(f"Cayley file {name!r} must hold a table of rows "
                          "(bare, or under a \"table\" key)")
     check_enumeration_bound(len(table), max_size)
-    for r, row in enumerate(table):
-        for c, x in enumerate(row):
-            if type(x) is not int:
-                raise ParseError(f"Cayley file {name!r} entry [{r}][{c}] = "
-                                 f"{json.dumps(x)} is not an integer")
-    return FiniteGroup.from_table(table)
+    return FiniteGroup.from_table(algfile.parse_table(name, table, len(table), len(table)))
 
 
 def cmd_enumerate(args) -> int:
@@ -161,7 +157,7 @@ def cmd_pipeline(args) -> int:
     unknown = [s for s in steps if s not in _STEPS]
     if unknown:
         raise ParseError(f"unknown steps {unknown}; choose from {list(_STEPS)} "
-                         f"(aliases E={_STEP_ALIASES['E']}, Q={_STEP_ALIASES['Q']})")
+                         f"(aliases {_ALIAS_TEXT})")
 
     doc = _read_json(args.path)
     obj = algfile.parse_document(doc, kind=args.kind)
@@ -228,8 +224,8 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="chain transports, verifying every stage")
     pipe.add_argument("path", help="JSON document to start from")
     pipe.add_argument("--steps", required=True,
-                      help="comma-separated stages: linearize, cocycle (E), "
-                               "truss (Q), roundtrip, verify, fundamental")
+                      help=f"comma-separated stages: {', '.join(_STEPS)} "
+                           f"(aliases {_ALIAS_TEXT})")
     pipe.add_argument("--kind", choices=algfile.KINDS,
                       help="parse as this kind, overriding the document tag")
     pipe.add_argument("--format", choices=("text", "json"), default="text")

@@ -236,12 +236,13 @@ class Structure(Record):
     components, or "dim" when there are none, then the maps), the field,
     the dims, the constructor check, build and moved_maps, the one
     transport of structure, follow from these tables.  MORPHISM_LAWS is
-    the table of verify_morphism's laws, one per map, compiled once per
-    class on use.
+    the table of verify_morphism's laws, one per map and then the laws of
+    MORPHISM_EXTRA, compiled once per class on use.
     """
 
     PARTS = ()
     MAPS = ()
+    MORPHISM_EXTRA = ()
     ALL_MAPS = ()
     ALL_DIMS = ()
 
@@ -267,7 +268,7 @@ class Structure(Record):
         cls.ALL_MAPS, cls.ALL_DIMS = tuple(maps + own), tuple((d, *entry) for d, entry in dims.items())
         cls._dim_reads = tuple((d, attrgetter(path)) for d, _, path in cls.ALL_DIMS)
         cls._map_reads = {name: (attrgetter(path), cod, dom) for name, path, cod, dom in cls.ALL_MAPS}
-        cls.MORPHISM_LAWS = Laws(_morphism_law(*entry) for entry in cls.ALL_MAPS)
+        cls.MORPHISM_LAWS = Laws([*(_morphism_law(*entry) for entry in cls.ALL_MAPS), *cls.MORPHISM_EXTRA])
 
     @classmethod
     def _fields(cls) -> tuple:

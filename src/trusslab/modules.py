@@ -19,13 +19,10 @@ from __future__ import annotations
 
 from .cocycle import InvertibleCocycle, cocycle_of_truss, truss_of_cocycle
 from .coalgebra import Call, Diag, Guard, Structure, diagonal, law_table, terms, verify_morphism
-from .errors import (
-    InvalidStructureError,
-    NotInvertibleError,
-)
+from .errors import InvalidStructureError, NotInvertibleError
 from .hopftruss import HopfTruss, twisted_action, twisted_product
-from .linmap import LinMap, compose_tensor, identity, invert, kron
-from .report import VerificationReport, condition, equation
+from .linmap import LinMap, compose_tensor, identity, kron
+from .report import VerificationReport
 
 
 class TrussModule(Structure):
@@ -49,6 +46,11 @@ class PiModule(Structure):
             ("hopf_action", "carrier", "target*carrier"),
             ("base_action", "second", "source*second"),
             ("compare", "carrier", "second"))
+    # a morphism's map l on the second carrier is fixed by its map h on the carrier
+    MORPHISM_EXTRA = tuple(
+        ("compat.determined", "l = compare'⁻¹∘h∘compare", l,
+         Guard(~compare_dst, "target compare map is singular") @ h @ compare)
+        for l, h, compare, compare_dst in [terms("f_second f_carrier src.compare dst.compare")])
 
     @property
     def ndim(self) -> int:
@@ -139,18 +141,12 @@ def verify_pi_module():
 def verify_pi_module_morphism(h: LinMap, l: LinMap, src: PiModule,
                               dst: PiModule) -> VerificationReport:
     """verify_morphism with h on the carrier, l on the second carrier and
-    identities on the system, and l determined by h through compare."""
+    identities on the system; its laws end with l determined by h through
+    compare."""
     c = src.system
     f = {"source": identity(c.field, c.bimonoid.dim), "target": identity(c.field, c.hopf.dim),
          "carrier": h, "second": l}
-    checks = verify_morphism(f, src, dst).checks
-    try:
-        determined = equation("compat.determined", "l = compare'⁻¹∘h∘compare",
-                              l, invert(dst.compare) @ h @ src.compare)
-    except NotInvertibleError:
-        determined = condition("compat.determined", "l = compare'⁻¹∘h∘compare",
-                               False, "target compare map is singular")
-    return VerificationReport("pimodule-morphism", checks + (determined,))
+    return verify_morphism(f, src, dst, "pimodule-morphism")
 
 
 def restrict_along(fg: dict, source: InvertibleCocycle, m: PiModule) -> PiModule:

@@ -176,7 +176,7 @@ def test_settruss_document_shape_errors():
         (lambda d: {**d, "tables": {**d["tables"], "group": [[0, 2], [1, 0]]}},
          "out of range"),
         (lambda d: {**d, "tables": {**d["tables"], "group": [[0, "1"], [1, 0]]}},
-         "must be an integer"),
+         "is not an integer"),
         (lambda d: {**d, "tables": {**d["tables"], "cocycle": [[0, 1], [1, 0]]}},
          "must have 1 rows"),
     ]:

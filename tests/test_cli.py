@@ -31,6 +31,7 @@ SRC = pathlib.Path(__file__).parent.parent / "src"
 BRACE = str(FIXTURES / "hopftruss-z2-brace.json")
 CORRUPT = str(FIXTURES / "hopftruss-z2-corrupt-cocycle.json")
 Z3_TRIVIAL = str(FIXTURES / "settruss-z3-trivial.json")
+BROKEN_GROUP = str(FIXTURES / "settruss-z2-broken-group.json")
 
 
 def run(capsys, *argv):
@@ -277,6 +278,27 @@ def test_enumerate_refuses_non_integer_cayley_entries(tmp_path, capsys, table, e
     assert f"entry [0][0] = {entry} is not an integer" in err
 
 
+@pytest.mark.parametrize("table, text", [
+    ([[0, "1"], [1, 0]], 'entry [0][1] = "1" is not an integer'),
+    ([[0, True], [1, 0]], "entry [0][1] = true is not an integer"),
+    ([[0, 0.5], [1, 0]], "entry [0][1] = 0.5 is not an integer"),
+    ([[0, 1], [1]], "row 1 must have 2 entries"),
+    ([[0, 1], [1, 2]], "entry [1][1] = 2 out of range"),
+], ids=["string", "bool", "float", "short-row", "out-of-range"])
+def test_cayley_files_and_settruss_tables_share_one_reader(tmp_path, capsys, table, text):
+    # the same refusal, apart from the table's name, for a Cayley file and
+    # for the group table of a settruss document
+    cayley = tmp_path / "g.json"
+    cayley.write_text(json.dumps(table), encoding="utf-8")
+    assert run(capsys, "enumerate", "--group", str(cayley)) == (
+        2, "", f"error: table {str(cayley)!r} {text}\n")
+    doc = algfile.document_of(trivial_truss(cyclic_group(2)))
+    settruss = tmp_path / "t.json"
+    settruss.write_text(json.dumps({**doc, "tables": {**doc["tables"], "group": table}}),
+                        encoding="utf-8")
+    assert run(capsys, "verify", str(settruss)) == (2, "", f"error: table 'group' {text}\n")
+
+
 # -- pipeline -----------------------------------------------------------------
 
 
@@ -424,8 +446,9 @@ def test_pipeline_json_runs_are_byte_identical(capsys):
 # -- rendered output ----------------------------------------------------------
 #
 # The rendered reports, pinned byte for byte in tests/fixtures/rendered: a
-# failing verify in text and JSON, a passing pipeline in JSON, and a
-# verbose report whose failures and residuals sit in a prefixed part.
+# failing verify in text and JSON, a passing pipeline in JSON, a failing
+# set-level verify with its witnesses, and a verbose report whose failures
+# and residuals sit in a prefixed part.
 
 RENDERED = FIXTURES / "rendered"
 
@@ -435,6 +458,7 @@ RENDERED = FIXTURES / "rendered"
     ("verify-corrupt.json", 1, ("verify", CORRUPT, "--format", "json")),
     ("pipeline-z3-roundtrip.json", 0,
      ("pipeline", Z3_TRIVIAL, "--steps", "linearize,E,Q,roundtrip", "--format", "json")),
+    ("verify-settruss-broken-group.txt", 1, ("verify", BROKEN_GROUP)),
 ])
 def test_cli_output_matches_its_fixture(capsys, name, code, argv):
     assert run(capsys, *argv) == (code, (RENDERED / name).read_text(encoding="utf-8"), "")

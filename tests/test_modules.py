@@ -15,7 +15,7 @@ from conftest import (
     random_invertible,
     truss_from_tables,
 )
-from trusslab.coalgebra import Structure
+from trusslab.coalgebra import Structure, verify_morphism
 from trusslab.cocycle import InvertibleCocycle, cocycle_of_truss, truss_of_cocycle
 from trusslab.errors import DimensionMismatchError, InvalidStructureError, NotInvertibleError
 from trusslab.fields import RATIONALS, prime_field
@@ -203,6 +203,20 @@ def test_wrong_second_component_fails_compare_compatibility():
     rep = verify_pi_module_morphism(idn, wrong, m, m)
     assert not rep.named("compare").passed
     assert not rep.named("compat.determined").passed
+
+
+def test_verify_morphism_on_pi_modules_checks_determinacy():
+    # compat.determined is a law of PiModule's morphism table, so
+    # verify_morphism itself ends with it
+    c = MOVED_COCYCLES[0]()
+    m = regular_pi_module(c)
+    idn = identity(c.field, 2)
+    wrong = LinMap(c.field, 2, 2, {(0, 1): 1, (1, 0): 1})
+    f = {"source": identity(c.field, c.bimonoid.dim), "target": identity(c.field, c.hopf.dim),
+         "carrier": idn, "second": wrong}
+    rep = verify_morphism(f, m, m)
+    assert [name for name, _ in rep.named_checks()][-1] == "compat.determined"
+    assert rep.checks == verify_pi_module_morphism(idn, wrong, m, m).checks
 
 
 def test_morphism_shape_mismatch_raises():
